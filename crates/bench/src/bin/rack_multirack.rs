@@ -35,9 +35,8 @@ use std::sync::Arc;
 use dpu_bench::json::{emit, Json};
 use dpu_bench::{header, row};
 use dpu_cluster::{
-    serve_tenants, Cluster, ClusterConfig, ClusterCore, DegradedWindow, Fabric, FaultPlan,
-    QueryId, ShardPolicy, SingleRefCache, Template, Tenant, TenantServeConfig, Topology,
-    TraceShape,
+    serve_tenants, Cluster, ClusterConfig, ClusterCore, DegradedWindow, Fabric, FaultPlan, QueryId,
+    ShardPolicy, SingleRefCache, Template, Tenant, TenantServeConfig, Topology, TraceShape,
 };
 use dpu_pool::Pool;
 use dpu_sim::Time;
@@ -137,8 +136,7 @@ fn main() {
     let rack_list: Vec<usize> = args.racks.map_or_else(|| vec![1, 2, 4], |r| vec![r]);
     let oversub_list: Vec<f64> = args.oversub.map_or_else(|| vec![1.0, 2.0, 4.0, 8.0], |o| vec![o]);
     let tenant_list: Vec<usize> = args.tenants.map_or_else(|| vec![1, 2, 4], |t| vec![t]);
-    let trace =
-        args.trace.unwrap_or(TraceShape::Diurnal { period_seconds: 20.0, amplitude: 0.8 });
+    let trace = args.trace.unwrap_or(TraceShape::Diurnal { period_seconds: 20.0, amplitude: 0.8 });
     // The deep-sweep rack count / oversubscription (sections 2–4).
     let spine_racks = *rack_list.last().expect("rack list is non-empty");
     let spine_oversub = args.oversub.unwrap_or(4.0);
@@ -182,10 +180,7 @@ fn main() {
     for (racks, timeout, load, templates) in &rack_cells {
         let suite_total: f64 = templates.iter().map(|t| t.cost.total_seconds()).sum();
         if let (true, Some(flat)) = (*racks > 1, flat_timeout) {
-            assert!(
-                *timeout > flat,
-                "spine probes cross two extra hops, so the timeout must grow"
-            );
+            assert!(*timeout > flat, "spine probes cross two extra hops, so the timeout must grow");
         }
         row(&[
             format!("{racks}"),
@@ -405,9 +400,9 @@ fn main() {
     if spine_racks > 1 {
         let m = NODES / spine_racks;
         let dead: Vec<usize> = (m..2 * m).collect(); // all of rack 1
-        // Crash 1 µs into execution: the dead primaries are already
-        // dispatched, so every query pays the timeout-based failover
-        // before re-issuing to a cross-rack replica.
+                                                     // Crash 1 µs into execution: the dead primaries are already
+                                                     // dispatched, so every query pays the timeout-based failover
+                                                     // before re-issuing to a cross-rack replica.
         let crash_at = 1e-6;
         println!(
             "\n## Whole-rack failure (rack 1 = nodes {:?} crash at t=1 µs, k={REPLICAS})\n",

@@ -149,9 +149,7 @@ fn parse_args() -> Args {
                 let v = args.next().expect("--trace needs closed|diurnal|burst");
                 parsed.trace = match v.as_str() {
                     "closed" => None,
-                    "diurnal" => {
-                        Some(TraceShape::Diurnal { period_seconds: 20.0, amplitude: 0.8 })
-                    }
+                    "diurnal" => Some(TraceShape::Diurnal { period_seconds: 20.0, amplitude: 0.8 }),
                     "burst" => Some(TraceShape::Burst {
                         period_seconds: 10.0,
                         burst_seconds: 2.0,

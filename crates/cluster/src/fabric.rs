@@ -231,10 +231,7 @@ impl Fabric {
             let dropped = self.down[rb].request(crossed, bytes);
             self.leaves[rb].request(dropped + hop, bytes)
         };
-        self.rx[dst].request(
-            at_dst_leaf + hop,
-            wire(bytes, self.faults.nic_factor(dst, t_secs)),
-        )
+        self.rx[dst].request(at_dst_leaf + hop, wire(bytes, self.faults.nic_factor(dst, t_secs)))
     }
 
     /// Gathers one part from each listed `(node, ready, bytes)` source to
@@ -707,8 +704,7 @@ mod tests {
         // (uplink rate = leaf rate at oversub 1) and at the spine core
         // (racks × the uplink rate).
         let switch = f.config().switch_bytes_per_cycle;
-        let extra =
-            2 * f.config().hop_cycles + 3 * b.div_ceil(switch) + b.div_ceil(2 * switch);
+        let extra = 2 * f.config().hop_cycles + 3 * b.div_ceil(switch) + b.div_ceil(2 * switch);
         assert_eq!(
             inter.cycles() - intra.cycles(),
             extra,

@@ -55,7 +55,10 @@ impl Placement {
     /// exceeds `n_nodes`.
     pub fn rack_aware(n_nodes: usize, racks: usize, k: usize) -> Self {
         assert!(n_nodes > 0, "a placement needs nodes");
-        assert!(racks >= 1 && n_nodes % racks == 0, "{racks} racks must divide {n_nodes} nodes");
+        assert!(
+            racks >= 1 && n_nodes.is_multiple_of(racks),
+            "{racks} racks must divide {n_nodes} nodes"
+        );
         assert!(k >= 1, "need at least one replica");
         assert!(k <= n_nodes, "{k} replicas cannot occupy {n_nodes} distinct nodes");
         Placement { n_nodes, k, racks }
@@ -99,9 +102,7 @@ impl Placement {
         assert!(shard < self.n_nodes, "shard {shard} out of range");
         let m = self.nodes_per_rack();
         let (r, l) = (shard / m, shard % m);
-        (0..self.k)
-            .map(|j| ((r + j) % self.racks) * m + (l + j / self.racks) % m)
-            .collect()
+        (0..self.k).map(|j| ((r + j) % self.racks) * m + (l + j / self.racks) % m).collect()
     }
 
     /// The primary node of `shard` (its first owner).

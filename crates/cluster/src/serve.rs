@@ -176,12 +176,23 @@ pub struct ServeReport {
 /// the queue further. Either way the depth can never exceed the
 /// admission queue's current length or the configured cap
 /// (property-tested).
+///
+/// The windowed p99 is the nearest-rank p99 of the last [`WINDOW_LEN`]
+/// latencies. With fewer than 100 samples the nearest rank
+/// `ceil(0.99 n)` is `n`, so it is exactly the window maximum, kept in a
+/// monotonic deque: O(1) amortized per completion, no sort.
 #[derive(Debug, Clone)]
 pub struct AdaptiveBatch {
     cap: usize,
     slo: Option<f64>,
     allowed: f64,
-    window: VecDeque<f64>,
+    /// Completions observed so far (the index of the next sample).
+    observed: u64,
+    /// `(completion index, latency)` of the samples in the window that
+    /// no later sample is at least as large as: latencies strictly
+    /// decreasing (by `total_cmp`) front to back, so the front is the
+    /// window maximum.
+    window_max: VecDeque<(u64, f64)>,
 }
 
 /// Shed when the windowed p99 exceeds this fraction of the SLO.
@@ -193,6 +204,10 @@ pub const SHED_FACTOR: f64 = 0.7;
 pub const DEEPEN_STEP: f64 = 0.5;
 /// Latency samples kept for the windowed p99 estimate.
 pub const WINDOW_LEN: usize = 64;
+// The nearest-rank p99 of fewer than 100 samples is their maximum; the
+// controller's sliding-window maximum relies on it.
+const _: () =
+    assert!(WINDOW_LEN < 100, "windowed p99 is the window maximum only below 100 samples");
 /// Queue length, in multiples of the cap, past which the controller
 /// batches at full depth regardless of the SLO estimate.
 pub const QUEUE_PRESSURE: usize = 2;
@@ -208,7 +223,7 @@ impl AdaptiveBatch {
         if let Some(s) = slo {
             assert!(s > 0.0, "SLO must be positive");
         }
-        AdaptiveBatch { cap, slo, allowed: 1.0, window: VecDeque::new() }
+        AdaptiveBatch { cap, slo, allowed: 1.0, observed: 0, window_max: VecDeque::new() }
     }
 
     /// The depth the next batch may take given the admission queue's
@@ -226,15 +241,18 @@ impl AdaptiveBatch {
     /// Feeds one completed query's latency back into the control law,
     /// along with the admission queue's length at completion time.
     pub fn observe(&mut self, latency_seconds: f64, queue_len: usize) {
-        self.window.push_back(latency_seconds);
-        if self.window.len() > WINDOW_LEN {
-            self.window.pop_front();
-        }
+        // Without an SLO the window is never read.
         let Some(slo) = self.slo else { return };
-        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let i = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        let p99 = sorted[i - 1];
+        let i = self.observed;
+        self.observed += 1;
+        while self.window_max.back().is_some_and(|&(_, l)| l.total_cmp(&latency_seconds).is_le()) {
+            self.window_max.pop_back();
+        }
+        self.window_max.push_back((i, latency_seconds));
+        while self.window_max.front().is_some_and(|&(j, _)| j + WINDOW_LEN as u64 <= i) {
+            self.window_max.pop_front();
+        }
+        let p99 = self.window_max.front().expect("the newest sample is in the window").1;
         if p99 > SHED_HEADROOM * slo && queue_len as f64 <= self.allowed {
             self.allowed = (self.allowed * SHED_FACTOR).max(1.0);
         } else {
@@ -262,6 +280,55 @@ impl PartialOrd for OrdF64 {
 impl Ord for OrdF64 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
+    }
+}
+
+/// The closed loop's admission queue, held as one FIFO per template with
+/// every entry tagged by its admission sequence number. It behaves as a
+/// single FIFO from which each dispatch pulls the first `k` entries of
+/// the head's template, leaving the rest in order, but a dispatch costs
+/// O(k + templates) instead of a scan and rebuild of the whole queue.
+struct DispatchQueue {
+    /// Per template: `(admission sequence, arrival time)`, oldest first.
+    fifos: Vec<VecDeque<(u64, f64)>>,
+    /// Entries across every FIFO.
+    queued: usize,
+    /// Sequence number of the next admission.
+    next_seq: u64,
+}
+
+impl DispatchQueue {
+    fn new(templates: usize) -> Self {
+        DispatchQueue { fifos: vec![VecDeque::new(); templates], queued: 0, next_seq: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.queued
+    }
+
+    fn push(&mut self, arrival: f64, tmpl: usize) {
+        self.fifos[tmpl].push_back((self.next_seq, arrival));
+        self.next_seq += 1;
+        self.queued += 1;
+    }
+
+    /// The template of the oldest queued entry (`None` when empty).
+    fn front_template(&self) -> Option<usize> {
+        self.fifos
+            .iter()
+            .enumerate()
+            .filter_map(|(t, f)| f.front().map(|&(s, _)| (s, t)))
+            .min()
+            .map(|(_, t)| t)
+    }
+
+    /// Removes the oldest `min(k, queued of tmpl)` entries of `tmpl`,
+    /// yielding their arrival times oldest first.
+    fn take(&mut self, tmpl: usize, k: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let fifo = &mut self.fifos[tmpl];
+        let k = k.min(fifo.len());
+        self.queued -= k;
+        fifo.drain(..k).map(|(_, arrival)| arrival)
     }
 }
 
@@ -386,7 +453,7 @@ pub fn serve_pipeline_hooked(
     }
 
     let n_srv = cfg.concurrency;
-    let mut queue: VecDeque<(f64, usize)> = VecDeque::new(); // (arrival, template)
+    let mut queue = DispatchQueue::new(templates.len());
     let mut server_free_at = vec![0.0f64; n_srv];
     let mut server_busy = vec![false; n_srv];
     // Latencies of each server's in-flight batch, fed to the controller
@@ -436,7 +503,7 @@ pub fn serve_pipeline_hooked(
             // The client now waits for completion (closed loop); its next
             // arrival is scheduled at dispatch below.
             admitted += 1;
-            queue.push_back((now, t));
+            queue.push(now, t);
         } else {
             let s = kind - COMPLETE_BASE;
             server_busy[s] = false;
@@ -450,25 +517,16 @@ pub fn serve_pipeline_hooked(
 
         // Dispatch while a server is idle and work is queued.
         while let Some(srv) = (0..n_srv).find(|&i| !server_busy[i]) {
-            let Some(&(_, tmpl)) = queue.front() else { break };
+            let Some(tmpl) = queue.front_template() else { break };
             let cap = controller.as_ref().map_or(cfg.max_batch, |c| c.depth(queue.len()));
-            // Collect up to `cap` same-template queries (FIFO scan).
-            let mut batch: Vec<(f64, usize)> = Vec::new();
-            let mut rest: VecDeque<(f64, usize)> = VecDeque::new();
-            while let Some((arr, t)) = queue.pop_front() {
-                if t == tmpl && batch.len() < cap {
-                    batch.push((arr, t));
-                } else {
-                    rest.push_back((arr, t));
-                }
-            }
-            queue = rest;
+            // Up to `cap` same-template queries, oldest first.
+            let batch = queue.take(tmpl, cap);
+            let k = batch.len();
             let start = server_free_at[srv].max(now);
             let factor = match window {
                 Some(w) if start >= w.from_seconds && start < w.until_seconds => w.cost_factor,
                 _ => 1.0,
             };
-            let k = batch.len();
             let hooked_cost = hook.as_deref_mut().and_then(|h| h.template_cost(tmpl, now));
             let cost = hooked_cost.as_ref().unwrap_or(&templates[tmpl].cost);
             let iso_fabric = cost.fabric_seconds;
@@ -497,7 +555,7 @@ pub fn serve_pipeline_hooked(
             server_free_at[srv] = done;
             server_busy[srv] = true;
             batches += 1;
-            for &(arr, _) in &batch {
+            for arr in batch {
                 latencies.push(done - arr);
                 done_times.push(done);
                 server_pending[srv].push(done - arr);
@@ -778,6 +836,49 @@ mod tests {
         assert_eq!(ctl.depth(0), 1);
         assert_eq!(ctl.depth(3), 3);
         assert_eq!(ctl.depth(100), 8);
+    }
+
+    #[test]
+    fn dispatch_queue_matches_single_fifo_scan_and_rebuild() {
+        // Oracle: one FIFO of (arrival, template); a dispatch takes up to
+        // `cap` entries of the head's template in a full scan and
+        // rebuilds the queue from the rest.
+        fn oracle_take(
+            queue: &mut VecDeque<(f64, usize)>,
+            cap: usize,
+        ) -> Option<(usize, Vec<f64>)> {
+            let tmpl = queue.front()?.1;
+            let mut batch = Vec::new();
+            let mut rest = VecDeque::new();
+            while let Some((arr, t)) = queue.pop_front() {
+                if t == tmpl && batch.len() < cap {
+                    batch.push(arr);
+                } else {
+                    rest.push_back((arr, t));
+                }
+            }
+            *queue = rest;
+            Some((tmpl, batch))
+        }
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n_tmpl = 1 + rng.next_below(8) as usize;
+            let mut oracle: VecDeque<(f64, usize)> = VecDeque::new();
+            let mut queue = DispatchQueue::new(n_tmpl);
+            for step in 0..400 {
+                if rng.next_below(3) > 0 {
+                    let t = rng.next_below(n_tmpl as u64) as usize;
+                    oracle.push_back((step as f64, t));
+                    queue.push(step as f64, t);
+                } else {
+                    let cap = 1 + rng.next_below(16) as usize;
+                    let want = oracle_take(&mut oracle, cap);
+                    let got = queue.front_template().map(|t| (t, queue.take(t, cap).collect()));
+                    assert_eq!(got, want, "seed {seed} step {step}");
+                }
+                assert_eq!(queue.len(), oracle.len(), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

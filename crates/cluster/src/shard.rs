@@ -243,11 +243,7 @@ pub fn shard_tpch_replicated(db: &TpchDb, policy: &ShardPolicy, k: usize) -> Sha
 /// Panics if the placement's node count differs from the policy's shard
 /// count.
 pub fn shard_tpch_placed(db: &TpchDb, policy: &ShardPolicy, placement: Placement) -> ShardedTpch {
-    assert_eq!(
-        placement.n_nodes(),
-        policy.shards(),
-        "placement nodes must match policy shards"
-    );
+    assert_eq!(placement.n_nodes(), policy.shards(), "placement nodes must match policy shards");
     let orders = shard_table(&db.orders, "o_orderkey", policy);
     let lineitem = shard_table(&db.lineitem, "l_orderkey", policy);
     let mut shards: Vec<TpchDb> = orders

@@ -55,10 +55,7 @@ impl Topology {
     pub fn new(n_nodes: usize, racks: usize, oversub: f64) -> Self {
         assert!(n_nodes > 0, "a topology needs nodes");
         assert!(racks >= 1, "a topology needs at least one rack");
-        assert!(
-            n_nodes % racks == 0,
-            "{racks} racks must divide {n_nodes} nodes evenly"
-        );
+        assert!(n_nodes.is_multiple_of(racks), "{racks} racks must divide {n_nodes} nodes evenly");
         assert!(oversub >= 1.0, "oversubscription ratio must be ≥ 1, got {oversub}");
         Topology { n_nodes, racks, oversub }
     }

@@ -16,10 +16,13 @@ use dpu_repro::sql::tpch;
 
 const NODES: usize = 8;
 
+/// Shared cores keyed by their (racks, k) topology.
+type CoreCache = Vec<((usize, usize), Arc<ClusterCore>)>;
+
 /// One shared core per (racks, k) topology, over one shared database
 /// and one shared single-node reference cache.
 fn core(racks: usize, k: usize) -> Arc<ClusterCore> {
-    static CORES: OnceLock<Vec<((usize, usize), Arc<ClusterCore>)>> = OnceLock::new();
+    static CORES: OnceLock<CoreCache> = OnceLock::new();
     CORES
         .get_or_init(|| {
             let db = Arc::new(tpch::generate(400, 17));
@@ -111,7 +114,10 @@ fn whole_rack_death_at_query_start_routes_around_silently() {
             .try_run_at(id, 0.0)
             .unwrap_or_else(|e| panic!("{} with rack 1 of {racks} down: {e}", id.name()));
         assert!(q.matches_single(), "{} diverged (rack 1 of {racks} down from start)", id.name());
-        assert_eq!(q.cost.failovers, 0, "a pre-dispatch death must be routed around, not timed out");
+        assert_eq!(
+            q.cost.failovers, 0,
+            "a pre-dispatch death must be routed around, not timed out"
+        );
     });
 }
 

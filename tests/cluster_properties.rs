@@ -5,6 +5,9 @@
 
 use proptest::prelude::*;
 
+use dpu_repro::cluster::serve::{
+    DEEPEN_STEP, QUEUE_PRESSURE, SHED_FACTOR, SHED_HEADROOM, WINDOW_LEN,
+};
 use dpu_repro::cluster::{
     serve, shard_table, shard_tpch, shard_tpch_replicated, AdaptiveBatch, Cluster, ClusterConfig,
     ClusterQueryCost, NodeCost, Placement, QueryId, ServeConfig, ShardPolicy, SkewReport, Template,
@@ -28,6 +31,49 @@ fn serve_template(local: f64) -> Template {
             speculations: 0,
         },
         xeon_seconds: 0.5,
+    }
+}
+
+/// Reference copy of the adaptive controller's control law as first
+/// written: it keeps the last `WINDOW_LEN` latencies and sorts them on
+/// every completion to read the nearest-rank p99. The differential
+/// property below holds [`AdaptiveBatch`] to it.
+struct SortedWindowBatch {
+    cap: usize,
+    slo: Option<f64>,
+    allowed: f64,
+    window: std::collections::VecDeque<f64>,
+}
+
+impl SortedWindowBatch {
+    fn new(cap: usize, slo: Option<f64>) -> Self {
+        SortedWindowBatch { cap, slo, allowed: 1.0, window: Default::default() }
+    }
+
+    fn depth(&self, queue_len: usize) -> usize {
+        let allowed = match self.slo {
+            _ if queue_len >= QUEUE_PRESSURE * self.cap => self.cap,
+            Some(_) => self.allowed as usize,
+            None => self.cap,
+        };
+        allowed.min(queue_len).min(self.cap).max(1)
+    }
+
+    fn observe(&mut self, latency_seconds: f64, queue_len: usize) {
+        self.window.push_back(latency_seconds);
+        if self.window.len() > WINDOW_LEN {
+            self.window.pop_front();
+        }
+        let Some(slo) = self.slo else { return };
+        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let i = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        let p99 = sorted[i - 1];
+        if p99 > SHED_HEADROOM * slo && queue_len as f64 <= self.allowed {
+            self.allowed = (self.allowed * SHED_FACTOR).max(1.0);
+        } else {
+            self.allowed = (self.allowed + DEEPEN_STEP).min(self.cap as f64);
+        }
     }
 }
 
@@ -260,6 +306,49 @@ proptest! {
             prop_assert!(d <= cap, "depth {} above cap {}", d, cap);
             prop_assert!(d <= queue_len.max(1), "depth {} above queue {}", d, queue_len);
             prop_assert!(ctl.allowed() >= 1.0 && ctl.allowed() <= cap as f64);
+        }
+    }
+
+    #[test]
+    fn adaptive_controller_matches_the_sorted_window_reference(
+        cap in 1usize..32,
+        slo_on in any::<bool>(),
+        slo_ms in 100u32..3000,
+        // (kind, value, repeats, queue length). Most samples sit under
+        // the shed threshold, on a grid of eighths of the SLO (ties) or
+        // anywhere below it; kind 0 is a spike above it and kind 8 lands
+        // exactly on it. A spike decides shed-or-deepen until it slides
+        // out of the window, so an off-by-one window shows. Runs of up to
+        // 39 equal samples, and streams from empty to ~15 × WINDOW_LEN.
+        stream in proptest::collection::vec(
+            (0u32..16, 0.0f64..1.0, 1usize..40, 0usize..24),
+            0..48,
+        ),
+    ) {
+        let slo_s = slo_ms as f64 / 1000.0;
+        let slo = slo_on.then_some(slo_s);
+        let mut ctl = AdaptiveBatch::new(cap, slo);
+        let mut reference = SortedWindowBatch::new(cap, slo);
+        let mut n = 0usize;
+        for &(kind, value, repeats, queue_len) in &stream {
+            let l = match kind {
+                0 => slo_s * (1.0 + value),
+                1..=7 => slo_s * kind as f64 / 8.0,
+                8 => SHED_HEADROOM * slo_s,
+                _ => slo_s * SHED_HEADROOM * value,
+            };
+            for _ in 0..repeats {
+                ctl.observe(l, queue_len);
+                reference.observe(l, queue_len);
+                n += 1;
+                prop_assert_eq!(
+                    ctl.allowed().to_bits(), reference.allowed.to_bits(),
+                    "allowed diverged after {} samples", n
+                );
+                for q in [0, 1, queue_len, cap, QUEUE_PRESSURE * cap, 1000] {
+                    prop_assert_eq!(ctl.depth(q), reference.depth(q), "depth({}) after {}", q, n);
+                }
+            }
         }
     }
 
