@@ -70,15 +70,15 @@ fn main() {
     );
 
     // ── Estimated vs actual, every query through the planner path ────
-    header(&["Query", "merge", "est (ms)", "actual (ms)", "est/actual", "== hand-wired"]);
+    header(&["Query", "merge", "est (ms)", "actual (ms)", "est/actual", "== default"]);
     let mut queries_json: Vec<Json> = Vec::new();
     let mut profiled: Vec<ProfiledQuery> = Vec::new();
     for id in QueryId::ALL {
         let choice = planner.plan(id);
         let reference = cluster.try_run_at(id, 0.0).expect("healthy cluster");
-        assert!(reference.matches_single(), "{} hand-wired diverged", id.name());
+        assert!(reference.matches_single(), "{} default plan diverged", id.name());
         // Execute the chosen plan and every rejected alternative: all of
-        // them must be bit-identical to the hand-wired pipeline.
+        // them must be bit-identical to the default plan.
         let mut runs: Vec<(CandidatePlan, PlannedRun)> = Vec::new();
         for (plan, est) in std::iter::once((choice.plan.clone(), choice.estimate.clone()))
             .chain(choice.alternatives.iter().cloned())
@@ -92,7 +92,7 @@ fn main() {
             assert_eq!(
                 run.query.output,
                 reference.output,
-                "{} planner plan diverged from hand-wired",
+                "{} planner plan diverged from the default plan",
                 id.name()
             );
             runs.push((
@@ -128,7 +128,7 @@ fn main() {
     }
     println!(
         "\nAll planner-chosen plans (and every rejected alternative) are bit-identical \
-         to the hand-wired pipelines and to single-node execution.\n"
+         to the default plans and to single-node execution.\n"
     );
 
     // ── EXPLAIN for each chosen plan (estimates vs actuals) ──────────

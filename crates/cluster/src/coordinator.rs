@@ -1,23 +1,28 @@
-//! Distributed scatter/gather plans for the Figure 16 query set, with
-//! replica failover.
+//! The distributed cluster for the Figure 16 query set: sharding,
+//! replica failover, and the scheduling and fabric machinery every
+//! distributed query runs through.
 //!
 //! Each query runs in phases: every logical shard's **local phase**
-//! (scan/filter/join/partial-aggregate — costed by the same [`CostAcc`]
-//! roofline the single-node engine uses) executes on one live replica of
-//! that shard, partial results move over the [`Fabric`], and a
-//! coordinator node **merges**. Cluster time is therefore
-//! `max over nodes + fabric + merge`, with fabric congestion coming from
-//! the queuing model rather than a constant.
+//! (scan/filter/join/partial-aggregate — the query's logical plan,
+//! costed by the same `CostAcc` roofline the single-node engine uses)
+//! executes on one live replica of that shard, partial results move over
+//! the [`Fabric`], and a coordinator node **merges**. Cluster time is
+//! therefore `max over nodes + fabric + merge`, with fabric congestion
+//! coming from the queuing model rather than a constant.
 //!
-//! Because `orders`/`lineitem` are co-sharded by order key and dimensions
-//! are replicated, seven of the eight queries decompose into *run the
-//! single-node query per shard, then merge*: re-aggregation for the
-//! group-bys (Q1, Q5, Q12) and scalar sums (Q6, Q14), top-k candidate
-//! merge for Q3/Q18 (each shard's local top-k provably contains every
-//! global winner). Q10 groups by **customer**, which is not the sharding
-//! key, so it runs a genuine two-phase aggregation: partial group-by
-//! per shard, an all-to-all hash reshuffle of partial groups to owner
-//! nodes, owner re-aggregation, then a candidate gather.
+//! What each shard runs and how partials merge is data — a
+//! [`PhysicalPlan`](crate::planned::PhysicalPlan) executed by
+//! [`Cluster::run_planned`]; [`Cluster::try_run_at`] runs a query's
+//! [`default_physical`] plan. Because `orders`/`lineitem` are co-sharded
+//! by order key and dimensions are replicated, seven of the eight
+//! queries decompose into *run the query's plan per shard, then merge*:
+//! re-aggregation for the group-bys (Q1, Q5, Q12) and scalar sums (Q6,
+//! Q14), top-k candidate merge for Q3/Q18 (each shard's local top-k
+//! provably contains every global winner). Q10 groups by **customer**,
+//! which is not the sharding key, so it runs a genuine two-phase
+//! aggregation: partial group-by per shard, an all-to-all hash reshuffle
+//! of partial groups to owner nodes, owner re-aggregation, then a
+//! candidate gather.
 //!
 //! # Failover
 //!
@@ -60,17 +65,17 @@ use std::sync::{Arc, OnceLock};
 use dpu_core::rack::Rack;
 use dpu_pool::Pool;
 use dpu_sim::Time;
+use dpu_sql::logical::LogicalOutput;
 use dpu_sql::plan::{PlatformCost, DPU_CLOCK, DPU_CORES, DPU_STREAM_BW};
-use dpu_sql::tpch::{self, project_rows, select_rows, TpchDb, D_1995};
-use dpu_sql::{
-    top_k, AggFunc, CompareOp, CostAcc, FilterSpec, GroupBySpec, HashJoin, QueryCost, Table,
-};
+use dpu_sql::tpch::{TpchDb, AGG_DPU};
+use dpu_sql::{QueryCost, Table};
 use xeon_model::Xeon;
 
 use crate::fabric::{Fabric, FabricConfig};
 use crate::fault::FaultPlan;
+use crate::planned::{default_physical, single_plan};
 use crate::replica::Placement;
-use crate::shard::{shard_table, shard_tpch_placed, ShardPolicy, ShardedTpch};
+use crate::shard::{shard_tpch_placed, ShardPolicy, ShardedTpch};
 use crate::topology::Topology;
 
 /// The eight TPC-H queries of Figure 16.
@@ -133,6 +138,14 @@ pub enum QueryError {
     },
     /// No node in the cluster is alive to coordinate or own a partition.
     NoLiveNodes,
+    /// The physical plan is malformed: its local phase produces an
+    /// output its merge strategy cannot combine.
+    PlanMismatch {
+        /// The merge strategy's display name.
+        merge: &'static str,
+        /// What the local phase produced.
+        output: String,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -142,6 +155,9 @@ impl std::fmt::Display for QueryError {
                 write!(f, "shard {shard} has no live replica")
             }
             QueryError::NoLiveNodes => write!(f, "no live nodes in the cluster"),
+            QueryError::PlanMismatch { merge, output } => {
+                write!(f, "plan mismatch: the {merge} merge cannot combine {output}")
+            }
         }
     }
 }
@@ -169,6 +185,16 @@ impl QueryOutput {
         match self {
             QueryOutput::Table(t) => t,
             other => panic!("not a table output: {other:?}"),
+        }
+    }
+
+    /// The output for one or two scalar sums (`None` at any other
+    /// arity).
+    pub(crate) fn from_scalars(sums: &[i64]) -> Option<QueryOutput> {
+        match *sums {
+            [one] => Some(QueryOutput::Scalar(one)),
+            [a, b] => Some(QueryOutput::Pair(a, b)),
+            _ => None,
         }
     }
 }
@@ -541,7 +567,7 @@ impl ClusterCore {
 
     /// The single-node reference result for `id`, computed on first use
     /// and memoized in the shared cache.
-    fn single_ref(&self, id: QueryId) -> (QueryOutput, QueryCost) {
+    pub(crate) fn single_ref(&self, id: QueryId) -> (QueryOutput, QueryCost) {
         self.single.get_or_compute(&self.full, &self.xeon, self.cfg.scale, id)
     }
 
@@ -634,12 +660,6 @@ impl Cluster {
         self.core.sharded()
     }
 
-    /// The single-node reference result for `id` (shared memoization —
-    /// see [`SingleRefCache`]).
-    pub(crate) fn single_ref(&self, id: QueryId) -> (QueryOutput, QueryCost) {
-        self.core.single_ref(id)
-    }
-
     /// Pre-warms the shared single-node reference cache on the host pool
     /// (see [`ClusterCore::warm_single_refs`]).
     pub fn warm_single_refs(&self) {
@@ -712,7 +732,8 @@ impl Cluster {
     }
 
     /// Runs one query distributed, starting at absolute time
-    /// `start_seconds` (faults are evaluated against that clock).
+    /// `start_seconds` (faults are evaluated against that clock): its
+    /// [`default_physical`] plan through [`run_planned`](Self::run_planned).
     ///
     /// # Errors
     ///
@@ -723,25 +744,7 @@ impl Cluster {
         id: QueryId,
         start_seconds: f64,
     ) -> Result<DistributedQuery, QueryError> {
-        match id {
-            QueryId::Q1 => self.reagg(id, spec_q1(), tpch::q1, start_seconds),
-            QueryId::Q3 => self.topk_merge(
-                id,
-                tpch::q3,
-                "revenue",
-                10,
-                &["l_orderkey", "o_orderdate"],
-                start_seconds,
-            ),
-            QueryId::Q5 => self.reagg(id, spec_q5(), tpch::q5, start_seconds),
-            QueryId::Q6 => self.run_q6(start_seconds),
-            QueryId::Q10 => self.run_q10(start_seconds),
-            QueryId::Q12 => self.reagg(id, spec_q12(), tpch::q12, start_seconds),
-            QueryId::Q14 => self.run_q14(start_seconds),
-            QueryId::Q18 => {
-                self.topk_merge(id, tpch::q18, "o_totalprice", 100, &["o_orderkey"], start_seconds)
-            }
-        }
+        self.run_planned(&default_physical(id), start_seconds).map(|r| r.query)
     }
 
     /// Runs all eight queries at `t = 0`. With a multi-thread host pool
@@ -1031,418 +1034,24 @@ impl Cluster {
             speculations,
         })
     }
-
-    /// The scatter → gather → re-aggregate plan: run the single-node
-    /// query per shard, merge partial aggregates at the coordinator.
-    fn reagg(
-        &mut self,
-        id: QueryId,
-        spec: GroupBySpec,
-        f: fn(&TpchDb, &Xeon, u64) -> (Table, QueryCost),
-        start: f64,
-    ) -> Result<DistributedQuery, QueryError> {
-        let (single_output, single_cost) = self.single_ref(id);
-        let locals = run_shards(&self.core.sharded.shards, &self.core.xeon, self.core.cfg.scale, f);
-        let per_shard: Vec<NodeCost> =
-            locals.iter().map(|(_, c)| NodeCost::from_dpu(&c.dpu)).collect();
-        let partials: Vec<Table> = locals.into_iter().map(|(t, _)| t).collect();
-        let merged = spec.merge_partials(&partials);
-        let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
-        Ok(DistributedQuery {
-            id,
-            output: QueryOutput::Table(merged),
-            single_output,
-            cost,
-            single_cost,
-        })
-    }
-
-    /// The scatter → gather → top-k candidate merge plan. Each shard's
-    /// local top-k contains every global winner (a winner's rows live on
-    /// exactly one shard, where it also ranks top-k), so merging the
-    /// candidate lists under the same total order reproduces the
-    /// single-node result exactly.
-    fn topk_merge(
-        &mut self,
-        id: QueryId,
-        f: fn(&TpchDb, &Xeon, u64) -> (Table, QueryCost),
-        value_col: &str,
-        k: usize,
-        tie_cols: &[&str],
-        start: f64,
-    ) -> Result<DistributedQuery, QueryError> {
-        let (single_output, single_cost) = self.single_ref(id);
-        let locals = run_shards(&self.core.sharded.shards, &self.core.xeon, self.core.cfg.scale, f);
-        let per_shard: Vec<NodeCost> =
-            locals.iter().map(|(_, c)| NodeCost::from_dpu(&c.dpu)).collect();
-        let partials: Vec<Table> = locals.into_iter().map(|(t, _)| t).collect();
-        let merged = merge_topk(&partials, value_col, k, tie_cols);
-        let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
-        Ok(DistributedQuery {
-            id,
-            output: QueryOutput::Table(merged),
-            single_output,
-            cost,
-            single_cost,
-        })
-    }
-
-    fn run_q6(&mut self, start: f64) -> Result<DistributedQuery, QueryError> {
-        let (single_output, single_cost) = self.single_ref(QueryId::Q6);
-        let locals =
-            run_shards(&self.core.sharded.shards, &self.core.xeon, self.core.cfg.scale, tpch::q6);
-        let per_shard: Vec<NodeCost> =
-            locals.iter().map(|(_, c)| NodeCost::from_dpu(&c.dpu)).collect();
-        let total: i64 = locals.iter().map(|(v, _)| v).sum();
-        // Each node ships one 8-byte partial sum.
-        let partials: Vec<Table> = locals
-            .iter()
-            .map(|(v, _)| Table::new(vec![dpu_sql::Column::i64("revenue", vec![*v])]))
-            .collect();
-        let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
-        Ok(DistributedQuery {
-            id: QueryId::Q6,
-            output: QueryOutput::Scalar(total),
-            single_output,
-            cost,
-            single_cost,
-        })
-    }
-
-    fn run_q14(&mut self, start: f64) -> Result<DistributedQuery, QueryError> {
-        let (single_output, single_cost) = self.single_ref(QueryId::Q14);
-        let locals =
-            run_shards(&self.core.sharded.shards, &self.core.xeon, self.core.cfg.scale, tpch::q14);
-        let per_shard: Vec<NodeCost> =
-            locals.iter().map(|(_, c)| NodeCost::from_dpu(&c.dpu)).collect();
-        let promo: i64 = locals.iter().map(|((p, _), _)| p).sum();
-        let total: i64 = locals.iter().map(|((_, t), _)| t).sum();
-        let partials: Vec<Table> = locals
-            .iter()
-            .map(|((p, t), _)| {
-                Table::new(vec![
-                    dpu_sql::Column::i64("promo", vec![*p]),
-                    dpu_sql::Column::i64("total", vec![*t]),
-                ])
-            })
-            .collect();
-        let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
-        Ok(DistributedQuery {
-            id: QueryId::Q14,
-            output: QueryOutput::Pair(promo, total),
-            single_output,
-            cost,
-            single_cost,
-        })
-    }
-
-    /// Q10 groups by `o_custkey`, which is not the sharding key: the
-    /// genuine two-phase plan. Phase 1 computes partial groups per shard
-    /// (failover-routed like every local phase); phase 2 reshuffles
-    /// partials all-to-all by customer-key hash to owner nodes chosen
-    /// among the nodes live when the shuffle begins; phase 3 re-aggregates
-    /// at owners (an owner that dies mid-merge fails over to the next
-    /// live node, with dead senders' chunks re-derived from shard
-    /// replicas) and picks local top-20 candidates; phase 4 gathers
-    /// candidates to the coordinator for the final top-20.
-    fn run_q10(&mut self, start: f64) -> Result<DistributedQuery, QueryError> {
-        let scale = self.core.cfg.scale;
-        let (single_output, single_cost) = self.single_ref(QueryId::Q10);
-        let spec = spec_q10();
-        let n = self.core.sharded.n_nodes();
-        let timeout = self.fabric.failover_timeout_seconds();
-
-        // Phase 1: local filter + join + partial group-by, per shard.
-        let locals = run_shards(&self.core.sharded.shards, &self.core.xeon, scale, q10_local);
-        let per_shard: Vec<NodeCost> =
-            locals.iter().map(|(_, c)| NodeCost::from_dpu(&c.dpu)).collect();
-        self.fabric.reset();
-        let (runs, per_node, mut failovers, speculations) =
-            self.schedule_local(&per_shard, start)?;
-        let local_end = runs.iter().map(|r| r.done_seconds).fold(start, f64::max);
-
-        // Phase 2: all-to-all reshuffle of partial groups to owners —
-        // the nodes still alive when the last local phase finishes.
-        let live = self.faults.live_nodes(n, local_end);
-        if live.is_empty() {
-            return Err(QueryError::NoLiveNodes);
-        }
-        let owner_policy = ShardPolicy::hash(live.len());
-        // chunks[s][j]: shard s's partial rows owned by live[j].
-        let chunks: Vec<Vec<Table>> = Pool::global()
-            .par_map(locals.iter().map(|(partial, _)| partial).collect(), |p| {
-                shard_table(p, "o_custkey", &owner_policy)
-            });
-        let mut matrix = vec![vec![0u64; n]; n];
-        let mut ready = vec![self.fabric.at_seconds(local_end); n];
-        for run in &runs {
-            ready[run.node] = self.fabric.at_seconds(run.done_seconds);
-        }
-        for (s, row) in chunks.iter().enumerate() {
-            for (j, chunk) in row.iter().enumerate() {
-                matrix[runs[s].node][live[j]] += chunk.bytes();
-            }
-        }
-        let shuffled = self.fabric.all_to_all(&ready, &matrix);
-
-        // Phase 3: owners re-aggregate their complete groups and pick
-        // local top-20 candidates. An owner that crashes before its merge
-        // completes fails over: the chunks are re-shipped to the next
-        // live node (re-derived from a shard replica when their sender is
-        // gone too) and merged there.
-        //
-        // The per-owner merges are independent of the fabric clock, so
-        // they fan out on the host pool; the failover walk below stays
-        // sequential because it threads fabric state owner by owner.
-        let owner_cands: Vec<(usize, Table)> =
-            Pool::global().par_map((0..live.len()).collect(), |j| {
-                let received: Vec<Table> = chunks.iter().map(|row| row[j].clone()).collect();
-                let rows_in: usize = received.iter().map(Table::rows).sum();
-                let complete = spec.merge_partials(&received);
-                let top = top_k(&complete, "revenue", 20.min(complete.rows().max(1)), 32);
-                (rows_in, project_rows(&complete, &top))
-            });
-        let mut candidates = Vec::with_capacity(live.len());
-        let mut cand_parts = Vec::with_capacity(live.len());
-        for ((j, &owner), (rows_in, cand)) in live.iter().enumerate().zip(owner_cands) {
-            let mut host = owner;
-            let mut done_s = self.fabric.seconds(shuffled[owner])
-                + merge_cpu_seconds(rows_in) / self.faults.compute_factor(owner, local_end);
-            for _ in 0..=n {
-                match self.faults.crash_time(host) {
-                    Some(tc) if tc < done_s => {
-                        failovers += 1;
-                        let t_retry = tc + timeout;
-                        let Some(next) = (0..n)
-                            .map(|d| (host + 1 + d) % n)
-                            .find(|&v| !self.faults.is_down(v, t_retry))
-                        else {
-                            return Err(QueryError::NoLiveNodes);
-                        };
-                        // Re-ship every chunk bound for the dead owner.
-                        let mut landed = self.fabric.at_seconds(t_retry);
-                        for (s, row) in chunks.iter().enumerate() {
-                            if row[j].bytes() == 0 {
-                                continue;
-                            }
-                            let (src, src_ready) =
-                                self.partial_source(s, t_retry, &runs, &per_shard, next)?;
-                            landed = landed.max(self.fabric.transfer(
-                                self.fabric.at_seconds(src_ready),
-                                src,
-                                next,
-                                row[j].bytes(),
-                            ));
-                        }
-                        host = next;
-                        done_s = self.fabric.seconds(landed)
-                            + merge_cpu_seconds(rows_in)
-                                / self.faults.compute_factor(next, t_retry);
-                    }
-                    _ => break,
-                }
-            }
-            cand_parts.push((host, self.fabric.at_seconds(done_s), cand.bytes()));
-            candidates.push(cand);
-        }
-
-        // Phase 4: gather candidates; final merge at the coordinator
-        // (the live node with the cheapest hop-weighted inbound — the
-        // lowest live id with one rack).
-        let cand_sources: Vec<(usize, u64)> =
-            cand_parts.iter().map(|&(host, _, b)| (host, b)).collect();
-        let Some(dst) = self.gather_destination(&cand_sources, local_end) else {
-            return Err(QueryError::NoLiveNodes);
-        };
-        let done = self.fabric.gather(&cand_parts, dst);
-        let merged = merge_topk(&candidates, "revenue", 20, &["o_custkey"]);
-        let end = self.fabric.seconds(done).max(local_end);
-        let cand_rows: usize = candidates.iter().map(Table::rows).sum();
-        let cost = ClusterQueryCost {
-            per_node,
-            local_seconds: local_end - start,
-            fabric_seconds: end - local_end,
-            merge_seconds: merge_cpu_seconds(cand_rows),
-            fabric_bytes: self.fabric.payload_bytes(),
-            failovers,
-            speculations,
-        };
-        Ok(DistributedQuery {
-            id: QueryId::Q10,
-            output: QueryOutput::Table(merged),
-            single_output,
-            cost,
-            single_cost,
-        })
-    }
 }
 
-/// The single-node reference for `id` on the unsharded database — the
-/// same call each plan used to make inline, centralized so it can be
-/// memoized and pre-warmed in parallel.
+/// The single-node reference for `id`: the query's complete plan
+/// ([`single_plan`]) run on the unsharded database, centralized so it
+/// can be memoized and pre-warmed in parallel.
 fn compute_single(full: &TpchDb, xeon: &Xeon, scale: u64, id: QueryId) -> (QueryOutput, QueryCost) {
-    match id {
-        QueryId::Q1 => {
-            let (t, c) = tpch::q1(full, xeon, scale);
-            (QueryOutput::Table(t), c)
-        }
-        QueryId::Q3 => {
-            let (t, c) = tpch::q3(full, xeon, scale);
-            (QueryOutput::Table(t), c)
-        }
-        QueryId::Q5 => {
-            let (t, c) = tpch::q5(full, xeon, scale);
-            (QueryOutput::Table(t), c)
-        }
-        QueryId::Q6 => {
-            let (v, c) = tpch::q6(full, xeon, scale);
-            (QueryOutput::Scalar(v), c)
-        }
-        QueryId::Q10 => {
-            let (t, c) = tpch::q10(full, xeon, scale);
-            (QueryOutput::Table(t), c)
-        }
-        QueryId::Q12 => {
-            let (t, c) = tpch::q12(full, xeon, scale);
-            (QueryOutput::Table(t), c)
-        }
-        QueryId::Q14 => {
-            let ((p, t), c) = tpch::q14(full, xeon, scale);
-            (QueryOutput::Pair(p, t), c)
-        }
-        QueryId::Q18 => {
-            let (t, c) = tpch::q18(full, xeon, scale);
-            (QueryOutput::Table(t), c)
-        }
-    }
-}
-
-/// Runs one shard-local sub-plan per shard on the host pool, in shard
-/// order. Sub-plans are pure functions of their own shard, so the
-/// fan-out affects wall-clock only — the result vector is identical at
-/// any pool width.
-fn run_shards<R: Send>(
-    shards: &[TpchDb],
-    xeon: &Xeon,
-    scale: u64,
-    f: fn(&TpchDb, &Xeon, u64) -> R,
-) -> Vec<R> {
-    Pool::global().par_map(shards.iter().collect(), |n| f(n, xeon, scale))
+    let (out, cost, _) = single_plan(id).execute_costed(full, xeon, scale);
+    let out = match out {
+        LogicalOutput::Table(t) => QueryOutput::Table(t),
+        LogicalOutput::Scalars(v) => QueryOutput::from_scalars(&v).expect("one or two sums"),
+    };
+    (out, cost)
 }
 
 /// Coordinator-side merge compute: hash re-aggregation at the same
 /// cycles/row as the engine's group-by, on one node's 32 cores.
 pub(crate) fn merge_cpu_seconds(rows: usize) -> f64 {
-    rows as f64 * tpch::AGG_DPU / (DPU_CORES * DPU_CLOCK)
-}
-
-/// Merges per-shard top-k candidate tables: sort by value descending,
-/// break ties by `tie_cols` ascending (the single-node engine's order),
-/// keep `k`.
-pub(crate) fn merge_topk(
-    partials: &[Table],
-    value_col: &str,
-    k: usize,
-    tie_cols: &[&str],
-) -> Table {
-    let all = Table::concat(partials);
-    let v = all.col_index(value_col);
-    let ties: Vec<usize> = tie_cols.iter().map(|c| all.col_index(c)).collect();
-    let mut idx: Vec<usize> = (0..all.rows()).collect();
-    idx.sort_by(|&a, &b| {
-        all.columns[v].data[b].cmp(&all.columns[v].data[a]).then_with(|| {
-            ties.iter()
-                .map(|&t| all.columns[t].data[a].cmp(&all.columns[t].data[b]))
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    });
-    idx.truncate(k);
-    project_rows(&all, &idx)
-}
-
-fn spec_q1() -> GroupBySpec {
-    GroupBySpec {
-        group_cols: vec!["l_returnflag".into(), "l_linestatus".into()],
-        aggs: vec![
-            ("sum_qty".into(), AggFunc::Sum("l_quantity".into())),
-            ("sum_base_price".into(), AggFunc::Sum("l_extendedprice".into())),
-            (
-                "sum_disc_price".into(),
-                AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-            ),
-            ("count_order".into(), AggFunc::Count),
-        ],
-    }
-}
-
-fn spec_q5() -> GroupBySpec {
-    GroupBySpec {
-        group_cols: vec!["n_nationkey".into()],
-        aggs: vec![(
-            "revenue".into(),
-            AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-        )],
-    }
-}
-
-fn spec_q10() -> GroupBySpec {
-    GroupBySpec {
-        group_cols: vec!["o_custkey".into()],
-        aggs: vec![(
-            "revenue".into(),
-            AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-        )],
-    }
-}
-
-fn spec_q12() -> GroupBySpec {
-    GroupBySpec {
-        group_cols: vec!["l_shipmode".into()],
-        aggs: vec![("line_count".into(), AggFunc::Count)],
-    }
-}
-
-/// Q10's local phase: the filters and join of [`tpch::q10`] but stopping
-/// at the partial group-by (no top-k — that happens after the shuffle).
-/// Costed with the same per-operator constants as the single-node query.
-fn q10_local(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    let ord_sel =
-        FilterSpec::new("o_orderdate", CompareOp::Between(D_1995, D_1995 + 90)).apply(&db.orders);
-    let ord = select_rows(&db.orders, &ord_sel);
-    let li_sel = FilterSpec::new("l_returnflag", CompareOp::Eq(2)).apply(&db.lineitem);
-    let li = select_rows(&db.lineitem, &li_sel);
-    let j = HashJoin {
-        build_key: "o_orderkey".into(),
-        probe_key: "l_orderkey".into(),
-        build_cols: vec!["o_custkey".into()],
-        probe_cols: vec!["l_extendedprice".into(), "l_discount".into()],
-    };
-    let (ol, _) = j.execute(&ord, &li, 32);
-    let partial = spec_q10().execute(&ol, None);
-
-    let col_bytes = |t: &Table, names: &[&str]| -> u64 {
-        names.iter().map(|n| t.column(n).expect("column").bytes()).sum()
-    };
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(
-        col_bytes(&db.orders, &["o_orderkey", "o_custkey", "o_orderdate"])
-            + col_bytes(
-                &db.lineitem,
-                &["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-            ),
-    );
-    acc.compute((db.orders.rows() + db.lineitem.rows()) as u64, tpch::SCAN_DPU, tpch::SCAN_XEON);
-    tpch::join_cost(
-        &mut acc,
-        ord.rows() as u64,
-        li.rows() as u64,
-        col_bytes(&db.lineitem, &["l_orderkey"]) / 4,
-    );
-    acc.compute(ol.rows() as u64, tpch::AGG_DPU, tpch::AGG_XEON);
-    let mut cost = acc.finish(xeon);
-    cost.xeon.seconds /= tpch::XEON_DB_EFFICIENCY;
-    (partial, cost)
+    rows as f64 * AGG_DPU / (DPU_CORES * DPU_CLOCK)
 }
 
 #[cfg(test)]

@@ -69,9 +69,7 @@ pub use coordinator::{
 };
 pub use fabric::{Fabric, FabricConfig, ServeFabric};
 pub use fault::{Fault, FaultPlan};
-pub use planned::{
-    handwired_physical, q10_gather_physical, MergeStrategy, PhysicalPlan, PlannedRun,
-};
+pub use planned::{default_physical, q10_gather_physical, MergeStrategy, PhysicalPlan, PlannedRun};
 pub use replica::Placement;
 pub use serve::{
     serve, serve_pipeline, serve_pipeline_hooked, serve_with_faults, AdaptiveBatch, DegradedWindow,

@@ -1,14 +1,14 @@
-//! Planner-chosen distributed execution (ISSUE 6 tentpole).
+//! Plan-driven distributed execution: the one path every distributed
+//! query takes.
 //!
-//! The hand-wired plans in [`coordinator`](crate::coordinator) pair a
-//! fixed per-shard local phase with a fixed merge. This module makes both
-//! halves data: a [`PhysicalPlan`] carries an arbitrary per-shard
-//! [`LogicalPlan`] plus a [`MergeStrategy`], and
-//! [`Cluster::run_planned`] executes it through the *same* scheduling,
-//! failover, and fabric machinery the hand-wired paths use — so a
-//! planner-chosen plan inherits every fault-tolerance property the
-//! coordinator already proves, and its results stay bit-identical to the
-//! single-node engine under any survivable fault pattern.
+//! A [`PhysicalPlan`] pairs a per-shard [`LogicalPlan`] with a
+//! [`MergeStrategy`], and [`Cluster::run_planned`] executes it through
+//! the coordinator's scheduling, failover, and fabric machinery — so
+//! every plan inherits the coordinator's fault-tolerance properties and
+//! its results stay bit-identical to the single-node engine under any
+//! survivable fault pattern. [`default_physical`] is each query's
+//! default plan ([`Cluster::try_run_at`] runs it); the planner weighs
+//! alternatives such as [`q10_gather_physical`] against it.
 //!
 //! The merge strategies mirror the placement options the paper's rack
 //! design exposes: gather-and-merge at one coordinator (cheap for small
@@ -23,8 +23,8 @@ use dpu_sql::tpch::project_rows;
 use dpu_sql::{top_k, Column, GroupBySpec, QueryCost, Table};
 
 use crate::coordinator::{
-    merge_cpu_seconds, merge_topk, Cluster, ClusterQueryCost, DistributedQuery, NodeCost,
-    QueryError, QueryId, QueryOutput,
+    merge_cpu_seconds, Cluster, ClusterQueryCost, DistributedQuery, NodeCost, QueryError, QueryId,
+    QueryOutput,
 };
 use crate::shard::{shard_table, ShardPolicy};
 
@@ -66,8 +66,8 @@ pub enum MergeStrategy {
         ties: Vec<String>,
     },
     /// All-to-all hash shuffle of partial groups to owner nodes, owner
-    /// re-aggregation + local top-k, then a candidate gather — the
-    /// generalized form of the hand-wired Q10 plan.
+    /// re-aggregation + local top-k, then a candidate gather — Q10's
+    /// default placement.
     ShuffleTopK {
         /// The column partials are hashed on (the re-keyed group key).
         key: String,
@@ -111,7 +111,7 @@ pub struct PhysicalPlan {
 /// adaptive planner feeds back into its cost model.
 #[derive(Debug, Clone)]
 pub struct PlannedRun {
-    /// The distributed result + cost, same shape as the hand-wired path.
+    /// The distributed result + cost.
     pub query: DistributedQuery,
     /// Per-shard per-operator actual row counts, in shard order.
     pub shard_traces: Vec<Vec<OpRows>>,
@@ -120,57 +120,67 @@ pub struct PlannedRun {
 }
 
 impl Cluster {
-    /// Executes a planner-chosen plan at absolute time `start`, through
-    /// the same failover-aware scheduling as the hand-wired queries.
+    /// Executes `plan` at absolute time `start` with failover-aware
+    /// scheduling: every shard runs `plan.local`, the partials combine
+    /// under `plan.merge`, and the result carries the single-node
+    /// reference for `plan.id`.
     ///
     /// # Errors
     ///
-    /// Same contract as [`try_run_at`](Cluster::try_run_at): shard loss
-    /// and coordinator loss surface as errors, never as wrong results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's local phase output shape does not match its
-    /// merge strategy (e.g. scalar output with a table merge).
+    /// Shard loss and coordinator loss surface as
+    /// [`QueryError::ShardUnavailable`] / [`QueryError::NoLiveNodes`],
+    /// never as wrong results; a local phase whose output shape its
+    /// merge cannot combine (e.g. scalar sums under a table merge) is
+    /// [`QueryError::PlanMismatch`].
     pub fn run_planned(
         &mut self,
         plan: &PhysicalPlan,
         start: f64,
     ) -> Result<PlannedRun, QueryError> {
         let core = self.core().clone();
-        let (single_output, single_cost) = self.single_ref(plan.id);
+        let (single_output, single_cost) = core.single_ref(plan.id);
         let scale = core.cfg().scale;
         let locals: Vec<(LogicalOutput, QueryCost, Vec<OpRows>)> = Pool::global()
             .par_map(core.sharded().shards.iter().collect(), |db| {
                 plan.local.execute_costed(db, core.xeon(), scale)
             });
+        let mut outputs = Vec::with_capacity(locals.len());
+        let mut local_costs = Vec::with_capacity(locals.len());
+        let mut shard_traces = Vec::with_capacity(locals.len());
+        for (o, c, t) in locals {
+            outputs.push(o);
+            local_costs.push(c);
+            shard_traces.push(t);
+        }
         let per_shard: Vec<NodeCost> =
-            locals.iter().map(|(_, c, _)| NodeCost::from_dpu(&c.dpu)).collect();
-        let shard_traces: Vec<Vec<OpRows>> = locals.iter().map(|(_, _, t)| t.clone()).collect();
-        let local_costs: Vec<QueryCost> = locals.iter().map(|(_, c, _)| *c).collect();
+            local_costs.iter().map(|c: &QueryCost| NodeCost::from_dpu(&c.dpu)).collect();
 
-        let (output, cost) = match &plan.merge {
+        let merge = &plan.merge;
+        let (output, cost) = match merge {
             MergeStrategy::Reagg(spec) => {
-                let partials = tables(locals);
+                let partials = tables(outputs, merge)?;
                 let merged = spec.merge_partials(&partials);
                 let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
                 (QueryOutput::Table(merged), cost)
             }
             MergeStrategy::TopKMerge { value, k, ties } => {
-                let partials = tables(locals);
-                let tie_refs: Vec<&str> = ties.iter().map(String::as_str).collect();
-                let merged = merge_topk(&partials, value, *k, &tie_refs);
+                let partials = tables(outputs, merge)?;
+                let merged = merge_topk(&partials, value, *k, ties);
                 let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
                 (QueryOutput::Table(merged), cost)
             }
             MergeStrategy::SumScalars { names } => {
-                let shards: Vec<Vec<i64>> = locals
+                let shards = outputs
                     .into_iter()
-                    .map(|(o, _, _)| match o {
-                        LogicalOutput::Scalars(v) => v,
-                        LogicalOutput::Table(_) => panic!("table output under scalar merge"),
+                    .map(|o| match o {
+                        LogicalOutput::Scalars(v) if v.len() == names.len() => Ok(v),
+                        other => Err(mismatch(merge, &other)),
                     })
-                    .collect();
+                    .collect::<Result<Vec<Vec<i64>>, _>>()?;
+                let totals: Vec<i64> =
+                    (0..names.len()).map(|i| shards.iter().map(|v| v[i]).sum()).collect();
+                let out = QueryOutput::from_scalars(&totals)
+                    .ok_or_else(|| mismatch(merge, &LogicalOutput::Scalars(totals)))?;
                 let partials: Vec<Table> = shards
                     .iter()
                     .map(|vals| {
@@ -179,30 +189,23 @@ impl Cluster {
                         )
                     })
                     .collect();
-                let totals: Vec<i64> =
-                    (0..names.len()).map(|i| shards.iter().map(|v| v[i]).sum()).collect();
                 let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
-                let out = match totals[..] {
-                    [one] => QueryOutput::Scalar(one),
-                    [a, b] => QueryOutput::Pair(a, b),
-                    _ => panic!("unsupported scalar arity {}", totals.len()),
-                };
                 (out, cost)
             }
-            MergeStrategy::GatherTopK { spec, value, k, ties } => {
-                let partials = tables(locals);
+            MergeStrategy::GatherTopK { spec, value, k, .. } => {
+                // The central top_k already imposes the engine's total
+                // order, so the tie columns are not needed here.
+                let partials = tables(outputs, merge)?;
                 let complete = spec.merge_partials(&partials);
                 let top = top_k(&complete, value, (*k).min(complete.rows().max(1)), 32);
-                let _ = ties; // the central top_k already imposes the engine's total order
                 let merged = project_rows(&complete, &top);
                 let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
                 (QueryOutput::Table(merged), cost)
             }
             MergeStrategy::ShuffleTopK { key, spec, value, k, ties } => {
-                let partials = tables(locals);
-                let tie_refs: Vec<&str> = ties.iter().map(String::as_str).collect();
-                let (merged, cost) = self
-                    .shuffle_topk(&partials, &per_shard, key, spec, value, *k, &tie_refs, start)?;
+                let partials = tables(outputs, merge)?;
+                let (merged, cost) =
+                    self.shuffle_topk(&partials, &per_shard, key, spec, value, *k, ties, start)?;
                 (QueryOutput::Table(merged), cost)
             }
         };
@@ -213,11 +216,15 @@ impl Cluster {
         })
     }
 
-    /// The generalized two-phase re-keyed aggregation: partials hashed on
-    /// `key` all-to-all to owner nodes (live at shuffle time), owner
-    /// re-aggregation + local top-k candidates, candidate gather, final
-    /// merge. Structure and failover routing are identical to the
-    /// hand-wired Q10 plan; only the key/spec/k are parameters.
+    /// The two-phase re-keyed aggregation: phase 1 schedules the
+    /// per-shard partial group-bys (failover-routed like every local
+    /// phase); phase 2 reshuffles partials all-to-all by `key` hash to
+    /// owner nodes chosen among the nodes live when the shuffle begins;
+    /// phase 3 re-aggregates at owners (an owner that dies mid-merge
+    /// fails over to the next live node, with dead senders' chunks
+    /// re-derived from shard replicas) and picks local top-`k`
+    /// candidates; phase 4 gathers candidates to the coordinator for the
+    /// final top-`k`.
     #[allow(clippy::too_many_arguments)]
     fn shuffle_topk(
         &mut self,
@@ -227,7 +234,7 @@ impl Cluster {
         spec: &GroupBySpec,
         value: &str,
         k: usize,
-        ties: &[&str],
+        ties: &[String],
         start: f64,
     ) -> Result<(Table, ClusterQueryCost), QueryError> {
         let n = self.core().sharded().n_nodes();
@@ -261,7 +268,10 @@ impl Cluster {
         let shuffled = self.fabric.all_to_all(&ready, &matrix);
 
         // Phase 3: owners re-aggregate their complete groups and pick
-        // local top-k candidates, failing over ring-wise on crashes.
+        // local top-k candidates, failing over ring-wise on crashes. The
+        // per-owner merges are independent of the fabric clock, so they
+        // fan out on the host pool; the failover walk stays sequential
+        // because it threads fabric state owner by owner.
         let owner_cands: Vec<(usize, Table)> =
             Pool::global().par_map((0..live.len()).collect(), |j| {
                 let received: Vec<Table> = chunks.iter().map(|row| row[j].clone()).collect();
@@ -313,7 +323,8 @@ impl Cluster {
         }
 
         // Phase 4: gather candidates; final merge at the coordinator
-        // (hop-weighted destination choice, same as the hand-wired plan).
+        // (the live node with the cheapest hop-weighted inbound — the
+        // lowest live id with one rack).
         let cand_sources: Vec<(usize, u64)> =
             cand_parts.iter().map(|&(host, _, b)| (host, b)).collect();
         let Some(dst) = self.gather_destination(&cand_sources, local_end) else {
@@ -336,79 +347,108 @@ impl Cluster {
     }
 }
 
-fn tables(locals: Vec<(LogicalOutput, QueryCost, Vec<OpRows>)>) -> Vec<Table> {
-    locals
+/// The error for a local-phase output `merge` cannot combine.
+fn mismatch(merge: &MergeStrategy, output: &LogicalOutput) -> QueryError {
+    let output = match output {
+        LogicalOutput::Table(_) => "a table".to_string(),
+        LogicalOutput::Scalars(v) if v.len() == 1 => "1 scalar sum".to_string(),
+        LogicalOutput::Scalars(v) => format!("{} scalar sums", v.len()),
+    };
+    QueryError::PlanMismatch { merge: merge.name(), output }
+}
+
+/// The per-shard tables, for the table-valued merges.
+fn tables(outputs: Vec<LogicalOutput>, merge: &MergeStrategy) -> Result<Vec<Table>, QueryError> {
+    outputs
         .into_iter()
-        .map(|(o, _, _)| match o {
-            LogicalOutput::Table(t) => t,
-            LogicalOutput::Scalars(_) => panic!("scalar output under table merge"),
+        .map(|o| match o {
+            LogicalOutput::Table(t) => Ok(t),
+            other => Err(mismatch(merge, &other)),
         })
         .collect()
 }
 
-/// The physical plan matching each hand-wired query exactly: same local
-/// pipeline, same merge. The planner's `off`/baseline mode and the
-/// bit-identity tests both anchor on these.
-pub fn handwired_physical(id: QueryId) -> PhysicalPlan {
+/// Merges per-shard top-k candidate tables: sort by value descending,
+/// break ties by `tie_cols` ascending (the single-node engine's order),
+/// keep `k`.
+fn merge_topk(partials: &[Table], value_col: &str, k: usize, tie_cols: &[String]) -> Table {
+    let all = Table::concat(partials);
+    let v = all.col_index(value_col);
+    let ties: Vec<usize> = tie_cols.iter().map(|c| all.col_index(c)).collect();
+    let mut idx: Vec<usize> = (0..all.rows()).collect();
+    idx.sort_by(|&a, &b| {
+        all.columns[v].data[b].cmp(&all.columns[v].data[a]).then_with(|| {
+            ties.iter()
+                .map(|&t| all.columns[t].data[a].cmp(&all.columns[t].data[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    });
+    idx.truncate(k);
+    project_rows(&all, &idx)
+}
+
+/// Each query's complete single-node plan — the reference every
+/// distributed result is checked against.
+pub(crate) fn single_plan(id: QueryId) -> LogicalPlan {
     use dpu_sql::logical::{
-        q10_partial_plan, q12_plan, q14_plan, q18_plan, q1_plan, q3_plan, q5_plan, q6_plan,
+        q10_plan, q12_plan, q14_plan, q18_plan, q1_plan, q3_plan, q5_plan, q6_plan,
     };
-    let (local, merge) = match id {
-        QueryId::Q1 => {
-            let p = q1_plan();
-            let Finish::Agg(spec) = p.finish.clone() else { unreachable!() };
-            (p, MergeStrategy::Reagg(spec))
+    match id {
+        QueryId::Q1 => q1_plan(),
+        QueryId::Q3 => q3_plan(),
+        QueryId::Q5 => q5_plan(),
+        QueryId::Q6 => q6_plan(),
+        QueryId::Q10 => q10_plan(),
+        QueryId::Q12 => q12_plan(),
+        QueryId::Q14 => q14_plan(),
+        QueryId::Q18 => q18_plan(),
+    }
+}
+
+/// Each query's default distributed plan: the local phase is the
+/// query's complete logical plan (Q10's stops at the partial group-by,
+/// since its group key is not the sharding key), merged by
+/// re-aggregation, top-k candidate merge, scalar sums, or — for Q10 — a
+/// shuffle.
+pub fn default_physical(id: QueryId) -> PhysicalPlan {
+    let local = match id {
+        QueryId::Q10 => dpu_sql::logical::q10_partial_plan(),
+        _ => single_plan(id),
+    };
+    let merge = match id {
+        QueryId::Q1 | QueryId::Q5 | QueryId::Q12 => {
+            let Finish::Agg(spec) = local.finish.clone() else { unreachable!() };
+            MergeStrategy::Reagg(spec)
         }
-        QueryId::Q3 => (
-            q3_plan(),
-            MergeStrategy::TopKMerge {
-                value: "revenue".into(),
-                k: 10,
-                ties: vec!["l_orderkey".into(), "o_orderdate".into()],
-            },
-        ),
-        QueryId::Q5 => {
-            let p = q5_plan();
-            let Finish::Agg(spec) = p.finish.clone() else { unreachable!() };
-            (p, MergeStrategy::Reagg(spec))
-        }
-        QueryId::Q6 => (q6_plan(), MergeStrategy::SumScalars { names: vec!["revenue".into()] }),
+        QueryId::Q3 => MergeStrategy::TopKMerge {
+            value: "revenue".into(),
+            k: 10,
+            ties: vec!["l_orderkey".into(), "o_orderdate".into()],
+        },
+        QueryId::Q6 => MergeStrategy::SumScalars { names: vec!["revenue".into()] },
         QueryId::Q10 => {
-            let p = q10_partial_plan();
-            let Finish::Agg(spec) = p.finish.clone() else { unreachable!() };
-            (
-                p,
-                MergeStrategy::ShuffleTopK {
-                    key: "o_custkey".into(),
-                    spec,
-                    value: "revenue".into(),
-                    k: 20,
-                    ties: vec!["o_custkey".into()],
-                },
-            )
+            let Finish::Agg(spec) = local.finish.clone() else { unreachable!() };
+            MergeStrategy::ShuffleTopK {
+                key: "o_custkey".into(),
+                spec,
+                value: "revenue".into(),
+                k: 20,
+                ties: vec!["o_custkey".into()],
+            }
         }
-        QueryId::Q12 => {
-            let p = q12_plan();
-            let Finish::Agg(spec) = p.finish.clone() else { unreachable!() };
-            (p, MergeStrategy::Reagg(spec))
-        }
-        QueryId::Q14 => {
-            (q14_plan(), MergeStrategy::SumScalars { names: vec!["promo".into(), "total".into()] })
-        }
-        QueryId::Q18 => (
-            q18_plan(),
-            MergeStrategy::TopKMerge {
-                value: "o_totalprice".into(),
-                k: 100,
-                ties: vec!["o_orderkey".into()],
-            },
-        ),
+        QueryId::Q14 => MergeStrategy::SumScalars { names: vec!["promo".into(), "total".into()] },
+        QueryId::Q18 => MergeStrategy::TopKMerge {
+            value: "o_totalprice".into(),
+            k: 100,
+            ties: vec!["o_orderkey".into()],
+        },
     };
     PhysicalPlan { id, local, merge }
 }
 
 /// Q10 with the gather-everything placement — the alternative the
-/// planner weighs against [`handwired_physical`]'s shuffle.
+/// planner weighs against [`default_physical`]'s shuffle.
 pub fn q10_gather_physical() -> PhysicalPlan {
     let p = dpu_sql::logical::q10_partial_plan();
     let Finish::Agg(spec) = p.finish.clone() else { unreachable!() };
@@ -440,22 +480,58 @@ mod tests {
     }
 
     #[test]
-    fn planned_runs_match_hand_wired_and_single_node() {
+    fn default_plans_match_single_node_and_back_try_run_at() {
         let mut c = cluster(8);
         for id in QueryId::ALL {
-            let hand = c.run(id);
-            let planned = c.run_planned(&handwired_physical(id), 0.0).unwrap();
-            assert_eq!(planned.query.output, hand.output, "{id:?} planned ≠ hand-wired");
+            let planned = c.run_planned(&default_physical(id), 0.0).unwrap();
             assert!(planned.query.matches_single(), "{id:?} planned ≠ single-node");
             assert!(!planned.shard_traces.is_empty());
             assert_eq!(planned.local_costs.len(), 8);
+            let run = c.run(id);
+            assert_eq!(run.output, planned.query.output, "{id:?} run ≠ default plan");
+            assert_eq!(run.cost, planned.query.cost, "{id:?} run cost ≠ default plan");
         }
+    }
+
+    #[test]
+    fn mismatched_plans_are_typed_errors() {
+        let mut c = cluster(4);
+        let with = |id, local: LogicalPlan, merge| PhysicalPlan { id, local, merge };
+        let err = |c: &mut Cluster, plan: &PhysicalPlan| match c.run_planned(plan, 0.0) {
+            Err(QueryError::PlanMismatch { merge, output }) => (merge, output),
+            other => panic!("expected PlanMismatch, got {:?}", other.map(|r| r.query.output)),
+        };
+        // Scalar sums under a table merge.
+        let q1_merge = default_physical(QueryId::Q1).merge;
+        let plan = with(QueryId::Q6, single_plan(QueryId::Q6), q1_merge);
+        assert_eq!(err(&mut c, &plan), ("reagg", "1 scalar sum".to_string()));
+        // A table under the scalar merge.
+        let q6_merge = default_physical(QueryId::Q6).merge;
+        let plan = with(QueryId::Q1, single_plan(QueryId::Q1), q6_merge.clone());
+        assert_eq!(err(&mut c, &plan), ("sum-scalars", "a table".to_string()));
+        // More sums than the merge names.
+        let plan = with(QueryId::Q14, single_plan(QueryId::Q14), q6_merge);
+        assert_eq!(err(&mut c, &plan), ("sum-scalars", "2 scalar sums".to_string()));
+        // Three sums: no output shape holds them.
+        let mut three = single_plan(QueryId::Q14);
+        let Finish::ScalarSums(sums) = &mut three.finish else { unreachable!() };
+        sums.push(sums[1].clone());
+        let names = vec!["promo".into(), "total".into(), "again".into()];
+        let plan = with(QueryId::Q14, three, MergeStrategy::SumScalars { names });
+        assert_eq!(err(&mut c, &plan), ("sum-scalars", "3 scalar sums".to_string()));
+        // Every table-valued merge rejects scalars the same way.
+        let q10_merge = default_physical(QueryId::Q10).merge;
+        let plan = with(QueryId::Q10, single_plan(QueryId::Q6), q10_merge);
+        assert_eq!(err(&mut c, &plan), ("shuffle-topk", "1 scalar sum".to_string()));
+        // The error names the mismatch.
+        let e = QueryError::PlanMismatch { merge: "reagg", output: "1 scalar sum".into() };
+        assert_eq!(e.to_string(), "plan mismatch: the reagg merge cannot combine 1 scalar sum");
     }
 
     #[test]
     fn q10_gather_placement_is_bit_identical_to_shuffle() {
         let mut c = cluster(8);
-        let shuffle = c.run_planned(&handwired_physical(QueryId::Q10), 0.0).unwrap();
+        let shuffle = c.run_planned(&default_physical(QueryId::Q10), 0.0).unwrap();
         let gather = c.run_planned(&q10_gather_physical(), 0.0).unwrap();
         assert_eq!(shuffle.query.output, gather.query.output);
         assert!(gather.query.matches_single());
@@ -476,7 +552,7 @@ mod tests {
         );
         faulty.set_faults(FaultPlan::none().crash(3, 1e-7).straggle(5, 0.0, 1e9, 0.5));
         for id in QueryId::ALL {
-            for plan in [handwired_physical(id)]
+            for plan in [default_physical(id)]
                 .into_iter()
                 .chain((id == QueryId::Q10).then(q10_gather_physical))
             {

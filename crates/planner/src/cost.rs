@@ -352,7 +352,7 @@ mod tests {
     use super::*;
     use crate::stats::Catalog;
     use dpu_cluster::{
-        handwired_physical, q10_gather_physical, ClusterConfig, ClusterCore, QueryId, ShardPolicy,
+        default_physical, q10_gather_physical, ClusterConfig, ClusterCore, QueryId, ShardPolicy,
     };
     use dpu_sql::tpch::generate;
 
@@ -374,7 +374,7 @@ mod tests {
             scale: core.cfg().scale,
         };
         for id in QueryId::ALL {
-            let est = model.estimate(&handwired_physical(id));
+            let est = model.estimate(&default_physical(id));
             assert!(est.total_seconds().is_finite() && est.total_seconds() > 0.0, "{id:?}");
             assert!(!est.ops.is_empty(), "{id:?} has an op trace");
         }
@@ -390,7 +390,7 @@ mod tests {
             n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
-        let shuffle = model.estimate(&handwired_physical(QueryId::Q10));
+        let shuffle = model.estimate(&default_physical(QueryId::Q10));
         let gather = model.estimate(&q10_gather_physical());
         // Same local plan, same partial estimate — only the merge differs.
         assert_eq!(shuffle.ops, gather.ops);
@@ -411,8 +411,8 @@ mod tests {
         };
         let spine = CostModel { topo: Topology::new(8, 4, 32.0), ..flat.clone() };
         for id in QueryId::ALL {
-            let a = flat.estimate(&handwired_physical(id));
-            let b = spine.estimate(&handwired_physical(id));
+            let a = flat.estimate(&default_physical(id));
+            let b = spine.estimate(&default_physical(id));
             // 6 of 8 sources sit outside the coordinator's rack: every
             // query pays extra hop latency, and (at 32:1) bandwidth-
             // bound merges queue on the uplinks too.
@@ -441,7 +441,7 @@ mod tests {
         };
         let xeon = xeon_model::Xeon::new();
         for id in QueryId::ALL {
-            let plan = handwired_physical(id);
+            let plan = default_physical(id);
             let est = model.estimate(&plan);
             let (_, _, trace) = plan.local.execute_costed(core.full(), &xeon, core.cfg().scale);
             let est_labels: Vec<&str> = est.ops.iter().map(|o| o.label.as_str()).collect();

@@ -1,7 +1,9 @@
 //! Cost-based distributed query planner (ISSUE 6).
 //!
-//! The rack so far executed eight hand-wired TPC-H pipelines. This
-//! crate closes the loop from declarative query to distributed plan:
+//! Every query is a logical plan (`dpu_sql::logical`) run through
+//! `Cluster::run_planned`; `dpu_cluster::default_physical` is each
+//! query's default plan. This crate searches for cheaper ones, closing
+//! the loop from declarative query to distributed plan:
 //!
 //! - [`stats`] — per-shard statistics: row counts (shared with the skew
 //!   report's source of truth), min/max bands, and HyperLogLog NDV
@@ -13,7 +15,7 @@
 //!   spreads the bytes over all of them).
 //! - [`optimizer`] — predicate pushdown, DP join-order search over the
 //!   query's join graph, and merge placement; any chosen plan is
-//!   bit-identical to the hand-wired pipeline because every finishing
+//!   bit-identical to the default plan because every finishing
 //!   operator canonicalizes its output.
 //! - [`explain`] — a stable text rendering with estimated vs actual
 //!   rows per operator.

@@ -12,7 +12,7 @@
 //! (property-tested in `tests/planner_properties.rs`).
 
 use dpu_cluster::{
-    handwired_physical, q10_gather_physical, ClusterCore, FabricConfig, PhysicalPlan, QueryId,
+    default_physical, q10_gather_physical, ClusterCore, FabricConfig, PhysicalPlan, QueryId,
     Topology,
 };
 use dpu_sql::logical::{q10_graph, q3_graph, q5_graph, Finish, JoinGraph, LogicalPlan, Source};
@@ -84,13 +84,13 @@ impl Planner {
     /// a DP-ordered local plan; Q10 additionally gets both merge
     /// placements.
     pub fn candidates(&self, id: QueryId) -> Vec<(PhysicalPlan, PlanEstimate)> {
-        let hw = handwired_physical(id);
+        let default = default_physical(id);
         let plans: Vec<PhysicalPlan> = match id {
             QueryId::Q3 => {
-                vec![PhysicalPlan { id, local: self.linearized(&q3_graph()), merge: hw.merge }]
+                vec![PhysicalPlan { id, local: self.linearized(&q3_graph()), merge: default.merge }]
             }
             QueryId::Q5 => {
-                vec![PhysicalPlan { id, local: self.linearized(&q5_graph()), merge: hw.merge }]
+                vec![PhysicalPlan { id, local: self.linearized(&q5_graph()), merge: default.merge }]
             }
             QueryId::Q10 => {
                 let mut local = self.linearized(&q10_graph());
@@ -100,10 +100,10 @@ impl Planner {
                 local.finish = Finish::Agg(spec);
                 vec![
                     PhysicalPlan { id, local: local.clone(), merge: q10_gather_physical().merge },
-                    PhysicalPlan { id, local, merge: hw.merge },
+                    PhysicalPlan { id, local, merge: default.merge },
                 ]
             }
-            _ => vec![hw],
+            _ => vec![default],
         };
         let model = self.model();
         plans
@@ -305,13 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn dp_orders_execute_bit_identically_to_hand_wired_plans() {
+    fn dp_orders_execute_bit_identically_to_default_plans() {
         let (planner, db) = planner();
-        for (g, hand) in [(q3_graph(), q3_plan()), (q5_graph(), q5_plan())] {
+        for (g, default) in [(q3_graph(), q3_plan()), (q5_graph(), q5_plan())] {
             let (order, _) = planner.join_order(&g);
             assert_eq!(order.len(), g.relations.len());
             let chosen = planner.linearized(&g);
-            assert_eq!(chosen.execute(&db), hand.execute(&db), "{}", g.name);
+            assert_eq!(chosen.execute(&db), default.execute(&db), "{}", g.name);
         }
     }
 

@@ -169,7 +169,7 @@ fn argmin<T>(items: &[T], key: impl Fn(&T) -> f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpu_cluster::{handwired_physical, NodeCost, QueryId};
+    use dpu_cluster::{default_physical, NodeCost, QueryId};
 
     fn cost(local: f64, fabric: f64) -> ClusterQueryCost {
         ClusterQueryCost {
@@ -189,13 +189,13 @@ mod tests {
         vec![
             CandidatePlan {
                 name: "gather-topk".into(),
-                plan: handwired_physical(QueryId::Q10),
+                plan: default_physical(QueryId::Q10),
                 est_seconds: 1e-3,
                 profiled: cost(5e-3, 5e-3),
             },
             CandidatePlan {
                 name: "shuffle-topk".into(),
-                plan: handwired_physical(QueryId::Q10),
+                plan: default_physical(QueryId::Q10),
                 est_seconds: 3e-3,
                 profiled: cost(1e-3, 1e-3),
             },

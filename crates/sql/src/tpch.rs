@@ -4,9 +4,11 @@
 //! database and offloads TPC-H execution, reporting a 15× geometric-mean
 //! performance/watt gain (Figure 16). We regenerate that experiment with
 //! a dbgen-shaped synthetic dataset (deterministic, scaled down) and
-//! eight representative queries; each query executes functionally (tested
-//! against naive references) while accumulating platform costs through
-//! [`CostAcc`].
+//! eight representative queries. Each query is defined once, as a
+//! [`logical`] plan; the functions here run that plan on one node
+//! (functionally — `tests/tpch_oracle.rs` checks every answer against a
+//! naive row-at-a-time evaluator) while accumulating platform costs
+//! through [`CostAcc`].
 //!
 //! Monetary values are integer cents; percentages are integer points;
 //! dates are days since 1992-01-01.
@@ -16,12 +18,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xeon_model::Xeon;
 
-use crate::agg::{AggFunc, GroupByPlan, GroupBySpec};
+use crate::agg::GroupByPlan;
+use crate::bitvec::BitVec;
 use crate::column::{Column, Table};
-use crate::filter::{CompareOp, FilterSpec};
-use crate::join::HashJoin;
+use crate::logical::{self, LogicalOutput, LogicalPlan};
 use crate::plan::{CostAcc, QueryCost};
-use crate::topk::top_k;
 
 /// Day count of 1995-01-01 relative to 1992-01-01 (used by Q3/Q5-style
 /// date predicates).
@@ -488,26 +489,9 @@ pub fn generate_chunked_on(pool: Pool, orders_n: usize, seed: u64, chunks: usize
     db
 }
 
-/// Finishes a query's cost with the commercial-engine factor applied to
-/// the baseline.
-fn finish_db(acc: &CostAcc, xeon: &Xeon) -> QueryCost {
-    let mut c = acc.finish(xeon);
-    c.xeon.seconds /= XEON_DB_EFFICIENCY;
-    c
-}
-
-// Scans stream *resident* bytes on both platforms: the DPU engine and
-// the commercial in-memory columnar baseline both keep columns
-// compressed, and both are memory-bound on scans, so packing shifts
-// absolute times, not the Figure 16 ratios.
-fn col_bytes(t: &Table, names: &[&str]) -> u64 {
-    names.iter().map(|n| t.column(n).expect("column").resident_bytes()).sum()
-}
-
 /// Adds the cost of partitioning + probing a join to `acc` — the
 /// partition-rounds planner sees the build side at full scale. Public so
-/// the rack-scale coordinator can cost per-shard join phases with the
-/// same model.
+/// the planner's estimator costs joins with the same model.
 pub fn join_cost(acc: &mut CostAcc, build_rows: u64, probe_rows: u64, cols_bytes: u64) {
     let plan = GroupByPlan::plan((build_rows * acc.scale()).max(1), 16);
     acc.stream(cols_bytes * plan.dpu_bytes_factor(), cols_bytes * plan.xeon_bytes_factor());
@@ -515,366 +499,72 @@ pub fn join_cost(acc: &mut CostAcc, build_rows: u64, probe_rows: u64, cols_bytes
     acc.compute(probe_rows, PROBE_DPU, PROBE_XEON);
 }
 
+/// Runs `plan` on `db`, costed at `scale`, returning its table.
+fn run_table(plan: LogicalPlan, db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
+    match plan.execute_costed(db, xeon, scale) {
+        (LogicalOutput::Table(t), cost, _) => (t, cost),
+        (LogicalOutput::Scalars(_), ..) => unreachable!("{} is table-valued", plan.name),
+    }
+}
+
+/// Runs `plan` on `db`, costed at `scale`, returning its scalar sums.
+fn run_scalars(plan: LogicalPlan, db: &TpchDb, xeon: &Xeon, scale: u64) -> (Vec<i64>, QueryCost) {
+    match plan.execute_costed(db, xeon, scale) {
+        (LogicalOutput::Scalars(v), cost, _) => (v, cost),
+        (LogicalOutput::Table(_), ..) => unreachable!("{} is scalar-valued", plan.name),
+    }
+}
+
 /// Q1: pricing summary report (scan + 2-group aggregate).
 pub fn q1(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    let cutoff = ORDER_DAYS - 90;
-    let sel = FilterSpec::new("l_shipdate", CompareOp::Le(cutoff)).apply(&db.lineitem);
-    let spec = GroupBySpec {
-        group_cols: vec!["l_returnflag".into(), "l_linestatus".into()],
-        aggs: vec![
-            ("sum_qty".into(), AggFunc::Sum("l_quantity".into())),
-            ("sum_base_price".into(), AggFunc::Sum("l_extendedprice".into())),
-            (
-                "sum_disc_price".into(),
-                AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-            ),
-            ("count_order".into(), AggFunc::Count),
-        ],
-    };
-    let out = spec.execute(&db.lineitem, Some(&sel));
-
-    let rows = db.lineitem.rows() as u64;
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(col_bytes(
-        &db.lineitem,
-        &[
-            "l_shipdate",
-            "l_returnflag",
-            "l_linestatus",
-            "l_quantity",
-            "l_extendedprice",
-            "l_discount",
-        ],
-    ));
-    acc.compute(rows, SCAN_DPU, SCAN_XEON);
-    acc.compute(sel.count() as u64, AGG_DPU, AGG_XEON);
-    (out, finish_db(&acc, xeon))
+    run_table(logical::q1_plan(), db, xeon, scale)
 }
 
 /// Q3: shipping-priority (3-table join, group, top-10).
 pub fn q3(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    let seg_sel = FilterSpec::new("c_mktsegment", CompareOp::Eq(1)).apply(&db.customer);
-    let cust = select_rows(&db.customer, &seg_sel);
-    let ord_sel = FilterSpec::new("o_orderdate", CompareOp::Lt(D_1995)).apply(&db.orders);
-    let ord = select_rows(&db.orders, &ord_sel);
-    let li_sel = FilterSpec::new("l_shipdate", CompareOp::Gt(D_1995)).apply(&db.lineitem);
-    let li = select_rows(&db.lineitem, &li_sel);
-
-    let j1 = HashJoin {
-        build_key: "c_custkey".into(),
-        probe_key: "o_custkey".into(),
-        build_cols: vec![],
-        probe_cols: vec!["o_orderkey".into(), "o_orderdate".into()],
-    };
-    let (co, _) = j1.execute(&cust, &ord, 32);
-    let j2 = HashJoin {
-        build_key: "o_orderkey".into(),
-        probe_key: "l_orderkey".into(),
-        build_cols: vec!["o_orderdate".into()],
-        probe_cols: vec!["l_orderkey".into(), "l_extendedprice".into(), "l_discount".into()],
-    };
-    let (col, _) = j2.execute(&co, &li, 32);
-    let spec = GroupBySpec {
-        group_cols: vec!["l_orderkey".into(), "o_orderdate".into()],
-        aggs: vec![(
-            "revenue".into(),
-            AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-        )],
-    };
-    let grouped = spec.execute(&col, None);
-    let top = top_k(&grouped, "revenue", 10.min(grouped.rows().max(1)), 32);
-    let out = project_rows(&grouped, &top);
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(col_bytes(&db.customer, &["c_custkey", "c_mktsegment"]));
-    acc.stream_both(col_bytes(&db.orders, &["o_orderkey", "o_custkey", "o_orderdate"]));
-    acc.stream_both(col_bytes(
-        &db.lineitem,
-        &["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    ));
-    acc.compute(
-        (db.customer.rows() + db.orders.rows() + db.lineitem.rows()) as u64,
-        SCAN_DPU,
-        SCAN_XEON,
-    );
-    join_cost(
-        &mut acc,
-        cust.rows() as u64,
-        ord.rows() as u64,
-        col_bytes(&db.orders, &["o_custkey"]),
-    );
-    join_cost(
-        &mut acc,
-        co.rows() as u64,
-        li.rows() as u64,
-        col_bytes(&db.lineitem, &["l_orderkey"]),
-    );
-    acc.compute(col.rows() as u64, AGG_DPU, AGG_XEON);
-    (out, finish_db(&acc, xeon))
+    run_table(logical::q3_plan(), db, xeon, scale)
 }
 
-/// Q5: local-supplier volume (6-table join).
+/// Q5: local-supplier volume (5-table join with a same-nation residual).
 pub fn q5(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    // region 0 → nations in region 0 → customers/suppliers there.
-    let nat_sel = FilterSpec::new("n_regionkey", CompareOp::Eq(0)).apply(&db.nation);
-    let nations = select_rows(&db.nation, &nat_sel);
-    let j_cn = HashJoin {
-        build_key: "n_nationkey".into(),
-        probe_key: "c_nationkey".into(),
-        build_cols: vec!["n_nationkey".into()],
-        probe_cols: vec!["c_custkey".into()],
-    };
-    let (cn, _) = j_cn.execute(&nations, &db.customer, 8);
-    let ord_sel =
-        FilterSpec::new("o_orderdate", CompareOp::Between(D_1995, D_1995 + 365)).apply(&db.orders);
-    let ord = select_rows(&db.orders, &ord_sel);
-    let j_co = HashJoin {
-        build_key: "c_custkey".into(),
-        probe_key: "o_custkey".into(),
-        build_cols: vec!["n_nationkey".into()],
-        probe_cols: vec!["o_orderkey".into()],
-    };
-    let (co, _) = j_co.execute(&cn, &ord, 32);
-    let j_ol = HashJoin {
-        build_key: "o_orderkey".into(),
-        probe_key: "l_orderkey".into(),
-        build_cols: vec!["n_nationkey".into()],
-        probe_cols: vec!["l_suppkey".into(), "l_extendedprice".into(), "l_discount".into()],
-    };
-    let (ol, _) = j_ol.execute(&co, &db.lineitem, 32);
-    // Supplier must be in the same nation as the customer.
-    let j_s = HashJoin {
-        build_key: "s_suppkey".into(),
-        probe_key: "l_suppkey".into(),
-        build_cols: vec!["s_nationkey".into()],
-        probe_cols: vec!["n_nationkey".into(), "l_extendedprice".into(), "l_discount".into()],
-    };
-    let (ols, _) = j_s.execute(&db.supplier, &ol, 8);
-    let same = crate::bitvec::BitVec::from_fn(ols.rows(), |r| {
-        ols.column("s_nationkey").unwrap().data[r] == ols.column("n_nationkey").unwrap().data[r]
-    });
-    let spec = GroupBySpec {
-        group_cols: vec!["n_nationkey".into()],
-        aggs: vec![(
-            "revenue".into(),
-            AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-        )],
-    };
-    let out = spec.execute(&ols, Some(&same));
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(
-        col_bytes(&db.customer, &["c_custkey", "c_nationkey"])
-            + col_bytes(&db.orders, &["o_orderkey", "o_custkey", "o_orderdate"])
-            + col_bytes(
-                &db.lineitem,
-                &["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-            )
-            + col_bytes(&db.supplier, &["s_suppkey", "s_nationkey"]),
-    );
-    acc.compute(
-        (db.customer.rows() + db.orders.rows() + db.lineitem.rows()) as u64,
-        SCAN_DPU,
-        SCAN_XEON,
-    );
-    join_cost(&mut acc, cn.rows() as u64, ord.rows() as u64, col_bytes(&db.orders, &["o_custkey"]));
-    join_cost(
-        &mut acc,
-        co.rows() as u64,
-        db.lineitem.rows() as u64,
-        col_bytes(&db.lineitem, &["l_orderkey"]),
-    );
-    join_cost(&mut acc, db.supplier.rows() as u64, ol.rows() as u64, 4 * ol.rows() as u64);
-    acc.compute(ols.rows() as u64, AGG_DPU, AGG_XEON);
-    (out, finish_db(&acc, xeon))
+    run_table(logical::q5_plan(), db, xeon, scale)
 }
 
 /// Q6: revenue-change forecast (pure scan-filter-aggregate).
 pub fn q6(db: &TpchDb, xeon: &Xeon, scale: u64) -> (i64, QueryCost) {
-    let li = &db.lineitem;
-    let a = FilterSpec::new("l_shipdate", CompareOp::Between(D_1995, D_1995 + 364)).apply(li);
-    let b = FilterSpec::new("l_discount", CompareOp::Between(5, 7)).apply(li);
-    let c = FilterSpec::new("l_quantity", CompareOp::Lt(24)).apply(li);
-    let sel = a.and(&b).and(&c);
-    let ep = &li.column("l_extendedprice").unwrap().data;
-    let di = &li.column("l_discount").unwrap().data;
-    let revenue: i64 = sel.iter_set().map(|r| ep[r] * di[r]).sum();
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(col_bytes(li, &["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"]));
-    // Three FILT passes and the select-sum.
-    acc.compute(3 * li.rows() as u64, SCAN_DPU, SCAN_XEON);
-    acc.compute(sel.count() as u64, 3.0, 1.0);
-    (revenue, finish_db(&acc, xeon))
+    let (v, cost) = run_scalars(logical::q6_plan(), db, xeon, scale);
+    (v[0], cost)
 }
 
 /// Q10: returned-item reporting (join + group + top-20).
 pub fn q10(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    let ord_sel =
-        FilterSpec::new("o_orderdate", CompareOp::Between(D_1995, D_1995 + 90)).apply(&db.orders);
-    let ord = select_rows(&db.orders, &ord_sel);
-    let li_sel = FilterSpec::new("l_returnflag", CompareOp::Eq(2)).apply(&db.lineitem);
-    let li = select_rows(&db.lineitem, &li_sel);
-    let j = HashJoin {
-        build_key: "o_orderkey".into(),
-        probe_key: "l_orderkey".into(),
-        build_cols: vec!["o_custkey".into()],
-        probe_cols: vec!["l_extendedprice".into(), "l_discount".into()],
-    };
-    let (ol, _) = j.execute(&ord, &li, 32);
-    let spec = GroupBySpec {
-        group_cols: vec!["o_custkey".into()],
-        aggs: vec![(
-            "revenue".into(),
-            AggFunc::SumProduct("l_extendedprice".into(), "l_discount".into()),
-        )],
-    };
-    let grouped = spec.execute(&ol, None);
-    let top = top_k(&grouped, "revenue", 20.min(grouped.rows().max(1)), 32);
-    let out = project_rows(&grouped, &top);
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(
-        col_bytes(&db.orders, &["o_orderkey", "o_custkey", "o_orderdate"])
-            + col_bytes(
-                &db.lineitem,
-                &["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-            ),
-    );
-    acc.compute((db.orders.rows() + db.lineitem.rows()) as u64, SCAN_DPU, SCAN_XEON);
-    join_cost(
-        &mut acc,
-        ord.rows() as u64,
-        li.rows() as u64,
-        col_bytes(&db.lineitem, &["l_orderkey"]) / 4,
-    );
-    acc.compute(ol.rows() as u64, AGG_DPU, AGG_XEON);
-    (out, finish_db(&acc, xeon))
+    run_table(logical::q10_plan(), db, xeon, scale)
 }
 
 /// Q12: shipping-mode priority (join + group by shipmode).
 pub fn q12(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    let sel_mode = FilterSpec::new("l_shipmode", CompareOp::Between(2, 3)).apply(&db.lineitem);
-    let sel_date = FilterSpec::new("l_receiptdate", CompareOp::Between(D_1995, D_1995 + 364))
-        .apply(&db.lineitem);
-    let sel = sel_mode.and(&sel_date);
-    let li = select_rows(&db.lineitem, &sel);
-    let j = HashJoin {
-        build_key: "o_orderkey".into(),
-        probe_key: "l_orderkey".into(),
-        build_cols: vec![],
-        probe_cols: vec!["l_shipmode".into()],
-    };
-    let (ol, _) = j.execute(&db.orders, &li, 32);
-    let spec = GroupBySpec {
-        group_cols: vec!["l_shipmode".into()],
-        aggs: vec![("line_count".into(), AggFunc::Count)],
-    };
-    let out = spec.execute(&ol, None);
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(
-        col_bytes(&db.lineitem, &["l_orderkey", "l_shipmode", "l_receiptdate"])
-            + col_bytes(&db.orders, &["o_orderkey"]),
-    );
-    acc.compute((2 * db.lineitem.rows()) as u64, SCAN_DPU, SCAN_XEON);
-    join_cost(
-        &mut acc,
-        db.orders.rows() as u64,
-        li.rows() as u64,
-        col_bytes(&db.orders, &["o_orderkey"]),
-    );
-    acc.compute(ol.rows() as u64, AGG_DPU, AGG_XEON);
-    (out, finish_db(&acc, xeon))
+    run_table(logical::q12_plan(), db, xeon, scale)
 }
 
-/// Q14: promotion effect (join lineitem × part over one month).
+/// Q14: promotion effect (join lineitem × part over one month), as the
+/// `(promo, total)` revenue pair.
 pub fn q14(db: &TpchDb, xeon: &Xeon, scale: u64) -> ((i64, i64), QueryCost) {
-    let sel =
-        FilterSpec::new("l_shipdate", CompareOp::Between(D_1995, D_1995 + 29)).apply(&db.lineitem);
-    let li = select_rows(&db.lineitem, &sel);
-    let j = HashJoin {
-        build_key: "p_partkey".into(),
-        probe_key: "l_partkey".into(),
-        build_cols: vec!["p_type".into()],
-        probe_cols: vec!["l_extendedprice".into(), "l_discount".into()],
-    };
-    let (lp, _) = j.execute(&db.part, &li, 32);
-    let ty = &lp.column("p_type").unwrap().data;
-    let ep = &lp.column("l_extendedprice").unwrap().data;
-    let di = &lp.column("l_discount").unwrap().data;
-    let mut promo = 0i64;
-    let mut total = 0i64;
-    for r in 0..lp.rows() {
-        let rev = ep[r] * (100 - di[r]);
-        total += rev;
-        if ty[r] < 30 {
-            promo += rev; // "PROMO%" types
-        }
-    }
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(
-        col_bytes(&db.lineitem, &["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"])
-            + col_bytes(&db.part, &["p_partkey", "p_type"]),
-    );
-    acc.compute(db.lineitem.rows() as u64, SCAN_DPU, SCAN_XEON);
-    join_cost(
-        &mut acc,
-        db.part.rows() as u64,
-        li.rows() as u64,
-        col_bytes(&db.part, &["p_partkey"]),
-    );
-    acc.compute(lp.rows() as u64, 6.0, 3.0);
-    ((promo, total), finish_db(&acc, xeon))
+    let (v, cost) = run_scalars(logical::q14_plan(), db, xeon, scale);
+    ((v[0], v[1]), cost)
 }
 
 /// Q18: large-volume customers (group-having + join + top-100).
 pub fn q18(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
-    let spec = GroupBySpec {
-        group_cols: vec!["l_orderkey".into()],
-        aggs: vec![("sum_qty".into(), AggFunc::Sum("l_quantity".into()))],
-    };
-    let per_order = spec.execute(&db.lineitem, None);
-    let big = FilterSpec::new("sum_qty", CompareOp::Gt(180)).apply(&per_order);
-    let big_orders = select_rows(&per_order, &big);
-    let j = HashJoin {
-        build_key: "l_orderkey".into(),
-        probe_key: "o_orderkey".into(),
-        build_cols: vec!["sum_qty".into()],
-        probe_cols: vec!["o_orderkey".into(), "o_custkey".into(), "o_totalprice".into()],
-    };
-    let (jo, _) = j.execute(&big_orders, &db.orders, 32);
-    // Canonical order (ascending orderkey) so top-k tie-breaks depend on
-    // content rather than join emission order — required for shard-merge
-    // plans to reproduce this result bit-identically.
-    let mut order: Vec<usize> = (0..jo.rows()).collect();
-    order.sort_by_key(|&r| jo.column("o_orderkey").unwrap().data[r]);
-    let jo = project_rows(&jo, &order);
-    let top = top_k(&jo, "o_totalprice", 100.min(jo.rows().max(1)), 32);
-    let out = project_rows(&jo, &top);
-
-    let mut acc = CostAcc::with_scale(scale);
-    acc.stream_both(col_bytes(&db.lineitem, &["l_orderkey", "l_quantity"]));
-    // The big group-by: NDV = order count (at full scale).
-    let plan = GroupByPlan::plan(db.orders.rows() as u64 * scale, 16);
-    let gb_bytes = col_bytes(&db.lineitem, &["l_orderkey", "l_quantity"]);
-    acc.stream(gb_bytes * (plan.dpu_bytes_factor() - 1), gb_bytes * (plan.xeon_bytes_factor() - 1));
-    acc.compute(db.lineitem.rows() as u64, AGG_DPU, AGG_XEON);
-    join_cost(
-        &mut acc,
-        big_orders.rows() as u64,
-        db.orders.rows() as u64,
-        col_bytes(&db.orders, &["o_orderkey", "o_totalprice"]),
-    );
-    (out, finish_db(&acc, xeon))
+    run_table(logical::q18_plan(), db, xeon, scale)
 }
 
-/// Materializes selected rows into a new table.
-pub fn select_rows(t: &Table, sel: &crate::bitvec::BitVec) -> Table {
+/// Materializes the rows `sel` keeps of `cols` into a new (flat) table.
+pub(crate) fn select_columns<'a>(
+    cols: impl IntoIterator<Item = &'a Column>,
+    sel: &BitVec,
+) -> Table {
     Table::new(
-        t.columns
-            .iter()
+        cols.into_iter()
             .map(|c| Column {
                 name: c.name.clone(),
                 width: c.width,
@@ -883,6 +573,11 @@ pub fn select_rows(t: &Table, sel: &crate::bitvec::BitVec) -> Table {
             })
             .collect(),
     )
+}
+
+/// Materializes selected rows into a new table.
+pub fn select_rows(t: &Table, sel: &BitVec) -> Table {
+    select_columns(&t.columns, sel)
 }
 
 /// Projects rows by index into a new table.
@@ -967,59 +662,6 @@ mod tests {
         // explicitly via generate_chunked_on; generate_parallel itself
         // must agree with generate whatever the host's width is.
         assert_eq!(generate_parallel(500, 7), generate(500, 7));
-    }
-
-    #[test]
-    fn q1_matches_naive_reference() {
-        let db = db();
-        let xeon = Xeon::new();
-        let (out, cost) = q1(&db, &xeon, 1);
-        // Naive reference for one group.
-        let li = &db.lineitem;
-        let cutoff = ORDER_DAYS - 90;
-        let mut want_cnt = 0i64;
-        let mut want_qty = 0i64;
-        for r in 0..li.rows() {
-            if li.column("l_shipdate").unwrap().data[r] <= cutoff
-                && li.column("l_returnflag").unwrap().data[r] == 0
-                && li.column("l_linestatus").unwrap().data[r] == 0
-            {
-                want_cnt += 1;
-                want_qty += li.column("l_quantity").unwrap().data[r];
-            }
-        }
-        let row = (0..out.rows())
-            .find(|&r| {
-                out.column("l_returnflag").unwrap().data[r] == 0
-                    && out.column("l_linestatus").unwrap().data[r] == 0
-            })
-            .expect("group (0,0) exists");
-        assert_eq!(out.column("count_order").unwrap().data[row], want_cnt);
-        assert_eq!(out.column("sum_qty").unwrap().data[row], want_qty);
-        assert!(cost.dpu.seconds > 0.0 && cost.xeon.seconds > 0.0);
-    }
-
-    #[test]
-    fn q6_matches_naive_reference() {
-        let db = db();
-        let xeon = Xeon::new();
-        let (rev, cost) = q6(&db, &xeon, 1);
-        let li = &db.lineitem;
-        let mut want = 0i64;
-        for r in 0..li.rows() {
-            let sd = li.column("l_shipdate").unwrap().data[r];
-            let d = li.column("l_discount").unwrap().data[r];
-            let q = li.column("l_quantity").unwrap().data[r];
-            if (D_1995..=D_1995 + 364).contains(&sd) && (5..=7).contains(&d) && q < 24 {
-                want += li.column("l_extendedprice").unwrap().data[r] * d;
-            }
-        }
-        assert_eq!(rev, want);
-        assert!(rev > 0, "the band should select something");
-        // A pure scan against the commercial engine: the 6.7×
-        // bandwidth/watt ratio divided by the engine's ~0.5 efficiency.
-        let g = cost.gain(&xeon);
-        assert!((11.0..16.0).contains(&g), "Q6 gain {g:.2}");
     }
 
     #[test]

@@ -318,18 +318,39 @@ fn speculation_is_a_no_op_without_replicas() {
 
 #[test]
 fn speculation_leaves_healthy_runs_untouched() {
-    // With no straggler the deadline (median × slack) never fires: the
-    // speculated cluster's cost must equal the plain one bit for bit.
+    // The deadline is the median healthy shard time × slack. On a healthy
+    // run it fires only for a shard whose own cost lies past it (a shard
+    // with more resident bytes than its peers): a query with no such
+    // shard must equal the plain run bit for bit, and one with such a
+    // shard must race a backup without changing its answer.
+    let mut on_time = 0;
     for id in QueryId::ALL {
         let mut plain = cluster(2);
         let base = plain.run(id);
+        // Healthy k = 2 routing runs every shard on its primary, one
+        // shard per node, so `per_node` is the per-shard cost list the
+        // deadline is derived from.
+        assert_eq!(base.cost.per_node.len(), NODES);
+        assert!(base.cost.per_node.iter().all(|c| c.seconds() > 0.0), "{}", id.name());
+        let deadline = Speculation::default().deadline_seconds(&base.cost.per_node);
+        let late = base.cost.per_node.iter().filter(|c| c.seconds() > deadline).count();
         let mut spec = cluster(2);
         spec.set_speculation(Some(Speculation::default()));
         let same = spec.run(id);
         assert_eq!(same.output, base.output, "{} output changed", id.name());
-        assert_eq!(same.cost, base.cost, "{} healthy cost changed", id.name());
-        assert_eq!(same.cost.speculations, 0, "{} speculated while healthy", id.name());
+        if late == 0 {
+            on_time += 1;
+            assert_eq!(same.cost, base.cost, "{} healthy cost changed", id.name());
+            assert_eq!(same.cost.speculations, 0, "{} speculated while healthy", id.name());
+        } else {
+            assert!(
+                same.cost.speculations > 0,
+                "{}: {late} shard(s) past the deadline but no backup raced",
+                id.name()
+            );
+        }
     }
+    assert!(on_time > 0, "every query had a shard past the deadline");
 }
 
 #[test]

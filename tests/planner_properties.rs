@@ -1,7 +1,7 @@
 //! Property tests for the cost-based planner (`dpu-planner`): whatever
 //! plan the optimizer picks — any join order, any merge placement, any
-//! pushdown state — must execute bit-identically to the hand-wired
-//! pipeline and to single-node execution, on random databases, under
+//! pushdown state — must execute bit-identically to the default plan
+//! `try_run_at` runs and to single-node execution, on random databases, under
 //! random sharding policies and replication factors, and under node
 //! faults; and the statistics it plans from must stay inside their
 //! sketches' error bounds.
@@ -31,8 +31,8 @@ fn distinct(table: &Table, col: &str) -> usize {
 proptest! {
     /// The planner's correctness bar: on a random database, sharding
     /// policy, and replication factor, the chosen plan AND every
-    /// rejected alternative are bit-identical to the hand-wired
-    /// pipeline and to single-node execution. (One random query per
+    /// rejected alternative are bit-identical to the default plan and
+    /// to single-node execution. (One random query per
     /// case; the fixed fixture below covers all eight at once.)
     #[test]
     fn planner_plans_match_hand_wired_on_random_clusters(
@@ -53,7 +53,7 @@ proptest! {
         let mut cluster = Cluster::from_core(core);
         let id = QueryId::ALL[pick];
         let reference = cluster.try_run_at(id, 0.0).expect("healthy cluster");
-        prop_assert!(reference.matches_single(), "{} hand-wired diverged", id.name());
+        prop_assert!(reference.matches_single(), "{} default plan diverged", id.name());
         let choice = planner.plan(id);
         prop_assert!(choice.estimate.total_seconds() > 0.0);
         for plan in
@@ -66,7 +66,7 @@ proptest! {
             );
             prop_assert_eq!(
                 &run.query.output, &reference.output,
-                "{} planner plan ({}) diverged from hand-wired", id.name(), plan.merge.name()
+                "{} planner plan ({}) diverged from the default plan", id.name(), plan.merge.name()
             );
         }
     }
@@ -156,8 +156,8 @@ proptest! {
 }
 
 /// The fixed-fixture exactness sweep: all eight queries, chosen plan
-/// plus every rejected alternative, bit-identical to hand-wired and
-/// single-node. CI runs this (with the whole suite) at `DPU_THREADS`
+/// plus every rejected alternative, bit-identical to the default plan
+/// and single-node. CI runs this (with the whole suite) at `DPU_THREADS`
 /// 1 and 4 — the results must not depend on host parallelism.
 #[test]
 fn full_suite_planner_matches_hand_wired_and_single_node() {
@@ -168,13 +168,13 @@ fn full_suite_planner_matches_hand_wired_and_single_node() {
     let mut cluster = Cluster::from_core(core);
     for id in QueryId::ALL {
         let reference = cluster.try_run_at(id, 0.0).expect("healthy cluster");
-        assert!(reference.matches_single(), "{} hand-wired diverged", id.name());
+        assert!(reference.matches_single(), "{} default plan diverged", id.name());
         let choice = planner.plan(id);
         for plan in std::iter::once(&choice.plan).chain(choice.alternatives.iter().map(|(p, _)| p))
         {
             let run = cluster.run_planned(plan, 0.0).expect("healthy cluster");
             assert!(run.query.matches_single(), "{} planner plan diverged", id.name());
-            assert_eq!(run.query.output, reference.output, "{} vs hand-wired", id.name());
+            assert_eq!(run.query.output, reference.output, "{} vs default plan", id.name());
         }
     }
 }
