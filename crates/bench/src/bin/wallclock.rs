@@ -12,7 +12,9 @@
 //!    O(1) `Cluster` fork per cell from shared per-k cores,
 //! 5. the SWAR kernels (`DPU_VECTOR`): scalar vs vector filter, CRC32
 //!    partition (table and, where SSE4.2 exists, hardware CRC),
-//!    single- and multi-key group-by, threshold-prefiltered top-k,
+//!    single- and multi-key group-by, the partitioned hash join (a
+//!    `HashMap` per partition vs one reused flat table),
+//!    threshold-prefiltered top-k,
 //!    word-key sort, and lane-batched expression evaluation, single-
 //!    threaded so the comparison isolates the kernel itself. The
 //!    expression row is informational (the scalar arm is already
@@ -54,7 +56,7 @@ use dpu_sql::tpch::{self, TpchDb};
 use dpu_sql::{
     partition_row_ids_with, sort_indices_multi_packed_with, sort_indices_multi_with,
     top_k_packed_with, top_k_with, AggFunc, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
-    Kernel, Pack, Table,
+    HashJoin, Kernel, Pack, Table,
 };
 
 const SEED: u64 = 2026;
@@ -332,6 +334,24 @@ fn main() {
     let (m_vector_s, m_vector) = best_of(|| mspec.execute_vector(&mt, None));
     assert_eq!(m_scalar, m_vector, "SWAR multi-key group-by diverged from scalar");
     kernel_row("groupby_multi", m_scalar_s, m_vector_s, true);
+
+    // Hash join: the 2M-row key column probes a 65 536-key build through
+    // 32 partitions. The scalar arm builds a SipHash `HashMap` per
+    // partition; the vector arms reuse one flat open-addressed table.
+    let jb = Table::new(vec![
+        Column::i64("k", (-32_768..32_768).collect()),
+        Column::i64("bv", (0..65_536).collect()),
+    ]);
+    let join = HashJoin {
+        build_key: "k".into(),
+        probe_key: "k".into(),
+        build_cols: vec!["bv".into()],
+        probe_cols: vec!["v".into()],
+    };
+    let (j_scalar_s, j_scalar) = best_of(|| join.execute_seq_with(&jb, &kt, 32, Kernel::Scalar));
+    let (j_vector_s, j_vector) = best_of(|| join.execute_seq_with(&jb, &kt, 32, Kernel::Swar));
+    assert_eq!(j_scalar, j_vector, "flat-table join diverged from the HashMap reference");
+    kernel_row("join", j_scalar_s, j_vector_s, true);
 
     // Top-k: the threshold pre-filter rejects whole 64-row blocks once
     // the heap fills (k=100 over 2M uniform rows ⇒ almost all of them).

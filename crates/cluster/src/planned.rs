@@ -529,6 +529,27 @@ mod tests {
     }
 
     #[test]
+    fn merge_topk_breaks_value_ties_by_tie_columns() {
+        let part = |v: Vec<i64>, a: Vec<i64>, b: Vec<i64>| {
+            Table::new(vec![Column::i64("v", v), Column::i64("a", a), Column::i64("b", b)])
+        };
+        // Five rows tie on v = 10 across the k = 3 boundary; concatenated
+        // order would keep (10,4,0) and (10,2,7). Only the tie columns pick
+        // (10,1,9) then (10,2,3): `a` ascending, then `b` for the equal `a`.
+        let partials = [
+            part(vec![10, 10, 30], vec![4, 2, 8], vec![0, 7, 5]),
+            part(vec![10, 10, 10], vec![2, 1, 6], vec![3, 9, 1]),
+        ];
+        let ties = ["a".to_string(), "b".to_string()];
+        let got = merge_topk(&partials, "v", 3, &ties);
+        assert_eq!(got, part(vec![30, 10, 10], vec![8, 1, 2], vec![5, 9, 3]));
+        // One tie column leaves (2,7) and (2,3) tied: the stable sort keeps
+        // their concatenated order.
+        let got = merge_topk(&partials, "v", 4, &ties[..1]);
+        assert_eq!(got, part(vec![30, 10, 10, 10], vec![8, 1, 2, 2], vec![5, 9, 7, 3]));
+    }
+
+    #[test]
     fn q10_gather_placement_is_bit_identical_to_shuffle() {
         let mut c = cluster(8);
         let shuffle = c.run_planned(&default_physical(QueryId::Q10), 0.0).unwrap();

@@ -197,9 +197,10 @@ impl GroupBySpec {
     /// selected rows stream in ascending order (selection consumed a
     /// word at a time) through lane-batched key hashing — four keys per
     /// CRC batch, composite keys flattened into contiguous `u64` words —
-    /// into an open-addressed accumulator table with branch-free
-    /// min/max/sum updates; the collected groups sort by full key.
-    /// Per-group accumulation visits rows in the same ascending order as
+    /// into an open-addressed group table, then each aggregate
+    /// accumulates column-at-a-time and the groups come out through one
+    /// permutation sort by key ([`FlatGroups::into_table`]). Per-group
+    /// accumulation visits rows in the same ascending order as
     /// [`Self::execute_seq`], so the result is bit-identical. `kernel`
     /// selects the CRC engine (every arm hashes identically).
     ///
@@ -222,80 +223,59 @@ impl GroupBySpec {
             Some(bv) => bv.iter_set().collect(),
             None => (0..table.rows()).collect(),
         };
-        let mut pairs = self.aggregate_swar(table, &rows, &key_idx, kernel);
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        let mut out_cols: Vec<Column> = self
-            .group_cols
-            .iter()
-            .enumerate()
-            .map(|(i, name)| Column::i64(name, pairs.iter().map(|(k, _)| k[i]).collect()))
-            .collect();
-        for (si, (name, _)) in self.aggs.iter().enumerate() {
-            out_cols.push(Column::i64(name, pairs.iter().map(|(_, g)| g[si]).collect()));
-        }
-        Table::new(out_cols)
+        self.aggregate_swar(table, &rows, &key_idx, kernel).into_table(self)
     }
 
-    /// The open-addressed probe/accumulate loop shared by
-    /// [`Self::execute_vector_with`] and the parallel leaf tasks:
-    /// returns unsorted `(key, state)` pairs in first-seen order.
-    /// Capacity is fixed at `2 × rows` rounded up to a power of two, so
-    /// the table never rehashes and stays at most half full. Single-key
-    /// specs hash the column values directly; wider specs pack each
-    /// row's key tuple into a contiguous `u64`-word region and hash the
-    /// flattened words — both through four CRC lanes on `kernel`'s
-    /// engine.
+    /// The group-by shared by [`Self::execute_vector_with`] and the
+    /// parallel leaf tasks, in two passes over `rows`:
+    ///
+    /// 1. *Probe*: each row's key resolves to a dense `u32` group id in
+    ///    an open-addressed [`SwarGroups`] table. Capacity starts at
+    ///    `2 × rows` rounded up to a power of two, capped at 16 Ki slots
+    ///    (64 KiB), so inputs up to 8 Ki rows never rehash and larger
+    ///    ones grow with their group count rather than their row count.
+    ///    Single-key specs hash the column values directly; wider specs
+    ///    pack each row's key tuple into a contiguous `u64`-word region
+    ///    and hash the flattened words — both through four CRC lanes on
+    ///    `kernel`'s engine.
+    /// 2. *Accumulate*: one aggregate at a time over its resolved input
+    ///    slices, indexed by group id — rows in ascending order, as the
+    ///    scalar reference folds them.
+    ///
+    /// Groups come back unsorted, in first-seen order.
     fn aggregate_swar(
         &self,
         table: &Table,
         rows: &[usize],
         key_idx: &[usize],
         kernel: Kernel,
-    ) -> Vec<(Vec<i64>, Vec<i64>)> {
+    ) -> FlatGroups {
         assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 slot encoding");
-        let init = self.state_init();
-        let agg_cols = self.agg_col_indices(table);
-        let stride = self.aggs.len();
         let width = key_idx.len();
-
-        let cap = (rows.len() * 2).next_power_of_two().max(16);
+        let cap = (rows.len() * 2).next_power_of_two().clamp(16, 1 << 14);
         let mut groups = SwarGroups {
             mask: cap - 1,
-            // Slot 0 = empty, else group index + 1 (dense, first-seen).
             slots: vec![0u32; cap],
+            hashes: Vec::new(),
             width,
             keys: Vec::new(),
-            states: Vec::new(),
         };
+        let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
 
         if width == 1 {
             let kd = &table.columns[key_idx[0]].data;
             let mut quads = rows.chunks_exact(4);
             for quad in &mut quads {
                 // Lane-batched hashing: four independent CRC streams.
-                let h = vector::hash_x4(
-                    kernel,
-                    [
-                        kd[quad[0]] as u64,
-                        kd[quad[1]] as u64,
-                        kd[quad[2]] as u64,
-                        kd[quad[3]] as u64,
-                    ],
-                );
-                for (j, &row) in quad.iter().enumerate() {
-                    let g = groups.group_of(&[kd[row] as u64], h[j], &init);
-                    let state = &mut groups.states[g * stride..][..stride];
-                    self.accumulate(table, row, &agg_cols, state);
+                let keys = [quad[0], quad[1], quad[2], quad[3]].map(|r| kd[r] as u64);
+                let h = vector::hash_x4(kernel, keys);
+                for j in 0..4 {
+                    gids.push(groups.group_of(&keys[j..j + 1], h[j]));
                 }
             }
             for &row in quads.remainder() {
-                let g = groups.group_of(
-                    &[kd[row] as u64],
-                    vector::hash1(kernel, kd[row] as u64),
-                    &init,
-                );
-                self.accumulate(table, row, &agg_cols, &mut groups.states[g * stride..][..stride]);
+                let key = kd[row] as u64;
+                gids.push(groups.group_of(&[key], vector::hash1(kernel, key)));
             }
         } else {
             // Flattened composite-key encoding: row j's key tuple packs
@@ -307,46 +287,57 @@ impl GroupBySpec {
                     flat[j * width + c] = kd[row] as u64;
                 }
             }
-            let mut quads = rows.chunks_exact(4);
-            for (q, quad) in (&mut quads).enumerate() {
-                let b = q * 4 * width;
-                let h = vector::hash_wide_x4(
-                    kernel,
-                    [
-                        &flat[b..b + width],
-                        &flat[b + width..b + 2 * width],
-                        &flat[b + 2 * width..b + 3 * width],
-                        &flat[b + 3 * width..b + 4 * width],
-                    ],
-                );
-                for (j, &row) in quad.iter().enumerate() {
-                    let key = &flat[(q * 4 + j) * width..][..width];
-                    let g = groups.group_of(key, h[j], &init);
-                    let state = &mut groups.states[g * stride..][..stride];
-                    self.accumulate(table, row, &agg_cols, state);
+            let mut quads = flat.chunks_exact(4 * width);
+            for quad in &mut quads {
+                let lanes: [&[u64]; 4] = std::array::from_fn(|j| &quad[j * width..][..width]);
+                let h = vector::hash_wide_x4(kernel, lanes);
+                for j in 0..4 {
+                    gids.push(groups.group_of(lanes[j], h[j]));
                 }
             }
-            let tail_base = rows.len() - quads.remainder().len();
-            for (j, &row) in quads.remainder().iter().enumerate() {
-                let key = &flat[(tail_base + j) * width..][..width];
-                let g = groups.group_of(key, vector::hash_wide(kernel, key), &init);
-                self.accumulate(table, row, &agg_cols, &mut groups.states[g * stride..][..stride]);
+            for key in quads.remainder().chunks_exact(width) {
+                gids.push(groups.group_of(key, vector::hash_wide(kernel, key)));
             }
         }
 
-        (0..groups.keys.len() / width)
-            .map(|g| {
-                let key = groups.keys[g * width..(g + 1) * width].iter().map(|&w| w as i64);
-                (key.collect(), groups.states[g * stride..g * stride + stride].to_vec())
+        let n = groups.keys.len() / width;
+        let states = self
+            .aggs
+            .iter()
+            .map(|(_, f)| {
+                let col = |c: &String| table.columns[table.col_index(c)].data.as_slice();
+                let mut s = vec![init_of(f); n];
+                let each = gids.iter().map(|&g| g as usize).zip(rows.iter().copied());
+                match f {
+                    AggFunc::Count => gids.iter().for_each(|&g| s[g as usize] += 1),
+                    AggFunc::Sum(c) => {
+                        let v = col(c);
+                        each.for_each(|(g, r)| s[g] += v[r]);
+                    }
+                    AggFunc::Min(c) => {
+                        let v = col(c);
+                        each.for_each(|(g, r)| s[g] = s[g].min(v[r]));
+                    }
+                    AggFunc::Max(c) => {
+                        let v = col(c);
+                        each.for_each(|(g, r)| s[g] = s[g].max(v[r]));
+                    }
+                    AggFunc::SumProduct(a, b) => {
+                        let (va, vb) = (col(a), col(b));
+                        each.for_each(|(g, r)| s[g] += va[r] * vb[r]);
+                    }
+                }
+                s
             })
-            .collect()
+            .collect();
+        FlatGroups { width, keys: groups.keys, states }
     }
 
     vector::kernel_entry! {
         /// The pool-parallel group-by kernel: selected rows partition by
         /// CRC32 of the *first* key column (a group's rows all share it,
         /// so partitions hold disjoint groups), each partition
-        /// aggregates independently, and the merged pairs sort by full
+        /// aggregates independently, and the merged groups sort by full
         /// key — exactly the key-sorted table [`Self::execute_seq`]
         /// produces. Leaf aggregation runs the process-wide kernel
         /// (`DPU_VECTOR`).
@@ -378,8 +369,6 @@ impl GroupBySpec {
         }
         let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
         let first = *key_idx.first().expect("parallel group-by needs a key column");
-        let init = self.state_init();
-        let agg_cols = self.agg_col_indices(table);
 
         // Chunk-parallel partitioning of the selected row ids; the
         // selection is consumed a word at a time, never via per-row
@@ -406,45 +395,36 @@ impl GroupBySpec {
 
         // Disjoint groups per partition: aggregate independently, then
         // one global key sort reproduces the sequential output order.
-        let mut pairs: Vec<(Vec<i64>, Vec<i64>)> = pool
-            .par_map(parts, |rows| {
-                if kernel.vectorized() {
-                    return self.aggregate_swar(table, &rows, &key_idx, kernel);
-                }
-                let mut groups: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
-                for row in rows {
-                    let key: Vec<i64> =
-                        key_idx.iter().map(|&i| table.columns[i].data[row]).collect();
-                    let state = groups.entry(key).or_insert_with(|| init.clone());
-                    self.accumulate(table, row, &agg_cols, state);
-                }
-                groups.into_iter().collect::<Vec<_>>()
-            })
-            .concat();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        let mut out_cols: Vec<Column> = self
-            .group_cols
-            .iter()
-            .enumerate()
-            .map(|(i, name)| Column::i64(name, pairs.iter().map(|(k, _)| k[i]).collect()))
-            .collect();
-        for (si, (name, _)) in self.aggs.iter().enumerate() {
-            out_cols.push(Column::i64(name, pairs.iter().map(|(_, s)| s[si]).collect()));
+        let partials = pool.par_map(parts, |rows| {
+            if kernel.vectorized() {
+                return self.aggregate_swar(table, &rows, &key_idx, kernel);
+            }
+            let init = self.state_init();
+            let agg_cols = self.agg_col_indices(table);
+            let mut groups: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
+            for row in rows {
+                let key: Vec<i64> = key_idx.iter().map(|&i| table.columns[i].data[row]).collect();
+                let state = groups.entry(key).or_insert_with(|| init.clone());
+                self.accumulate(table, row, &agg_cols, state);
+            }
+            let mut flat = FlatGroups::empty(key_idx.len(), self.aggs.len());
+            for (key, state) in groups {
+                flat.keys.extend(key.iter().map(|&k| k as u64));
+                flat.states.iter_mut().zip(state).for_each(|(col, v)| col.push(v));
+            }
+            flat
+        });
+        let mut all = FlatGroups::empty(key_idx.len(), self.aggs.len());
+        for p in partials {
+            all.keys.extend(p.keys);
+            all.states.iter_mut().zip(p.states).for_each(|(col, s)| col.extend(s));
         }
-        Table::new(out_cols)
+        all.into_table(self)
     }
 
     /// Initial accumulator state, one slot per aggregate.
     fn state_init(&self) -> Vec<i64> {
-        self.aggs
-            .iter()
-            .map(|(_, f)| match f {
-                AggFunc::Min(_) => i64::MAX,
-                AggFunc::Max(_) => i64::MIN,
-                _ => 0,
-            })
-            .collect()
+        self.aggs.iter().map(|(_, f)| init_of(f)).collect()
     }
 
     /// Resolved input column indices, one pair per aggregate.
@@ -485,40 +465,102 @@ impl GroupBySpec {
     }
 }
 
+/// The identity of an aggregate's accumulator.
+fn init_of(f: &AggFunc) -> i64 {
+    match f {
+        AggFunc::Min(_) => i64::MAX,
+        AggFunc::Max(_) => i64::MIN,
+        _ => 0,
+    }
+}
+
+/// Unsorted group-by output in flat form: `width` bit-cast key words
+/// per group and one accumulator column per aggregate, groups in the
+/// same order in both.
+struct FlatGroups {
+    width: usize,
+    keys: Vec<u64>,
+    states: Vec<Vec<i64>>,
+}
+
+impl FlatGroups {
+    fn empty(width: usize, aggs: usize) -> Self {
+        FlatGroups { width, keys: Vec::new(), states: vec![Vec::new(); aggs] }
+    }
+
+    /// The key-sorted result table: one permutation sort of the group
+    /// ids by key tuple, compared as `i64` (a bit-cast `u64` order
+    /// would put negative keys last), then one gather per column. Keys
+    /// are distinct, so the unstable sort is deterministic.
+    fn into_table(self, spec: &GroupBySpec) -> Table {
+        let w = self.width;
+        let key = |g: usize| self.keys[g * w..][..w].iter().map(|&k| k as i64);
+        let mut perm: Vec<usize> = (0..self.keys.len() / w).collect();
+        perm.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let key_cols = spec.group_cols.iter().enumerate().map(|(i, name)| {
+            Column::i64(name, perm.iter().map(|&g| self.keys[g * w + i] as i64).collect())
+        });
+        let agg_cols = spec
+            .aggs
+            .iter()
+            .zip(&self.states)
+            .map(|((name, _), s)| Column::i64(name, perm.iter().map(|&g| s[g]).collect()));
+        Table::new(key_cols.chain(agg_cols).collect())
+    }
+}
+
 /// Open-addressed group table for the SWAR probe loop: linear probing
 /// over power-of-two slots, groups stored densely in first-seen order
 /// with flattened keys (`width` bit-cast `u64` words per group) and
-/// flattened accumulator states. Never grows (callers size it at twice
-/// the row count), so probes always terminate on an empty slot.
+/// their hashes. The slots double whenever the groups would fill half
+/// of them, so the table tracks the group count, not the row count, and
+/// every probe terminates on an empty slot.
 struct SwarGroups {
     mask: usize,
     slots: Vec<u32>,
+    hashes: Vec<u32>,
     width: usize,
     keys: Vec<u64>,
-    states: Vec<i64>,
 }
 
 impl SwarGroups {
-    /// Dense index of `key`'s group (a `width`-word flattened tuple),
-    /// inserting a fresh `init` state on first sight.
+    /// Dense id of `key`'s group (a `width`-word flattened tuple),
+    /// inserting it on first sight.
     #[inline]
-    fn group_of(&mut self, key: &[u64], hash: u32, init: &[i64]) -> usize {
+    fn group_of(&mut self, key: &[u64], hash: u32) -> u32 {
         let w = self.width;
         let mut i = hash as usize & self.mask;
         loop {
             let s = self.slots[i];
             if s == 0 {
                 self.keys.extend_from_slice(key);
-                self.states.extend_from_slice(init);
-                let g = self.keys.len() / w - 1;
-                self.slots[i] = (g + 1) as u32;
-                return g;
+                self.hashes.push(hash);
+                let g = self.hashes.len() as u32;
+                self.slots[i] = g;
+                if 2 * self.hashes.len() > self.slots.len() {
+                    self.grow();
+                }
+                return g - 1;
             }
-            let g = s as usize - 1;
-            if &self.keys[g * w..g * w + w] == key {
-                return g;
+            if &self.keys[(s as usize - 1) * w..][..w] == key {
+                return s - 1;
             }
             i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Doubles the slots and re-inserts every group from its stored hash.
+    #[cold]
+    fn grow(&mut self) {
+        self.mask = self.mask * 2 + 1;
+        self.slots.clear();
+        self.slots.resize(self.mask + 1, 0);
+        for (g, &h) in self.hashes.iter().enumerate() {
+            let mut i = h as usize & self.mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & self.mask;
+            }
+            self.slots[i] = g as u32 + 1;
         }
     }
 }

@@ -81,8 +81,11 @@ impl HashJoin {
             => |kernel| self.execute_seq_with(build, probe, fanout, kernel)
     }
 
-    /// [`Self::execute_seq`] with an explicit partitioning kernel, for
-    /// differential tests and benches.
+    /// [`Self::execute_seq`] with an explicit kernel: the SWAR arms
+    /// build and probe one flat [`JoinTable`] reused across partitions;
+    /// [`Kernel::Scalar`] keeps a `HashMap` per partition as the
+    /// differential reference. Both emit matches in (partition, probe
+    /// row, ascending build row) order, so the results are bit-identical.
     ///
     /// # Panics
     ///
@@ -95,55 +98,40 @@ impl HashJoin {
         kernel: Kernel,
     ) -> (Table, u64) {
         assert!(fanout > 0, "fanout must be positive");
-        let bk = build.col_index(&self.build_key);
-        let pk = probe.col_index(&self.probe_key);
+        let bkeys = &build.columns[build.col_index(&self.build_key)].data;
+        let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
+        let bparts = partition_row_ids_with(bkeys, 0, fanout, kernel);
+        let pparts = partition_row_ids_with(pkeys, 0, fanout, kernel);
+        let parts: Vec<_> = bparts.iter().zip(&pparts).collect();
 
-        // Partition row ids on both sides.
-        let bparts = partition_row_ids_with(&build.columns[bk].data, 0, fanout, kernel);
-        let pparts = partition_row_ids_with(&probe.columns[pk].data, 0, fanout, kernel);
-
-        let bcols: Vec<usize> = self.build_cols.iter().map(|c| build.col_index(c)).collect();
-        let pcols: Vec<usize> = self.probe_cols.iter().map(|c| probe.col_index(c)).collect();
-        let mut out: Vec<Vec<i64>> = vec![Vec::new(); bcols.len() + pcols.len()];
-        let mut max_build = 0u64;
-
-        for p in 0..fanout as usize {
-            // Build a per-partition table: key → build row ids (handles
-            // duplicate build keys).
-            let mut ht: HashMap<i64, Vec<usize>> = HashMap::new();
-            for &r in &bparts[p] {
-                ht.entry(build.columns[bk].data[r]).or_default().push(r);
-            }
-            max_build = max_build.max(bparts[p].len() as u64);
-            for &pr in &pparts[p] {
-                if let Some(brs) = ht.get(&probe.columns[pk].data[pr]) {
-                    for &br in brs {
-                        for (i, &c) in bcols.iter().enumerate() {
-                            out[i].push(build.columns[c].data[br]);
-                        }
-                        for (i, &c) in pcols.iter().enumerate() {
-                            out[bcols.len() + i].push(probe.columns[c].data[pr]);
-                        }
+        let (brows, prows) = if kernel.vectorized() {
+            join_flat(bkeys, pkeys, &parts)
+        } else {
+            let (mut brows, mut prows) = (Vec::new(), Vec::new());
+            for (bp, pp) in parts {
+                // key → build row ids (handles duplicate build keys).
+                let mut ht: HashMap<i64, Vec<usize>> = HashMap::new();
+                for &r in bp {
+                    ht.entry(bkeys[r]).or_default().push(r);
+                }
+                for &pr in pp {
+                    for &br in ht.get(&pkeys[pr]).into_iter().flatten() {
+                        brows.push(br);
+                        prows.push(pr);
                     }
                 }
             }
-        }
-
-        let mut columns = Vec::new();
-        for (i, name) in self.build_cols.iter().enumerate() {
-            columns.push(Column::i64(name, std::mem::take(&mut out[i])));
-        }
-        for (i, name) in self.probe_cols.iter().enumerate() {
-            columns.push(Column::i64(name, std::mem::take(&mut out[self.build_cols.len() + i])));
-        }
-        (Table::new(columns), max_build)
+            (brows, prows)
+        };
+        (self.project(build, probe, &brows, &prows), max_len(&bparts))
     }
 
-    /// The pool-parallel join kernel: chunk-parallel partitioning, one
-    /// build+probe task per partition, outputs concatenated in
-    /// partition order — bit-identical to [`Self::execute_seq`]
-    /// (partitions are disjoint and each preserves probe order, which
-    /// is exactly the sequential emission order).
+    /// The pool-parallel join kernel: chunk-parallel partitioning, then
+    /// one task per run of consecutive partitions, each reusing one flat
+    /// [`JoinTable`]; the runs' matches concatenate in partition order —
+    /// bit-identical to [`Self::execute_seq`] (partitions are disjoint
+    /// and each preserves probe order, which is exactly the sequential
+    /// emission order).
     ///
     /// # Panics
     ///
@@ -156,48 +144,163 @@ impl HashJoin {
         fanout: u64,
     ) -> (Table, u64) {
         assert!(fanout > 0, "fanout must be positive");
-        let bk = build.col_index(&self.build_key);
-        let pk = probe.col_index(&self.probe_key);
+        let bkeys = &build.columns[build.col_index(&self.build_key)].data;
+        let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
+        let bparts = par_partition(pool, bkeys, fanout);
+        let pparts = par_partition(pool, pkeys, fanout);
+        let parts: Vec<_> = bparts.iter().zip(&pparts).collect();
 
-        let bparts = par_partition(pool, &build.columns[bk].data, fanout);
-        let pparts = par_partition(pool, &probe.columns[pk].data, fanout);
+        let runs = chunk_bounds(parts.len(), pool.threads() * 4);
+        let per_run = pool.par_map(runs, |(lo, hi)| join_flat(bkeys, pkeys, &parts[lo..hi]));
+        let brows: Vec<usize> = per_run.iter().flat_map(|(b, _)| b.iter().copied()).collect();
+        let prows: Vec<usize> = per_run.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        (self.project(build, probe, &brows, &prows), max_len(&bparts))
+    }
 
-        let bcols: Vec<usize> = self.build_cols.iter().map(|c| build.col_index(c)).collect();
-        let pcols: Vec<usize> = self.probe_cols.iter().map(|c| probe.col_index(c)).collect();
+    /// Gathers the projected columns of the matched `(brows[i], prows[i])`
+    /// pairs, one column at a time.
+    fn project(&self, build: &Table, probe: &Table, brows: &[usize], prows: &[usize]) -> Table {
+        let gather = |t: &Table, name: &String, rows: &[usize]| {
+            let data = &t.columns[t.col_index(name)].data;
+            Column::i64(name, rows.iter().map(|&r| data[r]).collect())
+        };
+        let build_cols = self.build_cols.iter().map(|c| gather(build, c, brows));
+        let probe_cols = self.probe_cols.iter().map(|c| gather(probe, c, prows));
+        Table::new(build_cols.chain(probe_cols).collect())
+    }
+}
 
-        // One task per partition; each emits its slice of every output
-        // column in probe order.
-        let per_part = pool.par_map(bparts.iter().zip(&pparts).collect(), |(bp, pp)| {
-            let mut ht: HashMap<i64, Vec<usize>> = HashMap::new();
-            for &r in bp {
-                ht.entry(build.columns[bk].data[r]).or_default().push(r);
+/// Largest partition size (the DMEM-budget figure joins report).
+fn max_len(parts: &[Vec<usize>]) -> u64 {
+    parts.iter().map(Vec::len).max().unwrap_or(0) as u64
+}
+
+/// Builds and probes each `(build rows, probe rows)` partition in turn
+/// through one [`JoinTable`] sized for the largest, returning the
+/// matched build and probe row ids in emission order.
+fn join_flat(
+    bkeys: &[i64],
+    pkeys: &[i64],
+    parts: &[(&Vec<usize>, &Vec<usize>)],
+) -> (Vec<usize>, Vec<usize>) {
+    let mut table =
+        JoinTable::with_capacity(parts.iter().map(|(bp, _)| bp.len()).max().unwrap_or(0));
+    let (mut brows, mut prows) = (Vec::new(), Vec::new());
+    for &(bp, pp) in parts {
+        if bp.is_empty() {
+            continue;
+        }
+        table.build(bkeys, bp);
+        for &pr in pp {
+            let mut pos = table.find(pkeys[pr]);
+            while pos != NIL {
+                brows.push(bp[pos as usize]);
+                prows.push(pr);
+                pos = table.next[pos as usize];
             }
-            let mut out: Vec<Vec<i64>> = vec![Vec::new(); bcols.len() + pcols.len()];
-            for &pr in pp {
-                if let Some(brs) = ht.get(&probe.columns[pk].data[pr]) {
-                    for &br in brs {
-                        for (i, &c) in bcols.iter().enumerate() {
-                            out[i].push(build.columns[c].data[br]);
-                        }
-                        for (i, &c) in pcols.iter().enumerate() {
-                            out[bcols.len() + i].push(probe.columns[c].data[pr]);
-                        }
+        }
+    }
+    (brows, prows)
+}
+
+/// End of a build chain.
+const NIL: u32 = u32::MAX;
+
+/// One partition's join table, flat like the paper's DMEM-resident
+/// tables (§5.3): open-addressed `u32` slots at twice the build size
+/// hold dense key ids (0 = empty), each key keeps the first and last
+/// build position of its chain, and `next` links build positions in
+/// build-row order — so a probe walks its matches in ascending build
+/// row. [`Self::build`] clears and refills the same buffers for every
+/// partition, so a join allocates its table once.
+struct JoinTable {
+    /// `64 - log2(slots.len())`: the multiplicative hash keeps the
+    /// product's top bits. The partition's keys share their CRC32
+    /// residue, so the slot hash must not be the partitioning CRC.
+    shift: u32,
+    slots: Vec<u32>,
+    keys: Vec<i64>,
+    first: Vec<u32>,
+    last: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl JoinTable {
+    /// A table whose buffers hold a `rows`-row partition without
+    /// reallocating.
+    fn with_capacity(rows: usize) -> Self {
+        assert!(rows < NIL as usize / 2, "build partition exceeds the u32 slot encoding");
+        JoinTable {
+            shift: 0,
+            slots: Vec::with_capacity(slot_count(rows)),
+            keys: Vec::with_capacity(rows),
+            first: Vec::with_capacity(rows),
+            last: Vec::with_capacity(rows),
+            next: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Home slot of `key` (Fibonacci hashing).
+    #[inline]
+    fn home(&self, key: i64) -> usize {
+        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Replaces the contents with the build rows `rows` (ascending) of
+    /// the key column `keys`.
+    fn build(&mut self, keys: &[i64], rows: &[usize]) {
+        let cap = slot_count(rows.len());
+        self.shift = 64 - cap.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(cap, 0);
+        self.keys.clear();
+        self.first.clear();
+        self.last.clear();
+        self.next.clear();
+        for (pos, &r) in rows.iter().enumerate() {
+            let (key, pos) = (keys[r], pos as u32);
+            self.next.push(NIL);
+            let mut i = self.home(key);
+            loop {
+                match self.slots[i] {
+                    0 => {
+                        self.keys.push(key);
+                        self.first.push(pos);
+                        self.last.push(pos);
+                        self.slots[i] = self.keys.len() as u32;
+                        break;
                     }
+                    s if self.keys[s as usize - 1] == key => {
+                        let k = s as usize - 1;
+                        self.next[self.last[k] as usize] = pos;
+                        self.last[k] = pos;
+                        break;
+                    }
+                    _ => i = (i + 1) & (cap - 1),
                 }
             }
-            out
-        });
-        let max_build = bparts.iter().map(|p| p.len() as u64).max().unwrap_or(0);
-
-        let names = self.build_cols.iter().chain(&self.probe_cols);
-        let columns = names
-            .enumerate()
-            .map(|(i, name)| {
-                Column::i64(name, per_part.iter().flat_map(|p| p[i].iter().copied()).collect())
-            })
-            .collect();
-        (Table::new(columns), max_build)
+        }
     }
+
+    /// The first build position holding `key`, or [`NIL`].
+    #[inline]
+    fn find(&self, key: i64) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => return NIL,
+                s if self.keys[s as usize - 1] == key => return self.first[s as usize - 1],
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
+/// Slots for a `rows`-row build: twice the rows, a power of two, so the
+/// table stays at most half full and every probe ends on an empty slot.
+fn slot_count(rows: usize) -> usize {
+    (rows * 2).next_power_of_two().max(16)
 }
 
 vector::kernel_entry! {
@@ -367,6 +470,28 @@ mod tests {
                 assert_eq!(got_max, want_max);
             }
         }
+    }
+
+    #[test]
+    fn join_table_chains_colliding_keys_in_build_order() {
+        // k·C ≡ j (mod 2⁶⁴) for the multiplier's inverse: every key's
+        // product is tiny, so all of them share home slot 0.
+        const C: u64 = 0x9E37_79B9_7F4A_7C15;
+        let inv = (0..6).fold(C, |x, _| x.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(x))));
+        let distinct: Vec<i64> = (1..=50u64).map(|j| j.wrapping_mul(inv) as i64).collect();
+        // Each key twice, the copies 50 rows apart.
+        let keys: Vec<i64> = distinct.iter().chain(&distinct).copied().collect();
+        let rows: Vec<usize> = (0..keys.len()).collect();
+        let mut table = JoinTable::with_capacity(keys.len());
+        table.build(&keys, &rows);
+        assert!(distinct.iter().all(|&k| table.home(k) == 0));
+        for (i, &k) in distinct.iter().enumerate() {
+            let first = table.find(k);
+            assert_eq!(first, i as u32);
+            assert_eq!(table.next[first as usize], i as u32 + 50);
+            assert_eq!(table.next[i + 50], NIL);
+        }
+        assert_eq!(table.find(51u64.wrapping_mul(inv) as i64), NIL);
     }
 
     #[test]

@@ -426,8 +426,10 @@ impl LogicalPlan {
             Finish::TopK { value, k, sort_by } => {
                 let mut jo = cur;
                 if let Some(key) = sort_by {
+                    let keys = &jo.columns[jo.col_index(key)].data;
                     let mut order: Vec<usize> = (0..jo.rows()).collect();
-                    order.sort_by_key(|&r| jo.columns[jo.col_index(key)].data[r]);
+                    // Stable: rows tied on the key keep their join order.
+                    order.sort_by_key(|&r| keys[r]);
                     jo = Cow::Owned(project_rows(&jo, &order));
                 }
                 let top = top_k(&jo, value, (*k).min(jo.rows().max(1)), 32);

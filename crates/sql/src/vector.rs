@@ -22,9 +22,9 @@
 //!    SWAR arm, `crc32q` on the hardware arm.
 //! 3. **Group-by probe** ([`crate::agg::GroupBySpec::execute_vector`]):
 //!    lane-batched key hashing (4 keys per CRC batch, composite keys
-//!    flattened into contiguous `u64` words) feeding an open-addressed,
-//!    allocation-free accumulator table with branch-free min/max/sum
-//!    updates.
+//!    flattened into contiguous `u64` words) resolving each row to a
+//!    group id in an open-addressed table, then column-at-a-time
+//!    min/max/sum accumulation per aggregate.
 //! 4. **Top-k pre-filter** ([`gt_mask_word`]): a branch-free 64-row
 //!    band test against the current k-th value, so the heap only sees
 //!    rows that can change it ([`crate::topk::top_k_with`]).

@@ -494,3 +494,176 @@ fn filter_words_feed_topk_and_sort_directly() {
         assert!(sorted.windows(2).all(|w| (vals[w[0]], w[0]) < (vals[w[1]], w[1])));
     }
 }
+
+/// Checks `join` on the SWAR arms and through the pool at widths 1, 2
+/// and 4 against the scalar `HashMap` reference, over fanouts that leave
+/// some partitions empty, returning the reference result.
+fn assert_join_exact(join: &HashJoin, build: &Table, probe: &Table) -> Table {
+    let mut out = None;
+    for fanout in [1u64, 2, 7, 32] {
+        let want = join.execute_seq_with(build, probe, fanout, Kernel::Scalar);
+        for kernel in [Kernel::Swar, Kernel::HwCrc] {
+            let got = join.execute_seq_with(build, probe, fanout, kernel);
+            assert_eq!(got, want, "fanout={fanout} kernel {kernel:?}");
+        }
+        for workers in [1usize, 2, 4] {
+            let got = join.execute_on(Pool::new(workers), build, probe, fanout);
+            assert_eq!(got, want, "fanout={fanout} workers={workers}");
+        }
+        out.get_or_insert(want.0);
+    }
+    out.unwrap()
+}
+
+/// A join projecting the build and probe row ids next to the key.
+fn row_id_join() -> HashJoin {
+    HashJoin {
+        build_key: "k".into(),
+        probe_key: "k".into(),
+        build_cols: vec!["brow".into()],
+        probe_cols: vec!["prow".into(), "k".into()],
+    }
+}
+
+/// A join input: key column `k` plus its row ids under `id`.
+fn keyed(keys: Vec<i64>, id: &str) -> Table {
+    let rows = (0..keys.len() as i64).collect();
+    Table::new(vec![Column::i64("k", keys), Column::i64(id, rows)])
+}
+
+/// Runs of duplicate build keys (consecutive and scattered) chain in
+/// build-row order: each probe row's matches come out with ascending
+/// build row ids, exactly as the scalar reference's per-key vectors.
+#[test]
+fn join_duplicate_build_keys_chain_in_build_row_order() {
+    let bkeys: Vec<i64> = (0..3000).map(|i| (i / 5) % 200 - 100).collect();
+    let pkeys: Vec<i64> = (0..1200).map(|i| (i * 7) % 260 - 130).collect();
+    let hits = pkeys.iter().filter(|k| (-100..100).contains(*k)).count();
+    let out = assert_join_exact(&row_id_join(), &keyed(bkeys, "brow"), &keyed(pkeys, "prow"));
+    let (brow, prow) = (&out.columns[0].data, &out.columns[1].data);
+    assert_eq!(out.rows(), hits * 15, "every in-range probe matches its 15 build rows");
+    for i in 1..out.rows() {
+        if prow[i] == prow[i - 1] {
+            assert!(brow[i] > brow[i - 1], "chain out of build order at output row {i}");
+        }
+    }
+}
+
+/// Keys the flat table must keep apart: keys whose Fibonacci-hash
+/// products are all tiny (so every one lands in home slot 0 and they
+/// probe as one long run), keys equal in their low 32 bits, the signed
+/// extremes, and builds larger than their probes.
+#[test]
+fn join_colliding_and_extreme_keys_are_exact() {
+    // The inverse of the table's multiplier: k·C ≡ j (mod 2⁶⁴).
+    const C: u64 = 0x9E37_79B9_7F4A_7C15;
+    let inv = (0..6).fold(C, |x, _| x.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(x))));
+    assert_eq!(C.wrapping_mul(inv), 1);
+    let mut bkeys: Vec<i64> = (1..=400u64).map(|j| j.wrapping_mul(inv) as i64).collect();
+    bkeys.extend((1..=400i64).map(|j| (j << 32) | 0x2A));
+    bkeys.extend([i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, 0, -1, i64::MIN, i64::MAX]);
+    // Probe every third build key (so the build is ~3× the probe), plus
+    // misses that share the colliding keys' slots.
+    let mut pkeys: Vec<i64> = bkeys.iter().step_by(3).copied().collect();
+    pkeys.extend((401..=450u64).map(|j| j.wrapping_mul(inv) as i64));
+    pkeys.extend([i64::MAX, i64::MIN, 0x2A]);
+    let out =
+        assert_join_exact(&row_id_join(), &keyed(bkeys.clone(), "brow"), &keyed(pkeys, "prow"));
+    assert!(out.rows() > 270, "only {} matches", out.rows());
+
+    // Empty build, empty probe, and single-key sides leave whole
+    // partitions empty.
+    let empty = Vec::new();
+    for (b, p) in [
+        (empty.clone(), bkeys.clone()),
+        (bkeys.clone(), empty.clone()),
+        (empty.clone(), empty),
+        (vec![i64::MIN], bkeys),
+    ] {
+        assert_join_exact(&row_id_join(), &keyed(b, "brow"), &keyed(p, "prow"));
+    }
+}
+
+/// A seeded table of `rows` rows grouped by one draw `x` in `0..ndv`:
+/// key column `x` (shifted to mixed sign), and `a`, `b`, `c`, small
+/// mixed-sign digits of `x` that together identify it; plus two value
+/// columns.
+fn grouped_table(rows: usize, ndv: u64, seed: u64) -> Table {
+    let mut next = splitmix(seed);
+    let x: Vec<i64> = (0..rows).map(|_| (next() % ndv) as i64).collect();
+    let v: Vec<i64> = (0..rows).map(|_| (next() % 2_000_001) as i64 - 1_000_000).collect();
+    let d: Vec<i64> = (0..rows).map(|_| (next() % 201) as i64 - 100).collect();
+    let col =
+        |name: &str, f: &dyn Fn(i64) -> i64| Column::i64(name, x.iter().map(|&x| f(x)).collect());
+    Table::new(vec![
+        col("x", &|x| x - ndv as i64 / 2),
+        col("a", &|x| x % 7 - 3),
+        col("b", &|x| (x / 7) % 160 - 80),
+        col("c", &|x| x / 1120 - 11),
+        Column::i64("v", v),
+        Column::i64("d", d),
+    ])
+}
+
+/// Grouping columns of 1, 2 and 3 keys, each set identifying `x`.
+const KEY_SETS: [&[&str]; 3] = [&["x"], &["a", "x"], &["a", "b", "c"]];
+
+/// Every arm of `spec` — SWAR, hardware CRC, and the pool at widths 1,
+/// 2 and 4 with either leaf kernel — equals the scalar reference.
+fn assert_group_by_exact(spec: &GroupBySpec, t: &Table, sel: Option<&BitVec>) -> Table {
+    let want = spec.execute_seq(t, sel);
+    for kernel in [Kernel::Swar, Kernel::HwCrc] {
+        assert_eq!(spec.execute_vector_with(t, sel, kernel), want, "kernel {kernel:?}");
+    }
+    for kernel in [Kernel::Scalar, Kernel::Swar] {
+        for workers in [1usize, 2, 4] {
+            let got = spec.execute_on_with(Pool::new(workers), t, sel, kernel);
+            assert_eq!(got, want, "pooled kernel {kernel:?} workers={workers}");
+        }
+    }
+    want
+}
+
+/// Negative and mixed-sign keys sort as signed integers: ordering the
+/// bit-cast `u64` key words would put every negative key after the
+/// positives.
+#[test]
+fn group_by_mixed_sign_keys_sort_as_signed() {
+    let t = grouped_table(3_000, 4_000, 7);
+    for keys in KEY_SETS {
+        let width = keys.len();
+        let spec = GroupBySpec {
+            group_cols: keys.iter().map(|s| s.to_string()).collect(),
+            aggs: vec![("s".into(), AggFunc::Sum("v".into()))],
+        };
+        let out = assert_group_by_exact(&spec, &t, None);
+        let key =
+            |r: usize| -> Vec<i64> { out.columns[..width].iter().map(|c| c.data[r]).collect() };
+        assert!(out.columns[0].data.iter().any(|&k| k < 0), "width {width}: no negative key");
+        assert!(out.columns[0].data.iter().any(|&k| k > 0), "width {width}: no positive key");
+        assert!((1..out.rows()).all(|r| key(r - 1) < key(r)), "width {width}: not signed order");
+    }
+}
+
+/// At least 20k distinct groups through all five aggregates, 1–3 key
+/// columns, with and without a selection.
+#[test]
+fn group_by_many_groups_all_aggregates_are_exact() {
+    let t = grouped_table(60_000, 25_000, 11);
+    let sel = BitVec::from_fn(t.rows(), |i| i % 5 != 2);
+    for keys in KEY_SETS {
+        let spec = GroupBySpec {
+            group_cols: keys.iter().map(|s| s.to_string()).collect(),
+            aggs: vec![
+                ("cnt".into(), AggFunc::Count),
+                ("s".into(), AggFunc::Sum("v".into())),
+                ("lo".into(), AggFunc::Min("v".into())),
+                ("hi".into(), AggFunc::Max("d".into())),
+                ("sp".into(), AggFunc::SumProduct("v".into(), "d".into())),
+            ],
+        };
+        let all = assert_group_by_exact(&spec, &t, None);
+        assert!(all.rows() >= 20_000, "{keys:?}: only {} groups", all.rows());
+        assert_group_by_exact(&spec, &t, Some(&sel));
+    }
+}
