@@ -62,9 +62,9 @@ use std::sync::Arc;
 use dpu_bench::json::{emit, Json};
 use dpu_bench::{header, row};
 use dpu_cluster::{
-    serve, serve_pipeline, serve_pipeline_hooked, serve_tenants, Cluster, ClusterConfig,
-    ClusterCore, FaultPlan, QueryId, ServeConfig, ShardPolicy, SingleRefCache, Speculation,
-    Template, Tenant, TenantServeConfig, TraceShape,
+    serve, serve_pipeline_hooked, serve_tenants, Cluster, ClusterConfig, ClusterCore, FaultPlan,
+    QueryId, ServeConfig, ShardPolicy, SingleRefCache, Speculation, Template, Tenant,
+    TenantServeConfig, TraceShape,
 };
 use dpu_planner::{explain, AdaptiveServer, CandidatePlan, Planner, PlannerMode};
 use dpu_pool::Pool;
@@ -485,13 +485,14 @@ fn main() {
             ..serve_cfg.clone()
         };
         let fabric = cluster.cfg().fabric.clone();
-        let r = serve_pipeline(
+        let r = serve_pipeline_hooked(
             &templates,
             cluster.watts(),
             &rack,
             &flagged,
             None,
             Some((&fabric, NODES)),
+            None,
         );
         println!(
             "\n## Serving with flags (concurrency {}, adaptive {}, SLO {})\n",
@@ -801,16 +802,25 @@ fn main() {
         concurrency: 8,
         ..ServeConfig::default()
     };
-    let shared = serve_pipeline(
+    let shared = serve_pipeline_hooked(
         std::slice::from_ref(&q10),
         base.watts(),
         &rack,
         &icfg,
         None,
         Some((&fabric, NODES)),
+        None,
     );
     let solo_cfg = ServeConfig { clients: 1, max_batch: 1, concurrency: 1, ..icfg.clone() };
-    let solo = serve_pipeline(&[q10], base.watts(), &rack, &solo_cfg, None, Some((&fabric, NODES)));
+    let solo = serve_pipeline_hooked(
+        &[q10],
+        base.watts(),
+        &rack,
+        &solo_cfg,
+        None,
+        Some((&fabric, NODES)),
+        None,
+    );
     assert!(
         shared.mean_fabric_seconds > shared.mean_fabric_isolated_seconds,
         "concurrent Q10 shuffles must contend on the shared switch"

@@ -39,8 +39,7 @@
 //!   arrival rates under diurnal/bursty traces, weighted-fair queuing
 //!   with per-tenant admission caps, and priority preemption, reported
 //!   per tenant (QPS, p50/p99, SLO attainment, preempted work).
-//! - [`serve`] — a closed-loop multi-client serving front-end, since
-//!   PR 3 an event-driven concurrent pipeline: up to
+//! - [`serve`](mod@serve) — a closed-loop multi-client serving front-end: up to
 //!   [`ServeConfig::concurrency`] batches in flight, each charged for
 //!   fabric use against shared per-NIC/switch bandwidth servers
 //!   ([`ServeFabric`]) so concurrent shuffle-heavy queries interfere,
@@ -52,8 +51,15 @@
 //!   recovered. The coordinator optionally races deadline-missing shard
 //!   sub-plans against a backup replica ([`Speculation`]), keeping
 //!   results bit-identical while cutting straggler tails.
+//!
+//! [`serve`](mod@serve) and [`tenant`] are two arrival sources over one
+//! private serving engine: a single discrete-event loop on
+//! [`dpu_sim::EventQueue`] with shared admission, per-(tenant,
+//! template) dispatch queues, optional adaptive batching, preemption,
+//! [`ServeHook`] and [`ServeFabric`], and one report core.
 
 pub mod coordinator;
+mod engine;
 pub mod fabric;
 pub mod fault;
 pub mod planned;
@@ -72,8 +78,8 @@ pub use fault::{Fault, FaultPlan};
 pub use planned::{default_physical, q10_gather_physical, MergeStrategy, PhysicalPlan, PlannedRun};
 pub use replica::Placement;
 pub use serve::{
-    serve, serve_pipeline, serve_pipeline_hooked, serve_with_faults, AdaptiveBatch, DegradedWindow,
-    ServeConfig, ServeHook, ServeReport, Template,
+    serve, serve_pipeline_hooked, AdaptiveBatch, DegradedWindow, ServeConfig, ServeHook,
+    ServeReport, Template,
 };
 pub use shard::{
     shard_table, shard_tpch, shard_tpch_placed, shard_tpch_replicated, ShardPolicy, ShardedTpch,

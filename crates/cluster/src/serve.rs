@@ -1,33 +1,26 @@
-//! Concurrent serving pipeline for the cluster.
+//! Closed-loop serving front-end for the cluster.
 //!
 //! The rack is a serving system, not a batch machine: many clients
 //! submit TPC-H queries concurrently, the coordinator batches
 //! same-template queries (a batch shares each node's shard scan — see
 //! [`ClusterQueryCost::batch_seconds`]), and an admission queue bounds
-//! in-flight work. Since PR 3 the loop is an event-driven pipeline with
-//! up to [`ServeConfig::concurrency`] queries in flight at once, each
-//! charged for fabric use against shared per-NIC/switch bandwidth
-//! servers ([`ServeFabric`]) so shuffle-heavy plans interfere
-//! realistically, and an optional [`AdaptiveBatch`] controller that
-//! deepens batches as the admission queue grows and sheds depth when the
-//! observed p99 approaches a latency SLO. With `concurrency = 1`, no
-//! SLO and the controller off, the pipeline reproduces the original
-//! scalar serving loop event for event (pinned by a regression test).
-//!
-//! [`serve_with_faults`] additionally applies a [`DegradedWindow`] — the
-//! period between a node crash and the end of its recovery, during which
-//! surviving replicas absorb the dead node's shards and every batch runs
-//! slower — and reports QPS before, during, and after the window so the
-//! dip and the post-recovery return to steady state are measurable.
+//! in-flight work. Up to [`ServeConfig::concurrency`] batches run at
+//! once, each charged for fabric use against shared per-NIC/switch
+//! bandwidth servers ([`ServeFabric`]) so shuffle-heavy plans interfere,
+//! and an optional [`AdaptiveBatch`] controller deepens batches as the
+//! admission queue grows and sheds depth when the observed p99
+//! approaches a latency SLO. A [`DegradedWindow`] (a crash until its
+//! recovery completes, every batch slower) splits QPS into before,
+//! during and after, so the dip and the return to steady state are
+//! measurable. The clients are one arrival source of the serving engine
+//! shared with [`crate::tenant`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-use dpu_sim::SplitMix64;
 use xeon_model::XeonRack;
 
 use crate::coordinator::ClusterQueryCost;
+use crate::engine::{self, Latency, Source, Spec};
 use crate::fabric::{FabricConfig, ServeFabric};
 
 /// One query template the clients draw from.
@@ -266,156 +259,56 @@ impl AdaptiveBatch {
     }
 }
 
-/// f64 with a total order, for the event heap (shared with the
-/// open-loop multi-tenant loop in [`crate::tenant`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub(crate) f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// The closed loop's admission queue, held as one FIFO per template with
-/// every entry tagged by its admission sequence number. It behaves as a
-/// single FIFO from which each dispatch pulls the first `k` entries of
-/// the head's template, leaving the rest in order, but a dispatch costs
-/// O(k + templates) instead of a scan and rebuild of the whole queue.
-struct DispatchQueue {
-    /// Per template: `(admission sequence, arrival time)`, oldest first.
-    fifos: Vec<VecDeque<(u64, f64)>>,
-    /// Entries across every FIFO.
-    queued: usize,
-    /// Sequence number of the next admission.
-    next_seq: u64,
-}
-
-impl DispatchQueue {
-    fn new(templates: usize) -> Self {
-        DispatchQueue { fifos: vec![VecDeque::new(); templates], queued: 0, next_seq: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.queued
-    }
-
-    fn push(&mut self, arrival: f64, tmpl: usize) {
-        self.fifos[tmpl].push_back((self.next_seq, arrival));
-        self.next_seq += 1;
-        self.queued += 1;
-    }
-
-    /// The template of the oldest queued entry (`None` when empty).
-    fn front_template(&self) -> Option<usize> {
-        self.fifos
-            .iter()
-            .enumerate()
-            .filter_map(|(t, f)| f.front().map(|&(s, _)| (s, t)))
-            .min()
-            .map(|(_, t)| t)
-    }
-
-    /// Removes the oldest `min(k, queued of tmpl)` entries of `tmpl`,
-    /// yielding their arrival times oldest first.
-    fn take(&mut self, tmpl: usize, k: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
-        let fifo = &mut self.fifos[tmpl];
-        let k = k.min(fifo.len());
-        self.queued -= k;
-        fifo.drain(..k).map(|(_, arrival)| arrival)
-    }
-}
-
 /// Runs the closed-loop serving simulation over `templates` (uniform
 /// template mix) on a healthy cluster drawing `cluster_watts`, comparing
 /// against `xeon_rack` serving the same mix one query per socket.
 ///
 /// # Panics
 ///
-/// Panics if `templates` is empty or the config is degenerate (zero
-/// clients, zero duration, zero concurrency).
+/// Panics if `templates` is empty or the config is degenerate: zero
+/// clients, batch cap, admission slots or concurrency, an infinite or
+/// empty horizon, a negative or NaN think time, or a non-positive SLO.
 pub fn serve(
     templates: &[Template],
     cluster_watts: f64,
     xeon_rack: &XeonRack,
     cfg: &ServeConfig,
 ) -> ServeReport {
-    serve_pipeline(templates, cluster_watts, xeon_rack, cfg, None, None)
+    serve_pipeline_hooked(templates, cluster_watts, xeon_rack, cfg, None, None, None)
 }
-
-/// [`serve`], with batches dispatched inside `window` slowed by its
-/// `cost_factor` — the coarse serving-level view of a crash + recovery.
-///
-/// # Panics
-///
-/// Panics like [`serve`], or if the window is inverted or its factor is
-/// below 1.
-pub fn serve_with_faults(
-    templates: &[Template],
-    cluster_watts: f64,
-    xeon_rack: &XeonRack,
-    cfg: &ServeConfig,
-    window: Option<&DegradedWindow>,
-) -> ServeReport {
-    serve_pipeline(templates, cluster_watts, xeon_rack, cfg, window, None)
-}
-
-/// Event kinds: client arrivals carry small ids; a batch completion on
-/// server `i` is encoded as `COMPLETE_BASE + i`.
-const COMPLETE_BASE: usize = usize::MAX / 2;
 
 /// A dispatcher-side observer that can substitute the cost a template is
 /// served with — the planner's insertion point for adaptive
 /// re-optimization. The serving loop consults it at every dispatch and
-/// reports every batch completion back, so an implementation can start
-/// from the plan its estimates favored, watch actual runtimes, and swap
-/// in a cheaper plan mid-run (optd-style). Returning `None` from
-/// [`template_cost`](Self::template_cost) leaves the static
-/// [`Template::cost`] in force, reproducing the unhooked pipeline
-/// event for event.
+/// then tells it the batch's decided execution time, so an
+/// implementation can start from the plan its estimates favored, watch
+/// actual runtimes, and swap in a cheaper plan mid-run (optd-style).
+/// Returning `None` from [`template_cost`](Self::template_cost) leaves
+/// the static [`Template::cost`] in force, reproducing the unhooked
+/// pipeline event for event.
 pub trait ServeHook {
     /// The cost to serve template `tmpl` with for a batch dispatched at
     /// `now` (`None` = the template's static cost).
     fn template_cost(&mut self, tmpl: usize, now: f64) -> Option<ClusterQueryCost>;
 
-    /// One batch of `k` queries of `tmpl` finished; `exec_seconds` is its
-    /// dispatch-to-completion time and `done` the absolute finish time.
+    /// A batch of `k` queries of `tmpl` was just dispatched, right after
+    /// [`template_cost`](Self::template_cost) for it. It fires at
+    /// dispatch, not at completion: `exec_seconds` is the batch's
+    /// already-decided dispatch-to-completion time and `done` its
+    /// absolute finish time, which simulated time has not reached yet.
     fn on_batch(&mut self, tmpl: usize, k: usize, exec_seconds: f64, done: f64);
 }
 
-/// The full concurrent pipeline: [`serve_with_faults`] plus an optional
-/// shared fabric `(rates, node count)` against which every in-flight
-/// batch's fabric phase is charged, so concurrent shuffle-heavy queries
-/// interfere instead of being costed in isolation.
+/// The full concurrent pipeline: [`serve`] with batches dispatched
+/// inside `window` slowed by its `cost_factor`, an optional shared
+/// fabric `(rates, node count)` charging every in-flight batch's fabric
+/// phase, and an optional [`ServeHook`] consulted at every dispatch
+/// (`None`, or a hook that always returns `None`, changes nothing).
 ///
 /// # Panics
 ///
-/// Panics like [`serve_with_faults`].
-pub fn serve_pipeline(
-    templates: &[Template],
-    cluster_watts: f64,
-    xeon_rack: &XeonRack,
-    cfg: &ServeConfig,
-    window: Option<&DegradedWindow>,
-    fabric: Option<(&FabricConfig, usize)>,
-) -> ServeReport {
-    serve_pipeline_hooked(templates, cluster_watts, xeon_rack, cfg, window, fabric, None)
-}
-
-/// [`serve_pipeline`] with an optional [`ServeHook`] consulted at every
-/// dispatch and notified of every completion. With `hook = None` (or a
-/// hook that always returns `None`) the run is event-for-event identical
-/// to the unhooked pipeline.
-///
-/// # Panics
-///
-/// Panics like [`serve_with_faults`].
+/// Panics like [`serve`], or if the window is inverted or its factor is
+/// below 1.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_pipeline_hooked(
     templates: &[Template],
@@ -424,193 +317,28 @@ pub fn serve_pipeline_hooked(
     cfg: &ServeConfig,
     window: Option<&DegradedWindow>,
     fabric: Option<(&FabricConfig, usize)>,
-    mut hook: Option<&mut dyn ServeHook>,
+    hook: Option<&mut dyn ServeHook>,
 ) -> ServeReport {
-    assert!(!templates.is_empty(), "need at least one template");
-    assert!(cfg.clients > 0 && cfg.duration_seconds > 0.0, "degenerate config");
-    assert!(cfg.max_batch > 0 && cfg.admit_cap > 0, "degenerate config");
-    assert!(cfg.concurrency > 0, "need at least one server");
-    if let Some(w) = window {
-        assert!(w.from_seconds <= w.until_seconds, "inverted degraded window");
-        assert!(w.cost_factor >= 1.0, "a degraded window cannot speed the cluster up");
-    }
-
-    let mut rng = SplitMix64::new(cfg.seed);
-    let mut uniform = move || rng.next_f64();
-    let think = {
-        let mean = cfg.think_seconds;
-        move |u: f64| if mean > 0.0 { -(1.0 - u).ln() * mean } else { 0.0 }
+    let spec = Spec {
+        templates,
+        source: Source::Closed { clients: cfg.clients, think_seconds: cfg.think_seconds },
+        duration_seconds: cfg.duration_seconds,
+        seed: cfg.seed,
+        max_batch: cfg.max_batch,
+        admit_cap: cfg.admit_cap,
+        concurrency: cfg.concurrency,
+        adaptive: cfg.adaptive,
+        slo_seconds: cfg.slo_seconds,
+        preemption: false,
+        window,
+        fabric: fabric.map(|(fc, n)| ServeFabric::new(n, fc.clone())),
     };
-
-    // Event heap: (time, seq, kind). seq keeps ordering deterministic for
-    // simultaneous events.
-    let mut events: BinaryHeap<Reverse<(OrdF64, u64, usize)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for c in 0..cfg.clients {
-        let u = uniform();
-        events.push(Reverse((OrdF64(think(u)), seq, c)));
-        seq += 1;
-    }
-
-    let n_srv = cfg.concurrency;
-    let mut queue = DispatchQueue::new(templates.len());
-    let mut server_free_at = vec![0.0f64; n_srv];
-    let mut server_busy = vec![false; n_srv];
-    // Latencies of each server's in-flight batch, fed to the controller
-    // when its completion event fires (the controller only ever sees
-    // completions from its past).
-    let mut server_pending: Vec<Vec<f64>> = vec![Vec::new(); n_srv];
-    let mut controller = cfg.adaptive.then(|| AdaptiveBatch::new(cfg.max_batch, cfg.slo_seconds));
-    let mut shared = fabric.map(|(fc, n)| ServeFabric::new(n, fc.clone()));
-
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut done_times: Vec<f64> = Vec::new();
-    let mut admitted = 0u64;
-    let mut rejected = 0u64;
-    let mut batches = 0u64;
-    let mut fabric_sum = 0.0f64; // per-query fabric seconds, shared
-    let mut fabric_iso_sum = 0.0f64; // per-query fabric seconds, isolated
-    let mut last_now = f64::NEG_INFINITY;
-
-    while let Some(Reverse((OrdF64(now), _, kind))) = events.pop() {
-        debug_assert!(now >= last_now, "simulated clock ran backwards: {now} < {last_now}");
-        last_now = now;
-        if now > cfg.duration_seconds {
-            break;
-        }
-        if kind < COMPLETE_BASE {
-            // A client arrival: pick a template, try to enter the queue.
-            let t = (uniform() * templates.len() as f64) as usize % templates.len();
-            if queue.len() >= cfg.admit_cap {
-                rejected += 1;
-                let u = uniform();
-                // A full queue implies every server is busy (dispatch
-                // drains whenever one is idle), so retrying no earlier
-                // than the next completion event keeps the clock
-                // advancing even with zero think time.
-                let next_done = server_free_at
-                    .iter()
-                    .zip(&server_busy)
-                    .filter(|&(_, &b)| b)
-                    .map(|(&f, _)| f)
-                    .fold(f64::INFINITY, f64::min);
-                let floor = if next_done.is_finite() { next_done } else { now };
-                let retry = (now + think(u)).max(floor);
-                events.push(Reverse((OrdF64(retry), seq, kind)));
-                seq += 1;
-                continue;
-            }
-            // The client now waits for completion (closed loop); its next
-            // arrival is scheduled at dispatch below.
-            admitted += 1;
-            queue.push(now, t);
-        } else {
-            let s = kind - COMPLETE_BASE;
-            server_busy[s] = false;
-            if let Some(ctl) = &mut controller {
-                for &l in &server_pending[s] {
-                    ctl.observe(l, queue.len());
-                }
-            }
-            server_pending[s].clear();
-        }
-
-        // Dispatch while a server is idle and work is queued.
-        while let Some(srv) = (0..n_srv).find(|&i| !server_busy[i]) {
-            let Some(tmpl) = queue.front_template() else { break };
-            let cap = controller.as_ref().map_or(cfg.max_batch, |c| c.depth(queue.len()));
-            // Up to `cap` same-template queries, oldest first.
-            let batch = queue.take(tmpl, cap);
-            let k = batch.len();
-            let start = server_free_at[srv].max(now);
-            let factor = match window {
-                Some(w) if start >= w.from_seconds && start < w.until_seconds => w.cost_factor,
-                _ => 1.0,
-            };
-            let hooked_cost = hook.as_deref_mut().and_then(|h| h.template_cost(tmpl, now));
-            let cost = hooked_cost.as_ref().unwrap_or(&templates[tmpl].cost);
-            let iso_fabric = cost.fabric_seconds;
-            let done = match &mut shared {
-                Some(sf) => {
-                    // Decomposed path: local phase, then the fabric phase
-                    // charged against the shared servers (a batch repeats
-                    // its per-query fabric k times), then the merges. The
-                    // degraded-window factor covers the compute phases;
-                    // the fabric runs at its own (shared) rate.
-                    let local_end = start + factor * cost.batch_local_seconds(k);
-                    let fab =
-                        sf.charge(local_end, k as u64 * cost.fabric_bytes, k as f64 * iso_fabric);
-                    fabric_sum += fab;
-                    local_end + fab + factor * k as f64 * cost.merge_seconds
-                }
-                None => {
-                    fabric_sum += k as f64 * iso_fabric;
-                    start + factor * cost.batch_seconds(k)
-                }
-            };
-            fabric_iso_sum += k as f64 * iso_fabric;
-            if let Some(h) = hook.as_deref_mut() {
-                h.on_batch(tmpl, k, done - start, done);
-            }
-            server_free_at[srv] = done;
-            server_busy[srv] = true;
-            batches += 1;
-            for arr in batch {
-                latencies.push(done - arr);
-                done_times.push(done);
-                server_pending[srv].push(done - arr);
-                // The issuing client thinks, then comes back.
-                let u = uniform();
-                events.push(Reverse((OrdF64(done + think(u)), seq, 0)));
-                seq += 1;
-            }
-            events.push(Reverse((OrdF64(done), seq, COMPLETE_BASE + srv)));
-            seq += 1;
-        }
-    }
-
-    let completed = latencies.len() as u64;
-    // A dispatched query's completion is recorded at dispatch (its
-    // finish time is already decided), so the backlog is exactly what
-    // was admitted but still sat in the queue at the horizon.
-    let backlog = queue.len() as u64;
-    debug_assert_eq!(admitted, completed + backlog, "admission counters must conserve");
-    let slo_attainment = match cfg.slo_seconds {
-        Some(slo) if completed > 0 => {
-            latencies.iter().filter(|&&l| l <= slo).count() as f64 / completed as f64
-        }
-        _ => 1.0,
-    };
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let i = ((p * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[i - 1]
-    };
-    let mean_latency = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
-    };
-
-    // Bucket completions around the degraded window (whole horizon =
-    // "pre" when no window was applied).
-    let (w_from, w_until) = window
-        .map(|w| {
-            (w.from_seconds.min(cfg.duration_seconds), w.until_seconds.min(cfg.duration_seconds))
-        })
-        .unwrap_or((cfg.duration_seconds, cfg.duration_seconds));
-    let bucket_qps = |lo: f64, hi: f64| -> f64 {
-        if hi <= lo {
-            return 0.0;
-        }
-        done_times.iter().filter(|&&d| d >= lo && d < hi).count() as f64 / (hi - lo)
-    };
-    let qps_pre_fault = bucket_qps(0.0, w_from);
-    let qps_during_fault = bucket_qps(w_from, w_until);
-    let qps_post_fault = bucket_qps(w_until, cfg.duration_seconds);
+    let mut run = engine::run(spec, hook);
+    let [qps_pre_fault, qps_during_fault, qps_post_fault] =
+        run.window_qps(window, cfg.duration_seconds);
+    let lat = Latency::of(std::mem::take(&mut run.tenants[0].latencies), cfg.slo_seconds);
+    let completed = lat.completed;
+    let (mean_fabric_seconds, mean_fabric_isolated_seconds) = run.fabric_means(completed);
 
     let mean_xeon = templates.iter().map(|t| t.xeon_seconds).sum::<f64>() / templates.len() as f64;
     let xeon_qps = xeon_rack.qps(mean_xeon);
@@ -621,22 +349,20 @@ pub fn serve_pipeline_hooked(
 
     ServeReport {
         completed,
-        admitted,
-        rejected,
-        backlog,
+        admitted: run.tenants[0].admitted,
+        rejected: run.tenants[0].rejected,
+        // Queries count at dispatch, so the backlog is exactly what
+        // was admitted but still queued at the horizon.
+        backlog: run.backlog,
         qps,
-        mean_latency,
-        p50: pct(0.50),
-        p95: pct(0.95),
-        p99: pct(0.99),
-        mean_batch: if batches > 0 { completed as f64 / batches as f64 } else { 0.0 },
-        slo_attainment,
-        mean_fabric_seconds: if completed > 0 { fabric_sum / completed as f64 } else { 0.0 },
-        mean_fabric_isolated_seconds: if completed > 0 {
-            fabric_iso_sum / completed as f64
-        } else {
-            0.0
-        },
+        mean_latency: lat.mean,
+        p50: lat.p50,
+        p95: lat.p95,
+        p99: lat.p99,
+        mean_batch: if run.batches > 0 { completed as f64 / run.batches as f64 } else { 0.0 },
+        slo_attainment: lat.slo_attainment,
+        mean_fabric_seconds,
+        mean_fabric_isolated_seconds,
         qps_pre_fault,
         qps_during_fault,
         qps_post_fault,
@@ -739,7 +465,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let window = DegradedWindow { from_seconds: 20.0, until_seconds: 40.0, cost_factor: 3.0 };
-        let r = serve_with_faults(&templates, 88.0, &rack, &cfg, Some(&window));
+        let r = serve_pipeline_hooked(&templates, 88.0, &rack, &cfg, Some(&window), None, None);
         assert!(
             r.qps_during_fault < 0.6 * r.qps_pre_fault,
             "a 3× slowdown must dip QPS: {} vs {}",
@@ -759,8 +485,8 @@ mod tests {
         let rack = XeonRack::rack_42u();
         let cfg = ServeConfig { duration_seconds: 15.0, ..ServeConfig::default() };
         let w = DegradedWindow { from_seconds: 5.0, until_seconds: 9.0, cost_factor: 2.0 };
-        let a = serve_with_faults(&templates, 88.0, &rack, &cfg, Some(&w));
-        let b = serve_with_faults(&templates, 88.0, &rack, &cfg, Some(&w));
+        let a = serve_pipeline_hooked(&templates, 88.0, &rack, &cfg, Some(&w), None, None);
+        let b = serve_pipeline_hooked(&templates, 88.0, &rack, &cfg, Some(&w), None, None);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.qps_during_fault, b.qps_during_fault);
         assert_eq!(a.p99, b.p99);
@@ -839,49 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_queue_matches_single_fifo_scan_and_rebuild() {
-        // Oracle: one FIFO of (arrival, template); a dispatch takes up to
-        // `cap` entries of the head's template in a full scan and
-        // rebuilds the queue from the rest.
-        fn oracle_take(
-            queue: &mut VecDeque<(f64, usize)>,
-            cap: usize,
-        ) -> Option<(usize, Vec<f64>)> {
-            let tmpl = queue.front()?.1;
-            let mut batch = Vec::new();
-            let mut rest = VecDeque::new();
-            while let Some((arr, t)) = queue.pop_front() {
-                if t == tmpl && batch.len() < cap {
-                    batch.push(arr);
-                } else {
-                    rest.push_back((arr, t));
-                }
-            }
-            *queue = rest;
-            Some((tmpl, batch))
-        }
-        for seed in 0..200u64 {
-            let mut rng = SplitMix64::new(seed);
-            let n_tmpl = 1 + rng.next_below(8) as usize;
-            let mut oracle: VecDeque<(f64, usize)> = VecDeque::new();
-            let mut queue = DispatchQueue::new(n_tmpl);
-            for step in 0..400 {
-                if rng.next_below(3) > 0 {
-                    let t = rng.next_below(n_tmpl as u64) as usize;
-                    oracle.push_back((step as f64, t));
-                    queue.push(step as f64, t);
-                } else {
-                    let cap = 1 + rng.next_below(16) as usize;
-                    let want = oracle_take(&mut oracle, cap);
-                    let got = queue.front_template().map(|t| (t, queue.take(t, cap).collect()));
-                    assert_eq!(got, want, "seed {seed} step {step}");
-                }
-                assert_eq!(queue.len(), oracle.len(), "seed {seed} step {step}");
-            }
-        }
-    }
-
-    #[test]
     fn noop_hook_reproduces_the_unhooked_pipeline() {
         struct Spy {
             batches: usize,
@@ -949,20 +632,22 @@ mod tests {
             ..ServeConfig::default()
         };
         let fc = FabricConfig::infiniband();
-        let shared = serve_pipeline(&[t.clone()], 88.0, &rack, &cfg, None, Some((&fc, 8)));
+        let shared =
+            serve_pipeline_hooked(&[t.clone()], 88.0, &rack, &cfg, None, Some((&fc, 8)), None);
         assert!(
             shared.mean_fabric_seconds > shared.mean_fabric_isolated_seconds,
             "concurrent shuffles must contend: shared {} vs isolated {}",
             shared.mean_fabric_seconds,
             shared.mean_fabric_isolated_seconds
         );
-        let alone = serve_pipeline(
+        let alone = serve_pipeline_hooked(
             &[t],
             88.0,
             &rack,
             &ServeConfig { concurrency: 1, clients: 1, max_batch: 1, ..cfg },
             None,
             Some((&fc, 8)),
+            None,
         );
         assert!(
             (alone.mean_fabric_seconds - alone.mean_fabric_isolated_seconds).abs() < 1e-12,
@@ -970,5 +655,47 @@ mod tests {
             alone.mean_fabric_seconds,
             alone.mean_fabric_isolated_seconds
         );
+    }
+
+    fn serve_with(cfg: ServeConfig) -> ServeReport {
+        serve(&[template("Q1", 0.01, 0.5)], 88.0, &XeonRack::rack_42u(), &cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be positive and finite")]
+    fn infinite_horizon_is_rejected() {
+        serve_with(ServeConfig { duration_seconds: f64::INFINITY, ..ServeConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "think time must be non-negative")]
+    fn negative_think_time_is_rejected() {
+        serve_with(ServeConfig { think_seconds: -0.1, ..ServeConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "think time must be non-negative")]
+    fn nan_think_time_is_rejected() {
+        serve_with(ServeConfig { think_seconds: f64::NAN, ..ServeConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "SLO must be positive")]
+    fn zero_slo_is_rejected_without_the_controller() {
+        serve_with(ServeConfig {
+            slo_seconds: Some(0.0),
+            adaptive: false,
+            ..ServeConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "SLO must be positive")]
+    fn negative_slo_is_rejected_without_the_controller() {
+        serve_with(ServeConfig {
+            slo_seconds: Some(-1.0),
+            adaptive: false,
+            ..ServeConfig::default()
+        });
     }
 }

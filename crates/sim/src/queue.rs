@@ -3,26 +3,31 @@
 //! Events that are scheduled for the same timestamp are delivered in the
 //! order they were pushed (FIFO), which makes every simulation in the
 //! workspace bit-reproducible regardless of payload type or hash seeds.
+//!
+//! Timestamps default to cycle-granular [`Time`]; any totally ordered
+//! `Copy` type works (the rack's serving engine keys on `f64` seconds
+//! behind a total-order wrapper).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 use crate::time::Time;
 
 #[derive(Debug, PartialEq, Eq)]
-struct Entry<E> {
-    time: Time,
+struct Entry<E, T> {
+    time: T,
     seq: u64,
     event: E,
 }
 
-impl<E: Eq> Ord for Entry<E> {
+impl<E: Eq, T: Ord> Ord for Entry<E, T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        (&self.time, self.seq).cmp(&(&other.time, other.seq))
     }
 }
 
-impl<E: Eq> PartialOrd for Entry<E> {
+impl<E: Eq, T: Ord> PartialOrd for Entry<E, T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -42,16 +47,24 @@ impl<E: Eq> PartialOrd for Entry<E> {
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
 #[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+pub struct EventQueue<E, T = Time> {
+    heap: BinaryHeap<Reverse<Entry<E, T>>>,
     next_seq: u64,
-    now: Time,
+    now: T,
 }
 
 impl<E: Eq> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: Time::ZERO }
+        Self::starting_at(Time::ZERO)
+    }
+}
+
+impl<E: Eq, T: Ord + Copy + fmt::Debug> EventQueue<E, T> {
+    /// Creates an empty queue positioned at `origin`: nothing may be
+    /// scheduled before it.
+    pub fn starting_at(origin: T) -> Self {
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: origin }
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -60,8 +73,8 @@ impl<E: Eq> EventQueue<E> {
     ///
     /// Panics if `at` is earlier than the current time: the simulation may
     /// never schedule into its own past.
-    pub fn push(&mut self, at: Time, event: E) {
-        assert!(at >= self.now, "event scheduled in the past: {at} < now {}", self.now);
+    pub fn push(&mut self, at: T, event: E) {
+        assert!(at >= self.now, "event scheduled in the past: {at:?} < now {:?}", self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { time: at, seq, event }));
@@ -69,19 +82,19 @@ impl<E: Eq> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing the queue's notion
     /// of "now" to its timestamp. Returns `None` when the queue is drained.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
+    pub fn pop(&mut self) -> Option<(T, E)> {
         let Reverse(entry) = self.heap.pop()?;
         self.now = entry.time;
         Some((entry.time, entry.event))
     }
 
     /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
+    pub fn peek_time(&self) -> Option<T> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// The timestamp of the most recently popped event.
-    pub fn now(&self) -> Time {
+    pub fn now(&self) -> T {
         self.now
     }
 
@@ -166,5 +179,18 @@ mod tests {
         q.push(Time::from_cycles(3), 'b');
         assert_eq!(q.pop().unwrap().1, 'b');
         assert_eq!(q.pop().unwrap().1, 'c');
+    }
+
+    #[test]
+    fn any_ordered_timestamp_works_from_its_origin() {
+        let mut q: EventQueue<char, i64> = EventQueue::starting_at(-10);
+        assert_eq!(q.now(), -10);
+        q.push(-5, 'b');
+        q.push(-7, 'a');
+        q.push(-5, 'c');
+        assert_eq!(q.pop(), Some((-7, 'a')));
+        assert_eq!(q.pop(), Some((-5, 'b')));
+        assert_eq!(q.pop(), Some((-5, 'c')));
+        assert_eq!(q.now(), -5);
     }
 }

@@ -16,8 +16,8 @@
 //! Run with: `cargo run --release --example rack_tpch`
 
 use dpu_repro::cluster::{
-    serve, serve_pipeline, Cluster, ClusterConfig, FaultPlan, QueryId, ServeConfig, ShardPolicy,
-    Speculation, Template,
+    serve, serve_pipeline_hooked, Cluster, ClusterConfig, FaultPlan, QueryId, ServeConfig,
+    ShardPolicy, Speculation, Template,
 };
 use dpu_repro::sql::tpch;
 use dpu_repro::xeon::XeonRack;
@@ -107,8 +107,15 @@ fn main() {
         ..ServeConfig::default()
     };
     let fabric = cluster.cfg().fabric.clone();
-    let pipe =
-        serve_pipeline(&templates, cluster.watts(), &rack, &pipe_cfg, None, Some((&fabric, nodes)));
+    let pipe = serve_pipeline_hooked(
+        &templates,
+        cluster.watts(),
+        &rack,
+        &pipe_cfg,
+        None,
+        Some((&fabric, nodes)),
+        None,
+    );
     println!(
         "\nConcurrent pipeline (4 in flight, adaptive, SLO 1.5 s): {:.1} QPS, \
          SLO attainment {:.3}, mean batch {:.1}",

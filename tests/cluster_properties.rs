@@ -9,8 +9,10 @@ use dpu_repro::cluster::serve::{
     DEEPEN_STEP, QUEUE_PRESSURE, SHED_FACTOR, SHED_HEADROOM, WINDOW_LEN,
 };
 use dpu_repro::cluster::{
-    serve, shard_table, shard_tpch, shard_tpch_replicated, AdaptiveBatch, Cluster, ClusterConfig,
-    ClusterQueryCost, NodeCost, Placement, QueryId, ServeConfig, ShardPolicy, SkewReport, Template,
+    serve, serve_tenants, shard_table, shard_tpch, shard_tpch_replicated, AdaptiveBatch, Cluster,
+    ClusterConfig, ClusterQueryCost, DegradedWindow, FabricConfig, NodeCost, Placement, QueryId,
+    ServeConfig, ShardPolicy, SkewReport, Template, Tenant, TenantServeConfig, Topology,
+    TraceShape,
 };
 use dpu_repro::sql::tpch;
 use dpu_repro::sql::{Column, Table};
@@ -367,9 +369,10 @@ proptest! {
         // Whatever the pipeline shape — concurrency, adaptive batching,
         // SLO — every admitted query is either completed or still queued
         // at the horizon, attainment is a fraction, and percentiles are
-        // ordered. Under `cargo test` (debug) the serve loop's internal
-        // debug_assert additionally checks the simulated clock never
-        // runs backwards across every one of these random schedules.
+        // ordered. The event queue's assert checks the simulated clock
+        // never runs backwards across every one of these random
+        // schedules, and under `cargo test` (debug) the engine's
+        // debug_assert checks the same conservation internally.
         let templates = [serve_template(local_ms as f64 / 1000.0)];
         let cfg = ServeConfig {
             clients,
@@ -391,6 +394,78 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&r.slo_attainment));
         prop_assert!(r.p50 <= r.p95 && r.p95 <= r.p99);
         prop_assert!(r.mean_batch <= max_batch as f64);
+    }
+
+    #[test]
+    fn open_loop_serving_conserves_arrivals_under_any_config(
+        tenants in proptest::collection::vec((1u32..5, 0u8..3, 50u32..3000, 0u32..40), 1..5),
+        shape in (0u8..3, 1u32..30, 0.01f64..1.0, 1.0f64..8.0),
+        (max_batch, admit_cap, concurrency) in (1usize..12, 1usize..64, 1usize..6),
+        (preemption, use_fabric) in (any::<bool>(), any::<bool>()),
+        window in proptest::option::of((0.0f64..8.0, 0.0f64..8.0, 1.0f64..4.0)),
+        local_ms in 5u32..100,
+        seed in any::<u64>(),
+    ) {
+        // The open-loop sibling of the property above: whatever the
+        // tenants, trace, concurrency, preemption and degraded window,
+        // every arrival is admitted or rejected, no tenant completes
+        // more than it admitted, percentiles are ordered, attainment is
+        // a fraction, and the run is a pure function of its inputs.
+        // Under `cargo test` (debug) the engine's debug_assert also
+        // checks that admitted = completed + queued + in flight at the
+        // horizon.
+        let names = ["t0", "t1", "t2", "t3"];
+        let tenants: Vec<Tenant> = tenants
+            .iter()
+            .enumerate()
+            .map(|(i, &(weight, priority, slo_ms, rate))| Tenant {
+                name: names[i],
+                weight: weight as f64,
+                priority,
+                slo_seconds: slo_ms as f64 / 1000.0,
+                rate_qps: rate as f64,
+            })
+            .collect();
+        let (kind, period, frac, multiplier) = shape;
+        let period_seconds = period as f64;
+        let trace = match kind {
+            0 => TraceShape::Steady,
+            1 => TraceShape::Diurnal { period_seconds, amplitude: frac },
+            _ => TraceShape::Burst { period_seconds, burst_seconds: period_seconds * frac, multiplier },
+        };
+        let window = window.map(|(from, len, cost_factor)| DegradedWindow {
+            from_seconds: from,
+            until_seconds: from + len,
+            cost_factor,
+        });
+        let cfg = TenantServeConfig {
+            duration_seconds: 8.0,
+            seed,
+            max_batch,
+            admit_cap,
+            concurrency,
+            trace,
+            preemption,
+        };
+        let local = local_ms as f64 / 1000.0;
+        let templates = [serve_template(local), serve_template(local / 3.0)];
+        let fc = FabricConfig::infiniband();
+        let topo = Topology::new(8, 2, 4.0);
+        let fabric = use_fabric.then_some((&fc, &topo));
+        let r = serve_tenants(&templates, &tenants, &cfg, fabric, window.as_ref());
+        for t in &r.tenants {
+            prop_assert_eq!(
+                t.arrived, t.admitted + t.rejected,
+                "{}: arrived {} vs admitted {} + rejected {}",
+                t.name, t.arrived, t.admitted, t.rejected
+            );
+            prop_assert!(t.completed <= t.admitted, "{} completed more than admitted", t.name);
+            prop_assert!(t.p50 <= t.p99, "{}: p50 {} > p99 {}", t.name, t.p50, t.p99);
+            prop_assert!((0.0..=1.0).contains(&t.slo_attainment));
+        }
+        prop_assert_eq!(r.completed, r.tenants.iter().map(|t| t.completed).sum::<u64>());
+        let again = serve_tenants(&templates, &tenants, &cfg, fabric, window.as_ref());
+        prop_assert_eq!(r, again, "same seed must give an equal report");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! re-execution — all deterministically.
 
 use dpu_repro::cluster::{
-    serve, serve_pipeline, Cluster, ClusterConfig, ClusterQueryCost, FaultPlan, NodeCost, QueryId,
-    ServeConfig, ShardPolicy, Speculation, Template,
+    serve, serve_pipeline_hooked, Cluster, ClusterConfig, ClusterQueryCost, FaultPlan, NodeCost,
+    QueryId, ServeConfig, ShardPolicy, Speculation, Template,
 };
 use dpu_repro::sql::tpch;
 use dpu_repro::xeon::XeonRack;
@@ -115,13 +115,14 @@ fn concurrent_q10_mix_pays_for_fabric_contention() {
         ..ServeConfig::default()
     };
     let fabric = c.cfg().fabric.clone();
-    let shared = serve_pipeline(
+    let shared = serve_pipeline_hooked(
         std::slice::from_ref(&t),
         c.watts(),
         &rack,
         &cfg,
         None,
         Some((&fabric, NODES)),
+        None,
     );
     assert!(
         shared.mean_fabric_seconds > shared.mean_fabric_isolated_seconds,
@@ -132,7 +133,15 @@ fn concurrent_q10_mix_pays_for_fabric_contention() {
 
     // The same mix with one slot uncontended charges exactly isolated.
     let solo_cfg = ServeConfig { clients: 1, max_batch: 1, concurrency: 1, ..cfg };
-    let solo = serve_pipeline(&[t], c.watts(), &rack, &solo_cfg, None, Some((&fabric, NODES)));
+    let solo = serve_pipeline_hooked(
+        &[t],
+        c.watts(),
+        &rack,
+        &solo_cfg,
+        None,
+        Some((&fabric, NODES)),
+        None,
+    );
     assert!(
         (solo.mean_fabric_seconds - solo.mean_fabric_isolated_seconds).abs() < 1e-12,
         "uncontended shuffles must cost exactly the isolated time"
@@ -238,8 +247,24 @@ fn pipeline_is_deterministic_across_all_features() {
         ..ServeConfig::default()
     };
     let fabric = c.cfg().fabric.clone();
-    let a = serve_pipeline(&templates, c.watts(), &rack, &cfg, None, Some((&fabric, NODES)));
-    let b = serve_pipeline(&templates, c.watts(), &rack, &cfg, None, Some((&fabric, NODES)));
+    let a = serve_pipeline_hooked(
+        &templates,
+        c.watts(),
+        &rack,
+        &cfg,
+        None,
+        Some((&fabric, NODES)),
+        None,
+    );
+    let b = serve_pipeline_hooked(
+        &templates,
+        c.watts(),
+        &rack,
+        &cfg,
+        None,
+        Some((&fabric, NODES)),
+        None,
+    );
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.rejected, b.rejected);
     assert_eq!(a.qps, b.qps);

@@ -21,8 +21,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use dpu_repro::cluster::{
-    serve_pipeline, serve_with_faults, Cluster, ClusterConfig, ClusterCore, DegradedWindow,
-    FaultPlan, QueryId, ServeConfig, ShardPolicy, Speculation, Template,
+    serve_pipeline_hooked, Cluster, ClusterConfig, ClusterCore, DegradedWindow, FaultPlan, QueryId,
+    ServeConfig, ShardPolicy, Speculation, Template,
 };
 use dpu_repro::pool::{chunk_bounds, set_global_threads, Pool};
 use dpu_repro::sql::tpch;
@@ -206,14 +206,14 @@ proptest! {
             ..ServeConfig::default()
         };
         let fabric = fork.cfg().fabric.clone();
-        let a = serve_pipeline(&t_fork, fork.watts(), &rack, &scfg, None, Some((&fabric, NODES)));
-        let b = serve_pipeline(&t_fresh, fresh.watts(), &rack, &scfg, None, Some((&fabric, NODES)));
+        let a = serve_pipeline_hooked(&t_fork, fork.watts(), &rack, &scfg, None, Some((&fabric, NODES)), None);
+        let b = serve_pipeline_hooked(&t_fresh, fresh.watts(), &rack, &scfg, None, Some((&fabric, NODES)), None);
         prop_assert_eq!(a, b);
 
         let window =
             DegradedWindow { from_seconds: 1.0, until_seconds: 2.0, cost_factor: 1.5 };
-        let a = serve_with_faults(&t_fork, fork.watts(), &rack, &scfg, Some(&window));
-        let b = serve_with_faults(&t_fresh, fresh.watts(), &rack, &scfg, Some(&window));
+        let a = serve_pipeline_hooked(&t_fork, fork.watts(), &rack, &scfg, Some(&window), None, None);
+        let b = serve_pipeline_hooked(&t_fresh, fresh.watts(), &rack, &scfg, Some(&window), None, None);
         prop_assert_eq!(a, b);
     }
 }
