@@ -19,12 +19,14 @@
 //!    threaded so the comparison isolates the kernel itself. The
 //!    expression row is informational (the scalar arm is already
 //!    columnar) and carries no speedup floor.
-//! 6. the packed kernels (`DPU_PACK`): every hot kernel timed flat vs
-//!    FOR/bit-packed on the same encoded tables, with resident
-//!    bytes-scanned and compression ratios reported per kernel. The
-//!    filter row evaluates its band in the encoded domain and carries a
-//!    ≥1.2× packed-over-flat floor; the unpack-batch kernels are
-//!    informational. The TPC-H shard columns must average ≥2×
+//! 6. the CRC engines: the join and group-by kernels on the SSE4.2
+//!    hardware CRC (the `DPU_VECTOR` default) against the table-driven
+//!    SWAR CRC, where the instruction exists. Informational rows.
+//! 7. the packed filter (`DPU_PACK`): the band evaluated in the encoded
+//!    domain vs the flat filter on the same encoded table, with resident
+//!    bytes-scanned and the compression ratio; it carries a ≥1.2×
+//!    packed-over-flat floor. The other operators read the flat values
+//!    and have no packed arm. The TPC-H shard columns must average ≥2×
 //!    compression (asserted unconditionally — it is deterministic).
 //!
 //! The 1-thread runs pin the pool to one worker, which takes the exact
@@ -54,9 +56,8 @@ use dpu_isa::hash::hw_crc_available;
 use dpu_pool::{set_global_threads, Pool};
 use dpu_sql::tpch::{self, TpchDb};
 use dpu_sql::{
-    partition_row_ids_with, sort_indices_multi_packed_with, sort_indices_multi_with,
-    top_k_packed_with, top_k_with, AggFunc, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
-    HashJoin, Kernel, Pack, Table,
+    partition_row_ids_with, sort_indices_multi_with, top_k_with, AggFunc, Column, CompareOp, Expr,
+    FilterSpec, GroupBySpec, HashJoin, Kernel, Pack, Table,
 };
 
 const SEED: u64 = 2026;
@@ -316,7 +317,7 @@ fn main() {
         ],
     };
     let (a_scalar_s, a_scalar) = best_of(|| gspec.execute_seq(&kt, None));
-    let (a_vector_s, a_vector) = best_of(|| gspec.execute_vector(&kt, None));
+    let (a_vector_s, a_vector) = best_of(|| gspec.execute_vector_with(&kt, None, Kernel::Swar));
     assert_eq!(a_scalar, a_vector, "SWAR group-by diverged from scalar");
     kernel_row("agg", a_scalar_s, a_vector_s, true);
 
@@ -331,7 +332,7 @@ fn main() {
         ],
     };
     let (m_scalar_s, m_scalar) = best_of(|| mspec.execute_seq(&mt, None));
-    let (m_vector_s, m_vector) = best_of(|| mspec.execute_vector(&mt, None));
+    let (m_vector_s, m_vector) = best_of(|| mspec.execute_vector_with(&mt, None, Kernel::Swar));
     assert_eq!(m_scalar, m_vector, "SWAR multi-key group-by diverged from scalar");
     kernel_row("groupby_multi", m_scalar_s, m_vector_s, true);
 
@@ -379,17 +380,46 @@ fn main() {
     assert_eq!(e_scalar, e_vector, "SWAR expression eval diverged from scalar");
     kernel_row("expr", e_scalar_s, e_vector_s, false);
 
-    // ── Packed kernels: FOR/bit-packed vs flat, same SWAR kernel ─────
-    // Each row times the same operator over the same encoded tables with
-    // packing off (flat copy) vs on. The filter evaluates its band in
-    // the encoded domain (SWAR lane compares on packed words, zone-map
-    // short-circuits) and carries the ≥1.2× floor; the remaining kernels
-    // unpack lane batches up front and are informational — they measure
-    // what decode costs against the full flat scan.
-    let mut kt_p = kt.clone();
-    kt_p.encode_packed();
-    let mut mt_p = mt.clone();
-    mt_p.encode_packed();
+    // ── CRC engines: hardware CRC (the default) vs table-driven SWAR ──
+    // The same SWAR join and group-by kernels, differing only in how
+    // they compute CRC32-C. Informational: no floor is armed.
+    let mut crc_json: Vec<Json> = Vec::new();
+    if hw_crc_available() {
+        println!();
+        header(&["crc kernel", "swar (s)", "hwcrc (s)", "speedup", "Mrows/s", "bit-identical"]);
+        let mut crc_row = |name: &'static str, swar_s: f64, hw_s: f64| {
+            let speedup = swar_s / hw_s;
+            let mrows = kernel_rows as f64 / hw_s / 1e6;
+            row(&[
+                name.to_string(),
+                format!("{swar_s:.3}"),
+                format!("{hw_s:.3}"),
+                format!("{speedup:.2}x"),
+                format!("{mrows:.0}"),
+                "yes".into(),
+            ]);
+            crc_json.push(Json::obj([
+                ("kernel", Json::str(name)),
+                ("rows", Json::num(kernel_rows as f64)),
+                ("speedup", Json::num(speedup)),
+                ("swar_mrows_s", Json::num(kernel_rows as f64 / swar_s / 1e6)),
+                ("hwcrc_mrows_s", Json::num(mrows)),
+            ]));
+        };
+        let (ah_s, ah) = best_of(|| gspec.execute_vector_with(&kt, None, Kernel::HwCrc));
+        assert_eq!(a_vector, ah, "hardware-CRC group-by diverged from SWAR");
+        crc_row("agg_hwcrc", a_vector_s, ah_s);
+        let (mh_s, mh) = best_of(|| mspec.execute_vector_with(&mt, None, Kernel::HwCrc));
+        assert_eq!(m_vector, mh, "hardware-CRC multi-key group-by diverged from SWAR");
+        crc_row("groupby_multi_hwcrc", m_vector_s, mh_s);
+        let (jh_s, jh) = best_of(|| join.execute_seq_with(&jb, &kt, 32, Kernel::HwCrc));
+        assert_eq!(j_vector, jh, "hardware-CRC join diverged from SWAR");
+        crc_row("join_hwcrc", j_vector_s, jh_s);
+    } else {
+        println!("  (hardware-CRC join/group-by rows skipped: host lacks SSE4.2)");
+    }
+
+    // ── Packed filter: encoded-domain band vs flat, same SWAR kernel ──
     // A discount-like small-domain column (TPC-H `l_discount` shape, 11
     // distinct values): the 4-bit lanes pack 16 values per word, the
     // payoff case the paper's compressed scans live on. Wider lanes pay
@@ -402,92 +432,29 @@ fn main() {
 
     println!();
     header(&["packed kernel", "flat (s)", "packed (s)", "speedup", "compression", "bit-identical"]);
-    let mut packed_json: Vec<Json> = Vec::new();
-    let mut packed_speedups: Vec<(&'static str, f64)> = Vec::new();
-    let mut packed_row =
-        |name: &'static str, flat_s: f64, packed_s: f64, cols: &[&Column], floored: bool| {
-            let speedup = flat_s / packed_s;
-            let flat_bytes: u64 = cols.iter().map(|c| c.bytes()).sum();
-            let resident: u64 = cols.iter().map(|c| c.resident_bytes()).sum();
-            let ratio = flat_bytes as f64 / resident.max(1) as f64;
-            row(&[
-                name.to_string(),
-                format!("{flat_s:.3}"),
-                format!("{packed_s:.3}"),
-                format!("{speedup:.2}x"),
-                format!("{ratio:.2}x"),
-                "yes".into(),
-            ]);
-            packed_json.push(Json::obj([
-                ("kernel", Json::str(name)),
-                ("rows", Json::num(kernel_rows as f64)),
-                ("speedup", Json::num(speedup)),
-                ("flat_bytes_scanned", Json::num(flat_bytes as f64)),
-                ("packed_bytes_scanned", Json::num(resident as f64)),
-                ("compression_ratio", Json::num(ratio)),
-            ]));
-            if floored {
-                packed_speedups.push((name, speedup));
-            }
-        };
-
     let qspec = FilterSpec::new("q", CompareOp::Between(2, 7));
     let (qf_s, qf) = best_of(|| qspec.apply_packed_with(&qt_p, Kernel::Swar, Pack::Off));
     let (qp_s, qp) = best_of(|| qspec.apply_packed_with(&qt_p, Kernel::Swar, Pack::On));
     assert_eq!(qf, qp, "packed filter diverged from flat");
-    packed_row("filter_pack", qf_s, qp_s, &[&qt_p.columns[0]], true);
-
-    let kcol = &kt_p.columns[kt_p.col_index("k")];
-    let vcol = &kt_p.columns[kt_p.col_index("v")];
-    let (pf_s, pf) = best_of(|| {
-        let kv = kcol.values(Pack::Off);
-        partition_row_ids_with(&kv, 0, 32, Kernel::Swar)
-    });
-    let (pp_s, pp) = best_of(|| {
-        let kv = kcol.values(Pack::On);
-        partition_row_ids_with(&kv, 0, 32, Kernel::Swar)
-    });
-    assert_eq!(pf, pp, "packed partition diverged from flat");
-    packed_row("partition_pack", pf_s, pp_s, &[kcol], false);
-
-    let acols = gspec.columns_read();
-    let arefs: Vec<&str> = acols.iter().map(String::as_str).collect();
-    let (af_s, af) = best_of(|| gspec.execute_seq(&kt_p, None));
-    let (ap_s, ap) = best_of(|| {
-        let d = kt_p.decode_for(&arefs, Pack::On).expect("kt columns are packed");
-        gspec.execute_seq(&d, None)
-    });
-    assert_eq!(af, ap, "packed group-by diverged from flat");
-    packed_row("agg_pack", af_s, ap_s, &[kcol, vcol], false);
-
-    let (tf_s, tf) =
-        best_of(|| top_k_packed_with(&kt_p, "v", 100, 1, None, Kernel::Swar, Pack::Off));
-    let (tp_s, tp) =
-        best_of(|| top_k_packed_with(&kt_p, "v", 100, 1, None, Kernel::Swar, Pack::On));
-    assert_eq!(tf, tp, "packed top-k diverged from flat");
-    packed_row("topk_pack", tf_s, tp_s, &[vcol], false);
-
-    let (sf_s, sf) = best_of(|| {
-        sort_indices_multi_packed_with(&mt_p, &["s1", "s2"], 1, None, Kernel::Swar, Pack::Off)
-    });
-    let (sp_s, sp) = best_of(|| {
-        sort_indices_multi_packed_with(&mt_p, &["s1", "s2"], 1, None, Kernel::Swar, Pack::On)
-    });
-    assert_eq!(sf, sp, "packed sort diverged from flat");
-    packed_row(
-        "sortkey_pack",
-        sf_s,
-        sp_s,
-        &[&mt_p.columns[mt_p.col_index("s1")], &mt_p.columns[mt_p.col_index("s2")]],
-        false,
-    );
-
-    let (ef_s, ef) = best_of(|| revenue.eval_packed_with(&mt_p, Kernel::Swar, Pack::Off));
-    let (ep_s, ep) = best_of(|| revenue.eval_packed_with(&mt_p, Kernel::Swar, Pack::On));
-    assert_eq!(ef, ep, "packed expression eval diverged from flat");
-    let ecols: Vec<&Column> =
-        revenue.columns_read().iter().map(|c| &mt_p.columns[mt_p.col_index(c)]).collect();
-    packed_row("expr_pack", ef_s, ep_s, &ecols, false);
+    let filter_pack_speedup = qf_s / qp_s;
+    let qcol = &qt_p.columns[0];
+    let ratio = qcol.bytes() as f64 / qcol.resident_bytes().max(1) as f64;
+    row(&[
+        "filter_pack".to_string(),
+        format!("{qf_s:.3}"),
+        format!("{qp_s:.3}"),
+        format!("{filter_pack_speedup:.2}x"),
+        format!("{ratio:.2}x"),
+        "yes".into(),
+    ]);
+    let packed_json = vec![Json::obj([
+        ("kernel", Json::str("filter_pack")),
+        ("rows", Json::num(kernel_rows as f64)),
+        ("speedup", Json::num(filter_pack_speedup)),
+        ("flat_bytes_scanned", Json::num(qcol.bytes() as f64)),
+        ("packed_bytes_scanned", Json::num(qcol.resident_bytes() as f64)),
+        ("compression_ratio", Json::num(ratio)),
+    ])];
 
     // TPC-H shard-column compression: deterministic, so asserted on
     // every host regardless of CPU count.
@@ -550,13 +517,11 @@ fn main() {
                  ({host_cpus} CPUs): got {speedup:.2}x"
             );
         }
-        for &(name, speedup) in &packed_speedups {
-            assert!(
-                speedup >= 1.2,
-                "packed {name} kernel must speed up >= 1.2x over flat \
-                 ({host_cpus} CPUs): got {speedup:.2}x"
-            );
-        }
+        assert!(
+            filter_pack_speedup >= 1.2,
+            "packed filter_pack kernel must speed up >= 1.2x over flat \
+             ({host_cpus} CPUs): got {filter_pack_speedup:.2}x"
+        );
         println!(
             "\nSpeedup floor (>= 2.0x) holds for datagen, {NODES}-node run_all, \
              and the failover matrix; SWAR kernels hold >= 1.3x over scalar; \
@@ -577,6 +542,7 @@ fn main() {
             ("datagen", Json::Arr(datagen_json)),
             ("run_all", Json::Arr(suite_json)),
             ("kernels", Json::Arr(kernels_json)),
+            ("crc_kernels", Json::Arr(crc_json)),
             ("packed_kernels", Json::Arr(packed_json)),
             (
                 "compression",

@@ -16,7 +16,7 @@ use dpu_isa::hash::crc32c_u64;
 use dpu_pool::{chunk_bounds, in_worker, Pool};
 
 use crate::bitvec::BitVec;
-use crate::column::{pack, Column, Table};
+use crate::column::{Column, Table};
 use crate::vector::{self, Kernel};
 use crate::PAR_MIN_ROWS;
 
@@ -93,40 +93,6 @@ impl GroupBySpec {
     /// Panics if a named column is missing or the selection length
     /// mismatches.
     pub fn execute(&self, table: &Table, sel: Option<&BitVec>) -> Table {
-        // Packed execution (`DPU_PACK`): unpack the referenced columns
-        // in lane batches once, then run the flat kernels unchanged —
-        // bit-identical results either way.
-        if let Some(decoded) = {
-            let cols = self.columns_read();
-            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            table.decode_for(&refs, pack())
-        } {
-            return self.execute_flat(&decoded, sel);
-        }
-        self.execute_flat(table, sel)
-    }
-
-    /// Set of column names the spec reads (group keys plus aggregate
-    /// inputs), sorted and deduplicated — the byte-accounting and
-    /// packed-decode reference set.
-    pub fn columns_read(&self) -> Vec<String> {
-        let mut out = self.group_cols.clone();
-        for (_, f) in &self.aggs {
-            match f {
-                AggFunc::Count => {}
-                AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) => out.push(c.clone()),
-                AggFunc::SumProduct(a, b) => {
-                    out.push(a.clone());
-                    out.push(b.clone());
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn execute_flat(&self, table: &Table, sel: Option<&BitVec>) -> Table {
         let pool = Pool::global();
         if pool.threads() > 1
             && !in_worker()
@@ -253,13 +219,7 @@ impl GroupBySpec {
         assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 slot encoding");
         let width = key_idx.len();
         let cap = (rows.len() * 2).next_power_of_two().clamp(16, 1 << 14);
-        let mut groups = SwarGroups {
-            mask: cap - 1,
-            slots: vec![0u32; cap],
-            hashes: Vec::new(),
-            width,
-            keys: Vec::new(),
-        };
+        let mut groups = SwarGroups::new(cap, width);
         let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
 
         if width == 1 {
@@ -372,13 +332,16 @@ impl GroupBySpec {
 
         // Chunk-parallel partitioning of the selected row ids; the
         // selection is consumed a word at a time, never via per-row
-        // bit reads.
+        // bit reads. The partition comes from the CRC's Fibonacci mix:
+        // a hash shard grouped by its sharding key holds keys of one
+        // CRC residue, which `crc % parts_n` would route to few parts.
         let parts_n = (pool.threads() * 4).max(2);
         let per_chunk = pool.par_map(chunk_bounds(table.rows(), pool.threads() * 4), |(lo, hi)| {
             let mut parts: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
             let kd = &table.columns[first].data;
             let mut route = |row: usize| {
-                parts[(vector::hash1(kernel, kd[row] as u64) as usize) % parts_n].push(row);
+                let h = vector::hash1(kernel, kd[row] as u64);
+                parts[(vector::fib_mix(h as u64) >> 32) as usize % parts_n].push(row);
             };
             match sel {
                 Some(bv) => bv.iter_set_in(lo, hi).for_each(&mut route),
@@ -516,21 +479,45 @@ impl FlatGroups {
 /// of them, so the table tracks the group count, not the row count, and
 /// every probe terminates on an empty slot.
 struct SwarGroups {
-    mask: usize,
+    /// `64 - log2(slots.len())`: a group's home slot is the top bits of
+    /// its CRC's Fibonacci mix ([`vector::fib_mix`]), never the CRC's
+    /// low bits, which a hash shard's keys share.
+    shift: u32,
     slots: Vec<u32>,
     hashes: Vec<u32>,
     width: usize,
     keys: Vec<u64>,
+    /// Slots visited by [`Self::group_of`], for the probe-length test.
+    #[cfg(test)]
+    probes: usize,
 }
 
 impl SwarGroups {
+    /// An empty table with `cap` slots (a power of two).
+    fn new(cap: usize, width: usize) -> Self {
+        SwarGroups {
+            shift: 64 - cap.trailing_zeros(),
+            slots: vec![0u32; cap],
+            hashes: Vec::new(),
+            width,
+            keys: Vec::new(),
+            #[cfg(test)]
+            probes: 0,
+        }
+    }
+
     /// Dense id of `key`'s group (a `width`-word flattened tuple),
     /// inserting it on first sight.
     #[inline]
     fn group_of(&mut self, key: &[u64], hash: u32) -> u32 {
         let w = self.width;
-        let mut i = hash as usize & self.mask;
+        let mask = self.slots.len() - 1;
+        let mut i = home(hash, self.shift);
         loop {
+            #[cfg(test)]
+            {
+                self.probes += 1;
+            }
             let s = self.slots[i];
             if s == 0 {
                 self.keys.extend_from_slice(key);
@@ -545,24 +532,32 @@ impl SwarGroups {
             if &self.keys[(s as usize - 1) * w..][..w] == key {
                 return s - 1;
             }
-            i = (i + 1) & self.mask;
+            i = (i + 1) & mask;
         }
     }
 
     /// Doubles the slots and re-inserts every group from its stored hash.
     #[cold]
     fn grow(&mut self) {
-        self.mask = self.mask * 2 + 1;
+        self.shift -= 1;
+        let cap = self.slots.len() * 2;
         self.slots.clear();
-        self.slots.resize(self.mask + 1, 0);
+        self.slots.resize(cap, 0);
         for (g, &h) in self.hashes.iter().enumerate() {
-            let mut i = h as usize & self.mask;
+            let mut i = home(h, self.shift);
             while self.slots[i] != 0 {
-                i = (i + 1) & self.mask;
+                i = (i + 1) & (cap - 1);
             }
             self.slots[i] = g as u32 + 1;
         }
     }
+}
+
+/// Home slot of a group with CRC `hash` in a table of `2^(64 - shift)`
+/// slots.
+#[inline]
+fn home(hash: u32, shift: u32) -> usize {
+    (vector::fib_mix(hash as u64) >> shift) as usize
 }
 
 /// The partitioning-rounds planner (paper §5.3).
@@ -851,6 +846,34 @@ mod tests {
                 assert_eq!(got, want, "workers={workers} sel={}", sel.is_some());
             }
         }
+    }
+
+    #[test]
+    fn one_shard_residue_keeps_group_probes_short() {
+        // A hash shard's keys: every CRC32 ≡ 3 (mod 8), as
+        // `ShardPolicy::hash(8)` leaves Q18's `l_orderkey` on a shard.
+        let keys: Vec<i64> =
+            (0i64..).filter(|&k| crc32c_u64(k as u64) % 8 == 3).take(3000).collect();
+        let n = keys.len() * 3;
+        let t = Table::new(vec![
+            Column::i64("k", keys.iter().cycle().take(n).copied().collect()),
+            Column::i64("v", (0..n as i64).collect()),
+        ]);
+        let spec = GroupBySpec {
+            group_cols: vec!["k".into()],
+            aggs: vec![("cnt".into(), AggFunc::Count), ("s".into(), AggFunc::Sum("v".into()))],
+        };
+        let want = spec.execute_seq(&t, None);
+        for kernel in [Kernel::Swar, Kernel::HwCrc] {
+            assert_eq!(spec.execute_vector_with(&t, None, kernel), want, "{kernel:?}");
+            assert_eq!(spec.execute_on_with(Pool::new(2), &t, None, kernel), want, "{kernel:?}");
+        }
+        let mut groups = SwarGroups::new(16, 1);
+        for &k in &t.columns[0].data {
+            groups.group_of(&[k as u64], crc32c_u64(k as u64));
+        }
+        let mean = groups.probes as f64 / n as f64;
+        assert!(mean < 2.0, "mean probe length {mean:.2} slots");
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! (1/2/4/8/16/32/64 bits per value packed into `u64` words), built
 //! once at load time. The paper's DPU is a memory-bandwidth machine —
 //! scans are priced by bytes streamed — so shrinking the resident
-//! representation is the single biggest scan lever; the SWAR filter
-//! kernel evaluates predicates directly on the packed words
-//! ([`crate::vector::filter_band_packed`]) while the other operators
-//! unpack referenced columns in lane batches. The `DPU_PACK` knob
-//! ([`pack`]/[`set_pack`]) selects the execution path with the same
-//! contract as `DPU_VECTOR`: resolved once, overridable in process,
-//! and **pure performance** — results are bit-identical either way
-//! (`tests/pack_properties.rs` pins this differentially).
-
-use std::borrow::Cow;
+//! representation is the single biggest scan lever. Simulated scan
+//! costs always price the resident packed bytes. On the host, the SWAR
+//! filter kernel evaluates predicates directly on the packed words
+//! ([`crate::vector::filter_band_packed`]); every other operator reads
+//! the flat `data` that stays resident next to the packed words, since
+//! decoding a copy per call measured slower than reading it. The
+//! `DPU_PACK` knob ([`pack`]/[`set_pack`]) therefore selects only the
+//! filter path, with the same contract as `DPU_VECTOR`: resolved once,
+//! overridable in process, and **pure performance** — results are
+//! bit-identical either way (`tests/pack_properties.rs` pins this
+//! differentially).
 
 use dpu_mem::PhysMem;
 use dpu_pool::EnvKnob;
@@ -34,13 +35,13 @@ pub const PACK_CHUNK_ROWS: usize = 1024;
 /// width, alignment-padded).
 pub const PACK_HEADER_BYTES: u64 = 24;
 
-/// Whether the engine executes on packed columns (`DPU_PACK`).
+/// Whether filters execute on packed columns (`DPU_PACK`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pack {
-    /// Flat `Vec<i64>` execution (the exact pre-packing paths).
+    /// Flat `Vec<i64>` filters (the exact pre-packing path).
     Off,
-    /// Packed execution: encoded-domain filters, lane-batched unpack
-    /// elsewhere. Bit-identical to [`Pack::Off`], faster.
+    /// Encoded-domain filters on packed columns. Bit-identical to
+    /// [`Pack::Off`], faster.
     On,
 }
 
@@ -194,8 +195,7 @@ impl PackedColumn {
         ch.frame.wrapping_add(delta as i64)
     }
 
-    /// Decodes the whole column — the lane-batched unpack the
-    /// non-filter operators stream through: one word load yields
+    /// Decodes the whole column in lane batches: one word load yields
     /// `64 / bits` values by shift-and-mask before the next load.
     pub fn unpack(&self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.len);
@@ -250,7 +250,7 @@ pub struct Column {
     pub data: Vec<i64>,
     /// The packed representation, when [`Column::encode_packed`] found
     /// it pays. Always decodes to exactly `data`; the `DPU_PACK` knob
-    /// picks which copy the kernels read.
+    /// picks which copy the filter reads.
     pub packed: Option<PackedColumn>,
 }
 
@@ -298,16 +298,6 @@ impl Column {
         let p = PackedColumn::encode(&self.data);
         if p.packed_bytes() < self.bytes() {
             self.packed = Some(p);
-        }
-    }
-
-    /// The values under a pack choice: the packed representation
-    /// decoded in lane batches when `pack` is on and the column is
-    /// packed, the flat slice otherwise.
-    pub fn values(&self, pack: Pack) -> Cow<'_, [i64]> {
-        match (&self.packed, pack) {
-            (Some(p), Pack::On) => Cow::Owned(p.unpack()),
-            _ => Cow::Borrowed(&self.data[..]),
         }
     }
 }
@@ -384,12 +374,11 @@ impl Table {
     }
 
     /// A reduced table holding just the (deduplicated) referenced
-    /// columns with any packed ones decoded — the bridge that lets
-    /// operators without a native packed arm reuse their flat SWAR
-    /// paths. Returns `None` when there is nothing to do (pack off, no
-    /// referenced column packed, or an empty reference set): callers
-    /// then run on `self` directly with zero copies. Safe because all
-    /// operators resolve columns by name at entry.
+    /// columns with any packed ones decoded in lane batches — the
+    /// decode throughput the host benchmark reports. The operators do
+    /// not call it: they read the resident flat `data`. Returns `None`
+    /// when there is nothing to do (pack off, no referenced column
+    /// packed, or an empty reference set).
     pub fn decode_for(&self, cols: &[&str], pack: Pack) -> Option<Table> {
         if !pack.on() {
             return None;
@@ -411,7 +400,7 @@ impl Table {
                 .map(|c| Column {
                     name: c.name.clone(),
                     width: c.width,
-                    data: c.values(pack).into_owned(),
+                    data: c.packed.as_ref().map_or_else(|| c.data.clone(), PackedColumn::unpack),
                     packed: None,
                 })
                 .collect(),
@@ -637,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn values_and_decode_for_respect_the_knob() {
+    fn decode_for_respects_the_knob() {
         let mut t = Table::new(vec![
             Column::i32("k", (0..2000).map(|i| i % 8).collect()),
             Column::i64("v", (0..2000).map(|i| (i * 97) % 1_000_003).collect()),
@@ -647,10 +636,6 @@ mod tests {
         assert!(t.columns[0].packed.is_some());
         // Semantic equality ignores the packed cache.
         assert_eq!(t, flat);
-        for c in &t.columns {
-            assert_eq!(c.values(Pack::On).as_ref(), &c.data[..]);
-            assert!(matches!(c.values(Pack::Off), Cow::Borrowed(_)));
-        }
         // decode_for: None when off, when nothing referenced is packed
         // (after decode), and when the reference set is empty.
         assert!(t.decode_for(&["k", "v"], Pack::Off).is_none());

@@ -9,7 +9,7 @@
 
 use dpu_isa::OpCounts;
 
-use crate::column::{pack, Pack, Table};
+use crate::column::Table;
 use crate::vector::{self, Kernel};
 
 /// A scalar expression over a table's columns.
@@ -55,7 +55,7 @@ impl Expr {
         ///
         /// Panics on missing columns or division by zero.
         pub fn eval(&self, table: &Table) -> Vec<i64> =>
-            |kernel| self.eval_packed_with(table, kernel, pack())
+            |kernel| self.eval_with(table, kernel)
     }
 
     /// [`eval`](Expr::eval) with an explicit kernel choice, for
@@ -69,23 +69,6 @@ impl Expr {
             self.eval_vector(table)
         } else {
             self.eval_scalar(table)
-        }
-    }
-
-    /// [`eval_with`](Expr::eval_with) with an explicit pack choice:
-    /// packed referenced columns are unpacked in lane batches once up
-    /// front, then the chosen evaluator runs unchanged — bit-identical
-    /// results (including panic rows) either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics on missing columns or division by zero.
-    pub fn eval_packed_with(&self, table: &Table, kernel: Kernel, pack: Pack) -> Vec<i64> {
-        let cols = self.columns_read();
-        let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        match table.decode_for(&refs, pack) {
-            Some(decoded) => self.eval_with(&decoded, kernel),
-            None => self.eval_with(table, kernel),
         }
     }
 
@@ -189,27 +172,6 @@ impl Expr {
             }
         }
     }
-
-    /// Set of column names the expression reads (for byte accounting).
-    pub fn columns_read(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_cols(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_cols(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Col(n) => out.push(n.clone()),
-            Expr::Lit(_) => {}
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-                a.collect_cols(out);
-                b.collect_cols(out);
-            }
-            Expr::Clamp(a, _, _) => a.collect_cols(out),
-        }
-    }
 }
 
 impl std::ops::Add for Expr {
@@ -293,12 +255,6 @@ mod tests {
         // The dpCore prices the multiplier stall; an OoO core would not.
         let dpu = c.dpcore_cycles(&PipelineModel::default());
         assert!(dpu >= c.mul_stall_cycles);
-    }
-
-    #[test]
-    fn columns_read_deduplicates() {
-        let e = (Expr::col("price") + Expr::col("price")) * Expr::col("disc");
-        assert_eq!(e.columns_read(), vec!["disc".to_string(), "price".to_string()]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use dpu_isa::hash::crc32c_u64;
 use dpu_pool::{chunk_bounds, in_worker, Pool};
 
-use crate::column::{pack, Column, Table};
+use crate::column::{Column, Table};
 use crate::vector::{self, Kernel};
 use crate::PAR_MIN_ROWS;
 
@@ -41,21 +41,6 @@ impl HashJoin {
     ///
     /// Panics if named columns are missing or `fanout` is zero.
     pub fn execute(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
-        // Packed execution (`DPU_PACK`): unpack each side's referenced
-        // columns (key + projections) in lane batches once, then run the
-        // flat kernels unchanged — bit-identical results either way.
-        let p = pack();
-        let brefs: Vec<&str> = std::iter::once(self.build_key.as_str())
-            .chain(self.build_cols.iter().map(String::as_str))
-            .collect();
-        let prefs: Vec<&str> = std::iter::once(self.probe_key.as_str())
-            .chain(self.probe_cols.iter().map(String::as_str))
-            .collect();
-        let (bd, pd) = (build.decode_for(&brefs, p), probe.decode_for(&prefs, p));
-        self.execute_flat(bd.as_ref().unwrap_or(build), pd.as_ref().unwrap_or(probe), fanout)
-    }
-
-    fn execute_flat(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
         let pool = Pool::global();
         if pool.threads() > 1
             && !in_worker()
@@ -243,7 +228,7 @@ impl JoinTable {
     /// Home slot of `key` (Fibonacci hashing).
     #[inline]
     fn home(&self, key: i64) -> usize {
-        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+        (vector::fib_mix(key as u64) >> self.shift) as usize
     }
 
     /// Replaces the contents with the build rows `rows` (ascending) of

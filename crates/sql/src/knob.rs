@@ -2,7 +2,7 @@
 //!
 //! The engine's three pure-performance knobs — `DPU_THREADS` (pool
 //! width), `DPU_VECTOR` (scalar vs SWAR kernels), `DPU_PACK` (flat vs
-//! packed column execution) — share one contract: the variable is
+//! encoded-domain filters) — share one contract: the variable is
 //! parsed **once** per process, the resolved choice is cached, and an
 //! in-process `set_*` override exists for benches that compare
 //! settings. The shared cache cell is [`dpu_pool::EnvKnob`] (the pool
@@ -18,28 +18,33 @@
 //! | `DPU_THREADS` | positive integer                 | worker count      |
 //! | `DPU_THREADS` | unset / `0` / garbage            | host parallelism  |
 //! | `DPU_VECTOR`  | `off`, `0`, `false`, `scalar`    | scalar reference  |
-//! | `DPU_VECTOR`  | `hwcrc`, `hw`                    | SWAR + `crc32q`   |
-//! | `DPU_VECTOR`  | unset / anything else            | table-driven SWAR |
-//! | `DPU_PACK`    | `off`, `0`, `false`, `flat`      | flat columns      |
-//! | `DPU_PACK`    | unset / anything else            | packed columns    |
+//! | `DPU_VECTOR`  | `swar`                           | table-driven SWAR |
+//! | `DPU_VECTOR`  | unset / anything else            | SWAR + `crc32q`   |
+//! | `DPU_PACK`    | `off`, `0`, `false`, `flat`      | flat filter       |
+//! | `DPU_PACK`    | unset / anything else            | encoded filter    |
+//!
+//! The `crc32q` default degrades to the table-driven SWAR arm on hosts
+//! without SSE4.2 ([`crate::vector::kernel`]).
 
 pub use dpu_pool::EnvKnob;
 
 /// `DPU_VECTOR` spelling → [`crate::vector::Kernel`] cache code
-/// (1 = scalar, 2 = SWAR, 3 = hardware CRC). Hardware availability is
-/// *not* checked here — [`crate::vector::set_kernel`] degrades HwCrc
-/// to Swar on hosts without SSE4.2.
+/// (1 = scalar, 2 = SWAR, 3 = hardware CRC). The hardware CRC is the
+/// default, since it measured faster than the table-driven CRC; `swar`
+/// forces the table arm. Hardware availability is *not* checked here —
+/// [`crate::vector::kernel`] degrades code 3 to Swar on hosts without
+/// SSE4.2.
 pub fn kernel_code(v: Option<&str>) -> usize {
     match v {
         Some("off") | Some("0") | Some("false") | Some("scalar") => 1,
-        Some("hwcrc") | Some("hw") => 3,
-        _ => 2,
+        Some("swar") => 2,
+        _ => 3,
     }
 }
 
 /// `DPU_PACK` spelling → [`crate::column::Pack`] cache code
-/// (1 = off/flat, 2 = on/packed). Packed execution is the default,
-/// mirroring `DPU_VECTOR`'s SWAR default.
+/// (1 = off/flat, 2 = on/packed). The encoded-domain filter is the
+/// default.
 pub fn pack_code(v: Option<&str>) -> usize {
     match v {
         Some("off") | Some("0") | Some("false") | Some("flat") => 1,
@@ -71,12 +76,18 @@ mod tests {
         for off in ["off", "0", "false", "scalar"] {
             assert_eq!(kernel_code(Some(off)), 1, "{off:?}");
         }
-        for hw in ["hwcrc", "hw"] {
+        for hw in ["hwcrc", "hw", "on", "1", "anything"] {
             assert_eq!(kernel_code(Some(hw)), 3, "{hw:?}");
         }
-        for swar in [None, Some("swar"), Some("on"), Some("1"), Some("anything")] {
-            assert_eq!(kernel_code(swar), 2, "{swar:?}");
-        }
+    }
+
+    #[test]
+    fn vector_default_is_the_hardware_crc_and_swar_forces_the_table() {
+        // Unset resolves to the hardware CRC (degraded to the table CRC
+        // by `vector::kernel` where SSE4.2 is missing); the CI matrix's
+        // `swar` row must still reach the table-driven arm.
+        assert_eq!(kernel_code(None), 3);
+        assert_eq!(kernel_code(Some("swar")), 2);
     }
 
     #[test]
@@ -91,11 +102,13 @@ mod tests {
 
     #[test]
     fn codes_round_trip_through_the_enums() {
-        // The parser codes must match what the resolvers store: scalar
-        // and packed/flat choices survive a set/get round trip.
+        // The parser codes must match what the resolvers store: scalar,
+        // table-SWAR and packed/flat choices survive a set/get round trip.
         let (k0, p0) = (crate::vector::kernel(), crate::column::pack());
         crate::vector::set_kernel(Kernel::Scalar);
         assert_eq!(crate::vector::kernel(), Kernel::Scalar);
+        crate::vector::set_kernel(Kernel::Swar);
+        assert_eq!(crate::vector::kernel(), Kernel::Swar);
         crate::column::set_pack(Pack::Off);
         assert_eq!(crate::column::pack(), Pack::Off);
         crate::column::set_pack(Pack::On);

@@ -16,9 +16,10 @@
 //! probes) run hand-rolled SWAR kernels by default — see [`vector`] and
 //! the `DPU_VECTOR` knob — bit-identical to the scalar reference paths.
 //! Columns additionally carry a frame-of-reference bit-packed resident
-//! form ([`column::PackedColumn`], the `DPU_PACK` knob): filters execute
-//! in the encoded domain, everything else unpacks in lane batches, and
-//! results stay bit-identical to flat execution.
+//! form ([`column::PackedColumn`]) that prices every simulated scan.
+//! Filters execute on it in the encoded domain (the `DPU_PACK` knob);
+//! every other operator reads the flat values resident beside it, and
+//! results stay bit-identical either way.
 //!
 //! [`tpch`] provides a scaled TPC-H generator and eight queries used by
 //! the Figure 16 reproduction.
@@ -55,8 +56,7 @@ pub use logical::{
 };
 pub use plan::{CostAcc, PlatformCost, QueryCost};
 pub use sort::{
-    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_packed_with,
-    sort_indices_multi_with, sort_indices_packed_with, sort_indices_with,
+    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_with, sort_indices_with,
 };
-pub use topk::{top_k, top_k_packed_with, top_k_with};
+pub use topk::{top_k, top_k_with};
 pub use vector::{kernel as vector_kernel, set_kernel as set_vector_kernel, Kernel};

@@ -18,7 +18,7 @@
 use dpu_dms::PartitionScheme;
 
 use crate::bitvec::BitVec;
-use crate::column::{pack, Pack, Table};
+use crate::column::Table;
 use crate::vector::{self, Kernel};
 
 /// Samples `parts - 1` splitter bounds from the data (equi-depth over a
@@ -58,7 +58,7 @@ vector::kernel_entry! {
     ///
     /// Panics if the column is missing or `workers` is outside `1..=32`.
     pub fn sort_indices(table: &Table, col: &str, workers: usize) -> Vec<usize>
-        => |kernel| sort_indices_packed_with(table, col, workers, None, kernel, pack())
+        => |kernel| sort_indices_with(table, col, workers, None, kernel)
 }
 
 /// [`sort_indices`] with an optional selection (unselected rows drop
@@ -76,36 +76,7 @@ pub fn sort_indices_with(
     sel: Option<&BitVec>,
     kernel: Kernel,
 ) -> Vec<usize> {
-    sort_indices_on(&table.columns[table.col_index(col)].data, workers, sel, kernel)
-}
-
-/// [`sort_indices_with`] with an explicit pack choice: a packed sort
-/// column is unpacked in lane batches into the same bucketing and
-/// per-bucket sorts — bit-identical permutations either way.
-///
-/// # Panics
-///
-/// Panics if the column is missing, `workers` is outside `1..=32`, or
-/// the selection length mismatches.
-pub fn sort_indices_packed_with(
-    table: &Table,
-    col: &str,
-    workers: usize,
-    sel: Option<&BitVec>,
-    kernel: Kernel,
-    pack: Pack,
-) -> Vec<usize> {
-    let values = table.columns[table.col_index(col)].values(pack);
-    sort_indices_on(&values, workers, sel, kernel)
-}
-
-/// The single-column sort core over a value slice.
-fn sort_indices_on(
-    values: &[i64],
-    workers: usize,
-    sel: Option<&BitVec>,
-    kernel: Kernel,
-) -> Vec<usize> {
+    let values = &table.columns[table.col_index(col)].data;
     if let Some(bv) = sel {
         assert_eq!(bv.len(), values.len(), "selection length mismatch");
     }
@@ -131,7 +102,7 @@ vector::kernel_entry! {
     /// Panics if `cols` is empty, a column is missing, or `workers` is
     /// outside `1..=32`.
     pub fn sort_indices_multi(table: &Table, cols: &[&str], workers: usize) -> Vec<usize>
-        => |kernel| sort_indices_multi_packed_with(table, cols, workers, None, kernel, pack())
+        => |kernel| sort_indices_multi_with(table, cols, workers, None, kernel)
 }
 
 /// [`sort_indices_multi`] with an optional selection and an explicit
@@ -151,28 +122,8 @@ pub fn sort_indices_multi_with(
     sel: Option<&BitVec>,
     kernel: Kernel,
 ) -> Vec<usize> {
-    sort_indices_multi_packed_with(table, cols, workers, sel, kernel, Pack::Off)
-}
-
-/// [`sort_indices_multi_with`] with an explicit pack choice: packed key
-/// columns are unpacked in lane batches, flat ones borrowed — the
-/// bucketing and comparators see identical values either way.
-///
-/// # Panics
-///
-/// Panics if `cols` is empty, a column is missing, `workers` is outside
-/// `1..=32`, or the selection length mismatches.
-pub fn sort_indices_multi_packed_with(
-    table: &Table,
-    cols: &[&str],
-    workers: usize,
-    sel: Option<&BitVec>,
-    kernel: Kernel,
-    pack: Pack,
-) -> Vec<usize> {
-    let owned: Vec<std::borrow::Cow<'_, [i64]>> =
-        cols.iter().map(|c| table.columns[table.col_index(c)].values(pack)).collect();
-    let data: Vec<&[i64]> = owned.iter().map(|c| c.as_ref()).collect();
+    let data: Vec<&[i64]> =
+        cols.iter().map(|c| table.columns[table.col_index(c)].data.as_slice()).collect();
     let first = *data.first().expect("multi-column sort needs at least one column");
     if let Some(bv) = sel {
         assert_eq!(bv.len(), first.len(), "selection length mismatch");

@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::bitvec::BitVec;
-use crate::column::{pack, Pack, Table};
+use crate::column::Table;
 use crate::vector::{self, Kernel};
 
 /// The per-worker min-heap entry ordering: `Reverse` over
@@ -40,7 +40,7 @@ vector::kernel_entry! {
     ///
     /// Panics if the column is missing, or `k` or `workers` is zero.
     pub fn top_k(table: &Table, order_col: &str, k: usize, workers: usize) -> Vec<usize>
-        => |kernel| top_k_packed_with(table, order_col, k, workers, None, kernel, pack())
+        => |kernel| top_k_with(table, order_col, k, workers, None, kernel)
 }
 
 /// [`top_k`] with an optional selection (consumed a word at a time —
@@ -60,38 +60,7 @@ pub fn top_k_with(
     sel: Option<&BitVec>,
     kernel: Kernel,
 ) -> Vec<usize> {
-    top_k_on(&table.columns[table.col_index(order_col)].data, k, workers, sel, kernel)
-}
-
-/// [`top_k_with`] with an explicit pack choice: a packed order column is
-/// unpacked in lane batches and streamed through the same per-worker
-/// heaps, so results are bit-identical to flat execution.
-///
-/// # Panics
-///
-/// Panics if the column is missing, `k` or `workers` is zero, or the
-/// selection length mismatches.
-pub fn top_k_packed_with(
-    table: &Table,
-    order_col: &str,
-    k: usize,
-    workers: usize,
-    sel: Option<&BitVec>,
-    kernel: Kernel,
-    pack: Pack,
-) -> Vec<usize> {
-    let col = table.columns[table.col_index(order_col)].values(pack);
-    top_k_on(&col, k, workers, sel, kernel)
-}
-
-/// The top-k core over a value slice.
-fn top_k_on(
-    col: &[i64],
-    k: usize,
-    workers: usize,
-    sel: Option<&BitVec>,
-    kernel: Kernel,
-) -> Vec<usize> {
+    let col = &table.columns[table.col_index(order_col)].data;
     assert!(k > 0, "k must be positive");
     assert!(workers > 0, "need at least one worker");
     let rows = col.len();

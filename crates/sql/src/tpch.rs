@@ -558,21 +558,16 @@ pub fn q18(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
     run_table(logical::q18_plan(), db, xeon, scale)
 }
 
-/// Materializes the rows `sel` keeps of `cols` into a new (flat) table.
+/// Materializes the rows `sel` keeps of `cols` into a new (flat) table:
+/// the selected row ids are walked out of the bit vector once, then
+/// every column gathers through that list.
 pub(crate) fn select_columns<'a>(
     cols: impl IntoIterator<Item = &'a Column>,
     sel: &BitVec,
 ) -> Table {
-    Table::new(
-        cols.into_iter()
-            .map(|c| Column {
-                name: c.name.clone(),
-                width: c.width,
-                data: sel.iter_set().map(|r| c.data[r]).collect(),
-                packed: None,
-            })
-            .collect(),
-    )
+    let mut rows = Vec::with_capacity(sel.count());
+    rows.extend(sel.iter_set());
+    gather_columns(cols, &rows)
 }
 
 /// Materializes selected rows into a new table.
@@ -582,9 +577,13 @@ pub fn select_rows(t: &Table, sel: &BitVec) -> Table {
 
 /// Projects rows by index into a new table.
 pub fn project_rows(t: &Table, rows: &[usize]) -> Table {
+    gather_columns(&t.columns, rows)
+}
+
+/// A flat table of `cols` at the row ids `rows`, in that order.
+fn gather_columns<'a>(cols: impl IntoIterator<Item = &'a Column>, rows: &[usize]) -> Table {
     Table::new(
-        t.columns
-            .iter()
+        cols.into_iter()
             .map(|c| Column {
                 name: c.name.clone(),
                 width: c.width,

@@ -41,9 +41,9 @@
 //! chunking, and `DPU_THREADS`; `tests/vector_properties.rs` pins this
 //! differentially. The `DPU_VECTOR` env knob selects the kernel
 //! process-wide: `off`/`0`/`false`/`scalar` → scalar reference loops,
-//! `hwcrc`/`hw` → SWAR with the SSE4.2 `crc32q` hash (degrading to the
-//! table CRC where the instruction is absent), anything else → the
-//! table-driven SWAR arm (the default). [`set_kernel`] overrides it
+//! `swar` → the table-driven SWAR arm, unset or anything else → SWAR
+//! with the SSE4.2 `crc32q` hash (the default, degrading to the table
+//! CRC where the instruction is absent). [`set_kernel`] overrides it
 //! in-process for benches that compare the arms.
 
 use dpu_isa::hash::{
@@ -61,10 +61,10 @@ pub enum Kernel {
     /// The reference scalar loops (the exact pre-vectorization paths).
     Scalar,
     /// The multi-lane SWAR kernels with the table-driven CRC
-    /// (bit-identical to scalar, faster).
+    /// (bit-identical to scalar, faster; the fallback without SSE4.2).
     Swar,
     /// The SWAR kernels hashing with the SSE4.2 `crc32q` instruction
-    /// (bit-identical to both other arms; selectable only where the
+    /// (bit-identical to both other arms; the default where the
     /// instruction exists).
     HwCrc,
 }
@@ -83,8 +83,8 @@ static KERNEL: EnvKnob = EnvKnob::new("DPU_VECTOR");
 
 /// The process-wide kernel: the last [`set_kernel`] value, else
 /// `DPU_VECTOR` (`off`, `0`, `false` or `scalar` → [`Kernel::Scalar`];
-/// `hwcrc` or `hw` → [`Kernel::HwCrc`] where SSE4.2 exists, else
-/// [`Kernel::Swar`]), else [`Kernel::Swar`]. Resolved once, like
+/// `swar` → [`Kernel::Swar`]), else [`Kernel::HwCrc`] where SSE4.2
+/// exists and [`Kernel::Swar`] where it does not. Resolved once, like
 /// `DPU_THREADS` and `DPU_PACK` ([`crate::knob`] owns the spellings).
 pub fn kernel() -> Kernel {
     match KERNEL.get(knob::kernel_code) {
@@ -105,6 +105,16 @@ pub fn set_kernel(k: Kernel) {
         Kernel::HwCrc if hw_crc_available() => 3,
         Kernel::HwCrc => 2,
     });
+}
+
+/// Fibonacci hashing: multiplies by 2⁶⁴/φ so every input bit reaches
+/// the product's top bits, which the open-addressed tables take as
+/// their slot index. The join and group-by tables hash keys that share
+/// their CRC32 residue modulo the partition or shard count, so slots
+/// taken from the CRC's low bits would leave most of a table unused.
+#[inline]
+pub(crate) fn fib_mix(x: u64) -> u64 {
+    x.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Declares the knob-resolving twin of a `*_with` kernel entry point:
@@ -539,7 +549,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_default_is_swar_and_override_sticks() {
+    fn kernel_override_sticks() {
         // The knob may already be resolved by a sibling test; exercise
         // the setter round trip, then restore the resolved default.
         let before = kernel();

@@ -3,26 +3,34 @@
 //! The compressed-execution contract mirrors `DPU_VECTOR`'s: packing is
 //! *pure performance*. For every bit width (1/2/4/8/16/32/64), every
 //! chunk-boundary row count, signed-extreme values, all-constant
-//! chunks, and every kernel, the packed paths — encoded-domain filter
-//! bands and lane-batch unpacking for partition / group-by / join /
-//! top-k / sort / expressions — must be **bit-identical** to flat
-//! execution: same selection words, same row order, same values.
+//! chunks, and every kernel, the encoded-domain filter must be
+//! **bit-identical** to the flat filter (same selection words), packed
+//! columns must decode exactly, and every other operator — which reads
+//! the flat values resident beside the packed words — must return the
+//! same result on a packed table as on the same table stripped of its
+//! packed form.
 //!
-//! Tests pass explicit [`Kernel`] and [`Pack`] arguments instead of
-//! flipping the process-wide knob resolutions, so the suite is safe
-//! under the harness's concurrent test execution. The one exception is
-//! [`entry_apis_honor_the_resolved_knobs`], which deliberately goes
-//! through the knob-resolving entry points so the CI matrix
-//! (`DPU_PACK` × `DPU_VECTOR` × `DPU_THREADS`) exercises every
+//! Tests pass explicit [`Kernel`] and [`Pack`] arguments where an
+//! operator takes them. The two tests that go through the
+//! knob-resolving entry points ([`entry_apis_honor_the_resolved_knobs`]
+//! and `entry_points_ignore_the_packed_form`) hold [`KNOBS`] so that
+//! one's `set_pack` calls never change the arm the other runs, and the
+//! CI matrix (`DPU_PACK` × `DPU_VECTOR` × `DPU_THREADS`) exercises every
 //! resolution against the same flat scalar reference.
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use dpu_repro::sql::{
-    partition_row_ids_with, sort_indices, sort_indices_multi, sort_indices_multi_packed_with,
-    sort_indices_packed_with, top_k, top_k_packed_with, AggFunc, Column, CompareOp, Expr,
-    FilterSpec, GroupBySpec, HashJoin, Kernel, Pack, PackedColumn, Table,
+    pack, partition_row_ids_with, set_pack, sort_indices, sort_indices_multi,
+    sort_indices_multi_with, sort_indices_with, top_k, top_k_with, AggFunc, Column, CompareOp,
+    Expr, FilterSpec, GroupBySpec, HashJoin, Kernel, Pack, PackedColumn, Table,
 };
+
+/// Serializes the tests that resolve or override the process-wide
+/// `DPU_PACK` choice.
+static KNOBS: Mutex<()> = Mutex::new(());
 
 /// Widens a tagged raw value into a key distribution that exercises
 /// extremes (`i64::MIN`, `i64::MAX`), small dense ranges, and
@@ -88,6 +96,11 @@ fn force_packed(name: &str, data: &[i64]) -> Column {
     }
 }
 
+/// `t` with every column's packed form dropped: the flat reference.
+fn stripped(t: &Table) -> Table {
+    Table::new(t.columns.iter().map(|c| Column { packed: None, ..c.clone() }).collect())
+}
+
 proptest! {
     #[test]
     fn packed_roundtrip_is_exact(data in framed_values(3000)) {
@@ -132,9 +145,6 @@ proptest! {
     #[test]
     fn decode_for_and_values_reproduce_flat_data(data in framed_values(2500)) {
         let t = Table::new(vec![force_packed("x", &data)]);
-        let col = &t.columns[0];
-        prop_assert_eq!(col.values(Pack::On).into_owned(), data.clone());
-        prop_assert_eq!(col.values(Pack::Off).into_owned(), data.clone());
         let d = t.decode_for(&["x"], Pack::On).expect("forced-packed column");
         prop_assert_eq!(&d.columns[0].data, &data);
         prop_assert!(d.columns[0].packed.is_none(), "decoded tables are flat");
@@ -146,8 +156,7 @@ proptest! {
         keys in framed_values(1500),
         fanout in 1u64..40,
     ) {
-        let c = force_packed("k", &keys);
-        let unpacked = c.values(Pack::On);
+        let unpacked = PackedColumn::encode(&keys).unpack();
         for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
             prop_assert_eq!(
                 partition_row_ids_with(&keys, 0, fanout, kernel),
@@ -171,84 +180,88 @@ proptest! {
                 ("hi".into(), AggFunc::Max("v".into())),
             ],
         };
-        let flat = spec.execute_seq(&t, None);
-        let cols = spec.columns_read();
-        let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let decoded = t.decode_for(&refs, Pack::On).expect("forced-packed columns");
-        prop_assert_eq!(&flat, &spec.execute_seq(&decoded, None));
-        prop_assert_eq!(&flat, &spec.execute_vector(&decoded, None));
+        let flat = spec.execute_seq(&stripped(&t), None);
+        prop_assert_eq!(&flat, &spec.execute_seq(&t, None));
+        prop_assert_eq!(&flat, &spec.execute_vector(&t, None));
     }
 
     #[test]
-    fn packed_top_k_and_sort_match_flat(
-        data in framed_values(1200),
+    fn entry_points_ignore_the_packed_form(
+        data in framed_values(1500),
+        extra_keys in framed_values(300),
+        op in compare_op(),
         k in 1usize..40,
         workers in 1usize..5,
     ) {
         let tie_break: Vec<i64> = data.iter().map(|&v| v.rem_euclid(7)).collect();
-        let t = Table::new(vec![force_packed("a", &data), force_packed("b", &tie_break)]);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            prop_assert_eq!(
-                top_k_packed_with(&t, "a", k, workers, None, kernel, Pack::Off),
-                top_k_packed_with(&t, "a", k, workers, None, kernel, Pack::On),
-                "top-k kernel {:?}", kernel
-            );
-            prop_assert_eq!(
-                sort_indices_packed_with(&t, "a", workers, None, kernel, Pack::Off),
-                sort_indices_packed_with(&t, "a", workers, None, kernel, Pack::On),
-                "sort kernel {:?}", kernel
-            );
-            prop_assert_eq!(
-                sort_indices_multi_packed_with(&t, &["a", "b"], workers, None, kernel, Pack::Off),
-                sort_indices_multi_packed_with(&t, &["a", "b"], workers, None, kernel, Pack::On),
-                "multi-sort kernel {:?}", kernel
-            );
-        }
-    }
-
-    #[test]
-    fn packed_expression_eval_matches_flat(data in framed_values(1000)) {
         // Divisors shaped strictly positive: division by zero panics (by
-        // contract) and `i64::MIN / -1` would trap in both arms.
+        // contract) and `i64::MIN / -1` would trap.
         let divisor: Vec<i64> = data.iter().map(|&v| v.rem_euclid(1000) + 1).collect();
-        let t = Table::new(vec![force_packed("x", &data), force_packed("d", &divisor)]);
+        let t = Table::new(vec![
+            force_packed("a", &data),
+            force_packed("b", &tie_break),
+            force_packed("d", &divisor),
+        ]);
+        // Build keys: every third probe key (so rows match) plus keys
+        // from another frame.
+        let bkeys: Vec<i64> = data.iter().step_by(3).chain(&extra_keys).copied().collect();
+        let bv: Vec<i64> = bkeys.iter().map(|&k| k ^ 0x5A5A).collect();
+        let build = Table::new(vec![force_packed("k", &bkeys), force_packed("bv", &bv)]);
+        let (flat, flat_build) = (stripped(&t), stripped(&build));
+
+        let filter = FilterSpec::new("a", op);
+        let group = GroupBySpec {
+            group_cols: vec!["b".into()],
+            aggs: vec![
+                ("cnt".into(), AggFunc::Count),
+                ("s".into(), AggFunc::Sum("d".into())),
+                ("lo".into(), AggFunc::Min("a".into())),
+                ("hi".into(), AggFunc::Max("a".into())),
+            ],
+        };
+        let join = HashJoin {
+            build_key: "k".into(),
+            probe_key: "a".into(),
+            build_cols: vec!["bv".into(), "k".into()],
+            probe_cols: vec!["b".into()],
+        };
         let e = Expr::Clamp(
             Box::new(
-                (Expr::col("x") * Expr::lit(3) + Expr::col("x") - Expr::lit(7)) / Expr::col("d"),
+                (Expr::col("a") * Expr::lit(3) + Expr::col("a") - Expr::lit(7)) / Expr::col("d"),
             ),
             -(1 << 40),
             1 << 40,
         );
-        let flat = e.eval_packed_with(&t, Kernel::Scalar, Pack::Off);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            prop_assert_eq!(&flat, &e.eval_packed_with(&t, kernel, Pack::On), "kernel {:?}", kernel);
-        }
-    }
 
-    #[test]
-    fn packed_join_matches_flat(
-        bkeys in framed_values(400),
-        pkeys in framed_values(400),
-        fanout in 1u64..10,
-    ) {
-        let bv: Vec<i64> = bkeys.iter().map(|&k| k ^ 0x5A5A).collect();
-        let pv: Vec<i64> = pkeys.iter().map(|&k| k.wrapping_add(17)).collect();
-        let build = Table::new(vec![force_packed("k", &bkeys), force_packed("bv", &bv)]);
-        let probe = Table::new(vec![force_packed("k", &pkeys), force_packed("pv", &pv)]);
-        let join = HashJoin {
-            build_key: "k".into(),
-            probe_key: "k".into(),
-            build_cols: vec!["bv".into()],
-            probe_cols: vec!["pv".into(), "k".into()],
-        };
-        let (flat, flat_max) = join.execute_seq_with(&build, &probe, fanout, Kernel::Scalar);
-        // The packed entry decodes each side's referenced columns, then
-        // runs the flat kernels — reproduce that wiring explicitly.
-        let bd = build.decode_for(&["k", "bv"], Pack::On).expect("forced-packed build");
-        let pd = probe.decode_for(&["k", "pv"], Pack::On).expect("forced-packed probe");
-        let (packed, packed_max) = join.execute_seq_with(&bd, &pd, fanout, Kernel::Scalar);
-        prop_assert_eq!(&flat, &packed);
-        prop_assert_eq!(flat_max, packed_max);
+        let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+        let prior = pack();
+        for mode in [Pack::Off, Pack::On] {
+            set_pack(mode);
+            prop_assert_eq!(filter.apply(&t), filter.apply(&flat), "filter {:?}", mode);
+            prop_assert_eq!(group.execute(&t, None), group.execute(&flat, None), "group-by {:?}", mode);
+            prop_assert_eq!(
+                join.execute(&build, &t, 8),
+                join.execute(&flat_build, &flat, 8),
+                "join {:?}", mode
+            );
+            prop_assert_eq!(e.eval(&t), e.eval(&flat), "expr {:?}", mode);
+            prop_assert_eq!(
+                sort_indices(&t, "a", workers),
+                sort_indices(&flat, "a", workers),
+                "sort {:?}", mode
+            );
+            prop_assert_eq!(
+                sort_indices_multi(&t, &["b", "a"], workers),
+                sort_indices_multi(&flat, &["b", "a"], workers),
+                "multi-sort {:?}", mode
+            );
+            prop_assert_eq!(
+                top_k(&t, "a", k, workers),
+                top_k(&flat, "a", k, workers),
+                "top-k {:?}", mode
+            );
+        }
+        set_pack(prior);
     }
 }
 
@@ -353,6 +366,7 @@ fn encode_packed_keeps_only_paying_columns() {
 /// checks every resolution against the explicit flat scalar reference.
 #[test]
 fn entry_apis_honor_the_resolved_knobs() {
+    let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let n = 5000usize;
     let keys: Vec<i64> = (0..n as i64).map(|i| (i * 131) % 3000 - 1500).collect();
     let vals: Vec<i64> = (0..n as i64).map(|i| (i * 17) % 10_000).collect();
@@ -373,18 +387,12 @@ fn entry_apis_honor_the_resolved_knobs() {
     assert_eq!(g.execute(&t, None), g.execute_seq(&t, None));
 
     let e = Expr::col("v") * (Expr::lit(100) - Expr::col("x"));
-    assert_eq!(e.eval(&t), e.eval_packed_with(&t, Kernel::Scalar, Pack::Off));
+    assert_eq!(e.eval(&t), e.eval_with(&t, Kernel::Scalar));
 
-    assert_eq!(
-        top_k(&t, "v", 50, 4),
-        top_k_packed_with(&t, "v", 50, 4, None, Kernel::Scalar, Pack::Off)
-    );
-    assert_eq!(
-        sort_indices(&t, "x", 4),
-        sort_indices_packed_with(&t, "x", 4, None, Kernel::Scalar, Pack::Off)
-    );
+    assert_eq!(top_k(&t, "v", 50, 4), top_k_with(&t, "v", 50, 4, None, Kernel::Scalar));
+    assert_eq!(sort_indices(&t, "x", 4), sort_indices_with(&t, "x", 4, None, Kernel::Scalar));
     assert_eq!(
         sort_indices_multi(&t, &["x", "v"], 4),
-        sort_indices_multi_packed_with(&t, &["x", "v"], 4, None, Kernel::Scalar, Pack::Off)
+        sort_indices_multi_with(&t, &["x", "v"], 4, None, Kernel::Scalar)
     );
 }
