@@ -1,10 +1,13 @@
-//! Partitioned hash join.
+//! Hash join.
 //!
 //! §5.3: "We also implemented other SQL operations like Join and Top-k
-//! using partitioning techniques similar to those described above" — both
-//! sides are hash-partitioned (DMS hardware + software rounds) until each
-//! build-side partition's hash table fits DMEM, then each dpCore builds
-//! and probes its partition independently.
+//! using partitioning techniques similar to those described above" — on
+//! the DPU both sides are hash-partitioned (DMS hardware + software
+//! rounds) until each build-side partition's hash table fits DMEM. The
+//! cost model prices that from the build rows; the host has no 32 KB
+//! DMEM to fit, so it builds one table over all build rows and probes in
+//! probe-row order, and the partition fanout only sizes the reported
+//! largest build partition.
 
 use std::collections::HashMap;
 
@@ -29,24 +32,20 @@ pub struct HashJoin {
 }
 
 impl HashJoin {
-    /// Executes the inner join with `fanout`-way CRC32 partitioning,
-    /// returning the projected result and the largest build-partition
-    /// entry count (for DMEM-budget assertions).
+    /// Executes the inner join, returning the projected result and the
+    /// largest build partition a `fanout`-way CRC32 split would hold
+    /// (for DMEM-budget assertions).
     ///
-    /// Output rows appear in (partition, probe-order) order. Large
-    /// inputs run on the global host pool ([`Self::execute_on`]); the
-    /// result is bit-identical either way.
+    /// Output rows appear in (probe row, ascending build row) order.
+    /// Large inputs run on the global host pool ([`Self::execute_on`]);
+    /// the result is bit-identical either way.
     ///
     /// # Panics
     ///
     /// Panics if named columns are missing or `fanout` is zero.
     pub fn execute(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
         let pool = Pool::global();
-        if pool.threads() > 1
-            && !in_worker()
-            && fanout > 1
-            && build.rows() + probe.rows() >= PAR_MIN_ROWS
-        {
+        if pool.threads() > 1 && !in_worker() && build.rows() + probe.rows() >= PAR_MIN_ROWS {
             self.execute_on(pool, build, probe, fanout)
         } else {
             self.execute_seq(build, probe, fanout)
@@ -54,10 +53,8 @@ impl HashJoin {
     }
 
     vector::kernel_entry! {
-        /// The sequential join kernel (the exact pre-parallelism code
-        /// path), partitioning with the process-wide kernel —
-        /// bit-identical at any setting, since every CRC arm computes
-        /// the same CRC32-C.
+        /// The sequential join kernel on the process-wide kernel —
+        /// bit-identical at any setting.
         ///
         /// # Panics
         ///
@@ -67,10 +64,11 @@ impl HashJoin {
     }
 
     /// [`Self::execute_seq`] with an explicit kernel: the SWAR arms
-    /// build and probe one flat [`JoinTable`] reused across partitions;
-    /// [`Kernel::Scalar`] keeps a `HashMap` per partition as the
-    /// differential reference. Both emit matches in (partition, probe
-    /// row, ascending build row) order, so the results are bit-identical.
+    /// build and probe one flat [`JoinTable`]; [`Kernel::Scalar`] keeps
+    /// one `HashMap` as the differential reference. Both emit matches in
+    /// (probe row, ascending build row) order, so the results are
+    /// bit-identical. `kernel` also computes the CRC behind the reported
+    /// largest build partition.
     ///
     /// # Panics
     ///
@@ -82,41 +80,31 @@ impl HashJoin {
         fanout: u64,
         kernel: Kernel,
     ) -> (Table, u64) {
-        assert!(fanout > 0, "fanout must be positive");
-        let bkeys = &build.columns[build.col_index(&self.build_key)].data;
-        let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
-        let bparts = partition_row_ids_with(bkeys, 0, fanout, kernel);
-        let pparts = partition_row_ids_with(pkeys, 0, fanout, kernel);
-        let parts: Vec<_> = bparts.iter().zip(&pparts).collect();
-
+        let (bkeys, pkeys) = self.keys(build, probe);
+        let max_part = max_partition(bkeys, fanout, kernel);
         let (brows, prows) = if kernel.vectorized() {
-            join_flat(bkeys, pkeys, &parts)
+            JoinTable::new(bkeys).probe(pkeys, 0)
         } else {
+            // key → build row ids (handles duplicate build keys).
+            let mut ht: HashMap<i64, Vec<usize>> = HashMap::new();
+            for (r, &key) in bkeys.iter().enumerate() {
+                ht.entry(key).or_default().push(r);
+            }
             let (mut brows, mut prows) = (Vec::new(), Vec::new());
-            for (bp, pp) in parts {
-                // key → build row ids (handles duplicate build keys).
-                let mut ht: HashMap<i64, Vec<usize>> = HashMap::new();
-                for &r in bp {
-                    ht.entry(bkeys[r]).or_default().push(r);
-                }
-                for &pr in pp {
-                    for &br in ht.get(&pkeys[pr]).into_iter().flatten() {
-                        brows.push(br);
-                        prows.push(pr);
-                    }
+            for (pr, key) in pkeys.iter().enumerate() {
+                for &br in ht.get(key).into_iter().flatten() {
+                    brows.push(br);
+                    prows.push(pr);
                 }
             }
             (brows, prows)
         };
-        (self.project(build, probe, &brows, &prows), max_len(&bparts))
+        (self.project(build, probe, &brows, &prows), max_part)
     }
 
-    /// The pool-parallel join kernel: chunk-parallel partitioning, then
-    /// one task per run of consecutive partitions, each reusing one flat
-    /// [`JoinTable`]; the runs' matches concatenate in partition order —
-    /// bit-identical to [`Self::execute_seq`] (partitions are disjoint
-    /// and each preserves probe order, which is exactly the sequential
-    /// emission order).
+    /// The pool-parallel join kernel: one [`JoinTable`] over the build
+    /// side, probed chunk-parallel; the chunks' matches concatenate in
+    /// probe order — bit-identical to [`Self::execute_seq`].
     ///
     /// # Panics
     ///
@@ -128,18 +116,22 @@ impl HashJoin {
         probe: &Table,
         fanout: u64,
     ) -> (Table, u64) {
-        assert!(fanout > 0, "fanout must be positive");
+        let (bkeys, pkeys) = self.keys(build, probe);
+        let max_part = max_partition(bkeys, fanout, vector::kernel());
+        let table = JoinTable::new(bkeys);
+        let per_chunk = pool.par_map(chunk_bounds(pkeys.len(), pool.threads() * 4), |(lo, hi)| {
+            table.probe(&pkeys[lo..hi], lo)
+        });
+        let brows: Vec<usize> = per_chunk.iter().flat_map(|(b, _)| b.iter().copied()).collect();
+        let prows: Vec<usize> = per_chunk.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        (self.project(build, probe, &brows, &prows), max_part)
+    }
+
+    /// The build and probe key columns.
+    fn keys<'a>(&self, build: &'a Table, probe: &'a Table) -> (&'a [i64], &'a [i64]) {
         let bkeys = &build.columns[build.col_index(&self.build_key)].data;
         let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
-        let bparts = par_partition(pool, bkeys, fanout);
-        let pparts = par_partition(pool, pkeys, fanout);
-        let parts: Vec<_> = bparts.iter().zip(&pparts).collect();
-
-        let runs = chunk_bounds(parts.len(), pool.threads() * 4);
-        let per_run = pool.par_map(runs, |(lo, hi)| join_flat(bkeys, pkeys, &parts[lo..hi]));
-        let brows: Vec<usize> = per_run.iter().flat_map(|(b, _)| b.iter().copied()).collect();
-        let prows: Vec<usize> = per_run.iter().flat_map(|(_, p)| p.iter().copied()).collect();
-        (self.project(build, probe, &brows, &prows), max_len(&bparts))
+        (bkeys, pkeys)
     }
 
     /// Gathers the projected columns of the matched `(brows[i], prows[i])`
@@ -155,74 +147,72 @@ impl HashJoin {
     }
 }
 
-/// Largest partition size (the DMEM-budget figure joins report).
-fn max_len(parts: &[Vec<usize>]) -> u64 {
-    parts.iter().map(Vec::len).max().unwrap_or(0) as u64
-}
-
-/// Builds and probes each `(build rows, probe rows)` partition in turn
-/// through one [`JoinTable`] sized for the largest, returning the
-/// matched build and probe row ids in emission order.
-fn join_flat(
-    bkeys: &[i64],
-    pkeys: &[i64],
-    parts: &[(&Vec<usize>, &Vec<usize>)],
-) -> (Vec<usize>, Vec<usize>) {
-    let mut table =
-        JoinTable::with_capacity(parts.iter().map(|(bp, _)| bp.len()).max().unwrap_or(0));
-    let (mut brows, mut prows) = (Vec::new(), Vec::new());
-    for &(bp, pp) in parts {
-        if bp.is_empty() {
-            continue;
-        }
-        table.build(bkeys, bp);
-        for &pr in pp {
-            let mut pos = table.find(pkeys[pr]);
-            while pos != NIL {
-                brows.push(bp[pos as usize]);
-                prows.push(pr);
-                pos = table.next[pos as usize];
-            }
-        }
+/// The largest partition of a `fanout`-way CRC32 split of `keys` (the
+/// DMEM-budget figure joins report), counted without row-id lists.
+///
+/// # Panics
+///
+/// Panics if `fanout` is zero.
+fn max_partition(keys: &[i64], fanout: u64, kernel: Kernel) -> u64 {
+    assert!(fanout > 0, "fanout must be positive");
+    let mut counts = vec![0u64; fanout as usize];
+    let mut quads = keys.chunks_exact(4);
+    for quad in &mut quads {
+        let h = vector::hash_x4(kernel, [quad[0], quad[1], quad[2], quad[3]].map(|k| k as u64));
+        h.iter().for_each(|&h| counts[(h as u64 % fanout) as usize] += 1);
     }
-    (brows, prows)
+    for &k in quads.remainder() {
+        counts[(vector::hash1(kernel, k as u64) as u64 % fanout) as usize] += 1;
+    }
+    counts.into_iter().max().unwrap_or(0)
 }
 
 /// End of a build chain.
 const NIL: u32 = u32::MAX;
 
-/// One partition's join table, flat like the paper's DMEM-resident
-/// tables (§5.3): open-addressed `u32` slots at twice the build size
-/// hold dense key ids (0 = empty), each key keeps the first and last
-/// build position of its chain, and `next` links build positions in
-/// build-row order — so a probe walks its matches in ascending build
-/// row. [`Self::build`] clears and refills the same buffers for every
-/// partition, so a join allocates its table once.
-struct JoinTable {
+/// A join table over a whole build side, flat like the paper's
+/// DMEM-resident tables (§5.3): open-addressed `u32` slots at twice the
+/// build size hold each key's lowest build row + 1 (0 = empty), and
+/// `next` links a key's build rows in ascending order — so a probe walks
+/// its matches in ascending build row. A slot's key is read back from
+/// the build column itself.
+struct JoinTable<'a> {
     /// `64 - log2(slots.len())`: the multiplicative hash keeps the
-    /// product's top bits. The partition's keys share their CRC32
-    /// residue, so the slot hash must not be the partitioning CRC.
+    /// product's top bits. A hash shard's keys share their CRC32
+    /// residue, so the slot hash must not be the CRC's low bits.
     shift: u32,
+    keys: &'a [i64],
     slots: Vec<u32>,
-    keys: Vec<i64>,
-    first: Vec<u32>,
-    last: Vec<u32>,
     next: Vec<u32>,
 }
 
-impl JoinTable {
-    /// A table whose buffers hold a `rows`-row partition without
-    /// reallocating.
-    fn with_capacity(rows: usize) -> Self {
-        assert!(rows < NIL as usize / 2, "build partition exceeds the u32 slot encoding");
-        JoinTable {
-            shift: 0,
-            slots: Vec::with_capacity(slot_count(rows)),
-            keys: Vec::with_capacity(rows),
-            first: Vec::with_capacity(rows),
-            last: Vec::with_capacity(rows),
-            next: Vec::with_capacity(rows),
+impl<'a> JoinTable<'a> {
+    /// Builds the table over every row of the key column `keys`,
+    /// inserting rows last to first so each chain comes out ascending.
+    fn new(keys: &'a [i64]) -> Self {
+        assert!(keys.len() < NIL as usize / 2, "build side exceeds the u32 slot encoding");
+        let cap = (keys.len() * 2).next_power_of_two().max(16);
+        let mut table = JoinTable {
+            shift: 64 - cap.trailing_zeros(),
+            keys,
+            slots: vec![0; cap],
+            next: vec![NIL; keys.len()],
+        };
+        for (r, &key) in keys.iter().enumerate().rev() {
+            let mut i = table.home(key);
+            loop {
+                match table.slots[i] {
+                    0 => break,
+                    s if keys[s as usize - 1] == key => {
+                        table.next[r] = s - 1;
+                        break;
+                    }
+                    _ => i = (i + 1) & (cap - 1),
+                }
+            }
+            table.slots[i] = r as u32 + 1;
         }
+        table
     }
 
     /// Home slot of `key` (Fibonacci hashing).
@@ -231,43 +221,7 @@ impl JoinTable {
         (vector::fib_mix(key as u64) >> self.shift) as usize
     }
 
-    /// Replaces the contents with the build rows `rows` (ascending) of
-    /// the key column `keys`.
-    fn build(&mut self, keys: &[i64], rows: &[usize]) {
-        let cap = slot_count(rows.len());
-        self.shift = 64 - cap.trailing_zeros();
-        self.slots.clear();
-        self.slots.resize(cap, 0);
-        self.keys.clear();
-        self.first.clear();
-        self.last.clear();
-        self.next.clear();
-        for (pos, &r) in rows.iter().enumerate() {
-            let (key, pos) = (keys[r], pos as u32);
-            self.next.push(NIL);
-            let mut i = self.home(key);
-            loop {
-                match self.slots[i] {
-                    0 => {
-                        self.keys.push(key);
-                        self.first.push(pos);
-                        self.last.push(pos);
-                        self.slots[i] = self.keys.len() as u32;
-                        break;
-                    }
-                    s if self.keys[s as usize - 1] == key => {
-                        let k = s as usize - 1;
-                        self.next[self.last[k] as usize] = pos;
-                        self.last[k] = pos;
-                        break;
-                    }
-                    _ => i = (i + 1) & (cap - 1),
-                }
-            }
-        }
-    }
-
-    /// The first build position holding `key`, or [`NIL`].
+    /// The lowest build row holding `key`, or [`NIL`].
     #[inline]
     fn find(&self, key: i64) -> u32 {
         let mask = self.slots.len() - 1;
@@ -275,17 +229,26 @@ impl JoinTable {
         loop {
             match self.slots[i] {
                 0 => return NIL,
-                s if self.keys[s as usize - 1] == key => return self.first[s as usize - 1],
+                s if self.keys[s as usize - 1] == key => return s - 1,
                 _ => i = (i + 1) & mask,
             }
         }
     }
-}
 
-/// Slots for a `rows`-row build: twice the rows, a power of two, so the
-/// table stays at most half full and every probe ends on an empty slot.
-fn slot_count(rows: usize) -> usize {
-    (rows * 2).next_power_of_two().max(16)
+    /// Probes the probe keys `pkeys` (probe rows `base..`) in order,
+    /// returning the matched build and probe row ids in emission order.
+    fn probe(&self, pkeys: &[i64], base: usize) -> (Vec<usize>, Vec<usize>) {
+        let (mut brows, mut prows) = (Vec::new(), Vec::new());
+        for (pr, &key) in pkeys.iter().enumerate() {
+            let mut br = self.find(key);
+            while br != NIL {
+                brows.push(br as usize);
+                prows.push(base + pr);
+                br = self.next[br as usize];
+            }
+        }
+        (brows, prows)
+    }
 }
 
 vector::kernel_entry! {
@@ -325,23 +288,6 @@ pub fn partition_row_ids_with(
             parts
         }
     }
-}
-
-/// `fanout`-way CRC32 row-id partitioning, chunk-parallel on `pool`.
-/// Chunk results concatenate in chunk order, so every partition's row
-/// ids come out ascending — exactly the sequential partitioning.
-fn par_partition(pool: Pool, keys: &[i64], fanout: u64) -> Vec<Vec<usize>> {
-    let kernel = vector::kernel();
-    let per_chunk = pool.par_map(chunk_bounds(keys.len(), pool.threads() * 4), |(lo, hi)| {
-        partition_row_ids_with(&keys[lo..hi], lo, fanout, kernel)
-    });
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); fanout as usize];
-    for chunk in per_chunk {
-        for (p, rows) in chunk.into_iter().enumerate() {
-            parts[p].extend(rows);
-        }
-    }
-    parts
 }
 
 /// Convenience: joins `probe` against `build` on integer keys and
@@ -430,6 +376,28 @@ mod tests {
     }
 
     #[test]
+    fn max_build_partition_is_the_largest_crc_partition() {
+        let keys: Vec<i64> = (0..5_000).map(|i| (i * 7919) % 3_001 - 1_500).collect();
+        let dim = Table::new(vec![Column::i64("id", keys.clone())]);
+        let fact = Table::new(vec![Column::i64("fk", (0..10).collect())]);
+        let j = HashJoin {
+            build_key: "id".into(),
+            probe_key: "fk".into(),
+            build_cols: vec![],
+            probe_cols: vec!["fk".into()],
+        };
+        for fanout in [1u64, 8, 32] {
+            let want = partition_row_ids(&keys, fanout).iter().map(Vec::len).max().unwrap();
+            for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
+                let (_, got) = j.execute_seq_with(&dim, &fact, fanout, kernel);
+                assert_eq!(got, want as u64, "fanout={fanout} kernel {kernel:?}");
+            }
+            let (_, got) = j.execute_on(Pool::new(3), &dim, &fact, fanout);
+            assert_eq!(got, want as u64, "fanout={fanout} pooled");
+        }
+    }
+
+    #[test]
     fn parallel_join_is_bit_identical_to_sequential() {
         // Many rows with duplicate keys, both projected sides.
         let dim = Table::new(vec![
@@ -466,9 +434,7 @@ mod tests {
         let distinct: Vec<i64> = (1..=50u64).map(|j| j.wrapping_mul(inv) as i64).collect();
         // Each key twice, the copies 50 rows apart.
         let keys: Vec<i64> = distinct.iter().chain(&distinct).copied().collect();
-        let rows: Vec<usize> = (0..keys.len()).collect();
-        let mut table = JoinTable::with_capacity(keys.len());
-        table.build(&keys, &rows);
+        let table = JoinTable::new(&keys);
         assert!(distinct.iter().all(|&k| table.home(k) == 0));
         for (i, &k) in distinct.iter().enumerate() {
             let first = table.find(k);

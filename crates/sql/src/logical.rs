@@ -189,7 +189,9 @@ pub struct JoinEdge {
     pub b: usize,
     /// Join column on `b`.
     pub b_col: String,
-    /// Partition fanout for the hash join.
+    /// Partition fanout the DPU's hash join would use: it labels the
+    /// join in EXPLAIN and sizes the reported largest build partition;
+    /// the host join builds one table whatever its value.
     pub fanout: usize,
 }
 
@@ -210,7 +212,8 @@ pub struct JoinNode {
     pub build_cols: Vec<String>,
     /// Probe-side columns carried into the output.
     pub probe_cols: Vec<String>,
-    /// Partition fanout.
+    /// Partition fanout, as on [`JoinEdge::fanout`]: the EXPLAIN label
+    /// and the reported largest build partition, not the host's table.
     pub fanout: usize,
 }
 
@@ -241,7 +244,8 @@ pub enum Finish {
         k: usize,
     },
     /// Top-k directly over the joined rows, optionally after a canonical
-    /// stable sort (Q18 sorts by orderkey so ties are content-based).
+    /// sort on a key unique among them (Q18 sorts by orderkey so ties
+    /// are content-based).
     TopK {
         /// Ranked column.
         value: String,
@@ -428,8 +432,14 @@ impl LogicalPlan {
                 if let Some(key) = sort_by {
                     let keys = &jo.columns[jo.col_index(key)].data;
                     let mut order: Vec<usize> = (0..jo.rows()).collect();
-                    // Stable: rows tied on the key keep their join order.
+                    // Canonical only if the key is unique among the joined
+                    // rows (Q18's `o_orderkey` is): tied rows would keep
+                    // the join's emission order.
                     order.sort_by_key(|&r| keys[r]);
+                    debug_assert!(
+                        order.windows(2).all(|w| keys[w[0]] != keys[w[1]]),
+                        "top-k pre-sort key {key} is not unique"
+                    );
                     jo = Cow::Owned(project_rows(&jo, &order));
                 }
                 let top = top_k(&jo, value, (*k).min(jo.rows().max(1)), 32);

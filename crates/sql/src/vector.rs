@@ -24,7 +24,8 @@
 //!    lane-batched key hashing (4 keys per CRC batch, composite keys
 //!    flattened into contiguous `u64` words) resolving each row to a
 //!    group id in an open-addressed table, then column-at-a-time
-//!    min/max/sum accumulation per aggregate.
+//!    min/max/sum accumulation per aggregate. Key domains of at most
+//!    4096 combinations index dense slots instead, with no hashing.
 //! 4. **Top-k pre-filter** ([`gt_mask_word`]): a branch-free 64-row
 //!    band test against the current k-th value, so the heap only sees
 //!    rows that can change it ([`crate::topk::top_k_with`]).

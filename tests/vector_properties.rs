@@ -608,15 +608,16 @@ fn grouped_table(rows: usize, ndv: u64, seed: u64) -> Table {
 /// Grouping columns of 1, 2 and 3 keys, each set identifying `x`.
 const KEY_SETS: [&[&str]; 3] = [&["x"], &["a", "x"], &["a", "b", "c"]];
 
-/// Every arm of `spec` — SWAR, hardware CRC, and the pool at widths 1,
-/// 2 and 4 with either leaf kernel — equals the scalar reference.
+/// Every arm of `spec` — `execute`, SWAR, hardware CRC, and the pool at
+/// widths 1 to 4 with either leaf kernel — equals the scalar reference.
 fn assert_group_by_exact(spec: &GroupBySpec, t: &Table, sel: Option<&BitVec>) -> Table {
     let want = spec.execute_seq(t, sel);
+    assert_eq!(spec.execute(t, sel), want, "execute");
     for kernel in [Kernel::Swar, Kernel::HwCrc] {
         assert_eq!(spec.execute_vector_with(t, sel, kernel), want, "kernel {kernel:?}");
     }
     for kernel in [Kernel::Scalar, Kernel::Swar] {
-        for workers in [1usize, 2, 4] {
+        for workers in 1usize..=4 {
             let got = spec.execute_on_with(Pool::new(workers), t, sel, kernel);
             assert_eq!(got, want, "pooled kernel {kernel:?} workers={workers}");
         }
@@ -666,4 +667,133 @@ fn group_by_many_groups_all_aggregates_are_exact() {
         assert!(all.rows() >= 20_000, "{keys:?}: only {} groups", all.rows());
         assert_group_by_exact(&spec, &t, Some(&sel));
     }
+}
+
+/// All five aggregates over the value columns `v` and `d`.
+fn all_aggs(keys: &[&str]) -> GroupBySpec {
+    GroupBySpec {
+        group_cols: keys.iter().map(|s| s.to_string()).collect(),
+        aggs: vec![
+            ("cnt".into(), AggFunc::Count),
+            ("s".into(), AggFunc::Sum("v".into())),
+            ("lo".into(), AggFunc::Min("v".into())),
+            ("hi".into(), AggFunc::Max("d".into())),
+            ("sp".into(), AggFunc::SumProduct("v".into(), "d".into())),
+        ],
+    }
+}
+
+/// Key columns `a`, `b`, `c`: column `i` spans exactly `ranges[i]`
+/// values from `base` (its first two rows pin both ends), so the key
+/// domain is the product of `ranges`; plus value columns `v` and `d`.
+fn domain_table(rows: usize, ranges: &[u64], base: i64, seed: u64) -> Table {
+    let mut next = splitmix(seed);
+    let mut cols: Vec<Column> = ranges
+        .iter()
+        .zip(["a", "b", "c"])
+        .map(|(&range, name)| {
+            let mut k: Vec<i64> = (0..rows).map(|_| base + (next() % range) as i64).collect();
+            k[0] = base;
+            k[1] = base + range as i64 - 1;
+            Column::i64(name, k)
+        })
+        .collect();
+    cols.push(Column::i64("v", (0..rows).map(|_| (next() % 2_001) as i64 - 1_000).collect()));
+    cols.push(Column::i64("d", (0..rows).map(|_| (next() % 21) as i64 - 10).collect()));
+    Table::new(cols)
+}
+
+/// Small key domains take the dense group-by: domains exactly at its
+/// 4096-slot cap and one slot above it (which falls back to hashing),
+/// negative keys, widths 1–3, with and without a selection.
+#[test]
+fn dense_group_by_at_and_above_the_cap_is_exact() {
+    let shapes: [&[u64]; 7] =
+        [&[4096], &[4097], &[64, 64], &[17, 241], &[16, 16, 16], &[17, 241, 1], &[3, 2]];
+    for (i, ranges) in shapes.into_iter().enumerate() {
+        let t = domain_table(9_000, ranges, -2_000, 100 + i as u64);
+        let spec = all_aggs(&["a", "b", "c"][..ranges.len()]);
+        let sel = BitVec::from_fn(t.rows(), |r| r % 3 != 1);
+        let all = assert_group_by_exact(&spec, &t, None);
+        assert!(all.columns[0].data[0] < 0, "{ranges:?}: first key not negative");
+        assert_group_by_exact(&spec, &t, Some(&sel));
+    }
+}
+
+/// Dense-path edge inputs: one distinct key, signed-extreme keys whose
+/// range overflows (they must hash instead), an empty table and an
+/// empty selection, at widths 1–3.
+#[test]
+fn dense_group_by_edge_inputs_are_exact() {
+    for width in 1..=3 {
+        let keys = &["a", "b", "c"][..width];
+        let spec = all_aggs(keys);
+        let single = domain_table(500, &[1, 1, 1][..width], -7, 3);
+        assert_eq!(assert_group_by_exact(&spec, &single, None).rows(), 1);
+
+        let mut extreme = domain_table(500, &[5, 5, 5][..width], 0, 4);
+        extreme.columns[width - 1].data[7] = i64::MIN;
+        extreme.columns[width - 1].data[9] = i64::MAX;
+        let sel = BitVec::from_fn(extreme.rows(), |r| r % 2 == 1);
+        assert_group_by_exact(&spec, &extreme, None);
+        assert_group_by_exact(&spec, &extreme, Some(&sel));
+
+        let empty = domain_table(2, &[1, 1, 1][..width], 0, 5);
+        let none = BitVec::new(2);
+        assert_eq!(assert_group_by_exact(&spec, &empty, Some(&none)).rows(), 0);
+        let cols = empty.columns.iter().map(|c| Column::i64(&c.name, vec![])).collect();
+        assert_eq!(assert_group_by_exact(&spec, &Table::new(cols), None).rows(), 0);
+    }
+}
+
+/// The hash path reuses the previous row's group for a repeated key:
+/// runs crossing the 4-lane hash batches, keys reappearing after a
+/// different key, and alternating keys, at widths 1 and 2 over a key
+/// domain far above the dense cap, with and without a selection that
+/// cuts runs apart.
+#[test]
+fn group_by_key_runs_are_exact() {
+    let far = |k: i64| k * 1_000_003 - 5_000_000;
+    // Runs of 1–9 rows: most straddle a four-row batch.
+    let runs: Vec<i64> = (0..300).flat_map(|i| vec![far(i); 1 + (i as usize * 5) % 9]).collect();
+    // A A B A A C A …: the run key comes back after each other key.
+    let back: Vec<i64> = (0..900).map(|i| if i % 3 == 2 { far(i) } else { far(0) }).collect();
+    // A B A B …, then A B C A B C …
+    let alt: Vec<i64> = (0..900).map(|i| far(if i < 450 { i % 2 } else { i % 3 })).collect();
+    for keys in [runs, back, alt] {
+        let n = keys.len();
+        let t = Table::new(vec![
+            Column::i64("a", keys.clone()),
+            Column::i64("b", keys.iter().map(|k| k.rem_euclid(3)).collect()),
+            Column::i64("v", (0..n as i64).map(|i| i * 7 - 900).collect()),
+            Column::i64("d", (0..n as i64).map(|i| i % 5 - 2).collect()),
+        ]);
+        let sel = BitVec::from_fn(n, |r| r % 4 != 3);
+        for width in [&["a"][..], &["a", "b"]] {
+            let spec = all_aggs(width);
+            assert_group_by_exact(&spec, &t, None);
+            assert_group_by_exact(&spec, &t, Some(&sel));
+        }
+    }
+}
+
+/// Every join arm emits matches in (probe row, ascending build row)
+/// order: exactly the pairs a nested loop over probe rows, then build
+/// rows, produces — duplicate keys on both sides, misses included.
+#[test]
+fn join_emits_probe_order_then_ascending_build_rows() {
+    let bkeys: Vec<i64> = (0..700).map(|i| (i * 13) % 90 - 45).collect();
+    let pkeys: Vec<i64> = (0..500).map(|i| (i * 29) % 130 - 65).collect();
+    let mut want = (Vec::new(), Vec::new());
+    for (pr, pk) in pkeys.iter().enumerate() {
+        for (br, bk) in bkeys.iter().enumerate() {
+            if bk == pk {
+                want.0.push(br as i64);
+                want.1.push(pr as i64);
+            }
+        }
+    }
+    let out = assert_join_exact(&row_id_join(), &keyed(bkeys, "brow"), &keyed(pkeys, "prow"));
+    assert!(!want.0.is_empty());
+    assert_eq!((&out.columns[0].data, &out.columns[1].data), (&want.0, &want.1));
 }
