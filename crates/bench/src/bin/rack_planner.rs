@@ -147,8 +147,7 @@ fn main() {
         .chain(q10_choice.alternatives.iter().map(|(_, e)| e))
         .collect();
     for ((cand, run), est) in q10_runs.iter().zip(q10_ests) {
-        let actual_partials: usize =
-            run.shard_traces.iter().map(|t| t.last().map_or(0, |o| o.rows)).sum();
+        let actual_partials: usize = run.shard_traces.iter().filter_map(|t| t.rows.last()).sum();
         row(&[
             cand.name.clone(),
             format!("{:.3}", cand.est_seconds * 1e3),
@@ -172,7 +171,7 @@ fn main() {
     // gather is cheaper. That is the gap the adaptive layer closes.
     let q10_est_partials = q10_choice.estimate.partial_rows;
     let q10_actual_partials: usize =
-        q10_runs[0].1.shard_traces.iter().map(|t| t.last().map_or(0, |o| o.rows)).sum();
+        q10_runs[0].1.shard_traces.iter().filter_map(|t| t.rows.last()).sum();
     assert!(
         q10_est_partials > 1.5 * q10_actual_partials as f64,
         "Q10 partials must be over-estimated: est {q10_est_partials:.0} vs actual {q10_actual_partials}"

@@ -1028,7 +1028,7 @@ impl Cluster {
             per_node,
             local_seconds: local_end - start,
             fabric_seconds: end - local_end,
-            merge_seconds: merge_cpu_seconds(merge_rows),
+            merge_seconds: merge_cpu_seconds(merge_rows as f64),
             fabric_bytes: self.fabric.payload_bytes(),
             failovers: local_failovers + gather_failovers,
             speculations,
@@ -1048,10 +1048,12 @@ fn compute_single(full: &TpchDb, xeon: &Xeon, scale: u64, id: QueryId) -> (Query
     (out, cost)
 }
 
-/// Coordinator-side merge compute: hash re-aggregation at the same
-/// cycles/row as the engine's group-by, on one node's 32 cores.
-pub(crate) fn merge_cpu_seconds(rows: usize) -> f64 {
-    rows as f64 * AGG_DPU / (DPU_CORES * DPU_CLOCK)
+/// Merge compute on one node: hash re-aggregation of `rows` partial
+/// rows at the same cycles/row as the engine's group-by, on its 32
+/// cores. The coordinator, the shuffle owners and the planner's merge
+/// estimate all price merges with it.
+pub fn merge_cpu_seconds(rows: f64) -> f64 {
+    rows * AGG_DPU / (DPU_CORES * DPU_CLOCK)
 }
 
 #[cfg(test)]

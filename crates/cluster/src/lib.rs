@@ -70,8 +70,9 @@ pub mod tenant;
 pub mod topology;
 
 pub use coordinator::{
-    Cluster, ClusterConfig, ClusterCore, ClusterQueryCost, DistributedQuery, NodeCost, QueryError,
-    QueryId, QueryOutput, RecoveryReport, ShardRun, SingleRefCache, Speculation,
+    merge_cpu_seconds, Cluster, ClusterConfig, ClusterCore, ClusterQueryCost, DistributedQuery,
+    NodeCost, QueryError, QueryId, QueryOutput, RecoveryReport, ShardRun, SingleRefCache,
+    Speculation,
 };
 pub use fabric::{Fabric, FabricConfig, ServeFabric};
 pub use fault::{Fault, FaultPlan};

@@ -18,9 +18,9 @@
 //! fabric model and picks.
 
 use dpu_pool::Pool;
-use dpu_sql::logical::{Finish, LogicalOutput, LogicalPlan, OpRows};
+use dpu_sql::logical::{Finish, LogicalOutput, LogicalPlan};
 use dpu_sql::tpch::project_rows;
-use dpu_sql::{top_k, Column, GroupBySpec, QueryCost, Table};
+use dpu_sql::{top_k, Column, GroupBySpec, QueryCost, Table, Trace};
 
 use crate::coordinator::{
     merge_cpu_seconds, Cluster, ClusterQueryCost, DistributedQuery, NodeCost, QueryError, QueryId,
@@ -114,7 +114,7 @@ pub struct PlannedRun {
     /// The distributed result + cost.
     pub query: DistributedQuery,
     /// Per-shard per-operator actual row counts, in shard order.
-    pub shard_traces: Vec<Vec<OpRows>>,
+    pub shard_traces: Vec<Trace<usize>>,
     /// Per-shard local-phase costs, in shard order.
     pub local_costs: Vec<QueryCost>,
 }
@@ -140,7 +140,7 @@ impl Cluster {
         let core = self.core().clone();
         let (single_output, single_cost) = core.single_ref(plan.id);
         let scale = core.cfg().scale;
-        let locals: Vec<(LogicalOutput, QueryCost, Vec<OpRows>)> = Pool::global()
+        let locals: Vec<(LogicalOutput, QueryCost, Trace<usize>)> = Pool::global()
             .par_map(core.sharded().shards.iter().collect(), |db| {
                 plan.local.execute_costed(db, core.xeon(), scale)
             });
@@ -285,7 +285,7 @@ impl Cluster {
         for ((j, &owner), (rows_in, cand)) in live.iter().enumerate().zip(owner_cands) {
             let mut host = owner;
             let mut done_s = self.fabric.seconds(shuffled[owner])
-                + merge_cpu_seconds(rows_in) / faults.compute_factor(owner, local_end);
+                + merge_cpu_seconds(rows_in as f64) / faults.compute_factor(owner, local_end);
             for _ in 0..=n {
                 match faults.crash_time(host) {
                     Some(tc) if tc < done_s => {
@@ -313,7 +313,8 @@ impl Cluster {
                         }
                         host = next;
                         done_s = self.fabric.seconds(landed)
-                            + merge_cpu_seconds(rows_in) / faults.compute_factor(next, t_retry);
+                            + merge_cpu_seconds(rows_in as f64)
+                                / faults.compute_factor(next, t_retry);
                     }
                     _ => break,
                 }
@@ -338,7 +339,7 @@ impl Cluster {
             per_node,
             local_seconds: local_end - start,
             fabric_seconds: end - local_end,
-            merge_seconds: merge_cpu_seconds(cand_rows),
+            merge_seconds: merge_cpu_seconds(cand_rows as f64),
             fabric_bytes: self.fabric.payload_bytes(),
             failovers,
             speculations,

@@ -1,13 +1,13 @@
 //! Estimated costing of physical plans.
 //!
-//! The estimator walks a [`LogicalPlan`] exactly the way
-//! `LogicalPlan::execute_costed` does — same [`CostAcc`] roofline, same
-//! per-operator constants, same trace labels — but drives it with
-//! *estimated* cardinalities from the [`Catalog`] instead of actual
-//! rows. An EXPLAIN can therefore line estimated rows up against actual
-//! rows operator by operator, and an estimate differs from a
-//! measurement only where the statistics were wrong, never because the
-//! models disagree.
+//! The estimator owns cardinalities, not costs. Per shard it estimates
+//! the rows out of every operator of a [`LogicalPlan`] from the
+//! [`Catalog`] — filter selectivities under independence, joins divided
+//! by the larger key NDV, group counts capped by their input, a fixed
+//! [`HAVING_SELECTIVITY`] — and hands that [`Trace`] to the cost walk
+//! ([`LogicalPlan::cost`]), the same walk that prices executed plans on
+//! their actual rows. An estimate therefore differs from a measurement
+//! only where a cardinality does.
 //!
 //! On top of the per-shard walk it costs the merge strategy over the
 //! fabric model: a gather serializes every partial through the
@@ -15,11 +15,9 @@
 //! `n` NICs and pays a second small candidate gather — the placement
 //! asymmetry the optimizer exploits on Q10.
 
-use dpu_cluster::{FabricConfig, MergeStrategy, PhysicalPlan, Topology};
-use dpu_sql::agg::GroupByPlan;
+use dpu_cluster::{merge_cpu_seconds, FabricConfig, MergeStrategy, PhysicalPlan, Topology};
 use dpu_sql::logical::{Finish, LogicalPlan, Relation, Source};
-use dpu_sql::tpch::{join_cost, AGG_DPU, AGG_XEON, SCAN_DPU, SCAN_XEON, XEON_DB_EFFICIENCY};
-use dpu_sql::{CostAcc, GroupBySpec, QueryCost};
+use dpu_sql::{GroupBySpec, Trace};
 use xeon_model::Xeon;
 
 use crate::stats::Catalog;
@@ -27,16 +25,6 @@ use crate::stats::Catalog;
 /// The planner's uninformed default for HAVING predicates over
 /// aggregated columns (no base-column statistics exist for them).
 pub const HAVING_SELECTIVITY: f64 = 0.05;
-
-/// Estimated rows out of one operator, labelled identically to the
-/// executor's `OpRows` trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstRows {
-    /// Stable operator label (matches the actual trace).
-    pub label: String,
-    /// Estimated output rows, summed across shards.
-    pub rows: f64,
-}
 
 /// A costed estimate for one physical plan.
 #[derive(Debug, Clone)]
@@ -51,8 +39,8 @@ pub struct PlanEstimate {
     pub fabric_bytes: u64,
     /// Estimated partial-result rows surrendered by all shards.
     pub partial_rows: f64,
-    /// Per-operator estimated rows (cluster-wide), in trace order.
-    pub ops: Vec<EstRows>,
+    /// Per-shard estimated traces, in shard order.
+    pub shard_traces: Vec<Trace<f64>>,
 }
 
 impl PlanEstimate {
@@ -74,33 +62,28 @@ pub struct CostModel<'a> {
     /// (see [`CostModel::merge_estimate`]). A single-rack topology
     /// prices exactly like the flat model.
     pub topo: Topology,
-    /// Nodes in the rack.
-    pub n_nodes: usize,
     /// Full-scale multiplier (`ClusterConfig::scale`).
     pub scale: u64,
 }
 
 impl CostModel<'_> {
-    /// Prices a physical plan: per-shard estimated walk (max over shards
-    /// for the local phase) plus the merge strategy over the fabric.
+    /// Prices a physical plan: the cost walk over each shard's estimated
+    /// trace (max over shards for the local phase) plus the merge
+    /// strategy over the fabric.
     pub fn estimate(&self, plan: &PhysicalPlan) -> PlanEstimate {
         let xeon = Xeon::new();
-        let n = self.catalog.n_shards;
-        let mut local_seconds = 0.0f64;
-        let mut partial_rows = 0.0f64;
-        let mut ops: Vec<EstRows> = Vec::new();
-        for shard in 0..n {
-            let (cost, out_rows, shard_ops) = self.walk(&plan.local, shard, &xeon);
-            local_seconds = local_seconds.max(cost.dpu.seconds);
-            partial_rows += out_rows;
-            if ops.is_empty() {
-                ops = shard_ops;
-            } else {
-                for (acc, o) in ops.iter_mut().zip(&shard_ops) {
-                    acc.rows += o.rows;
-                }
-            }
-        }
+        let traces: Vec<Trace<f64>> =
+            (0..self.catalog.n_shards).map(|s| self.trace(&plan.local, s)).collect();
+        let local_seconds = traces
+            .iter()
+            .map(|t| plan.local.cost(t, &xeon, self.scale).dpu.seconds)
+            .fold(0.0, f64::max);
+        // The partial table is the finish's output — one row of scalar
+        // columns for scalar sums.
+        let partial_rows: f64 = match plan.local.finish {
+            Finish::ScalarSums(_) => traces.len() as f64,
+            _ => traces.iter().filter_map(|t| t.rows.last()).sum(),
+        };
         let arity = out_arity(&plan.local);
         let (fabric_seconds, merge_seconds, fabric_bytes) =
             self.merge_estimate(&plan.merge, partial_rows, arity);
@@ -110,145 +93,68 @@ impl CostModel<'_> {
             merge_seconds,
             fabric_bytes,
             partial_rows,
-            ops,
+            shard_traces: traces,
         }
     }
 
-    /// Mirrors `execute_costed` with estimated cardinalities. Returns the
-    /// estimated per-shard cost, output rows and the labelled op trace.
-    fn walk(
-        &self,
-        plan: &LogicalPlan,
-        shard: usize,
-        xeon: &Xeon,
-    ) -> (QueryCost, f64, Vec<EstRows>) {
-        let mut acc = CostAcc::with_scale(self.scale);
-        let mut ops = Vec::new();
-        let mut rows = self.scan_estimate(&plan.scans[plan.first], shard, &mut acc, &mut ops);
+    /// Estimated per-operator rows of `plan` on one shard, in walk order.
+    fn trace(&self, plan: &LogicalPlan, shard: usize) -> Trace<f64> {
+        let mut t = Trace::default();
+        let mut rows = self.scan_estimate(&plan.scans[plan.first], shard, &mut t);
         for j in &plan.joins {
-            let other = self.scan_estimate(&plan.scans[j.scan], shard, &mut acc, &mut ops);
-            let (build, probe) = if j.build_acc { (rows, other) } else { (other, rows) };
-            let probe_base =
-                if j.build_acc { self.base_rows(&plan.scans[j.scan], shard) } else { probe };
-            join_cost(
-                &mut acc,
-                build.max(1.0) as u64,
-                probe.max(1.0) as u64,
-                4 * probe_base.max(1.0) as u64,
-            );
+            let other = self.scan_estimate(&plan.scans[j.scan], shard, &mut t);
             let d = self
                 .catalog
                 .shard_ndv(&j.build_key)
                 .max(self.catalog.shard_ndv(&j.probe_key))
                 .max(1.0);
-            rows = build * probe / d;
-            ops.push(EstRows {
-                label: format!("join {}={} fanout={}", j.build_key, j.probe_key, j.fanout),
-                rows,
-            });
+            rows = rows * other / d;
+            t.rows.push(rows);
         }
         if !plan.post_filters.is_empty() {
-            acc.compute(rows.max(1.0) as u64, SCAN_DPU, SCAN_XEON);
             // Residual filters reference columns from any base relation.
             for f in &plan.post_filters {
-                let sel = self
+                rows *= self
                     .catalog
                     .column(&f.col)
                     .map_or(HAVING_SELECTIVITY, |(t, _)| self.catalog.table(t).selectivity(f));
-                rows *= sel;
             }
-            ops.push(EstRows { label: "filter residual".into(), rows });
+            t.rows.push(rows);
         }
         if let Some((a, b)) = &plan.col_eq {
             rows /= self.catalog.ndv(a).max(self.catalog.ndv(b)).max(1.0);
         }
-        let out = match &plan.finish {
-            Finish::Agg(spec) => {
-                acc.compute(rows.max(1.0) as u64, AGG_DPU, AGG_XEON);
+        match &plan.finish {
+            Finish::Agg(spec) => t.rows.push(self.group_estimate(spec, rows)),
+            Finish::AggTopK { spec, k, .. } => {
                 let g = self.group_estimate(spec, rows);
-                ops.push(EstRows { label: agg_label(spec), rows: g });
-                g
+                t.rows.extend([g, g.min(*k as f64)]);
             }
-            Finish::AggTopK { spec, value, k } => {
-                acc.compute(rows.max(1.0) as u64, AGG_DPU, AGG_XEON);
-                let g = self.group_estimate(spec, rows);
-                ops.push(EstRows { label: agg_label(spec), rows: g });
-                let t = g.min(*k as f64);
-                ops.push(EstRows { label: format!("topk {value} k={k}"), rows: t });
-                t
-            }
-            Finish::TopK { value, k, .. } => {
-                let t = rows.min(*k as f64);
-                ops.push(EstRows { label: format!("topk {value} k={k}"), rows: t });
-                t
-            }
-            Finish::ScalarSums(sums) => {
-                acc.compute(rows.max(1.0) as u64, 3.0 * sums.len() as f64, 1.5 * sums.len() as f64);
-                ops.push(EstRows { label: "scalar sums".into(), rows: sums.len() as f64 });
-                // The partial table is one row of scalar columns.
-                1.0
-            }
-        };
-        let mut cost = acc.finish(xeon);
-        cost.xeon.seconds /= XEON_DB_EFFICIENCY;
-        (cost, out, ops)
+            Finish::TopK { k, .. } => t.rows.push(rows.min(*k as f64)),
+            Finish::ScalarSums(sums) => t.rows.push(sums.len() as f64),
+        }
+        t
     }
 
-    /// Rows of a relation's base table on this shard (pre-filter).
-    fn base_rows(&self, rel: &Relation, shard: usize) -> f64 {
-        self.catalog.table(rel.source.table()).per_shard_rows[shard] as f64
-    }
-
-    /// Estimated rows a leaf scan yields on one shard, costing the
-    /// stream exactly like `eval_scan`.
-    fn scan_estimate(
-        &self,
-        rel: &Relation,
-        shard: usize,
-        acc: &mut CostAcc,
-        ops: &mut Vec<EstRows>,
-    ) -> f64 {
-        let table = rel.source.table();
-        let stats = self.catalog.table(table);
+    /// Estimated rows a leaf scan yields on one shard; records the
+    /// scan's inputs (base rows, resident touched bytes) in `t`.
+    fn scan_estimate(&self, rel: &Relation, shard: usize, t: &mut Trace<f64>) -> f64 {
+        let stats = self.catalog.table(rel.source.table());
         let base_rows = stats.per_shard_rows[shard] as f64;
         let frac = if stats.rows == 0 { 0.0 } else { base_rows / stats.rows as f64 };
-        let touched: u64 = rel
-            .touched
-            .iter()
-            .map(|c| {
-                let bytes = stats.columns.get(c).map_or(0, |s| s.bytes);
-                (bytes as f64 * frac) as u64
-            })
-            .sum();
-        acc.stream_both(touched);
-        acc.compute(base_rows.max(1.0) as u64, SCAN_DPU, SCAN_XEON);
+        let bytes = |c: &String| stats.columns.get(c).map_or(0, |s| s.bytes) as f64;
+        let touched: u64 = rel.touched.iter().map(|c| (bytes(c) * frac) as u64).sum();
+        t.inputs.push((base_rows, touched));
         let staged = match &rel.source {
             Source::Base(_) => base_rows,
-            Source::GroupHaving { spec, having, .. } => {
+            Source::GroupHaving { spec, .. } => {
                 let g = self.group_estimate(spec, base_rows);
-                let plan = GroupByPlan::plan(((g * self.scale as f64) as u64).max(1), 16);
-                acc.stream(
-                    touched * (plan.dpu_bytes_factor() - 1),
-                    touched * (plan.xeon_bytes_factor() - 1),
-                );
-                acc.compute(base_rows.max(1.0) as u64, AGG_DPU, AGG_XEON);
-                ops.push(EstRows {
-                    label: format!("{} {}", table.name(), agg_label(spec)),
-                    rows: g,
-                });
-                let _ = having;
+                t.rows.push(g);
                 g * HAVING_SELECTIVITY
             }
         };
         let out = staged * stats.conjunction(&rel.filters);
-        ops.push(EstRows {
-            label: format!(
-                "scan {}{}",
-                table.name(),
-                if rel.filters.is_empty() { "" } else { " filtered" }
-            ),
-            rows: out,
-        });
+        t.rows.push(out);
         out
     }
 
@@ -289,7 +195,6 @@ impl CostModel<'_> {
         let clock = self.fabric.clock.hz();
         let nic = self.fabric.nic_bytes_per_cycle as f64 * clock;
         let uplink = self.topo.uplink_bytes_per_cycle(&self.fabric) as f64 * clock;
-        let per_row = AGG_DPU / (32.0 * clock);
         let hop = self.fabric.hop_cycles as f64;
         let msg = self.fabric.message_overhead_cycles as f64;
         let hops = (m * (hop + msg) + (n - m) * (2.0 * hop + msg)) / clock;
@@ -304,7 +209,7 @@ impl CostModel<'_> {
                 // Every partial lands on the coordinator's single RX
                 // NIC; the cross-rack share also clears its downlink.
                 let xfer = (bytes / nic).max(bytes * inter_frac / uplink);
-                (xfer + hops, partial_rows * per_row, bytes as u64)
+                (xfer + hops, merge_cpu_seconds(partial_rows), bytes as u64)
             }
             MergeStrategy::ShuffleTopK { k, .. } => {
                 // All-to-all: each NIC carries ~1/n of the cross traffic
@@ -317,7 +222,7 @@ impl CostModel<'_> {
                 let shuffle = (cross / n / nic).max(inter_cross / racks / uplink) + hops;
                 let cand_bytes = n * *k as f64 * row_bytes;
                 let gather = (cand_bytes / nic).max(cand_bytes * inter_frac / uplink) + hops;
-                let merge = partial_rows / n * per_row + n * *k as f64 * per_row;
+                let merge = merge_cpu_seconds(partial_rows / n) + merge_cpu_seconds(n * *k as f64);
                 (shuffle + gather, merge, (cross + cand_bytes) as u64)
             }
         }
@@ -336,14 +241,6 @@ fn out_arity(plan: &LogicalPlan) -> u64 {
             .map(|j| (j.build_cols.len() + j.probe_cols.len()) as u64)
             .unwrap_or_else(|| plan.scans[plan.first].touched.len() as u64),
         Finish::ScalarSums(sums) => sums.len() as u64,
-    }
-}
-
-fn agg_label(spec: &GroupBySpec) -> String {
-    if spec.group_cols.is_empty() {
-        "agg".into()
-    } else {
-        format!("agg by {}", spec.group_cols.join(","))
     }
 }
 
@@ -370,13 +267,12 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         for id in QueryId::ALL {
             let est = model.estimate(&default_physical(id));
             assert!(est.total_seconds().is_finite() && est.total_seconds() > 0.0, "{id:?}");
-            assert!(!est.ops.is_empty(), "{id:?} has an op trace");
+            assert!(!est.shard_traces[0].rows.is_empty(), "{id:?} has an op trace");
         }
     }
 
@@ -387,13 +283,12 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         let shuffle = model.estimate(&default_physical(QueryId::Q10));
         let gather = model.estimate(&q10_gather_physical());
         // Same local plan, same partial estimate — only the merge differs.
-        assert_eq!(shuffle.ops, gather.ops);
+        assert_eq!(shuffle.shard_traces, gather.shard_traces);
         assert!((shuffle.local_seconds - gather.local_seconds).abs() < 1e-12);
         assert_ne!(shuffle.fabric_bytes, gather.fabric_bytes);
         assert!(shuffle.fabric_seconds != gather.fabric_seconds);
@@ -406,7 +301,6 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         let spine = CostModel { topo: Topology::new(8, 4, 32.0), ..flat.clone() };
@@ -436,7 +330,6 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         let xeon = xeon_model::Xeon::new();
@@ -444,9 +337,40 @@ mod tests {
             let plan = default_physical(id);
             let est = model.estimate(&plan);
             let (_, _, trace) = plan.local.execute_costed(core.full(), &xeon, core.cfg().scale);
-            let est_labels: Vec<&str> = est.ops.iter().map(|o| o.label.as_str()).collect();
-            let actual_labels: Vec<&str> = trace.iter().map(|o| o.label.as_str()).collect();
-            assert_eq!(est_labels, actual_labels, "{id:?}");
+            let labels = |t: &Trace<f64>| -> Vec<String> {
+                plan.local.ops(t).iter().map(|(op, _)| op.to_string()).collect()
+            };
+            assert_eq!(labels(&est.shard_traces[0]), labels(&as_estimate(&trace)), "{id:?}");
+        }
+    }
+
+    /// An executed trace as the estimate side of the walk sees it.
+    fn as_estimate(t: &Trace<usize>) -> Trace<f64> {
+        Trace {
+            inputs: t.inputs.iter().map(|&(rows, bytes)| (rows as f64, bytes)).collect(),
+            rows: t.rows.iter().map(|&r| r as f64).collect(),
+        }
+    }
+
+    #[test]
+    fn estimates_and_actuals_price_alike() {
+        let (core, _) = model_fixture();
+        let xeon = xeon_model::Xeon::new();
+        let scale = core.cfg().scale;
+        for id in QueryId::ALL {
+            let plan = default_physical(id).local;
+            let mut checked = 0;
+            for db in &core.sharded().shards {
+                let (_, cost, trace) = plan.execute_costed(db, &xeon, scale);
+                // An estimate charges at least one row where an actual
+                // zero charges none.
+                if trace.rows.iter().chain(trace.inputs.iter().map(|(r, _)| r)).any(|&r| r == 0) {
+                    continue;
+                }
+                assert_eq!(plan.cost(&as_estimate(&trace), &xeon, scale), cost, "{id:?}");
+                checked += 1;
+            }
+            assert!(checked > 0, "{id:?}: every shard trace has a zero");
         }
     }
 }

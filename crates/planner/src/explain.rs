@@ -3,9 +3,9 @@
 //! and measured cost from an instrumented run.
 //!
 //! The format is snapshot-tested (`tests/explain_snapshot.rs`), so keep
-//! it boring: fixed indentation, lowercase labels identical to the
-//! executor's trace, scientific notation with three significant digits
-//! for seconds (simulated, hence deterministic).
+//! it boring: fixed indentation, lowercase labels from the plan's cost
+//! walk (`dpu_sql::Op`), scientific notation with three significant
+//! digits for seconds (simulated, hence deterministic).
 
 use dpu_cluster::{MergeStrategy, PhysicalPlan, PlannedRun};
 
@@ -35,12 +35,13 @@ pub fn explain(plan: &PhysicalPlan, est: &PlanEstimate, actual: Option<&PlannedR
         ));
     }
     out.push_str("  ops:\n");
-    for (i, op) in est.ops.iter().enumerate() {
-        let actual_rows = actual.map(|run| {
-            run.shard_traces.iter().map(|t| t.get(i).map_or(0, |o| o.rows)).sum::<usize>()
-        });
-        out.push_str(&format!("    {:<44} est={}", op.label, op.rows.round() as u64));
-        if let Some(a) = actual_rows {
+    // Labels come from the plan's cost walk; rows sum across shards.
+    for (i, (op, _)) in plan.local.ops(&est.shard_traces[0]).into_iter().enumerate() {
+        let label = op.to_string();
+        let est_rows: f64 = est.shard_traces.iter().map(|t| t.rows[i]).sum();
+        out.push_str(&format!("    {label:<44} est={}", est_rows.round() as u64));
+        if let Some(run) = actual {
+            let a: usize = run.shard_traces.iter().map(|t| t.rows[i]).sum();
             out.push_str(&format!(" actual={a}"));
         }
         out.push('\n');

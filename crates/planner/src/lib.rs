@@ -8,11 +8,10 @@
 //! - [`stats`] — per-shard statistics: row counts (shared with the skew
 //!   report's source of truth), min/max bands, and HyperLogLog NDV
 //!   sketches merged across shards at the coordinator.
-//! - [`cost`] — an estimator that walks a logical plan with the *same*
-//!   roofline and per-operator constants the executor charges, driven
-//!   by estimated instead of actual cardinalities, plus a fabric model
-//!   of each merge strategy (a gather serializes one RX NIC; a shuffle
-//!   spreads the bytes over all of them).
+//! - [`cost`] — a cardinality estimator whose per-operator rows feed
+//!   the executor's own cost walk (`LogicalPlan::cost`), plus a fabric
+//!   model of each merge strategy (a gather serializes one RX NIC; a
+//!   shuffle spreads the bytes over all of them).
 //! - [`optimizer`] — predicate pushdown, DP join-order search over the
 //!   query's join graph, and merge placement; any chosen plan is
 //!   bit-identical to the default plan because every finishing
@@ -32,7 +31,7 @@ pub mod optimizer;
 pub mod profile;
 pub mod stats;
 
-pub use cost::{CostModel, EstRows, PlanEstimate, HAVING_SELECTIVITY};
+pub use cost::{CostModel, PlanEstimate, HAVING_SELECTIVITY};
 pub use explain::explain;
 pub use optimizer::{hoist_filters, pushdown, PlanChoice, Planner};
 pub use profile::{AdaptiveServer, CandidatePlan, PlanSwitch, PlannerMode, TemplateProfile};

@@ -30,8 +30,6 @@ pub struct Planner {
     /// Spine/leaf geometry the merge phase is priced over (single-rack
     /// reproduces the flat pricing exactly).
     pub topo: Topology,
-    /// Nodes in the rack.
-    pub n_nodes: usize,
     /// Full-scale multiplier.
     pub scale: u64,
 }
@@ -56,7 +54,6 @@ impl Planner {
             catalog: Catalog::from_core(core),
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         }
     }
@@ -67,7 +64,6 @@ impl Planner {
             catalog: &self.catalog,
             fabric: self.fabric.clone(),
             topo: self.topo.clone(),
-            n_nodes: self.n_nodes,
             scale: self.scale,
         }
     }

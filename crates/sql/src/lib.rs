@@ -43,6 +43,7 @@ pub mod sort;
 pub mod topk;
 pub mod tpch;
 pub mod vector;
+pub mod walk;
 
 pub use agg::{partitioned_group_by, AggFunc, GroupByPlan, GroupBySpec};
 pub use bitvec::BitVec;
@@ -60,3 +61,4 @@ pub use sort::{
 };
 pub use topk::{top_k, top_k_with};
 pub use vector::{kernel as vector_kernel, set_kernel as set_vector_kernel, Kernel};
+pub use walk::{Op, Rows, Trace};

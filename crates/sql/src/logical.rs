@@ -22,18 +22,16 @@ use std::borrow::Cow;
 
 use xeon_model::Xeon;
 
-use crate::agg::{GroupByPlan, GroupBySpec};
+use crate::agg::GroupBySpec;
 use crate::bitvec::BitVec;
 use crate::column::Table;
 use crate::expr::Expr;
 use crate::filter::{CompareOp, FilterSpec};
 use crate::join::HashJoin;
-use crate::plan::{CostAcc, QueryCost};
+use crate::plan::QueryCost;
 use crate::topk::top_k;
-use crate::tpch::{
-    self, join_cost, project_rows, select_columns, select_rows, TpchDb, AGG_DPU, AGG_XEON,
-    SCAN_DPU, SCAN_XEON, XEON_DB_EFFICIENCY,
-};
+use crate::tpch::{self, project_rows, select_columns, select_rows, TpchDb};
+use crate::walk::Trace;
 
 /// The base tables a scan can read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -277,17 +275,6 @@ impl LogicalOutput {
     }
 }
 
-/// Per-operator actual row counts, filled by
-/// [`LogicalPlan::execute_costed`] and rendered by the planner's
-/// EXPLAIN.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpRows {
-    /// Stable operator label.
-    pub label: String,
-    /// Rows the operator produced.
-    pub rows: usize,
-}
-
 /// A declarative query: relations, equi-join edges, and the finish.
 /// The optimizer enumerates linearizations of this graph; the default
 /// plan (`q*_plan`) is one of them.
@@ -336,26 +323,17 @@ impl LogicalPlan {
         self.execute_costed(db, &Xeon::new(), 1).0
     }
 
-    /// Executes the plan functionally while costing it, and records
-    /// per-operator actual row counts for EXPLAIN.
-    ///
-    /// This is the only cost model queries are priced with, one rule per
-    /// operator: a scan streams its touched columns' resident bytes and
-    /// one FILT pass over its base rows; a join charges [`join_cost`]
-    /// with 4 key bytes per probe row (the probe table's pre-filter rows
-    /// when a scan probes); a residual filter one pass over the
-    /// intermediate; a group-by [`AGG_DPU`] cycles per input row; scalar
-    /// sums 3 cycles per sum per row. The planner's `CostModel` walks
-    /// plans with the same rules over estimated cardinalities.
+    /// Executes the plan functionally, records its actual per-operator
+    /// rows, and prices them through the cost walk
+    /// ([`LogicalPlan::cost`]) at `scale`× the data.
     pub fn execute_costed(
         &self,
         db: &TpchDb,
         xeon: &Xeon,
         scale: u64,
-    ) -> (LogicalOutput, QueryCost, Vec<OpRows>) {
-        let mut acc = CostAcc::with_scale(scale);
-        let mut trace = Vec::new();
-        let (first, mut kept) = self.eval_scan(self.first, db, &mut acc, &mut trace);
+    ) -> (LogicalOutput, QueryCost, Trace<usize>) {
+        let mut trace = Trace::default();
+        let (first, mut kept) = self.eval_scan(self.first, db, &mut trace);
         // A join-free plan finishing in a group-by aggregates the scan's
         // selection in place; every other plan materializes it.
         let in_place = self.joins.is_empty()
@@ -364,7 +342,7 @@ impl LogicalPlan {
         let mut cur =
             if in_place { first } else { self.materialize(self.first, first, kept.take()) };
         for j in &self.joins {
-            let (other, sel) = self.eval_scan(j.scan, db, &mut acc, &mut trace);
+            let (other, sel) = self.eval_scan(j.scan, db, &mut trace);
             let other = self.materialize(j.scan, other, sel);
             let (build, probe) = if j.build_acc { (&*cur, &*other) } else { (&*other, &*cur) };
             let join = HashJoin {
@@ -374,34 +352,14 @@ impl LogicalPlan {
                 probe_cols: j.probe_cols.clone(),
             };
             let (out, _) = join.execute(build, probe, j.fanout as u64);
-            // The partition-rounds model keys off the build side; the
-            // shipped key bytes follow the probe side's base column
-            // (pre-filter).
-            let probe_base_rows = if j.build_acc {
-                self.scans[j.scan].source.table().of(db).rows()
-            } else {
-                probe.rows()
-            };
-            join_cost(
-                &mut acc,
-                build.rows() as u64,
-                probe.rows() as u64,
-                4 * probe_base_rows as u64,
-            );
-            trace.push(OpRows {
-                label: format!("join {}={} fanout={}", j.build_key, j.probe_key, j.fanout),
-                rows: out.rows(),
-            });
+            trace.rows.push(out.rows());
             cur = Cow::Owned(out);
         }
         if !self.post_filters.is_empty() {
             let keep = conjunction(&self.post_filters, &cur);
-            acc.compute(cur.rows() as u64, SCAN_DPU, SCAN_XEON);
             cur = Cow::Owned(select_rows(&cur, &keep));
-            trace.push(OpRows { label: "filter residual".into(), rows: cur.rows() });
+            trace.rows.push(cur.rows());
         }
-        // Rows entering the finish: the in-place selection's, else all.
-        let in_rows = kept.as_ref().map_or(cur.rows(), BitVec::count);
         let eq = self.col_eq.as_ref().map(|(a, b)| {
             let ca = &cur.columns[cur.col_index(a)].data;
             let cb = &cur.columns[cur.col_index(b)].data;
@@ -412,20 +370,12 @@ impl LogicalPlan {
             (a, b) => a.or(b),
         };
         let out = match &self.finish {
-            Finish::Agg(spec) => {
-                acc.compute(in_rows as u64, AGG_DPU, AGG_XEON);
-                let t = spec.execute(&cur, sel.as_ref());
-                trace.push(OpRows { label: agg_label(spec), rows: t.rows() });
-                LogicalOutput::Table(t)
-            }
+            Finish::Agg(spec) => LogicalOutput::Table(spec.execute(&cur, sel.as_ref())),
             Finish::AggTopK { spec, value, k } => {
-                acc.compute(in_rows as u64, AGG_DPU, AGG_XEON);
                 let grouped = spec.execute(&cur, sel.as_ref());
-                trace.push(OpRows { label: agg_label(spec), rows: grouped.rows() });
+                trace.rows.push(grouped.rows());
                 let top = top_k(&grouped, value, (*k).min(grouped.rows().max(1)), 32);
-                let t = project_rows(&grouped, &top);
-                trace.push(OpRows { label: format!("topk {value} k={k}"), rows: t.rows() });
-                LogicalOutput::Table(t)
+                LogicalOutput::Table(project_rows(&grouped, &top))
             }
             Finish::TopK { value, k, sort_by } => {
                 let mut jo = cur;
@@ -443,12 +393,9 @@ impl LogicalPlan {
                     jo = Cow::Owned(project_rows(&jo, &order));
                 }
                 let top = top_k(&jo, value, (*k).min(jo.rows().max(1)), 32);
-                let t = project_rows(&jo, &top);
-                trace.push(OpRows { label: format!("topk {value} k={k}"), rows: t.rows() });
-                LogicalOutput::Table(t)
+                LogicalOutput::Table(project_rows(&jo, &top))
             }
             Finish::ScalarSums(sums) => {
-                acc.compute(cur.rows() as u64, 3.0 * sums.len() as f64, 1.5 * sums.len() as f64);
                 let mut vals = Vec::with_capacity(sums.len());
                 for s in sums {
                     let v = s.expr.eval(&cur);
@@ -461,24 +408,25 @@ impl LogicalPlan {
                         .sum();
                     vals.push(total);
                 }
-                trace.push(OpRows { label: "scalar sums".into(), rows: sums.len() });
                 LogicalOutput::Scalars(vals)
             }
         };
-        let mut cost = acc.finish(xeon);
-        cost.xeon.seconds /= XEON_DB_EFFICIENCY;
+        trace.rows.push(match &out {
+            LogicalOutput::Table(t) => t.rows(),
+            LogicalOutput::Scalars(v) => v.len(),
+        });
+        let cost = self.cost(&trace, xeon, scale);
         (out, cost, trace)
     }
 
-    /// Evaluates one leaf: costs the stream and evaluates its filters.
+    /// Evaluates one leaf: records its inputs and evaluates its filters.
     /// Returns the staged table — a base table borrowed, a derived
     /// source computed — and the rows the filters keep (`None`: all).
     fn eval_scan<'a>(
         &self,
         i: usize,
         db: &'a TpchDb,
-        acc: &mut CostAcc,
-        trace: &mut Vec<OpRows>,
+        trace: &mut Trace<usize>,
     ) -> (Cow<'a, Table>, Option<BitVec>) {
         let rel = &self.scans[i];
         let base = rel.source.table().of(db);
@@ -490,37 +438,18 @@ impl LogicalPlan {
             .iter()
             .map(|n| base.column(n).expect("touched column").resident_bytes())
             .sum();
-        acc.stream_both(touched);
-        acc.compute(base.rows() as u64, SCAN_DPU, SCAN_XEON);
+        trace.inputs.push((base.rows(), touched));
         let staged = match &rel.source {
             Source::Base(_) => Cow::Borrowed(base),
             Source::GroupHaving { spec, having, .. } => {
-                // The big group-by streams extra partition rounds at the
-                // full-scale NDV.
                 let grouped = spec.execute(base, None);
-                let plan = GroupByPlan::plan((grouped.rows() as u64 * acc.scale()).max(1), 16);
-                acc.stream(
-                    touched * (plan.dpu_bytes_factor() - 1),
-                    touched * (plan.xeon_bytes_factor() - 1),
-                );
-                acc.compute(base.rows() as u64, AGG_DPU, AGG_XEON);
-                trace.push(OpRows {
-                    label: format!("{} {}", rel.source.table().name(), agg_label(spec)),
-                    rows: grouped.rows(),
-                });
+                trace.rows.push(grouped.rows());
                 let keep = having.apply(&grouped);
                 Cow::Owned(select_rows(&grouped, &keep))
             }
         };
         let sel = (!rel.filters.is_empty()).then(|| conjunction(&rel.filters, &staged));
-        trace.push(OpRows {
-            label: format!(
-                "scan {}{}",
-                rel.source.table().name(),
-                if rel.filters.is_empty() { "" } else { " filtered" }
-            ),
-            rows: sel.as_ref().map_or(staged.rows(), BitVec::count),
-        });
+        trace.rows.push(sel.as_ref().map_or(staged.rows(), BitVec::count));
         (staged, sel)
     }
 
@@ -543,14 +472,6 @@ impl LogicalPlan {
             ),
             Source::GroupHaving { .. } => select_rows(&staged, &sel),
         })
-    }
-}
-
-fn agg_label(spec: &GroupBySpec) -> String {
-    if spec.group_cols.is_empty() {
-        "agg".into()
-    } else {
-        format!("agg by {}", spec.group_cols.join(","))
     }
 }
 
@@ -1283,9 +1204,9 @@ mod tests {
             let (_, cost, trace) = plan.execute_costed(&db, &xeon, 10_000);
             assert!(cost.dpu.seconds > 0.0, "{}: zero dpu cost", plan.name);
             assert!(cost.xeon.seconds > 0.0, "{}: zero xeon cost", plan.name);
-            assert!(!trace.is_empty(), "{}: empty trace", plan.name);
+            assert!(!trace.rows.is_empty(), "{}: empty trace", plan.name);
             assert!(
-                trace.iter().any(|t| t.label.starts_with("scan")),
+                plan.ops(&trace).iter().any(|(op, _)| op.to_string().starts_with("scan")),
                 "{}: no scan in trace",
                 plan.name
             );

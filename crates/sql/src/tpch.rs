@@ -7,8 +7,8 @@
 //! eight representative queries. Each query is defined once, as a
 //! [`logical`] plan; the functions here run that plan on one node
 //! (functionally — `tests/tpch_oracle.rs` checks every answer against a
-//! naive row-at-a-time evaluator) while accumulating platform costs
-//! through [`CostAcc`].
+//! naive row-at-a-time evaluator) and price it through the plan's cost
+//! walk ([`crate::walk`]).
 //!
 //! Monetary values are integer cents; percentages are integer points;
 //! dates are days since 1992-01-01.
@@ -18,11 +18,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xeon_model::Xeon;
 
-use crate::agg::GroupByPlan;
 use crate::bitvec::BitVec;
 use crate::column::{Column, Table};
 use crate::logical::{self, LogicalOutput, LogicalPlan};
-use crate::plan::{CostAcc, QueryCost};
+use crate::plan::QueryCost;
 
 /// Day count of 1995-01-01 relative to 1992-01-01 (used by Q3/Q5-style
 /// date predicates).
@@ -487,16 +486,6 @@ pub fn generate_chunked_on(pool: Pool, orders_n: usize, seed: u64, chunks: usize
     let mut db = TpchDb { lineitem, orders, customer, part, supplier, nation, region };
     db.encode_packed();
     db
-}
-
-/// Adds the cost of partitioning + probing a join to `acc` — the
-/// partition-rounds planner sees the build side at full scale. Public so
-/// the planner's estimator costs joins with the same model.
-pub fn join_cost(acc: &mut CostAcc, build_rows: u64, probe_rows: u64, cols_bytes: u64) {
-    let plan = GroupByPlan::plan((build_rows * acc.scale()).max(1), 16);
-    acc.stream(cols_bytes * plan.dpu_bytes_factor(), cols_bytes * plan.xeon_bytes_factor());
-    acc.compute(build_rows, PROBE_DPU, PROBE_XEON);
-    acc.compute(probe_rows, PROBE_DPU, PROBE_XEON);
 }
 
 /// Runs `plan` on `db`, costed at `scale`, returning its table.

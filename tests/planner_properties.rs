@@ -35,7 +35,7 @@ proptest! {
     /// to single-node execution. (One random query per
     /// case; the fixed fixture below covers all eight at once.)
     #[test]
-    fn planner_plans_match_hand_wired_on_random_clusters(
+    fn planner_plans_match_default_plan_on_random_clusters(
         orders_n in 40usize..160,
         seed in 0u64..32,
         shards in 2usize..7,
@@ -160,7 +160,7 @@ proptest! {
 /// and single-node. CI runs this (with the whole suite) at `DPU_THREADS`
 /// 1 and 4 — the results must not depend on host parallelism.
 #[test]
-fn full_suite_planner_matches_hand_wired_and_single_node() {
+fn full_suite_planner_matches_default_plan_and_single_node() {
     let db = tpch::generate(600, 7);
     let core =
         ClusterCore::new(db, &ShardPolicy::hash(8), ClusterConfig::prototype_slice(8, 10_000));
