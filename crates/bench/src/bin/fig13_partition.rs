@@ -5,14 +5,11 @@
 //! pre-programmed bounds. Target: ≈9.3 GB/s for every scheme, beating
 //! HARP's published 6 GB/s.
 
-use std::time::Instant;
-
 use dpu_bench::json::{emit, Json};
 use dpu_bench::{gbps, header, row};
 use dpu_dms::{Dms, DmsConfig, PartitionJob, PartitionScheme};
 use dpu_mem::{Dmem, DramChannel, DramConfig, PhysMem};
 use dpu_sim::{Frequency, Time};
-use dpu_sql::{partition_row_ids_with, Kernel};
 
 fn run(scheme: PartitionScheme) -> f64 {
     let rows = 256 * 1024u64;
@@ -41,30 +38,6 @@ fn run(scheme: PartitionScheme) -> f64 {
     Frequency::DPU_CORE.bytes_per_sec(out.bytes_in, out.finish) / 1e9
 }
 
-/// Host-side comparison for the software partition rounds: bit-serial
-/// CRC32-C row routing vs the 4-lane table-driven SWAR variant
-/// (`DPU_VECTOR`), 32-way like the DMS runs above. Returns (scalar
-/// Mrows/s, vector Mrows/s); panics on any routing mismatch.
-fn host_swar_partition(rows: usize) -> (f64, f64) {
-    let keys: Vec<i64> =
-        (0..rows as i64).map(|r| i64::from((r as u32).wrapping_mul(0x9E37_79B9))).collect();
-    let time = |kernel: Kernel| {
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let parts = partition_row_ids_with(&keys, 0, 32, kernel);
-            best = best.min(start.elapsed().as_secs_f64());
-            out = Some(parts);
-        }
-        (best, out.expect("reps >= 1"))
-    };
-    let (scalar_s, scalar) = time(Kernel::Scalar);
-    let (vector_s, vector) = time(Kernel::Swar);
-    assert_eq!(scalar, vector, "host SWAR partition diverged from scalar");
-    (rows as f64 / scalar_s / 1e6, rows as f64 / vector_s / 1e6)
-}
-
 fn main() {
     println!("# Figure 13: DMS partitioning bandwidth (32-way, 4×4 B columns)\n");
     header(&["Scheme", "Bandwidth", "vs HARP 6 GB/s"]);
@@ -85,30 +58,9 @@ fn main() {
             ("vs_harp_6gbps", Json::num(bw / 6.0)),
         ]));
     }
-    let host_rows = 2_000_000usize;
-    let (host_scalar, host_vector) = host_swar_partition(host_rows);
-    println!(
-        "\nHost software rounds (wall-clock, {host_rows} rows, 32-way CRC32): \
-         scalar {host_scalar:.0} Mrows/s, SWAR {host_vector:.0} Mrows/s ({:.2}x), \
-         identical routing.",
-        host_vector / host_scalar
-    );
     emit(
         "fig13_partition",
-        &Json::obj([
-            ("figure", Json::str("fig13_partition")),
-            ("schemes", Json::Arr(series)),
-            (
-                "host_swar",
-                Json::obj([
-                    ("rows", Json::num(host_rows as f64)),
-                    ("fanout", Json::num(32.0)),
-                    ("scalar_mrows_s", Json::num(host_scalar)),
-                    ("vector_mrows_s", Json::num(host_vector)),
-                    ("speedup", Json::num(host_vector / host_scalar)),
-                ]),
-            ),
-        ]),
+        &Json::obj([("figure", Json::str("fig13_partition")), ("schemes", Json::Arr(series))]),
     );
     println!("\nPaper targets: ≈9.3 GB/s for all schemes; >1.5× HARP; the DMS");
     println!("additionally leaves all 32 dpCores free for a parallel software");

@@ -1,38 +1,10 @@
 //! Figure 16: TPC-H performance/watt gains per query (paper geometric
 //! mean: 15×).
 
-use std::time::Instant;
-
 use dpu_bench::json::{emit, Json};
 use dpu_bench::{gain, header, row};
-use dpu_sql::tpch::{self, TpchDb};
-use dpu_sql::{set_vector_kernel, vector_kernel, Kernel};
+use dpu_sql::tpch;
 use xeon_model::Xeon;
-
-/// Host-side comparison: the full 8-query suite under the scalar
-/// reference kernels vs the SWAR kernels (`DPU_VECTOR`), best of 3.
-/// Returns (scalar s, vector s); panics if any query's gain changes,
-/// and restores the process-wide kernel it found.
-fn host_swar_suite(db: &TpchDb, xeon: &Xeon, scale: u64) -> (f64, f64) {
-    let prior = vector_kernel();
-    let time = |kernel: Kernel| {
-        set_vector_kernel(kernel);
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let r = tpch::run_all(db, xeon, scale);
-            best = best.min(start.elapsed().as_secs_f64());
-            out = Some(r);
-        }
-        (best, out.expect("reps >= 1"))
-    };
-    let (scalar_s, scalar) = time(Kernel::Scalar);
-    let (vector_s, vector) = time(Kernel::Swar);
-    set_vector_kernel(prior);
-    assert_eq!(scalar, vector, "SWAR suite results diverged from scalar");
-    (scalar_s, vector_s)
-}
 
 fn main() {
     let xeon = Xeon::new();
@@ -51,12 +23,6 @@ fn main() {
         ]));
     }
     println!("\nGeometric mean: {geomean:.1}× (paper: 15×)");
-    let (host_scalar_s, host_vector_s) = host_swar_suite(&db, &xeon, scale);
-    println!(
-        "\nHost reference (wall-clock, 8-query suite): scalar {host_scalar_s:.3}s, \
-         SWAR {host_vector_s:.3}s ({:.2}x), result-identical.",
-        host_scalar_s / host_vector_s
-    );
     emit(
         "fig16_tpch",
         &Json::obj([
@@ -64,14 +30,6 @@ fn main() {
             ("scale", Json::num(scale as f64)),
             ("queries", Json::Arr(series)),
             ("geomean_gain", Json::num(geomean)),
-            (
-                "host_swar",
-                Json::obj([
-                    ("suite_scalar_s", Json::num(host_scalar_s)),
-                    ("suite_vector_s", Json::num(host_vector_s)),
-                    ("speedup", Json::num(host_scalar_s / host_vector_s)),
-                ]),
-            ),
         ]),
     );
 }

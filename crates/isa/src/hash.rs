@@ -84,8 +84,8 @@ fn crc32c_step_table(crc: u32, word: u32) -> u32 {
     CRC32C_TABLE[(c & 0xFF) as usize] ^ (c >> 8)
 }
 
-/// Table-driven [`crc32c_u64`]: the host-side fast path for the SWAR
-/// kernels. Bit-identical to the bit-serial reference (exhaustively
+/// Table-driven [`crc32c_u64`]: the host kernels' engine where SSE4.2
+/// is absent ([`crc32c_u64_hw`] falls back to it). Bit-identical to the bit-serial reference (exhaustively
 /// sampled in `tests/vector_properties.rs`) at ~8 lookups per key
 /// instead of 64 shift/xor rounds.
 #[inline]
@@ -141,7 +141,8 @@ pub fn crc32c_wide(words: &[u64]) -> u32 {
     !c
 }
 
-/// Table-driven [`crc32c_wide`]: the SWAR arm's composite-key hash.
+/// Table-driven [`crc32c_wide`]: the composite-key hash where SSE4.2 is
+/// absent.
 /// Bit-identical to the bit-serial reference at ~8 lookups per word.
 #[inline]
 pub fn crc32c_wide_table(words: &[u64]) -> u32 {
@@ -178,9 +179,8 @@ pub fn crc32c_wide_x4(lanes: [&[u64]; 4]) -> [u32; 4] {
 }
 
 /// True when the host exposes the SSE4.2 `crc32` instruction, the
-/// hardware twin of the dpCore's single-cycle `CRC32`. The `hwcrc`
-/// kernel arm is only selectable when this holds; elsewhere it degrades
-/// to the table-driven SWAR arm.
+/// hardware twin of the dpCore's single-cycle `CRC32`. The `*_hw`
+/// engines run it when this holds and the table-driven CRC otherwise.
 pub fn hw_crc_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A parse-once process-wide environment knob: the shared resolution
-/// cell behind `DPU_THREADS`, `DPU_VECTOR` and `DPU_PACK`.
+/// cell behind `DPU_THREADS` and `DPU_PACK`.
 ///
-/// All three knobs follow one contract: the environment variable is
+/// Both knobs follow one contract: the environment variable is
 /// read **once** per process, the resolved choice is cached, and
 /// benches or tests that compare settings in one process override the
 /// cache with [`EnvKnob::set`]. The cache is a plain atomic rather
@@ -96,7 +96,7 @@ static GLOBAL_THREADS: EnvKnob = EnvKnob::new("DPU_THREADS");
 
 /// Parses a `DPU_THREADS`-style spelling: a positive integer is taken
 /// verbatim, anything else (unset, `0`, garbage) yields `fallback`.
-/// Public so `dpu_sql::knob`'s spelling tests cover all three knobs.
+/// Public so `dpu_sql::knob`'s spelling tests cover both knobs.
 pub fn parse_threads(v: Option<&str>, fallback: usize) -> usize {
     v.and_then(|s| s.parse::<usize>().ok()).filter(|&n| n >= 1).unwrap_or(fallback)
 }

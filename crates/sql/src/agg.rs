@@ -12,12 +12,12 @@
 
 use std::collections::HashMap;
 
-use dpu_isa::hash::crc32c_u64;
+use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, crc32c_wide_hw, crc32c_wide_x4_hw};
 use dpu_pool::{chunk_bounds, in_worker, Pool};
 
 use crate::bitvec::BitVec;
 use crate::column::{Column, Table};
-use crate::vector::{self, Kernel};
+use crate::vector;
 use crate::PAR_MIN_ROWS;
 
 /// An aggregate function over a named column.
@@ -84,22 +84,20 @@ impl GroupBySpec {
 
     /// Executes the group-by over (optionally selected) rows, returning a
     /// result table sorted by group key. This is the reference-semantics
-    /// path; timing goes through [`GroupByPlan`]. On the vectorized
-    /// kernels a small key domain runs the dense path
-    /// ([`Self::execute_dense`]) on the calling thread; other large
-    /// inputs run on the global host pool ([`Self::execute_on`]). The
-    /// result is bit-identical either way.
+    /// path; timing goes through [`GroupByPlan`]. A small key domain
+    /// runs the dense path ([`Self::execute_dense`]) on the calling
+    /// thread; other large inputs run on the global host pool
+    /// ([`Self::execute_on`]), and small ones on the hash path of
+    /// [`Self::execute_vector`]. A key-less aggregate folds through
+    /// [`Self::execute_seq`]. The result is bit-identical either way.
     ///
     /// # Panics
     ///
     /// Panics if a named column is missing or the selection length
     /// mismatches.
     pub fn execute(&self, table: &Table, sel: Option<&BitVec>) -> Table {
-        let kernel = vector::kernel();
-        if kernel.vectorized() {
-            if let Some(t) = self.execute_dense(table, sel) {
-                return t;
-            }
+        if let Some(t) = self.execute_dense(table, sel) {
+            return t;
         }
         let pool = Pool::global();
         if pool.threads() > 1
@@ -108,14 +106,16 @@ impl GroupBySpec {
             && table.rows() >= PAR_MIN_ROWS
         {
             self.execute_on(pool, table, sel)
-        } else if kernel.vectorized() && !self.group_cols.is_empty() {
-            self.execute_hash(table, sel, kernel)
+        } else if !self.group_cols.is_empty() {
+            self.execute_hash(table, sel)
         } else {
             self.execute_seq(table, sel)
         }
     }
 
-    /// The sequential group-by kernel (the exact pre-parallelism path).
+    /// The sequential reference group-by: one `HashMap` from key tuple
+    /// to accumulator state, rows folded in ascending order. It also
+    /// serves key-less aggregates.
     ///
     /// # Panics
     ///
@@ -155,18 +155,6 @@ impl GroupBySpec {
         Table::new(out_cols)
     }
 
-    vector::kernel_entry! {
-        /// The SWAR group-by kernel ([`Self::execute_vector_with`]) on
-        /// the process-wide kernel's CRC engine.
-        ///
-        /// # Panics
-        ///
-        /// Panics if a named column is missing, the selection length
-        /// mismatches, or there are no group columns.
-        pub fn execute_vector(&self, table: &Table, sel: Option<&BitVec>) -> Table
-            => |kernel| self.execute_vector_with(table, sel, kernel)
-    }
-
     /// The SWAR group-by kernel for any number of grouping columns. A
     /// small key domain takes the dense path ([`Self::execute_dense`]);
     /// otherwise selected rows stream in ascending order (selection
@@ -176,31 +164,25 @@ impl GroupBySpec {
     /// aggregate accumulates column-at-a-time and the groups come out
     /// through one permutation sort by key ([`FlatGroups::into_table`]).
     /// Per-group accumulation visits rows in the same ascending order as
-    /// [`Self::execute_seq`], so the result is bit-identical. `kernel`
-    /// selects the CRC engine (every arm hashes identically).
+    /// [`Self::execute_seq`], so the result is bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if a named column is missing, the selection length
     /// mismatches, or there are no group columns.
-    pub fn execute_vector_with(
-        &self,
-        table: &Table,
-        sel: Option<&BitVec>,
-        kernel: Kernel,
-    ) -> Table {
+    pub fn execute_vector(&self, table: &Table, sel: Option<&BitVec>) -> Table {
         if let Some(bv) = sel {
             assert_eq!(bv.len(), table.rows(), "selection length mismatch");
         }
         assert!(!self.group_cols.is_empty(), "vector group-by needs a key column");
-        self.execute_dense(table, sel).unwrap_or_else(|| self.execute_hash(table, sel, kernel))
+        self.execute_dense(table, sel).unwrap_or_else(|| self.execute_hash(table, sel))
     }
 
-    /// The hash path of [`Self::execute_vector_with`]: [`Self::aggregate_swar`]
+    /// The hash path of [`Self::execute_vector`]: [`Self::aggregate_swar`]
     /// over the selected rows, then the key sort.
-    fn execute_hash(&self, table: &Table, sel: Option<&BitVec>, kernel: Kernel) -> Table {
+    fn execute_hash(&self, table: &Table, sel: Option<&BitVec>) -> Table {
         let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
-        self.aggregate_swar(table, &selected_rows(table, sel), &key_idx, kernel).into_table(self)
+        self.aggregate_swar(table, &selected_rows(table, sel), &key_idx).into_table(self)
     }
 
     /// The dense group-by for small key domains, or `None` when there
@@ -267,7 +249,7 @@ impl GroupBySpec {
         Some(Table::new(key_cols.chain(agg_cols).collect()))
     }
 
-    /// The group-by shared by [`Self::execute_vector_with`] and the
+    /// The group-by shared by [`Self::execute_vector`] and the
     /// parallel leaf tasks, in two passes over `rows`:
     ///
     /// 1. *Probe*: each row's key resolves to a dense `u32` group id in
@@ -277,23 +259,17 @@ impl GroupBySpec {
     ///    ones grow with their group count rather than their row count.
     ///    Single-key specs hash the column values directly; wider specs
     ///    pack each row's key tuple into a contiguous `u64`-word region
-    ///    and hash the flattened words — both through four CRC lanes on
-    ///    `kernel`'s engine. A row whose key equals the previous row's
-    ///    reuses that row's group id without probing, so key runs (a
-    ///    lineitem shard ordered by orderkey, and the joins' output in
-    ///    probe order) probe once per run.
+    ///    and hash the flattened words — both through four CRC lanes. A
+    ///    row whose key equals the previous row's reuses that row's
+    ///    group id without probing, so key runs (a lineitem shard
+    ///    ordered by orderkey, and the joins' output in probe order)
+    ///    probe once per run.
     /// 2. *Accumulate*: one aggregate at a time over its resolved input
     ///    slices, indexed by group id — rows in ascending order, as the
     ///    scalar reference folds them ([`Self::fold`]).
     ///
     /// Groups come back unsorted, in first-seen order.
-    fn aggregate_swar(
-        &self,
-        table: &Table,
-        rows: &[usize],
-        key_idx: &[usize],
-        kernel: Kernel,
-    ) -> FlatGroups {
+    fn aggregate_swar(&self, table: &Table, rows: &[usize], key_idx: &[usize]) -> FlatGroups {
         assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 slot encoding");
         let width = key_idx.len();
         let cap = (rows.len() * 2).next_power_of_two().clamp(16, 1 << 14);
@@ -308,7 +284,7 @@ impl GroupBySpec {
             for quad in &mut quads {
                 // Lane-batched hashing: four independent CRC streams.
                 let keys = [quad[0], quad[1], quad[2], quad[3]].map(|r| kd[r] as u64);
-                let h = vector::hash_x4(kernel, keys);
+                let h = crc32c_u64_x4_hw(keys);
                 for j in 0..4 {
                     let g = if repeats(gids.len()) {
                         gids[gids.len() - 1]
@@ -323,7 +299,7 @@ impl GroupBySpec {
                 let g = if repeats(gids.len()) {
                     gids[gids.len() - 1]
                 } else {
-                    groups.group_of(&[key], vector::hash1(kernel, key))
+                    groups.group_of(&[key], crc32c_u64_hw(key))
                 };
                 gids.push(g);
             }
@@ -343,7 +319,7 @@ impl GroupBySpec {
             let mut quads = flat.chunks_exact(4 * width);
             for quad in &mut quads {
                 let lanes: [&[u64]; 4] = std::array::from_fn(|j| &quad[j * width..][..width]);
-                let h = vector::hash_wide_x4(kernel, lanes);
+                let h = crc32c_wide_x4_hw(lanes);
                 for j in 0..4 {
                     let g = if repeats(gids.len()) {
                         gids[gids.len() - 1]
@@ -357,7 +333,7 @@ impl GroupBySpec {
                 let g = if repeats(gids.len()) {
                     gids[gids.len() - 1]
                 } else {
-                    groups.group_of(key, vector::hash_wide(kernel, key))
+                    groups.group_of(key, crc32c_wide_hw(key))
                 };
                 gids.push(g);
             }
@@ -402,37 +378,18 @@ impl GroupBySpec {
             .collect()
     }
 
-    vector::kernel_entry! {
-        /// The pool-parallel group-by kernel: selected rows partition by
-        /// CRC32 of the *first* key column (a group's rows all share it,
-        /// so partitions hold disjoint groups), each partition
-        /// aggregates independently, and the merged groups sort by full
-        /// key — exactly the key-sorted table [`Self::execute_seq`]
-        /// produces. Leaf aggregation runs the process-wide kernel
-        /// (`DPU_VECTOR`).
-        ///
-        /// # Panics
-        ///
-        /// Panics if a named column is missing, the selection length
-        /// mismatches, or there are no group columns.
-        pub fn execute_on(&self, pool: Pool, table: &Table, sel: Option<&BitVec>) -> Table
-            => |kernel| self.execute_on_with(pool, table, sel, kernel)
-    }
-
-    /// [`Self::execute_on`] with an explicit kernel for the hash and
-    /// leaf-aggregation inner loops, for differential tests and benches.
+    /// The pool-parallel group-by kernel: selected rows partition by
+    /// CRC32 of the *first* key column (a group's rows all share it, so
+    /// partitions hold disjoint groups), each partition aggregates
+    /// independently through [`Self::aggregate_swar`], and the merged
+    /// groups sort by full key — exactly the key-sorted table
+    /// [`Self::execute_seq`] produces.
     ///
     /// # Panics
     ///
     /// Panics if a named column is missing, the selection length
     /// mismatches, or there are no group columns.
-    pub fn execute_on_with(
-        &self,
-        pool: Pool,
-        table: &Table,
-        sel: Option<&BitVec>,
-        kernel: Kernel,
-    ) -> Table {
+    pub fn execute_on(&self, pool: Pool, table: &Table, sel: Option<&BitVec>) -> Table {
         if let Some(bv) = sel {
             assert_eq!(bv.len(), table.rows(), "selection length mismatch");
         }
@@ -449,7 +406,7 @@ impl GroupBySpec {
             let mut parts: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
             let kd = &table.columns[first].data;
             let mut route = |row: usize| {
-                let h = vector::hash1(kernel, kd[row] as u64);
+                let h = crc32c_u64_hw(kd[row] as u64);
                 parts[(vector::fib_mix(h as u64) >> 32) as usize % parts_n].push(row);
             };
             match sel {
@@ -467,25 +424,7 @@ impl GroupBySpec {
 
         // Disjoint groups per partition: aggregate independently, then
         // one global key sort reproduces the sequential output order.
-        let partials = pool.par_map(parts, |rows| {
-            if kernel.vectorized() {
-                return self.aggregate_swar(table, &rows, &key_idx, kernel);
-            }
-            let init = self.state_init();
-            let agg_cols = self.agg_col_indices(table);
-            let mut groups: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
-            for row in rows {
-                let key: Vec<i64> = key_idx.iter().map(|&i| table.columns[i].data[row]).collect();
-                let state = groups.entry(key).or_insert_with(|| init.clone());
-                self.accumulate(table, row, &agg_cols, state);
-            }
-            let mut flat = FlatGroups::empty(key_idx.len(), self.aggs.len());
-            for (key, state) in groups {
-                flat.keys.extend(key.iter().map(|&k| k as u64));
-                flat.states.iter_mut().zip(state).for_each(|(col, v)| col.push(v));
-            }
-            flat
-        });
+        let partials = pool.par_map(parts, |rows| self.aggregate_swar(table, &rows, &key_idx));
         let mut all = FlatGroups::empty(key_idx.len(), self.aggs.len());
         for p in partials {
             all.keys.extend(p.keys);
@@ -794,7 +733,7 @@ pub fn partitioned_group_by(
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); fanout as usize];
     for row in 0..table.rows() {
         let k = table.columns[key_idx[0]].data[row];
-        parts[(crc32c_u64(k as u64) as u64 % fanout) as usize].push(row);
+        parts[(crc32c_u64_hw(k as u64) as u64 % fanout) as usize].push(row);
     }
     // One aggregation task per non-empty partition, in partition order
     // (par_map preserves it; the footprint max and the key-sorted merge
@@ -847,6 +786,7 @@ pub fn partitioned_group_by(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpu_isa::hash::crc32c_u64;
 
     fn sales_table() -> Table {
         // 1000 rows, 10 groups.
@@ -1002,10 +942,8 @@ mod tests {
             aggs: vec![("cnt".into(), AggFunc::Count), ("s".into(), AggFunc::Sum("v".into()))],
         };
         let want = spec.execute_seq(&t, None);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            assert_eq!(spec.execute_vector_with(&t, None, kernel), want, "{kernel:?}");
-            assert_eq!(spec.execute_on_with(Pool::new(2), &t, None, kernel), want, "{kernel:?}");
-        }
+        assert_eq!(spec.execute_vector(&t, None), want);
+        assert_eq!(spec.execute_on(Pool::new(2), &t, None), want);
         let mut groups = SwarGroups::new(16, 1);
         for &k in &t.columns[0].data {
             groups.group_of(&[k as u64], crc32c_u64(k as u64));

@@ -17,7 +17,7 @@
 //! the flat `data` that stays resident next to the packed words, since
 //! decoding a copy per call measured slower than reading it. The
 //! `DPU_PACK` knob ([`pack`]/[`set_pack`]) therefore selects only the
-//! filter path, with the same contract as `DPU_VECTOR`: resolved once,
+//! filter path, with the same contract as `DPU_THREADS`: resolved once,
 //! overridable in process, and **pure performance** — results are
 //! bit-identical either way (`tests/pack_properties.rs` pins this
 //! differentially).
@@ -58,7 +58,7 @@ static PACK: EnvKnob = EnvKnob::new("DPU_PACK");
 /// The process-wide pack choice: the last [`set_pack`] value, else
 /// `DPU_PACK` (`off`, `0`, `false` or `flat` → [`Pack::Off`], anything
 /// else → [`Pack::On`]), else [`Pack::On`]. Resolved once, like
-/// `DPU_VECTOR` and `DPU_THREADS`.
+/// `DPU_THREADS`.
 pub fn pack() -> Pack {
     if PACK.get(crate::knob::pack_code) == 1 {
         Pack::Off

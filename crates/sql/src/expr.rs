@@ -10,7 +10,6 @@
 use dpu_isa::OpCounts;
 
 use crate::column::Table;
-use crate::vector::{self, Kernel};
 
 /// A scalar expression over a table's columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,92 +44,27 @@ impl Expr {
         Expr::Lit(v)
     }
 
-    vector::kernel_entry! {
-        /// Evaluates over every row, columnar style, on the process-wide
-        /// kernel (`DPU_VECTOR`): the reference per-row zip loop or the
-        /// SWAR lane arithmetic — bit-identical (both wrap, and both
-        /// trip the same division-by-zero assert at the same first row).
-        ///
-        /// # Panics
-        ///
-        /// Panics on missing columns or division by zero.
-        pub fn eval(&self, table: &Table) -> Vec<i64> =>
-            |kernel| self.eval_with(table, kernel)
-    }
-
-    /// [`eval`](Expr::eval) with an explicit kernel choice, for
-    /// differential tests and benches.
+    /// Evaluates over every row, columnar style: each node materializes
+    /// its operands' columns and zips them row by row. Arithmetic wraps.
     ///
     /// # Panics
     ///
-    /// Panics on missing columns or division by zero.
-    pub fn eval_with(&self, table: &Table, kernel: Kernel) -> Vec<i64> {
-        if kernel.vectorized() {
-            self.eval_vector(table)
-        } else {
-            self.eval_scalar(table)
-        }
-    }
-
-    /// The reference per-row evaluator.
-    fn eval_scalar(&self, table: &Table) -> Vec<i64> {
+    /// Panics on missing columns or division by zero (at the first row
+    /// whose divisor is zero).
+    pub fn eval(&self, table: &Table) -> Vec<i64> {
         let rows = table.rows();
         match self {
             Expr::Col(name) => table.columns[table.col_index(name)].data.clone(),
             Expr::Lit(v) => vec![*v; rows],
-            Expr::Add(a, b) => {
-                zip(a.eval_scalar(table), b.eval_scalar(table), |x, y| x.wrapping_add(y))
-            }
-            Expr::Sub(a, b) => {
-                zip(a.eval_scalar(table), b.eval_scalar(table), |x, y| x.wrapping_sub(y))
-            }
-            Expr::Mul(a, b) => {
-                zip(a.eval_scalar(table), b.eval_scalar(table), |x, y| x.wrapping_mul(y))
-            }
-            Expr::Div(a, b) => zip(a.eval_scalar(table), b.eval_scalar(table), |x, y| {
+            Expr::Add(a, b) => zip(a.eval(table), b.eval(table), |x, y| x.wrapping_add(y)),
+            Expr::Sub(a, b) => zip(a.eval(table), b.eval(table), |x, y| x.wrapping_sub(y)),
+            Expr::Mul(a, b) => zip(a.eval(table), b.eval(table), |x, y| x.wrapping_mul(y)),
+            Expr::Div(a, b) => zip(a.eval(table), b.eval(table), |x, y| {
                 assert!(y != 0, "expression division by zero");
                 x / y
             }),
             Expr::Clamp(a, lo, hi) => {
-                a.eval_scalar(table).into_iter().map(|v| v.clamp(*lo, *hi)).collect()
-            }
-        }
-    }
-
-    /// The SWAR evaluator: each binary node materializes its operands
-    /// and combines them in place with quad-unrolled lane ops
-    /// ([`vector::add_lanes`] and friends) instead of a fresh allocation
-    /// per node. Wrapping semantics, clamp bounds, and the per-row
-    /// division assert match the scalar arm exactly.
-    fn eval_vector(&self, table: &Table) -> Vec<i64> {
-        let rows = table.rows();
-        match self {
-            Expr::Col(name) => table.columns[table.col_index(name)].data.clone(),
-            Expr::Lit(v) => vec![*v; rows],
-            Expr::Add(a, b) => {
-                let mut x = a.eval_vector(table);
-                vector::add_lanes(&mut x, &b.eval_vector(table));
-                x
-            }
-            Expr::Sub(a, b) => {
-                let mut x = a.eval_vector(table);
-                vector::sub_lanes(&mut x, &b.eval_vector(table));
-                x
-            }
-            Expr::Mul(a, b) => {
-                let mut x = a.eval_vector(table);
-                vector::mul_lanes(&mut x, &b.eval_vector(table));
-                x
-            }
-            Expr::Div(a, b) => {
-                let mut x = a.eval_vector(table);
-                vector::div_lanes(&mut x, &b.eval_vector(table));
-                x
-            }
-            Expr::Clamp(a, lo, hi) => {
-                let mut x = a.eval_vector(table);
-                vector::clamp_lanes(&mut x, *lo, *hi);
-                x
+                a.eval(table).into_iter().map(|v| v.clamp(*lo, *hi)).collect()
             }
         }
     }
@@ -258,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_including_overflow_wrap() {
+    fn arithmetic_wraps_on_overflow() {
         let t = Table::new(vec![
             Column::i64("a", vec![i64::MAX, i64::MIN, 7, -3]),
             Column::i64("b", vec![2, -1, i64::MAX, 5]),
@@ -271,13 +205,14 @@ mod tests {
             -1_000_000,
             1_000_000,
         );
-        assert_eq!(e.eval_with(&t, Kernel::Scalar), e.eval_with(&t, Kernel::Swar));
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn vector_division_by_zero_panics_too() {
-        (Expr::col("price") / Expr::col("tax")).eval_with(&t(), Kernel::Swar);
+        let (a, b) = (&t.columns[0].data, &t.columns[1].data);
+        let want: Vec<i64> = (0..4)
+            .map(|i| {
+                let v = a[i].wrapping_mul(b[i]).wrapping_add(a[i]).wrapping_sub(b[i]);
+                (v / 3).clamp(-1_000_000, 1_000_000)
+            })
+            .collect();
+        assert_eq!(e.eval(&t), want);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use dpu_isa::interp::{Cpu, Trap};
 
 use crate::bitvec::BitVec;
 use crate::column::{pack, Pack, Table};
-use crate::vector::{self, Kernel};
+use crate::vector;
 
 /// Comparison operators supported by the engine's scan predicates; all
 /// lower to the FILT band `[lo, hi]` on signed 32-bit values.
@@ -67,53 +67,25 @@ impl FilterSpec {
         FilterSpec { column: column.to_string(), op }
     }
 
-    vector::kernel_entry! {
-        /// Applies the filter to a table, producing a selection vector
-        /// (reference semantics; the timed path runs on the DPU models).
-        /// Runs the process-wide kernel ([`vector::kernel`],
-        /// `DPU_VECTOR`) and pack choice ([`pack`], `DPU_PACK`): the
-        /// scalar per-row loop, the SWAR 64-rows-per-word kernel, or —
-        /// when the column is packed — the encoded-domain packed kernel.
-        /// Bit-identical every way.
-        pub fn apply(&self, table: &Table) -> BitVec =>
-            |kernel| self.apply_packed_with(table, kernel, pack())
+    /// Applies the filter to a table, producing a selection vector
+    /// (reference semantics; the timed path runs on the DPU models), on
+    /// the process-wide pack choice ([`pack`], `DPU_PACK`).
+    pub fn apply(&self, table: &Table) -> BitVec {
+        self.apply_pack(table, pack())
     }
 
-    /// Applies the filter with an explicit kernel choice on the flat
-    /// representation (differential tests and benches compare the arms
-    /// in one process).
-    pub fn apply_with(&self, table: &Table, kernel: Kernel) -> BitVec {
-        self.apply_packed_with(table, kernel, Pack::Off)
-    }
-
-    /// Applies the filter with explicit kernel *and* pack choices. With
-    /// packing on and the scanned column packed, the vectorized arms run
-    /// [`vector::filter_band_packed`] directly on the packed words and
-    /// the scalar arm evaluates per row through [`PackedColumn::get`]
-    /// (the packed reference path); flat columns and [`Pack::Off`] take
-    /// the exact pre-packing paths.
-    ///
-    /// [`PackedColumn::get`]: crate::column::PackedColumn::get
-    pub fn apply_packed_with(&self, table: &Table, kernel: Kernel, pack: Pack) -> BitVec {
+    /// Applies the filter with an explicit pack choice. With packing on
+    /// and the scanned column packed, [`vector::filter_band_packed`]
+    /// runs directly on the packed words; flat columns and
+    /// [`Pack::Off`] run the SWAR word builder [`vector::filter_band`]
+    /// over the flat values. Bit-identical either way.
+    pub fn apply_pack(&self, table: &Table, pack: Pack) -> BitVec {
         let col =
             table.column(&self.column).unwrap_or_else(|| panic!("no column {:?}", self.column));
+        let (lo, hi) = self.op.band();
         match (&col.packed, pack.on()) {
-            (Some(p), true) => {
-                if kernel.vectorized() {
-                    let (lo, hi) = self.op.band();
-                    vector::filter_band_packed(p, lo, hi)
-                } else {
-                    BitVec::from_fn(p.len(), |i| self.op.matches(p.get(i)))
-                }
-            }
-            _ => {
-                if kernel.vectorized() {
-                    let (lo, hi) = self.op.band();
-                    vector::filter_band(&col.data, lo, hi)
-                } else {
-                    BitVec::from_fn(col.data.len(), |i| self.op.matches(col.data[i]))
-                }
-            }
+            (Some(p), true) => vector::filter_band_packed(p, lo, hi),
+            _ => vector::filter_band(&col.data, lo, hi),
         }
     }
 }
@@ -274,12 +246,10 @@ mod tests {
             [CompareOp::Between(10, 190), CompareOp::Eq(42), CompareOp::Lt(3), CompareOp::Ge(299)]
         {
             let spec = FilterSpec::new("x", op);
-            let flat = spec.apply_with(&t, Kernel::Scalar);
-            for kernel in [Kernel::Scalar, Kernel::Swar] {
-                for pack in [Pack::Off, Pack::On] {
-                    let got = spec.apply_packed_with(&t, kernel, pack);
-                    assert_eq!(got.words(), flat.words(), "{op:?} {kernel:?} {pack:?}");
-                }
+            let want = BitVec::from_fn(t.rows(), |i| op.matches(t.columns[0].data[i]));
+            for pack in [Pack::Off, Pack::On] {
+                let got = spec.apply_pack(&t, pack);
+                assert_eq!(got.words(), want.words(), "{op:?} {pack:?}");
             }
         }
     }

@@ -9,13 +9,11 @@
 //! probe-row order, and the partition fanout only sizes the reported
 //! largest build partition.
 
-use std::collections::HashMap;
-
-use dpu_isa::hash::crc32c_u64;
+use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw};
 use dpu_pool::{chunk_bounds, in_worker, Pool};
 
 use crate::column::{Column, Table};
-use crate::vector::{self, Kernel};
+use crate::vector;
 use crate::PAR_MIN_ROWS;
 
 /// An equi-join of two tables.
@@ -52,53 +50,16 @@ impl HashJoin {
         }
     }
 
-    vector::kernel_entry! {
-        /// The sequential join kernel on the process-wide kernel —
-        /// bit-identical at any setting.
-        ///
-        /// # Panics
-        ///
-        /// Panics if named columns are missing or `fanout` is zero.
-        pub fn execute_seq(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64)
-            => |kernel| self.execute_seq_with(build, probe, fanout, kernel)
-    }
-
-    /// [`Self::execute_seq`] with an explicit kernel: the SWAR arms
-    /// build and probe one flat [`JoinTable`]; [`Kernel::Scalar`] keeps
-    /// one `HashMap` as the differential reference. Both emit matches in
-    /// (probe row, ascending build row) order, so the results are
-    /// bit-identical. `kernel` also computes the CRC behind the reported
-    /// largest build partition.
+    /// The sequential join kernel: one [`JoinTable`] over the build
+    /// side, probed in probe-row order.
     ///
     /// # Panics
     ///
     /// Panics if named columns are missing or `fanout` is zero.
-    pub fn execute_seq_with(
-        &self,
-        build: &Table,
-        probe: &Table,
-        fanout: u64,
-        kernel: Kernel,
-    ) -> (Table, u64) {
+    pub fn execute_seq(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
         let (bkeys, pkeys) = self.keys(build, probe);
-        let max_part = max_partition(bkeys, fanout, kernel);
-        let (brows, prows) = if kernel.vectorized() {
-            JoinTable::new(bkeys).probe(pkeys, 0)
-        } else {
-            // key → build row ids (handles duplicate build keys).
-            let mut ht: HashMap<i64, Vec<usize>> = HashMap::new();
-            for (r, &key) in bkeys.iter().enumerate() {
-                ht.entry(key).or_default().push(r);
-            }
-            let (mut brows, mut prows) = (Vec::new(), Vec::new());
-            for (pr, key) in pkeys.iter().enumerate() {
-                for &br in ht.get(key).into_iter().flatten() {
-                    brows.push(br);
-                    prows.push(pr);
-                }
-            }
-            (brows, prows)
-        };
+        let max_part = max_partition(bkeys, fanout);
+        let (brows, prows) = JoinTable::new(bkeys).probe(pkeys, 0);
         (self.project(build, probe, &brows, &prows), max_part)
     }
 
@@ -117,7 +78,7 @@ impl HashJoin {
         fanout: u64,
     ) -> (Table, u64) {
         let (bkeys, pkeys) = self.keys(build, probe);
-        let max_part = max_partition(bkeys, fanout, vector::kernel());
+        let max_part = max_partition(bkeys, fanout);
         let table = JoinTable::new(bkeys);
         let per_chunk = pool.par_map(chunk_bounds(pkeys.len(), pool.threads() * 4), |(lo, hi)| {
             table.probe(&pkeys[lo..hi], lo)
@@ -153,16 +114,16 @@ impl HashJoin {
 /// # Panics
 ///
 /// Panics if `fanout` is zero.
-fn max_partition(keys: &[i64], fanout: u64, kernel: Kernel) -> u64 {
+fn max_partition(keys: &[i64], fanout: u64) -> u64 {
     assert!(fanout > 0, "fanout must be positive");
     let mut counts = vec![0u64; fanout as usize];
     let mut quads = keys.chunks_exact(4);
     for quad in &mut quads {
-        let h = vector::hash_x4(kernel, [quad[0], quad[1], quad[2], quad[3]].map(|k| k as u64));
+        let h = crc32c_u64_x4_hw([quad[0], quad[1], quad[2], quad[3]].map(|k| k as u64));
         h.iter().for_each(|&h| counts[(h as u64 % fanout) as usize] += 1);
     }
     for &k in quads.remainder() {
-        counts[(vector::hash1(kernel, k as u64) as u64 % fanout) as usize] += 1;
+        counts[(crc32c_u64_hw(k as u64) as u64 % fanout) as usize] += 1;
     }
     counts.into_iter().max().unwrap_or(0)
 }
@@ -251,45 +212,6 @@ impl<'a> JoinTable<'a> {
     }
 }
 
-vector::kernel_entry! {
-    /// `fanout`-way CRC32 row-id partitioning of a whole column with the
-    /// process-wide kernel (scalar bit-serial CRC, the 4-lane SWAR
-    /// table stream, or the SSE4.2 hardware stream) — bit-identical in
-    /// every case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fanout` is zero.
-    pub fn partition_row_ids(keys: &[i64], fanout: u64) -> Vec<Vec<usize>>
-        => |kernel| partition_row_ids_with(keys, 0, fanout, kernel)
-}
-
-/// [`partition_row_ids`] with an explicit base row id (for chunked
-/// callers partitioning `[base, base + keys.len())` of a larger column)
-/// and kernel choice.
-///
-/// # Panics
-///
-/// Panics if `fanout` is zero.
-pub fn partition_row_ids_with(
-    keys: &[i64],
-    base: usize,
-    fanout: u64,
-    kernel: Kernel,
-) -> Vec<Vec<usize>> {
-    match kernel {
-        Kernel::Swar | Kernel::HwCrc => vector::partition_row_ids(keys, base, fanout, kernel),
-        Kernel::Scalar => {
-            assert!(fanout > 0, "fanout must be positive");
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); fanout as usize];
-            for (r, &key) in keys.iter().enumerate() {
-                parts[(crc32c_u64(key as u64) as u64 % fanout) as usize].push(base + r);
-            }
-            parts
-        }
-    }
-}
-
 /// Convenience: joins `probe` against `build` on integer keys and
 /// returns the result sorted by all columns (for order-insensitive
 /// comparisons in tests and queries).
@@ -303,6 +225,7 @@ pub fn sorted_rows(t: &Table) -> Vec<Vec<i64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpu_isa::hash::crc32c_u64;
 
     fn dim_and_fact() -> (Table, Table) {
         let dim = Table::new(vec![
@@ -387,13 +310,14 @@ mod tests {
             probe_cols: vec!["fk".into()],
         };
         for fanout in [1u64, 8, 32] {
-            let want = partition_row_ids(&keys, fanout).iter().map(Vec::len).max().unwrap();
-            for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
-                let (_, got) = j.execute_seq_with(&dim, &fact, fanout, kernel);
-                assert_eq!(got, want as u64, "fanout={fanout} kernel {kernel:?}");
-            }
+            // Bit-serial reference counts.
+            let mut counts = vec![0u64; fanout as usize];
+            keys.iter().for_each(|&k| counts[(crc32c_u64(k as u64) as u64 % fanout) as usize] += 1);
+            let want = counts.into_iter().max().unwrap();
+            let (_, got) = j.execute_seq(&dim, &fact, fanout);
+            assert_eq!(got, want, "fanout={fanout}");
             let (_, got) = j.execute_on(Pool::new(3), &dim, &fact, fanout);
-            assert_eq!(got, want as u64, "fanout={fanout} pooled");
+            assert_eq!(got, want, "fanout={fanout} pooled");
         }
     }
 

@@ -13,8 +13,10 @@
 //! naive reference implementations) while reporting the byte volumes and
 //! operation counts that the DPU simulator and the Xeon model price.
 //! The host inner loops (filter evaluation, CRC32 partitioning, group-by
-//! probes) run hand-rolled SWAR kernels by default — see [`vector`] and
-//! the `DPU_VECTOR` knob — bit-identical to the scalar reference paths.
+//! probes) run hand-rolled SWAR kernels — see [`vector`] — hashing with
+//! the SSE4.2 CRC32-C instruction where the host has it and the
+//! table-driven CRC where it does not; the tests check every kernel
+//! against a reference implementation.
 //! Columns additionally carry a frame-of-reference bit-packed resident
 //! form ([`column::PackedColumn`]) that prices every simulated scan.
 //! Filters execute on it in the encoded domain (the `DPU_PACK` knob);
@@ -51,14 +53,15 @@ pub use column::{pack, set_pack, Column, Pack, PackChunk, PackedColumn, Table};
 pub use expr::Expr;
 pub use filter::{measure_filter_kernel, CompareOp, FilterSpec};
 pub use hll::{HyperLogLog, RankMethod};
-pub use join::{partition_row_ids, partition_row_ids_with, HashJoin};
+pub use join::HashJoin;
 pub use logical::{
     BaseTable, ColFilter, Finish, JoinEdge, JoinGraph, LogicalOutput, LogicalPlan, Relation, Source,
 };
 pub use plan::{CostAcc, PlatformCost, QueryCost};
 pub use sort::{
-    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_with, sort_indices_with,
+    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_selected,
+    sort_indices_selected,
 };
-pub use topk::{top_k, top_k_with};
-pub use vector::{kernel as vector_kernel, set_kernel as set_vector_kernel, Kernel};
+pub use topk::{top_k, top_k_selected};
+pub use vector::{kernel as vector_kernel, partition_row_ids, Kernel};
 pub use walk::{Op, Rows, Trace};

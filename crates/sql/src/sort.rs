@@ -7,19 +7,19 @@
 //! sorts its DMEM-resident bucket, and concatenation is free because the
 //! buckets are ordered.
 //!
-//! The SWAR arm extracts order-normalized `u64` sort keys in lane
-//! batches ([`crate::vector::sort_keys`]) — multi-column keys flatten
-//! into contiguous word regions ([`crate::vector::composite_sort_keys`])
-//! — so the per-bucket sorts compare words instead of calling per-row
+//! The sorts extract order-normalized `u64` sort keys in lane batches
+//! ([`crate::vector::sort_keys`]) — multi-column keys flatten into
+//! contiguous word regions ([`crate::vector::composite_sort_keys`]) —
+//! so the per-bucket sorts compare words instead of calling per-row
 //! multi-column comparators. The normalization preserves order exactly
 //! and the `(key, index)` pairs are distinct, so the unstable word sort
-//! reproduces the stable scalar permutation bit for bit.
+//! yields the stable permutation bit for bit.
 
 use dpu_dms::PartitionScheme;
 
 use crate::bitvec::BitVec;
 use crate::column::Table;
-use crate::vector::{self, Kernel};
+use crate::vector;
 
 /// Samples `parts - 1` splitter bounds from the data (equi-depth over a
 /// sorted sample), suitable for the DMS range engine's 32-bound limit.
@@ -48,79 +48,70 @@ pub fn sample_bounds(values: &[i64], parts: usize) -> Vec<i64> {
     bounds
 }
 
-vector::kernel_entry! {
-    /// Sorts `table` by `col` ascending via range partitioning across
-    /// `workers` buckets, on the process-wide kernel (`DPU_VECTOR`);
-    /// returns the row permutation (ties keep original order — the sort
-    /// is stable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column is missing or `workers` is outside `1..=32`.
-    pub fn sort_indices(table: &Table, col: &str, workers: usize) -> Vec<usize>
-        => |kernel| sort_indices_with(table, col, workers, None, kernel)
+/// Sorts `table` by `col` ascending via range partitioning across
+/// `workers` buckets; returns the row permutation (ties keep original
+/// order — the sort is stable).
+///
+/// # Panics
+///
+/// Panics if the column is missing or `workers` is outside `1..=32`.
+pub fn sort_indices(table: &Table, col: &str, workers: usize) -> Vec<usize> {
+    sort_indices_selected(table, col, workers, None)
 }
 
-/// [`sort_indices`] with an optional selection (unselected rows drop
-/// out; the selection is consumed a word at a time) and an explicit
-/// kernel choice, for differential tests and benches.
+/// [`sort_indices`] over the rows an optional selection keeps
+/// (unselected rows drop out; the selection is consumed a word at a
+/// time).
 ///
 /// # Panics
 ///
 /// Panics if the column is missing, `workers` is outside `1..=32`, or
 /// the selection length mismatches.
-pub fn sort_indices_with(
+pub fn sort_indices_selected(
     table: &Table,
     col: &str,
     workers: usize,
     sel: Option<&BitVec>,
-    kernel: Kernel,
 ) -> Vec<usize> {
     let values = &table.columns[table.col_index(col)].data;
     if let Some(bv) = sel {
         assert_eq!(bv.len(), values.len(), "selection length mismatch");
     }
     let buckets = range_buckets(values, workers, sel);
-    if kernel.vectorized() {
-        // Order-normalized u64 keys, materialized once in lane batches;
-        // (key, index) pairs are distinct, so the unstable word sort
-        // equals the stable scalar sort.
-        let keys = vector::sort_keys(values);
-        concat_sorted(buckets, |bucket| bucket.sort_unstable_by_key(|&i| (keys[i], i)))
-    } else {
-        concat_sorted(buckets, |bucket| bucket.sort_by_key(|&i| (values[i], i)))
-    }
+    // Order-normalized u64 keys, materialized once in lane batches;
+    // (key, index) pairs are distinct, so the unstable word sort is
+    // stable.
+    let keys = vector::sort_keys(values);
+    concat_sorted(buckets, |bucket| bucket.sort_unstable_by_key(|&i| (keys[i], i)))
 }
 
-vector::kernel_entry! {
-    /// Sorts `table` by `cols` lexicographically (each ascending) via
-    /// range partitioning on the *first* column, on the process-wide
-    /// kernel; returns the stable row permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols` is empty, a column is missing, or `workers` is
-    /// outside `1..=32`.
-    pub fn sort_indices_multi(table: &Table, cols: &[&str], workers: usize) -> Vec<usize>
-        => |kernel| sort_indices_multi_with(table, cols, workers, None, kernel)
+/// Sorts `table` by `cols` lexicographically (each ascending) via range
+/// partitioning on the *first* column; returns the stable row
+/// permutation.
+///
+/// # Panics
+///
+/// Panics if `cols` is empty, a column is missing, or `workers` is
+/// outside `1..=32`.
+pub fn sort_indices_multi(table: &Table, cols: &[&str], workers: usize) -> Vec<usize> {
+    sort_indices_multi_selected(table, cols, workers, None)
 }
 
-/// [`sort_indices_multi`] with an optional selection and an explicit
-/// kernel. The scalar arm compares rows column by column; the SWAR arm
-/// compares flattened order-normalized word regions — identical
-/// permutations, because the normalization preserves each column's
-/// order and slice comparison is lexicographic.
+/// [`sort_indices_multi`] over the rows an optional selection keeps.
+/// Rows compare as flattened order-normalized word regions, which
+/// orders them exactly as comparing column by column, because the
+/// normalization preserves each column's order and slice comparison is
+/// lexicographic.
 ///
 /// # Panics
 ///
 /// Panics if `cols` is empty, a column is missing, `workers` is outside
 /// `1..=32`, or the selection length mismatches.
-pub fn sort_indices_multi_with(
+pub fn sort_indices_multi_selected(
     table: &Table,
     cols: &[&str],
     workers: usize,
     sel: Option<&BitVec>,
-    kernel: Kernel,
 ) -> Vec<usize> {
     let data: Vec<&[i64]> =
         cols.iter().map(|c| table.columns[table.col_index(c)].data.as_slice()).collect();
@@ -128,30 +119,17 @@ pub fn sort_indices_multi_with(
     if let Some(bv) = sel {
         assert_eq!(bv.len(), first.len(), "selection length mismatch");
     }
-    // Bounds come from the first (most significant) column either way,
-    // so both arms fill identical buckets.
+    // Bounds come from the first (most significant) column.
     let buckets = range_buckets(first, workers, sel);
-    if kernel.vectorized() {
-        let width = data.len();
-        let flat = vector::composite_sort_keys(&data);
-        concat_sorted(buckets, |bucket| {
-            bucket.sort_unstable_by(|&a, &b| {
-                flat[a * width..a * width + width]
-                    .cmp(&flat[b * width..b * width + width])
-                    .then(a.cmp(&b))
-            })
+    let width = data.len();
+    let flat = vector::composite_sort_keys(&data);
+    concat_sorted(buckets, |bucket| {
+        bucket.sort_unstable_by(|&a, &b| {
+            flat[a * width..a * width + width]
+                .cmp(&flat[b * width..b * width + width])
+                .then(a.cmp(&b))
         })
-    } else {
-        concat_sorted(buckets, |bucket| {
-            bucket.sort_by(|&a, &b| {
-                data.iter()
-                    .map(|c| c[a].cmp(&c[b]))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            })
-        })
-    }
+    })
 }
 
 /// Range-partitions the selected row ids into per-worker buckets in
@@ -222,10 +200,8 @@ mod tests {
     #[test]
     fn sort_is_stable() {
         let vals = vec![5, 3, 5, 3, 5];
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            let idx = sort_indices_with(&table(vals.clone()), "v", 4, None, kernel);
-            assert_eq!(idx, vec![1, 3, 0, 2, 4], "kernel={kernel:?}");
-        }
+        let idx = sort_indices(&table(vals), "v", 4);
+        assert_eq!(idx, vec![1, 3, 0, 2, 4]);
     }
 
     #[test]
@@ -245,11 +221,9 @@ mod tests {
             Column::i64("a", vec![2, 1, 2, 1, 1]),
             Column::i64("b", vec![0, 5, -1, 5, 3]),
         ]);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            let idx = sort_indices_multi_with(&t, &["a", "b"], 4, None, kernel);
-            // (1,3)=4, (1,5)=1, (1,5)=3 (stable), (2,-1)=2, (2,0)=0.
-            assert_eq!(idx, vec![4, 1, 3, 2, 0], "kernel={kernel:?}");
-        }
+        let idx = sort_indices_multi(&t, &["a", "b"], 4);
+        // (1,3)=4, (1,5)=1, (1,5)=3 (stable), (2,-1)=2, (2,0)=0.
+        assert_eq!(idx, vec![4, 1, 3, 2, 0]);
     }
 
     #[test]
@@ -257,10 +231,8 @@ mod tests {
         let vals = vec![9, 2, 7, 2, 5, 1];
         let t = table(vals);
         let sel = BitVec::from_fn(6, |i| i != 1 && i != 4);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            let idx = sort_indices_with(&t, "v", 3, Some(&sel), kernel);
-            assert_eq!(idx, vec![5, 3, 2, 0], "kernel={kernel:?}");
-        }
+        let idx = sort_indices_selected(&t, "v", 3, Some(&sel));
+        assert_eq!(idx, vec![5, 3, 2, 0]);
     }
 
     #[test]

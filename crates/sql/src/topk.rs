@@ -5,22 +5,22 @@
 //! `cores × k` rows, so its cost is negligible — the same argument as the
 //! group-by merge operator in §5.3).
 //!
-//! The SWAR arm replaces per-row heap churn with a branch-free
-//! pre-filter: once a worker's heap holds k rows, whole 64-row blocks
-//! test against the current k-th value ([`crate::vector::gt_mask_word`])
-//! and only rows that can displace the heap minimum reach it. The
-//! pre-filter is *exact*, not heuristic: with the ascending scan and the
+//! A branch-free pre-filter replaces per-row heap churn: once a
+//! worker's heap holds k rows, whole 64-row blocks test against the
+//! current k-th value ([`crate::vector::gt_mask_word`]) and only rows
+//! that can displace the heap minimum reach it. The pre-filter is
+//! *exact*, not heuristic: with the ascending scan and the
 //! `(value, Reverse(index))` ordering, pushing a row with `v <= t`
 //! immediately pops that same row, leaving the heap untouched — so
-//! skipping it is bit-identical to the scalar push/pop loop, even though
-//! the threshold is only refreshed per block.
+//! skipping it is bit-identical to pushing every row, even though the
+//! threshold is only refreshed per block.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::bitvec::BitVec;
 use crate::column::Table;
-use crate::vector::{self, Kernel};
+use crate::vector;
 
 /// The per-worker min-heap entry ordering: `Reverse` over
 /// `(value, Reverse(index))`, so the root is the smallest value with
@@ -28,37 +28,34 @@ use crate::vector::{self, Kernel};
 /// tied row would displace-and-replace as a no-op.
 type MinHeap = BinaryHeap<Reverse<(i64, Reverse<usize>)>>;
 
-vector::kernel_entry! {
-    /// Selects the top `k` row indices of `table` by `order_col`
-    /// descending (ties broken by ascending row index, making results
-    /// deterministic), on the process-wide kernel (`DPU_VECTOR`).
-    ///
-    /// `workers` models the per-core decomposition; the result is
-    /// identical for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column is missing, or `k` or `workers` is zero.
-    pub fn top_k(table: &Table, order_col: &str, k: usize, workers: usize) -> Vec<usize>
-        => |kernel| top_k_with(table, order_col, k, workers, None, kernel)
+/// Selects the top `k` row indices of `table` by `order_col`
+/// descending (ties broken by ascending row index, making results
+/// deterministic).
+///
+/// `workers` models the per-core decomposition; the result is identical
+/// for any worker count.
+///
+/// # Panics
+///
+/// Panics if the column is missing, or `k` or `workers` is zero.
+pub fn top_k(table: &Table, order_col: &str, k: usize, workers: usize) -> Vec<usize> {
+    top_k_selected(table, order_col, k, workers, None)
 }
 
-/// [`top_k`] with an optional selection (consumed a word at a time —
-/// `filter_band` output words feed straight in, no per-row bool
-/// expansion) and an explicit kernel choice, for differential tests and
-/// benches.
+/// [`top_k`] over the rows an optional selection keeps (consumed a word
+/// at a time — `filter_band` output words feed straight in, no per-row
+/// bool expansion).
 ///
 /// # Panics
 ///
 /// Panics if the column is missing, `k` or `workers` is zero, or the
 /// selection length mismatches.
-pub fn top_k_with(
+pub fn top_k_selected(
     table: &Table,
     order_col: &str,
     k: usize,
     workers: usize,
     sel: Option<&BitVec>,
-    kernel: Kernel,
 ) -> Vec<usize> {
     let col = &table.columns[table.col_index(order_col)].data;
     assert!(k > 0, "k must be positive");
@@ -77,11 +74,7 @@ pub fn top_k_with(
         // chunks are empty, not out of range.
         let start = (w * chunk).min(rows);
         let end = ((w + 1) * chunk).min(rows);
-        let heap = if kernel.vectorized() {
-            chunk_heap_vector(col, start, end, k, sel)
-        } else {
-            chunk_heap_scalar(col, start, end, k, sel)
-        };
+        let heap = chunk_heap(col, start, end, k, sel);
         candidates.extend(heap.into_iter().map(|Reverse((v, Reverse(r)))| (v, r)));
     }
 
@@ -91,42 +84,13 @@ pub fn top_k_with(
     candidates.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The reference per-row loop: push every selected row, pop the minimum
-/// once the heap exceeds k.
-fn chunk_heap_scalar(
-    col: &[i64],
-    start: usize,
-    end: usize,
-    k: usize,
-    sel: Option<&BitVec>,
-) -> MinHeap {
-    let mut heap = MinHeap::new();
-    let mut visit = |r: usize| {
-        heap.push(Reverse((col[r], Reverse(r))));
-        if heap.len() > k {
-            heap.pop();
-        }
-    };
-    match sel {
-        Some(bv) => bv.iter_set_in(start, end).for_each(&mut visit),
-        None => (start..end).for_each(&mut visit),
-    }
-    heap
-}
-
-/// The SWAR arm: identical heap discipline, but once the heap is full,
-/// each fully-covered 64-row block pre-filters against the block-start
-/// threshold with one branch-free word test ANDed into the selection
-/// word, and only surviving rows touch the heap. A stale threshold only
-/// admits extra no-op push/pops (see the module docs), so the final
-/// heap — and its internal layout — exactly matches the scalar arm's.
-fn chunk_heap_vector(
-    col: &[i64],
-    start: usize,
-    end: usize,
-    k: usize,
-    sel: Option<&BitVec>,
-) -> MinHeap {
+/// One worker's heap over rows `[start, end)`: push every selected row,
+/// pop the minimum once the heap exceeds k — except that once the heap
+/// is full, each fully-covered 64-row block pre-filters against the
+/// block-start threshold with one branch-free word test ANDed into the
+/// selection word, and only surviving rows touch the heap. A stale
+/// threshold only admits extra no-op push/pops (see the module docs).
+fn chunk_heap(col: &[i64], start: usize, end: usize, k: usize, sel: Option<&BitVec>) -> MinHeap {
     let mut heap = MinHeap::new();
     if start >= end {
         return heap;
@@ -152,7 +116,7 @@ fn chunk_heap_vector(
                 mask &= vector::gt_mask_word(block, t);
             }
             // A partial tail block skips the pre-filter: its rows run
-            // the plain push/pop below, same as the scalar arm.
+            // the plain push/pop below.
         }
         while mask != 0 {
             let r = base + mask.trailing_zeros() as usize;
@@ -193,16 +157,19 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_with_and_without_selection() {
+    fn matches_a_full_sort_with_and_without_selection() {
         let vals: Vec<i64> = (0..500).map(|i| (i * 37) % 91 - 45).collect();
         let t = table(vals.clone());
         let sel = BitVec::from_fn(vals.len(), |i| i % 3 != 0);
         for k in [1usize, 7, 100] {
             for workers in [1usize, 3, 8] {
                 for sel in [None, Some(&sel)] {
-                    let scalar = top_k_with(&t, "v", k, workers, sel, Kernel::Scalar);
-                    let swar = top_k_with(&t, "v", k, workers, sel, Kernel::Swar);
-                    assert_eq!(scalar, swar, "k={k} workers={workers} sel={}", sel.is_some());
+                    let mut want: Vec<usize> =
+                        (0..vals.len()).filter(|&i| sel.is_none_or(|bv| bv.get(i))).collect();
+                    want.sort_by(|&x, &y| vals[y].cmp(&vals[x]).then(x.cmp(&y)));
+                    want.truncate(k);
+                    let got = top_k_selected(&t, "v", k, workers, sel);
+                    assert_eq!(got, want, "k={k} workers={workers} sel={}", sel.is_some());
                 }
             }
         }

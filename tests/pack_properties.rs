@@ -1,31 +1,30 @@
 //! Differential property suite for FOR/bit-packed columns (`DPU_PACK`).
 //!
-//! The compressed-execution contract mirrors `DPU_VECTOR`'s: packing is
-//! *pure performance*. For every bit width (1/2/4/8/16/32/64), every
-//! chunk-boundary row count, signed-extreme values, all-constant
-//! chunks, and every kernel, the encoded-domain filter must be
-//! **bit-identical** to the flat filter (same selection words), packed
-//! columns must decode exactly, and every other operator — which reads
-//! the flat values resident beside the packed words — must return the
-//! same result on a packed table as on the same table stripped of its
-//! packed form.
+//! Packing is *pure performance*. For every bit width
+//! (1/2/4/8/16/32/64), every chunk-boundary row count, signed-extreme
+//! values and all-constant chunks, the encoded-domain filter must be
+//! **bit-identical** to the per-row reference (`CompareOp::matches`,
+//! same selection words), packed columns must decode exactly, and every
+//! other operator — which reads the flat values resident beside the
+//! packed words — must return the same result on a packed table as on
+//! the same table stripped of its packed form.
 //!
-//! Tests pass explicit [`Kernel`] and [`Pack`] arguments where an
-//! operator takes them. The two tests that go through the
-//! knob-resolving entry points ([`entry_apis_honor_the_resolved_knobs`]
-//! and `entry_points_ignore_the_packed_form`) hold [`KNOBS`] so that
-//! one's `set_pack` calls never change the arm the other runs, and the
-//! CI matrix (`DPU_PACK` × `DPU_VECTOR` × `DPU_THREADS`) exercises every
-//! resolution against the same flat scalar reference.
+//! Tests pass an explicit [`Pack`] argument where an operator takes
+//! one. The two tests that go through the knob-resolving entry points
+//! ([`entry_apis_honor_the_resolved_knobs`] and
+//! `entry_points_ignore_the_packed_form`) hold [`KNOBS`] so that one's
+//! `set_pack` calls never change the arm the other runs, and the CI
+//! matrix (`DPU_PACK` × `DPU_THREADS`) exercises every resolution
+//! against the same references.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 
+use dpu_repro::isa::hash::crc32c_u64;
 use dpu_repro::sql::{
-    pack, partition_row_ids_with, set_pack, sort_indices, sort_indices_multi,
-    sort_indices_multi_with, sort_indices_with, top_k, top_k_with, AggFunc, Column, CompareOp,
-    Expr, FilterSpec, GroupBySpec, HashJoin, Kernel, Pack, PackedColumn, Table,
+    pack, partition_row_ids, set_pack, sort_indices, sort_indices_multi, top_k, AggFunc, BitVec,
+    Column, CompareOp, Expr, FilterSpec, GroupBySpec, HashJoin, Pack, PackedColumn, Table,
 };
 
 /// Serializes the tests that resolve or override the process-wide
@@ -96,6 +95,11 @@ fn force_packed(name: &str, data: &[i64]) -> Column {
     }
 }
 
+/// The filter reference: `op` evaluated on every flat value.
+fn filter_reference(data: &[i64], op: CompareOp) -> BitVec {
+    BitVec::from_fn(data.len(), |i| op.matches(data[i]))
+}
+
 /// `t` with every column's packed form dropped: the flat reference.
 fn stripped(t: &Table) -> Table {
     Table::new(t.columns.iter().map(|c| Column { packed: None, ..c.clone() }).collect())
@@ -120,13 +124,13 @@ proptest! {
     ) {
         let t = Table::new(vec![force_packed("x", &data)]);
         let spec = FilterSpec::new("x", op);
-        let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-        for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
-            let packed = spec.apply_packed_with(&t, kernel, Pack::On);
+        let want = filter_reference(&data, op);
+        for mode in [Pack::Off, Pack::On] {
+            let got = spec.apply_pack(&t, mode);
             // Word-for-word equality, so tail-lane masking bugs cannot
             // hide behind popcounts.
-            prop_assert_eq!(&flat, &packed, "kernel {:?}", kernel);
-            prop_assert_eq!(flat.words(), packed.words(), "kernel {:?}", kernel);
+            prop_assert_eq!(&want, &got, "pack {:?}", mode);
+            prop_assert_eq!(want.words(), got.words(), "pack {:?}", mode);
         }
     }
 
@@ -137,9 +141,8 @@ proptest! {
     ) {
         let t = Table::new(vec![force_packed("x", &data)]);
         let spec = FilterSpec::new("x", op);
-        let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-        let packed = spec.apply_packed_with(&t, Kernel::Swar, Pack::On);
-        prop_assert_eq!(flat.words(), packed.words());
+        let want = filter_reference(&data, op);
+        prop_assert_eq!(want.words(), spec.apply_pack(&t, Pack::On).words());
     }
 
     #[test]
@@ -157,13 +160,13 @@ proptest! {
         fanout in 1u64..40,
     ) {
         let unpacked = PackedColumn::encode(&keys).unpack();
-        for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
-            prop_assert_eq!(
-                partition_row_ids_with(&keys, 0, fanout, kernel),
-                partition_row_ids_with(&unpacked, 0, fanout, kernel),
-                "kernel {:?}", kernel
-            );
+        // Bit-serial routing of the flat keys.
+        let mut want = vec![Vec::new(); fanout as usize];
+        for (r, &k) in keys.iter().enumerate() {
+            want[(crc32c_u64(k as u64) as u64 % fanout) as usize].push(r);
         }
+        prop_assert_eq!(&partition_row_ids(&keys, 0, fanout), &want);
+        prop_assert_eq!(&partition_row_ids(&unpacked, 0, fanout), &want);
     }
 
     #[test]
@@ -281,11 +284,10 @@ fn packed_filter_is_exact_at_chunk_boundaries() {
             CompareOp::Ge(0),
             CompareOp::Lt(-25), // below every chunk frame: zone-map zeros
         ] {
-            let spec = FilterSpec::new("x", op);
-            let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-            for kernel in [Kernel::Scalar, Kernel::Swar] {
-                let packed = spec.apply_packed_with(&t, kernel, Pack::On);
-                assert_eq!(flat.words(), packed.words(), "len={len} op={op:?} kernel={kernel:?}");
+            let want = filter_reference(&data, op);
+            for mode in [Pack::Off, Pack::On] {
+                let got = FilterSpec::new("x", op).apply_pack(&t, mode);
+                assert_eq!(want.words(), got.words(), "len={len} op={op:?} pack={mode:?}");
             }
         }
     }
@@ -315,11 +317,10 @@ fn packed_extremes_and_constant_chunks_are_exact() {
         CompareOp::Ge(0),
         CompareOp::Le(-1),
     ] {
-        let spec = FilterSpec::new("x", op);
-        let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            let packed = spec.apply_packed_with(&t, kernel, Pack::On);
-            assert_eq!(flat.words(), packed.words(), "op={op:?} kernel={kernel:?}");
+        let want = filter_reference(&data, op);
+        for mode in [Pack::Off, Pack::On] {
+            let got = FilterSpec::new("x", op).apply_pack(&t, mode);
+            assert_eq!(want.words(), got.words(), "op={op:?} pack={mode:?}");
         }
     }
 }
@@ -362,8 +363,8 @@ fn encode_packed_keeps_only_paying_columns() {
 
 /// Goes through the knob-resolving entry points (`apply`, `execute`,
 /// `eval`, `top_k`, `sort_indices`, `sort_indices_multi`) on an encoded
-/// table, so the CI matrix (`DPU_PACK` × `DPU_VECTOR` × `DPU_THREADS`)
-/// checks every resolution against the explicit flat scalar reference.
+/// table, so the CI matrix (`DPU_PACK` × `DPU_THREADS`) checks every
+/// resolution against brute-force references over the flat values.
 #[test]
 fn entry_apis_honor_the_resolved_knobs() {
     let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
@@ -374,11 +375,9 @@ fn entry_apis_honor_the_resolved_knobs() {
     t.encode_packed();
     assert!(t.columns.iter().all(|c| c.packed.is_some()), "both columns should pay");
 
-    let spec = FilterSpec::new("x", CompareOp::Between(-500, 900));
-    assert_eq!(
-        spec.apply(&t).words(),
-        spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off).words()
-    );
+    let (x, v) = (t.columns[0].data.clone(), t.columns[1].data.clone());
+    let op = CompareOp::Between(-500, 900);
+    assert_eq!(FilterSpec::new("x", op).apply(&t).words(), filter_reference(&x, op).words());
 
     let g = GroupBySpec {
         group_cols: vec!["x".into()],
@@ -387,12 +386,17 @@ fn entry_apis_honor_the_resolved_knobs() {
     assert_eq!(g.execute(&t, None), g.execute_seq(&t, None));
 
     let e = Expr::col("v") * (Expr::lit(100) - Expr::col("x"));
-    assert_eq!(e.eval(&t), e.eval_with(&t, Kernel::Scalar));
+    let want: Vec<i64> = (0..n).map(|i| v[i].wrapping_mul(100i64.wrapping_sub(x[i]))).collect();
+    assert_eq!(e.eval(&t), want);
 
-    assert_eq!(top_k(&t, "v", 50, 4), top_k_with(&t, "v", 50, 4, None, Kernel::Scalar));
-    assert_eq!(sort_indices(&t, "x", 4), sort_indices_with(&t, "x", 4, None, Kernel::Scalar));
-    assert_eq!(
-        sort_indices_multi(&t, &["x", "v"], 4),
-        sort_indices_multi_with(&t, &["x", "v"], 4, None, Kernel::Scalar)
-    );
+    // Top-k and sorts against one full stable sort each.
+    let stable_sort = |cmp: &dyn Fn(usize, usize) -> std::cmp::Ordering| {
+        let mut rows: Vec<usize> = (0..n).collect();
+        rows.sort_by(|&a, &b| cmp(a, b));
+        rows
+    };
+    assert_eq!(top_k(&t, "v", 50, 4), stable_sort(&|a, b| v[b].cmp(&v[a]))[..50]);
+    assert_eq!(sort_indices(&t, "x", 4), stable_sort(&|a, b| x[a].cmp(&x[b])));
+    let by_xv = stable_sort(&|a, b| (x[a], v[a]).cmp(&(x[b], v[b])));
+    assert_eq!(sort_indices_multi(&t, &["x", "v"], 4), by_xv);
 }

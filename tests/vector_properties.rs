@@ -1,17 +1,21 @@
 //! Differential property suite for the SWAR kernels (`dpu_sql::vector`).
 //!
-//! The engine's contract since PR 7: `DPU_VECTOR` is *pure performance*.
-//! For every table size (including row counts ≢ 0 mod 64 and empty
-//! tables), every predicate (all-match, none-match, extreme bands),
-//! every fanout, every group-key distribution (including `i64::MIN/MAX`
-//! keys), and every `DPU_THREADS`, the vectorized filter / partition /
-//! join / agg kernels must be **bit-identical** to the scalar reference
-//! paths — same words, same row order, same accumulator values.
+//! Every operator has one production path, and this suite checks it
+//! against one reference. For every table size (including row counts
+//! ≢ 0 mod 64 and empty tables), every predicate (all-match, none-match,
+//! extreme bands), every fanout, every group-key distribution
+//! (including `i64::MIN/MAX` keys), and every pool width, the filter /
+//! partition / join / group-by / top-k / sort / expression kernels must
+//! be **bit-identical** to their reference — same words, same row
+//! order, same accumulator values.
 //!
-//! Tests pass explicit [`Kernel`] arguments instead of flipping the
-//! process-wide `DPU_VECTOR` resolution, so the suite is safe under the
-//! harness's concurrent test execution and runs identically no matter
-//! which kernel the environment selects.
+//! The references are brute force where the tests can compute one: the
+//! filter against `CompareOp::matches` per row, partitioning against
+//! the bit-serial `crc32c_u64`, the join against a nested loop over
+//! probe rows then build rows, top-k and sort against one full stable
+//! sort, and expressions against per-row wrapping arithmetic. The
+//! group-by's reference is `GroupBySpec::execute_seq`, which also
+//! serves key-less aggregates.
 
 use proptest::prelude::*;
 
@@ -21,9 +25,71 @@ use dpu_repro::isa::hash::{
 };
 use dpu_repro::pool::Pool;
 use dpu_repro::sql::{
-    partition_row_ids_with, sort_indices_multi_with, sort_indices_with, top_k_with, AggFunc,
-    BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec, HashJoin, Kernel, Table,
+    partition_row_ids, sort_indices_multi, sort_indices_multi_selected, sort_indices_selected,
+    top_k, top_k_selected, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
+    HashJoin, Table,
 };
+
+/// The filter reference: `op` evaluated on every row.
+fn filter_reference(data: &[i64], op: CompareOp) -> BitVec {
+    BitVec::from_fn(data.len(), |i| op.matches(data[i]))
+}
+
+/// The partition reference: bit-serial CRC32-C routing, row ids offset
+/// by `base`.
+fn partition_reference(keys: &[i64], base: usize, fanout: u64) -> Vec<Vec<usize>> {
+    let mut parts = vec![Vec::new(); fanout as usize];
+    for (r, &k) in keys.iter().enumerate() {
+        parts[(crc32c_u64(k as u64) as u64 % fanout) as usize].push(base + r);
+    }
+    parts
+}
+
+/// The join reference: a nested loop over probe rows, then build rows,
+/// projecting each matched pair; plus the largest partition of a
+/// bit-serial `fanout`-way CRC32 split of the build keys.
+fn join_reference(join: &HashJoin, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
+    let col = |t: &Table, name: &str| t.column(name).expect("join column").data.clone();
+    let (bkeys, pkeys) = (col(build, &join.build_key), col(probe, &join.probe_key));
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for (pr, pk) in pkeys.iter().enumerate() {
+        for (br, bk) in bkeys.iter().enumerate() {
+            if bk == pk {
+                pairs.push((br, pr));
+            }
+        }
+    }
+    let gather = |t: &Table, name: &String, side: fn(&(usize, usize)) -> usize| {
+        let data = col(t, name);
+        Column::i64(name, pairs.iter().map(|p| data[side(p)]).collect())
+    };
+    let build_cols = join.build_cols.iter().map(|c| gather(build, c, |p| p.0));
+    let probe_cols = join.probe_cols.iter().map(|c| gather(probe, c, |p| p.1));
+    let mut counts = vec![0u64; fanout as usize];
+    for &k in &bkeys {
+        counts[(crc32c_u64(k as u64) as u64 % fanout) as usize] += 1;
+    }
+    (Table::new(build_cols.chain(probe_cols).collect()), counts.into_iter().max().unwrap_or(0))
+}
+
+/// The top-k reference: the selected rows in one full stable sort by
+/// value descending, row ascending, cut to `k`.
+fn top_k_reference(vals: &[i64], k: usize, sel: Option<&BitVec>) -> Vec<usize> {
+    let mut rows: Vec<usize> =
+        (0..vals.len()).filter(|&i| sel.is_none_or(|bv| bv.get(i))).collect();
+    rows.sort_by(|&x, &y| vals[y].cmp(&vals[x]).then(x.cmp(&y)));
+    rows.truncate(k);
+    rows
+}
+
+/// The sort reference: the selected rows in one full stable sort by
+/// their key tuple over `cols`.
+fn sort_reference(cols: &[&[i64]], sel: Option<&BitVec>) -> Vec<usize> {
+    let mut rows: Vec<usize> =
+        (0..cols[0].len()).filter(|&i| sel.is_none_or(|bv| bv.get(i))).collect();
+    rows.sort_by_key(|&i| cols.iter().map(|c| c[i]).collect::<Vec<i64>>());
+    rows
+}
 
 /// Widens a tagged raw value into a key distribution that exercises
 /// extremes (`i64::MIN`, `i64::MAX`), small dense ranges (collisions),
@@ -71,12 +137,12 @@ proptest! {
     ) {
         let t = Table::new(vec![Column::i64("x", data)]);
         let spec = FilterSpec::new("x", op);
-        let scalar = spec.apply_with(&t, Kernel::Scalar);
-        let swar = spec.apply_with(&t, Kernel::Swar);
+        let want = filter_reference(&t.columns[0].data, op);
+        let got = spec.apply(&t);
         // Word-for-word equality (PartialEq covers words + len), so
         // tail-lane masking bugs cannot hide behind popcounts.
-        prop_assert_eq!(&scalar, &swar);
-        prop_assert_eq!(scalar.words(), swar.words());
+        prop_assert_eq!(&want, &got);
+        prop_assert_eq!(want.words(), got.words());
     }
 
     #[test]
@@ -85,9 +151,8 @@ proptest! {
         fanout in 1u64..40,
         base in 0usize..10_000,
     ) {
-        let scalar = partition_row_ids_with(&keys, base, fanout, Kernel::Scalar);
-        let swar = partition_row_ids_with(&keys, base, fanout, Kernel::Swar);
-        prop_assert_eq!(scalar, swar);
+        let want = partition_reference(&keys, base, fanout);
+        prop_assert_eq!(partition_row_ids(&keys, base, fanout), want);
     }
 
     #[test]
@@ -111,16 +176,12 @@ proptest! {
             build_cols: vec!["bv".into()],
             probe_cols: vec!["pv".into(), "k".into()],
         };
-        let (scalar, scalar_max) = join.execute_seq_with(&build, &probe, fanout, Kernel::Scalar);
-        let (swar, swar_max) = join.execute_seq_with(&build, &probe, fanout, Kernel::Swar);
+        let want = join_reference(&join, &build, &probe, fanout);
         // Exact row order, not just multiset equality.
-        prop_assert_eq!(&scalar, &swar);
-        prop_assert_eq!(scalar_max, swar_max);
-        // The pool path composes with either kernel unchanged (its
-        // chunking merges per-chunk partitions in input order).
-        let (pooled, pooled_max) = join.execute_on(Pool::new(workers), &build, &probe, fanout);
-        prop_assert_eq!(&scalar, &pooled);
-        prop_assert_eq!(scalar_max, pooled_max);
+        prop_assert_eq!(&want, &join.execute(&build, &probe, fanout));
+        prop_assert_eq!(&want, &join.execute_seq(&build, &probe, fanout));
+        // The pool path merges per-chunk matches in probe order.
+        prop_assert_eq!(&want, &join.execute_on(Pool::new(workers), &build, &probe, fanout));
     }
 
     #[test]
@@ -147,15 +208,12 @@ proptest! {
             ],
         };
         let sel = sel_stride.map(|m| BitVec::from_fn(keys.len(), |i| i % m != 0));
-        let scalar = spec.execute_seq(&t, sel.as_ref());
-        let swar = spec.execute_vector(&t, sel.as_ref());
-        prop_assert_eq!(&scalar, &swar);
-        // Pool leaves run the SWAR probe too; both kernels must agree
-        // with the sequential reference at any worker count.
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            let pooled = spec.execute_on_with(Pool::new(workers), &t, sel.as_ref(), kernel);
-            prop_assert_eq!(&scalar, &pooled, "kernel {:?}", kernel);
-        }
+        let want = spec.execute_seq(&t, sel.as_ref());
+        prop_assert_eq!(&want, &spec.execute(&t, sel.as_ref()));
+        prop_assert_eq!(&want, &spec.execute_vector(&t, sel.as_ref()));
+        // Pool leaves run the same probe; the merge must agree with the
+        // sequential reference at any worker count.
+        prop_assert_eq!(&want, &spec.execute_on(Pool::new(workers), &t, sel.as_ref()));
     }
 
     #[test]
@@ -189,15 +247,11 @@ proptest! {
             ],
         };
         let sel = sel_stride.map(|m| BitVec::from_fn(len, |i| i % m != 0));
-        let scalar = spec.execute_seq(&t, sel.as_ref());
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            let vectored = spec.execute_vector_with(&t, sel.as_ref(), kernel);
-            prop_assert_eq!(&scalar, &vectored, "kernel {:?}", kernel);
-            // Pool leaves aggregate through the same composite-key SWAR
-            // probe; the partitioned merge must land on the same table.
-            let pooled = spec.execute_on_with(Pool::new(workers), &t, sel.as_ref(), kernel);
-            prop_assert_eq!(&scalar, &pooled, "pooled kernel {:?}", kernel);
-        }
+        let want = spec.execute_seq(&t, sel.as_ref());
+        prop_assert_eq!(&want, &spec.execute_vector(&t, sel.as_ref()));
+        // Pool leaves aggregate through the same composite-key probe;
+        // the partitioned merge must land on the same table.
+        prop_assert_eq!(&want, &spec.execute_on(Pool::new(workers), &t, sel.as_ref()));
     }
 
     #[test]
@@ -209,11 +263,8 @@ proptest! {
     ) {
         let t = Table::new(vec![Column::i64("v", data.clone())]);
         let sel = sel_stride.map(|m| BitVec::from_fn(data.len(), |i| i % m != 0));
-        let scalar = top_k_with(&t, "v", k, workers, sel.as_ref(), Kernel::Scalar);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            let got = top_k_with(&t, "v", k, workers, sel.as_ref(), kernel);
-            prop_assert_eq!(&scalar, &got, "kernel {:?}", kernel);
-        }
+        let want = top_k_reference(&data, k, sel.as_ref());
+        prop_assert_eq!(want, top_k_selected(&t, "v", k, workers, sel.as_ref()));
     }
 
     #[test]
@@ -223,26 +274,29 @@ proptest! {
         sel_stride in proptest::option::of(1usize..5),
     ) {
         let len = k1.len();
-        let t = Table::new(vec![Column::i64("a", k1), Column::i64("b", k2)]);
         let sel = sel_stride.map(|m| BitVec::from_fn(len, |i| i % m != 0));
-        let scalar = sort_indices_with(&t, "a", workers, sel.as_ref(), Kernel::Scalar);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            let got = sort_indices_with(&t, "a", workers, sel.as_ref(), kernel);
-            prop_assert_eq!(&scalar, &got, "single-key kernel {:?}", kernel);
-        }
+        let want = sort_reference(&[&k1], sel.as_ref());
+        let want_multi = sort_reference(&[&k1[..], &k2[..]][..width.min(2)], sel.as_ref());
+        let t = Table::new(vec![Column::i64("a", k1), Column::i64("b", k2)]);
+        prop_assert_eq!(want, sort_indices_selected(&t, "a", workers, sel.as_ref()), "single-key");
         let cols: Vec<&str> = ["a", "b"][..width.min(2)].to_vec();
-        let scalar = sort_indices_multi_with(&t, &cols, workers, sel.as_ref(), Kernel::Scalar);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            let got = sort_indices_multi_with(&t, &cols, workers, sel.as_ref(), kernel);
-            prop_assert_eq!(&scalar, &got, "multi-key kernel {:?}", kernel);
-        }
+        let got = sort_indices_multi_selected(&t, &cols, workers, sel.as_ref());
+        prop_assert_eq!(want_multi, got, "multi-key");
     }
 
     #[test]
-    fn swar_expression_eval_is_bit_identical_to_scalar(data in values(300)) {
+    fn expression_eval_matches_per_row_arithmetic(data in values(300)) {
         // Divisors shaped strictly positive: division by zero panics (by
-        // contract) and `i64::MIN / -1` would trap in both arms.
+        // contract) and `i64::MIN / -1` would trap.
         let divisor: Vec<i64> = data.iter().map(|&v| v.rem_euclid(1000) + 1).collect();
+        let want: Vec<i64> = data
+            .iter()
+            .zip(&divisor)
+            .map(|(&x, &d)| {
+                let v = x.wrapping_mul(3).wrapping_add(x).wrapping_sub(7);
+                (v / d).clamp(-(1 << 40), 1 << 40)
+            })
+            .collect();
         let t = Table::new(vec![Column::i64("x", data), Column::i64("d", divisor)]);
         let e = Expr::Clamp(
             Box::new(
@@ -251,10 +305,7 @@ proptest! {
             -(1 << 40),
             1 << 40,
         );
-        let scalar = e.eval_with(&t, Kernel::Scalar);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            prop_assert_eq!(&scalar, &e.eval_with(&t, kernel), "kernel {:?}", kernel);
-        }
+        prop_assert_eq!(want, e.eval(&t));
     }
 }
 
@@ -287,17 +338,17 @@ fn filter_tail_lanes_are_exact_at_word_boundaries() {
             CompareOp::Eq(0),
             CompareOp::Ge(0),
         ] {
-            let spec = FilterSpec::new("x", op);
-            let scalar = spec.apply_with(&t, Kernel::Scalar);
-            let swar = spec.apply_with(&t, Kernel::Swar);
-            assert_eq!(scalar, swar, "len={len} op={op:?}");
-            assert_eq!(scalar.words(), swar.words(), "len={len} op={op:?}");
+            let want = filter_reference(&t.columns[0].data, op);
+            let got = FilterSpec::new("x", op).apply(&t);
+            assert_eq!(want, got, "len={len} op={op:?}");
+            assert_eq!(want.words(), got.words(), "len={len} op={op:?}");
         }
     }
 }
 
 /// Group keys at the signed extremes flow through CRC hashing, open
-/// addressing, and the final key sort exactly like the scalar HashMap.
+/// addressing, and the final key sort exactly like the reference
+/// HashMap.
 #[test]
 fn group_by_extreme_keys_are_exact() {
     let keys = vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
@@ -325,14 +376,11 @@ fn empty_inputs_are_exact() {
     assert_eq!(spec.execute_seq(&t, None), spec.execute_vector(&t, None));
 
     let spec_f = FilterSpec::new("g", CompareOp::Ge(0));
-    assert_eq!(spec_f.apply_with(&t, Kernel::Scalar), spec_f.apply_with(&t, Kernel::Swar));
+    assert_eq!(spec_f.apply(&t), filter_reference(&[], CompareOp::Ge(0)));
 
-    assert_eq!(
-        partition_row_ids_with(&[], 0, 8, Kernel::Scalar),
-        partition_row_ids_with(&[], 0, 8, Kernel::Swar),
-    );
+    assert_eq!(partition_row_ids(&[], 0, 8), partition_reference(&[], 0, 8));
 
-    // All-false selection: the SWAR path sees zero selected rows.
+    // All-false selection: the hash path sees zero selected rows.
     let t2 = Table::new(vec![Column::i64("g", vec![1, 2, 3]), Column::i64("v", vec![4, 5, 6])]);
     let none = BitVec::new(3);
     assert_eq!(spec.execute_seq(&t2, Some(&none)), spec.execute_vector(&t2, Some(&none)));
@@ -427,47 +475,37 @@ fn multi_key_groups_pin_signed_extremes_per_column() {
     };
     let none = BitVec::new(t.rows());
     for sel in [None, Some(&none)] {
-        let scalar = spec.execute_seq(&t, sel);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            assert_eq!(scalar, spec.execute_vector_with(&t, sel, kernel), "kernel {kernel:?}");
-        }
+        assert_eq!(spec.execute_seq(&t, sel), spec.execute_vector(&t, sel));
     }
 }
 
 /// Duplicate values tied exactly at the k-th threshold: the pre-filter
-/// must keep earlier-row ties and reject later-row ties exactly like the
-/// scalar heap, across worker splits that cut through the tie run.
+/// must keep earlier-row ties and reject later-row ties exactly like a
+/// full stable sort, across worker splits that cut through the tie run.
 #[test]
 fn top_k_ties_at_the_threshold_are_exact() {
     // 256 rows, half of them the constant 5 — k lands inside the ties.
     let vals: Vec<i64> = (0..256).map(|i| if i % 2 == 0 { 5 } else { i % 10 }).collect();
     let t = Table::new(vec![Column::i64("v", vals.clone())]);
     for k in [1usize, 3, 64, 128, 200] {
-        // Reference: stable sort by (value desc, row asc).
-        let mut want: Vec<usize> = (0..vals.len()).collect();
-        want.sort_by(|&x, &y| vals[y].cmp(&vals[x]).then(x.cmp(&y)));
-        want.truncate(k);
+        let want = top_k_reference(&vals, k, None);
         for workers in [1usize, 3, 7] {
-            for kernel in [Kernel::Scalar, Kernel::Swar] {
-                let got = top_k_with(&t, "v", k, workers, None, kernel);
-                assert_eq!(got, want, "k={k} workers={workers} kernel={kernel:?}");
-            }
+            assert_eq!(top_k(&t, "v", k, workers), want, "k={k} workers={workers}");
         }
     }
 }
 
-/// Equal sort keys stay in row order under both arms — the unstable
-/// word sort must not be observably unstable.
+/// Equal sort keys stay in row order — the unstable word sort must not
+/// be observably unstable.
 #[test]
 fn sort_keeps_equal_keys_in_row_order() {
     let a: Vec<i64> = (0..500).map(|i| i % 4).collect();
     let b: Vec<i64> = (0..500).map(|i| i % 2).collect();
     let t = Table::new(vec![Column::i64("a", a.clone()), Column::i64("b", b.clone())]);
     for workers in [1usize, 8] {
-        let scalar = sort_indices_multi_with(&t, &["a", "b"], workers, None, Kernel::Scalar);
-        let swar = sort_indices_multi_with(&t, &["a", "b"], workers, None, Kernel::Swar);
-        assert_eq!(scalar, swar, "workers={workers}");
-        for w in swar.windows(2) {
+        let got = sort_indices_multi(&t, &["a", "b"], workers);
+        assert_eq!(got, sort_reference(&[&a, &b], None), "workers={workers}");
+        for w in got.windows(2) {
             let (x, y) = (w[0], w[1]);
             assert!(
                 (a[x], b[x]) < (a[y], b[y]) || ((a[x], b[x]) == (a[y], b[y]) && x < y),
@@ -478,35 +516,31 @@ fn sort_keeps_equal_keys_in_row_order() {
 }
 
 /// The filter's packed output words drive top-k and sort directly — no
-/// per-row bool expansion — and land on the same rows as scalar
+/// per-row bool expansion — and land on the same rows as per-row
 /// re-evaluation of the predicate.
 #[test]
 fn filter_words_feed_topk_and_sort_directly() {
     let vals: Vec<i64> = (0..1000).map(|i| (i * 37) % 211 - 100).collect();
     let t = Table::new(vec![Column::i64("v", vals.clone())]);
-    let sel = FilterSpec::new("v", CompareOp::Gt(-50)).apply_with(&t, Kernel::Swar);
-    for kernel in [Kernel::Scalar, Kernel::Swar] {
-        let top = top_k_with(&t, "v", 25, 4, Some(&sel), kernel);
-        assert!(top.iter().all(|&r| vals[r] > -50), "kernel {kernel:?}");
-        assert_eq!(top, top_k_with(&t, "v", 25, 4, Some(&sel), Kernel::Scalar));
-        let sorted = sort_indices_with(&t, "v", 8, Some(&sel), kernel);
-        assert_eq!(sorted.len(), sel.count(), "kernel {kernel:?}");
-        assert!(sorted.windows(2).all(|w| (vals[w[0]], w[0]) < (vals[w[1]], w[1])));
-    }
+    let sel = FilterSpec::new("v", CompareOp::Gt(-50)).apply(&t);
+    let top = top_k_selected(&t, "v", 25, 4, Some(&sel));
+    assert!(top.iter().all(|&r| vals[r] > -50));
+    assert_eq!(top, top_k_reference(&vals, 25, Some(&sel)));
+    let sorted = sort_indices_selected(&t, "v", 8, Some(&sel));
+    assert_eq!(sorted.len(), sel.count());
+    assert!(sorted.windows(2).all(|w| (vals[w[0]], w[0]) < (vals[w[1]], w[1])));
 }
 
-/// Checks `join` on the SWAR arms and through the pool at widths 1, 2
-/// and 4 against the scalar `HashMap` reference, over fanouts that leave
+/// Checks `join` — `execute`, `execute_seq`, and the pool at widths 1
+/// to 4 — against the nested-loop reference, over fanouts that leave
 /// some partitions empty, returning the reference result.
 fn assert_join_exact(join: &HashJoin, build: &Table, probe: &Table) -> Table {
     let mut out = None;
     for fanout in [1u64, 2, 7, 32] {
-        let want = join.execute_seq_with(build, probe, fanout, Kernel::Scalar);
-        for kernel in [Kernel::Swar, Kernel::HwCrc] {
-            let got = join.execute_seq_with(build, probe, fanout, kernel);
-            assert_eq!(got, want, "fanout={fanout} kernel {kernel:?}");
-        }
-        for workers in [1usize, 2, 4] {
+        let want = join_reference(join, build, probe, fanout);
+        assert_eq!(join.execute(build, probe, fanout), want, "fanout={fanout} execute");
+        assert_eq!(join.execute_seq(build, probe, fanout), want, "fanout={fanout} execute_seq");
+        for workers in 1usize..=4 {
             let got = join.execute_on(Pool::new(workers), build, probe, fanout);
             assert_eq!(got, want, "fanout={fanout} workers={workers}");
         }
@@ -533,7 +567,7 @@ fn keyed(keys: Vec<i64>, id: &str) -> Table {
 
 /// Runs of duplicate build keys (consecutive and scattered) chain in
 /// build-row order: each probe row's matches come out with ascending
-/// build row ids, exactly as the scalar reference's per-key vectors.
+/// build row ids, exactly as the nested-loop reference emits them.
 #[test]
 fn join_duplicate_build_keys_chain_in_build_row_order() {
     let bkeys: Vec<i64> = (0..3000).map(|i| (i / 5) % 200 - 100).collect();
@@ -608,19 +642,15 @@ fn grouped_table(rows: usize, ndv: u64, seed: u64) -> Table {
 /// Grouping columns of 1, 2 and 3 keys, each set identifying `x`.
 const KEY_SETS: [&[&str]; 3] = [&["x"], &["a", "x"], &["a", "b", "c"]];
 
-/// Every arm of `spec` — `execute`, SWAR, hardware CRC, and the pool at
-/// widths 1 to 4 with either leaf kernel — equals the scalar reference.
+/// Every entry point of `spec` — `execute`, `execute_vector`, and the
+/// pool at widths 1 to 4 — equals the `execute_seq` reference.
 fn assert_group_by_exact(spec: &GroupBySpec, t: &Table, sel: Option<&BitVec>) -> Table {
     let want = spec.execute_seq(t, sel);
     assert_eq!(spec.execute(t, sel), want, "execute");
-    for kernel in [Kernel::Swar, Kernel::HwCrc] {
-        assert_eq!(spec.execute_vector_with(t, sel, kernel), want, "kernel {kernel:?}");
-    }
-    for kernel in [Kernel::Scalar, Kernel::Swar] {
-        for workers in 1usize..=4 {
-            let got = spec.execute_on_with(Pool::new(workers), t, sel, kernel);
-            assert_eq!(got, want, "pooled kernel {kernel:?} workers={workers}");
-        }
+    assert_eq!(spec.execute_vector(t, sel), want, "execute_vector");
+    for workers in 1usize..=4 {
+        let got = spec.execute_on(Pool::new(workers), t, sel);
+        assert_eq!(got, want, "pooled workers={workers}");
     }
     want
 }
@@ -777,7 +807,7 @@ fn group_by_key_runs_are_exact() {
     }
 }
 
-/// Every join arm emits matches in (probe row, ascending build row)
+/// Every join entry point emits matches in (probe row, ascending build row)
 /// order: exactly the pairs a nested loop over probe rows, then build
 /// rows, produces — duplicate keys on both sides, misses included.
 #[test]
