@@ -6,7 +6,8 @@
 //! three hot paths the pool parallelises:
 //!
 //! 1. chunked deterministic TPC-H generation (`tpch::generate_parallel`),
-//! 2. single-node `Cluster::run_all` (partitioned join/agg kernels),
+//! 2. single-node `Cluster::run_all` (the eight single-node references
+//!    side by side; the one shard's operators run sequentially),
 //! 3. 8-node `Cluster::run_all` (shard fan-out + single-node references),
 //! 4. the `rack_tpch` failover matrix (replication × kill patterns), one
 //!    O(1) `Cluster` fork per cell from shared per-k cores,
@@ -302,7 +303,7 @@ fn main() {
         ],
     };
     let (a_ref_s, a_ref) = best_of(|| gspec.execute_seq(&kt, None));
-    let (a_s, a) = best_of(|| gspec.execute_vector(&kt, None));
+    let (a_s, a) = best_of(|| gspec.execute(&kt, None));
     assert_eq!(a_ref, a, "group-by diverged from its reference");
     kernel_row("agg", Some(a_ref_s), a_s);
 
@@ -317,7 +318,7 @@ fn main() {
         ],
     };
     let (m_ref_s, m_ref) = best_of(|| mspec.execute_seq(&mt, None));
-    let (m_s, m) = best_of(|| mspec.execute_vector(&mt, None));
+    let (m_s, m) = best_of(|| mspec.execute(&mt, None));
     assert_eq!(m_ref, m, "multi-key group-by diverged from its reference");
     kernel_row("groupby_multi", Some(m_ref_s), m_s);
     // Both rows above span 65 536 keys, far above the dense group-by's
@@ -343,7 +344,7 @@ fn main() {
         ],
     };
     let (d_ref_s, d_ref) = best_of(|| dspec.execute_seq(&dt, None));
-    let (d_s, d) = best_of(|| dspec.execute_vector(&dt, None));
+    let (d_s, d) = best_of(|| dspec.execute(&dt, None));
     assert_eq!(d_ref, d, "dense group-by diverged from its reference");
     kernel_row("agg_dense", Some(d_ref_s), d_s);
 
@@ -360,7 +361,7 @@ fn main() {
         build_cols: vec!["bv".into()],
         probe_cols: vec!["v".into()],
     };
-    kernel_row("join", None, best_of(|| join.execute_seq(&jb, &kt, 32)).0);
+    kernel_row("join", None, best_of(|| join.execute(&jb, &kt, 32)).0);
 
     // Top-k: the threshold pre-filter rejects whole 64-row blocks once
     // the heap fills (k=100 over 2M uniform rows ⇒ almost all of them).

@@ -4,12 +4,14 @@
 //! Everything this workspace simulates — DPU cycles, fabric transfers,
 //! serve loops — runs in *simulated* time and is strictly deterministic.
 //! This crate parallelizes the **host** work that produces those
-//! deterministic results: TPC-H data generation, per-shard sub-plans,
-//! and the partitioned join/aggregation kernels. The contract is that a
-//! parallel caller always merges worker results in a fixed input order,
-//! so results are bit-identical at any thread count (pinned by
-//! `tests/parallel_properties.rs` and the thread-determinism test in
-//! `tests/cluster_serve.rs`).
+//! deterministic results, one level deep and above the operators, the
+//! way the rack spreads work across DPUs: per-shard sub-plans,
+//! single-node references, Q10 owners, sweep cells and TPC-H datagen
+//! chunks. Every operator below that fan-out runs sequentially on its
+//! worker. The contract is that a parallel caller always merges worker
+//! results in a fixed input order, so results are bit-identical at any
+//! thread count (pinned by `tests/parallel_properties.rs` and the
+//! thread-determinism test in `tests/cluster_serve.rs`).
 //!
 //! Design notes:
 //!
@@ -105,7 +107,7 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the current thread is a pool worker. Parallel kernels check
+/// Whether the current thread is a pool worker. Fan-out callers check
 /// this to run nested calls sequentially (the outer `par_map` already
 /// owns the host's cores; nesting would oversubscribe).
 pub fn in_worker() -> bool {
@@ -243,18 +245,6 @@ impl Pool {
         }
         out.into_iter().map(|r| r.expect("every item mapped exactly once")).collect()
     }
-
-    /// Applies `f` to contiguous chunks of `items` (each of at most
-    /// `chunk_size` elements), returning per-chunk results in chunk
-    /// order. Sequential under the same conditions as [`Pool::par_map`].
-    pub fn par_chunks<T, R, F>(self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        self.par_map(items.chunks(chunk_size.max(1)).collect(), f)
-    }
 }
 
 #[cfg(test)]
@@ -303,16 +293,6 @@ mod tests {
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(*inner, (0..8).map(|j| i * 8 + j).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn par_chunks_sees_contiguous_chunks_in_order() {
-        let data: Vec<u64> = (0..997).collect();
-        let sums = Pool::new(3).par_chunks(&data, 100, |c| c.iter().sum::<u64>());
-        assert_eq!(sums.len(), 10);
-        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
-        // First chunk is exactly data[0..100].
-        assert_eq!(sums[0], (0..100).sum::<u64>());
     }
 
     #[test]

@@ -13,12 +13,10 @@
 use std::collections::HashMap;
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, crc32c_wide_hw, crc32c_wide_x4_hw};
-use dpu_pool::{chunk_bounds, in_worker, Pool};
 
 use crate::bitvec::BitVec;
 use crate::column::{Column, Table};
 use crate::vector;
-use crate::PAR_MIN_ROWS;
 
 /// An aggregate function over a named column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,11 +83,17 @@ impl GroupBySpec {
     /// Executes the group-by over (optionally selected) rows, returning a
     /// result table sorted by group key. This is the reference-semantics
     /// path; timing goes through [`GroupByPlan`]. A small key domain
-    /// runs the dense path ([`Self::execute_dense`]) on the calling
-    /// thread; other large inputs run on the global host pool
-    /// ([`Self::execute_on`]), and small ones on the hash path of
-    /// [`Self::execute_vector`]. A key-less aggregate folds through
-    /// [`Self::execute_seq`]. The result is bit-identical either way.
+    /// takes the dense path ([`Self::execute_dense`]). Other keyed
+    /// group-bys stream the selected rows in ascending order (selection
+    /// consumed a word at a time) through lane-batched key hashing —
+    /// four keys per CRC batch, composite keys flattened into contiguous
+    /// `u64` words — into an open-addressed group table
+    /// ([`Self::aggregate_swar`]); each aggregate then accumulates
+    /// column-at-a-time and the groups come out through one permutation
+    /// sort by key ([`FlatGroups::into_table`]). A key-less aggregate
+    /// folds through [`Self::execute_seq`]. Per-group accumulation visits
+    /// rows in the same ascending order as [`Self::execute_seq`], so the
+    /// result is bit-identical to it.
     ///
     /// # Panics
     ///
@@ -99,18 +103,11 @@ impl GroupBySpec {
         if let Some(t) = self.execute_dense(table, sel) {
             return t;
         }
-        let pool = Pool::global();
-        if pool.threads() > 1
-            && !in_worker()
-            && !self.group_cols.is_empty()
-            && table.rows() >= PAR_MIN_ROWS
-        {
-            self.execute_on(pool, table, sel)
-        } else if !self.group_cols.is_empty() {
-            self.execute_hash(table, sel)
-        } else {
-            self.execute_seq(table, sel)
+        if self.group_cols.is_empty() {
+            return self.execute_seq(table, sel);
         }
+        let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
+        self.aggregate_swar(table, &selected_rows(table, sel), &key_idx).into_table(self)
     }
 
     /// The sequential reference group-by: one `HashMap` from key tuple
@@ -153,36 +150,6 @@ impl GroupBySpec {
             out_cols.push(Column::i64(name, keys.iter().map(|k| groups[k][si]).collect()));
         }
         Table::new(out_cols)
-    }
-
-    /// The SWAR group-by kernel for any number of grouping columns. A
-    /// small key domain takes the dense path ([`Self::execute_dense`]);
-    /// otherwise selected rows stream in ascending order (selection
-    /// consumed a word at a time) through lane-batched key hashing —
-    /// four keys per CRC batch, composite keys flattened into contiguous
-    /// `u64` words — into an open-addressed group table, then each
-    /// aggregate accumulates column-at-a-time and the groups come out
-    /// through one permutation sort by key ([`FlatGroups::into_table`]).
-    /// Per-group accumulation visits rows in the same ascending order as
-    /// [`Self::execute_seq`], so the result is bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named column is missing, the selection length
-    /// mismatches, or there are no group columns.
-    pub fn execute_vector(&self, table: &Table, sel: Option<&BitVec>) -> Table {
-        if let Some(bv) = sel {
-            assert_eq!(bv.len(), table.rows(), "selection length mismatch");
-        }
-        assert!(!self.group_cols.is_empty(), "vector group-by needs a key column");
-        self.execute_dense(table, sel).unwrap_or_else(|| self.execute_hash(table, sel))
-    }
-
-    /// The hash path of [`Self::execute_vector`]: [`Self::aggregate_swar`]
-    /// over the selected rows, then the key sort.
-    fn execute_hash(&self, table: &Table, sel: Option<&BitVec>) -> Table {
-        let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
-        self.aggregate_swar(table, &selected_rows(table, sel), &key_idx).into_table(self)
     }
 
     /// The dense group-by for small key domains, or `None` when there
@@ -249,8 +216,8 @@ impl GroupBySpec {
         Some(Table::new(key_cols.chain(agg_cols).collect()))
     }
 
-    /// The group-by shared by [`Self::execute_vector`] and the
-    /// parallel leaf tasks, in two passes over `rows`:
+    /// The hash group-by behind [`Self::execute`], in two passes over
+    /// `rows`:
     ///
     /// 1. *Probe*: each row's key resolves to a dense `u32` group id in
     ///    an open-addressed [`SwarGroups`] table. Capacity starts at
@@ -378,61 +345,6 @@ impl GroupBySpec {
             .collect()
     }
 
-    /// The pool-parallel group-by kernel: selected rows partition by
-    /// CRC32 of the *first* key column (a group's rows all share it, so
-    /// partitions hold disjoint groups), each partition aggregates
-    /// independently through [`Self::aggregate_swar`], and the merged
-    /// groups sort by full key — exactly the key-sorted table
-    /// [`Self::execute_seq`] produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named column is missing, the selection length
-    /// mismatches, or there are no group columns.
-    pub fn execute_on(&self, pool: Pool, table: &Table, sel: Option<&BitVec>) -> Table {
-        if let Some(bv) = sel {
-            assert_eq!(bv.len(), table.rows(), "selection length mismatch");
-        }
-        let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
-        let first = *key_idx.first().expect("parallel group-by needs a key column");
-
-        // Chunk-parallel partitioning of the selected row ids; the
-        // selection is consumed a word at a time, never via per-row
-        // bit reads. The partition comes from the CRC's Fibonacci mix:
-        // a hash shard grouped by its sharding key holds keys of one
-        // CRC residue, which `crc % parts_n` would route to few parts.
-        let parts_n = (pool.threads() * 4).max(2);
-        let per_chunk = pool.par_map(chunk_bounds(table.rows(), pool.threads() * 4), |(lo, hi)| {
-            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
-            let kd = &table.columns[first].data;
-            let mut route = |row: usize| {
-                let h = crc32c_u64_hw(kd[row] as u64);
-                parts[(vector::fib_mix(h as u64) >> 32) as usize % parts_n].push(row);
-            };
-            match sel {
-                Some(bv) => bv.iter_set_in(lo, hi).for_each(&mut route),
-                None => (lo..hi).for_each(&mut route),
-            }
-            parts
-        });
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
-        for chunk in per_chunk {
-            for (p, rows) in chunk.into_iter().enumerate() {
-                parts[p].extend(rows);
-            }
-        }
-
-        // Disjoint groups per partition: aggregate independently, then
-        // one global key sort reproduces the sequential output order.
-        let partials = pool.par_map(parts, |rows| self.aggregate_swar(table, &rows, &key_idx));
-        let mut all = FlatGroups::empty(key_idx.len(), self.aggs.len());
-        for p in partials {
-            all.keys.extend(p.keys);
-            all.states.iter_mut().zip(p.states).for_each(|(col, s)| col.extend(s));
-        }
-        all.into_table(self)
-    }
-
     /// Initial accumulator state, one slot per aggregate.
     fn state_init(&self) -> Vec<i64> {
         self.aggs.iter().map(|(_, f)| init_of(f)).collect()
@@ -524,10 +436,6 @@ struct FlatGroups {
 }
 
 impl FlatGroups {
-    fn empty(width: usize, aggs: usize) -> Self {
-        FlatGroups { width, keys: Vec::new(), states: vec![Vec::new(); aggs] }
-    }
-
     /// The key-sorted result table: one permutation sort of the group
     /// ids by key tuple, compared as `i64` (a bit-cast `u64` order
     /// would put negative keys last), then one gather per column. Keys
@@ -718,71 +626,6 @@ impl GroupByPlan {
     }
 }
 
-/// Executes a partitioned group-by the way the DPU would: hash-partition
-/// the rows by key (CRC32, as the DMS hash engine computes), aggregate
-/// per partition, and merge. Returns the merged result (identical to
-/// [`GroupBySpec::execute`]) plus the maximum per-partition table
-/// footprint observed, so tests can check the planner's budget promise.
-pub fn partitioned_group_by(
-    spec: &GroupBySpec,
-    table: &Table,
-    fanout: u64,
-    entry_bytes: u64,
-) -> (Table, u64) {
-    let key_idx: Vec<usize> = spec.group_cols.iter().map(|c| table.col_index(c)).collect();
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); fanout as usize];
-    for row in 0..table.rows() {
-        let k = table.columns[key_idx[0]].data[row];
-        parts[(crc32c_u64_hw(k as u64) as u64 % fanout) as usize].push(row);
-    }
-    // One aggregation task per non-empty partition, in partition order
-    // (par_map preserves it; the footprint max and the key-sorted merge
-    // below are both order-insensitive anyway).
-    let pool = if table.rows() >= PAR_MIN_ROWS { Pool::global() } else { Pool::new(1) };
-    let partials: Vec<Table> =
-        pool.par_map(parts.iter().filter(|r| !r.is_empty()).collect(), |rows: &Vec<usize>| {
-            let sub = Table::new(
-                table
-                    .columns
-                    .iter()
-                    .map(|c| Column {
-                        name: c.name.clone(),
-                        width: c.width,
-                        data: rows.iter().map(|&r| c.data[r]).collect(),
-                        packed: None,
-                    })
-                    .collect(),
-            );
-            spec.execute(&sub, None)
-        });
-    let max_footprint = partials.iter().map(|p| p.rows() as u64 * entry_bytes).max().unwrap_or(0);
-    // Merge: partitions hold disjoint groups, so concatenate and re-sort
-    // (the "merge operator" has very low overhead, §5.3).
-    let mut all_rows: Vec<Vec<i64>> = Vec::new();
-    for p in &partials {
-        for r in 0..p.rows() {
-            all_rows.push(p.columns.iter().map(|c| c.data[r]).collect());
-        }
-    }
-    let nkeys = spec.group_cols.len();
-    all_rows.sort_unstable_by(|a, b| a[..nkeys].cmp(&b[..nkeys]));
-    let template = partials.first().cloned().unwrap_or_else(|| spec.execute(table, None));
-    let merged = Table::new(
-        template
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Column {
-                name: c.name.clone(),
-                width: c.width,
-                data: all_rows.iter().map(|r| r[i]).collect(),
-                packed: None,
-            })
-            .collect(),
-    );
-    (merged, max_footprint)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -884,49 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_equals_unpartitioned() {
-        let t = sales_table();
-        let spec = GroupBySpec {
-            group_cols: vec!["k".into()],
-            aggs: vec![("cnt".into(), AggFunc::Count), ("s".into(), AggFunc::Sum("v".into()))],
-        };
-        let reference = spec.execute(&t, None);
-        let (partitioned, max_fp) = partitioned_group_by(&spec, &t, 8, 16);
-        assert_eq!(partitioned, reference);
-        assert!(max_fp <= DPU_TABLE_BUDGET);
-    }
-
-    #[test]
-    fn parallel_group_by_is_bit_identical_to_sequential() {
-        let keys: Vec<i64> = (0..8000).map(|i| (i * 13) % 321).collect();
-        let keys2: Vec<i64> = (0..8000).map(|i| i % 4).collect();
-        let vals: Vec<i64> = (0..8000).map(|i| i * 3 - 5000).collect();
-        let t = Table::new(vec![
-            Column::i32("k", keys),
-            Column::i32("k2", keys2),
-            Column::i32("v", vals.clone()),
-            Column::i32("d", vals.iter().map(|v| v % 11).collect()),
-        ]);
-        let spec = GroupBySpec {
-            group_cols: vec!["k".into(), "k2".into()],
-            aggs: vec![
-                ("cnt".into(), AggFunc::Count),
-                ("s".into(), AggFunc::Sum("v".into())),
-                ("lo".into(), AggFunc::Min("v".into())),
-                ("hi".into(), AggFunc::Max("v".into())),
-                ("sp".into(), AggFunc::SumProduct("v".into(), "d".into())),
-            ],
-        };
-        for sel in [None, Some(BitVec::from_fn(8000, |i| i % 3 != 0))] {
-            let want = spec.execute_seq(&t, sel.as_ref());
-            for workers in [1usize, 2, 4, 7] {
-                let got = spec.execute_on(Pool::new(workers), &t, sel.as_ref());
-                assert_eq!(got, want, "workers={workers} sel={}", sel.is_some());
-            }
-        }
-    }
-
-    #[test]
     fn one_shard_residue_keeps_group_probes_short() {
         // A hash shard's keys: every CRC32 ≡ 3 (mod 8), as
         // `ShardPolicy::hash(8)` leaves Q18's `l_orderkey` on a shard.
@@ -941,9 +741,7 @@ mod tests {
             group_cols: vec!["k".into()],
             aggs: vec![("cnt".into(), AggFunc::Count), ("s".into(), AggFunc::Sum("v".into()))],
         };
-        let want = spec.execute_seq(&t, None);
-        assert_eq!(spec.execute_vector(&t, None), want);
-        assert_eq!(spec.execute_on(Pool::new(2), &t, None), want);
+        assert_eq!(spec.execute(&t, None), spec.execute_seq(&t, None));
         let mut groups = SwarGroups::new(16, 1);
         for &k in &t.columns[0].data {
             groups.group_of(&[k as u64], crc32c_u64(k as u64));
@@ -976,16 +774,5 @@ mod tests {
             assert!(t.columns.iter().all(|c| c.packed.is_some()));
             assert_eq!(two.execute_dense(&t, None).is_some(), dense, "packed b_range={b_range}");
         }
-    }
-
-    #[test]
-    fn partition_footprint_shrinks_with_fanout() {
-        let keys: Vec<i64> = (0..20_000).map(|i| i * 7 % 5000).collect();
-        let t = Table::new(vec![Column::i32("k", keys)]);
-        let spec =
-            GroupBySpec { group_cols: vec!["k".into()], aggs: vec![("c".into(), AggFunc::Count)] };
-        let (_, fp1) = partitioned_group_by(&spec, &t, 1, 16);
-        let (_, fp32) = partitioned_group_by(&spec, &t, 32, 16);
-        assert!(fp32 * 16 < fp1, "32-way fanout should cut footprint ~32×");
     }
 }

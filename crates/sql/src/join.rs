@@ -10,11 +10,9 @@
 //! largest build partition.
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw};
-use dpu_pool::{chunk_bounds, in_worker, Pool};
 
 use crate::column::{Column, Table};
 use crate::vector;
-use crate::PAR_MIN_ROWS;
 
 /// An equi-join of two tables.
 #[derive(Debug, Clone)]
@@ -32,67 +30,19 @@ pub struct HashJoin {
 impl HashJoin {
     /// Executes the inner join, returning the projected result and the
     /// largest build partition a `fanout`-way CRC32 split would hold
-    /// (for DMEM-budget assertions).
-    ///
-    /// Output rows appear in (probe row, ascending build row) order.
-    /// Large inputs run on the global host pool ([`Self::execute_on`]);
-    /// the result is bit-identical either way.
+    /// (for DMEM-budget assertions): one [`JoinTable`] over the build
+    /// side, probed in probe-row order, so output rows appear in (probe
+    /// row, ascending build row) order.
     ///
     /// # Panics
     ///
     /// Panics if named columns are missing or `fanout` is zero.
     pub fn execute(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
-        let pool = Pool::global();
-        if pool.threads() > 1 && !in_worker() && build.rows() + probe.rows() >= PAR_MIN_ROWS {
-            self.execute_on(pool, build, probe, fanout)
-        } else {
-            self.execute_seq(build, probe, fanout)
-        }
-    }
-
-    /// The sequential join kernel: one [`JoinTable`] over the build
-    /// side, probed in probe-row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if named columns are missing or `fanout` is zero.
-    pub fn execute_seq(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
-        let (bkeys, pkeys) = self.keys(build, probe);
-        let max_part = max_partition(bkeys, fanout);
-        let (brows, prows) = JoinTable::new(bkeys).probe(pkeys, 0);
-        (self.project(build, probe, &brows, &prows), max_part)
-    }
-
-    /// The pool-parallel join kernel: one [`JoinTable`] over the build
-    /// side, probed chunk-parallel; the chunks' matches concatenate in
-    /// probe order — bit-identical to [`Self::execute_seq`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if named columns are missing or `fanout` is zero.
-    pub fn execute_on(
-        &self,
-        pool: Pool,
-        build: &Table,
-        probe: &Table,
-        fanout: u64,
-    ) -> (Table, u64) {
-        let (bkeys, pkeys) = self.keys(build, probe);
-        let max_part = max_partition(bkeys, fanout);
-        let table = JoinTable::new(bkeys);
-        let per_chunk = pool.par_map(chunk_bounds(pkeys.len(), pool.threads() * 4), |(lo, hi)| {
-            table.probe(&pkeys[lo..hi], lo)
-        });
-        let brows: Vec<usize> = per_chunk.iter().flat_map(|(b, _)| b.iter().copied()).collect();
-        let prows: Vec<usize> = per_chunk.iter().flat_map(|(_, p)| p.iter().copied()).collect();
-        (self.project(build, probe, &brows, &prows), max_part)
-    }
-
-    /// The build and probe key columns.
-    fn keys<'a>(&self, build: &'a Table, probe: &'a Table) -> (&'a [i64], &'a [i64]) {
         let bkeys = &build.columns[build.col_index(&self.build_key)].data;
         let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
-        (bkeys, pkeys)
+        let max_part = max_partition(bkeys, fanout);
+        let (brows, prows) = JoinTable::new(bkeys).probe(pkeys);
+        (self.project(build, probe, &brows, &prows), max_part)
     }
 
     /// Gathers the projected columns of the matched `(brows[i], prows[i])`
@@ -196,15 +146,15 @@ impl<'a> JoinTable<'a> {
         }
     }
 
-    /// Probes the probe keys `pkeys` (probe rows `base..`) in order,
-    /// returning the matched build and probe row ids in emission order.
-    fn probe(&self, pkeys: &[i64], base: usize) -> (Vec<usize>, Vec<usize>) {
+    /// Probes the probe keys `pkeys` in order, returning the matched
+    /// build and probe row ids in emission order.
+    fn probe(&self, pkeys: &[i64]) -> (Vec<usize>, Vec<usize>) {
         let (mut brows, mut prows) = (Vec::new(), Vec::new());
         for (pr, &key) in pkeys.iter().enumerate() {
             let mut br = self.find(key);
             while br != NIL {
                 brows.push(br as usize);
-                prows.push(base + pr);
+                prows.push(pr);
                 br = self.next[br as usize];
             }
         }
@@ -314,15 +264,13 @@ mod tests {
             let mut counts = vec![0u64; fanout as usize];
             keys.iter().for_each(|&k| counts[(crc32c_u64(k as u64) as u64 % fanout) as usize] += 1);
             let want = counts.into_iter().max().unwrap();
-            let (_, got) = j.execute_seq(&dim, &fact, fanout);
+            let (_, got) = j.execute(&dim, &fact, fanout);
             assert_eq!(got, want, "fanout={fanout}");
-            let (_, got) = j.execute_on(Pool::new(3), &dim, &fact, fanout);
-            assert_eq!(got, want, "fanout={fanout} pooled");
         }
     }
 
     #[test]
-    fn parallel_join_is_bit_identical_to_sequential() {
+    fn duplicate_keys_join_in_probe_then_build_row_order() {
         // Many rows with duplicate keys, both projected sides.
         let dim = Table::new(vec![
             Column::i32("id", (0..3000).map(|i| i % 700).collect()),
@@ -338,14 +286,19 @@ mod tests {
             build_cols: vec!["cat".into()],
             probe_cols: vec!["val".into(), "fk".into()],
         };
+        // Nested-loop reference: probe rows in order, then build rows.
+        let (bk, pk) = (&dim.columns[0].data, &fact.columns[0].data);
+        let pairs: Vec<(usize, usize)> = (0..pk.len())
+            .flat_map(|p| (0..bk.len()).filter(move |&b| bk[b] == pk[p]).map(move |b| (b, p)))
+            .collect();
+        let want = Table::new(vec![
+            Column::i64("cat", pairs.iter().map(|&(b, _)| dim.columns[1].data[b]).collect()),
+            Column::i64("val", pairs.iter().map(|&(_, p)| fact.columns[1].data[p]).collect()),
+            Column::i64("fk", pairs.iter().map(|&(_, p)| pk[p]).collect()),
+        ]);
         for fanout in [1u64, 2, 32] {
-            let (want, want_max) = j.execute_seq(&dim, &fact, fanout);
-            for workers in [1usize, 2, 4, 7] {
-                let (got, got_max) = j.execute_on(Pool::new(workers), &dim, &fact, fanout);
-                // Exact row order, not just multiset equality.
-                assert_eq!(got, want, "fanout={fanout} workers={workers}");
-                assert_eq!(got_max, want_max);
-            }
+            // Exact row order, not just multiset equality.
+            assert_eq!(j.execute(&dim, &fact, fanout).0, want, "fanout={fanout}");
         }
     }
 

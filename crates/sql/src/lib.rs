@@ -23,13 +23,13 @@
 //! every other operator reads the flat values resident beside it, and
 //! results stay bit-identical either way.
 //!
+//! On the host every operator runs one sequential path. The host's
+//! parallelism sits above the operators, as the rack's does: the
+//! `dpu_pool` fan-out runs shards, queries, sweep cells and datagen
+//! chunks side by side, each of them on one thread.
+//!
 //! [`tpch`] provides a scaled TPC-H generator and eight queries used by
 //! the Figure 16 reproduction.
-
-/// Row-count floor below which the parallel join/agg paths fall back to
-/// the sequential kernels: spawning scoped workers costs more than a
-/// few thousand rows of hashing.
-pub const PAR_MIN_ROWS: usize = 4096;
 
 pub mod agg;
 pub mod bitvec;
@@ -47,7 +47,7 @@ pub mod tpch;
 pub mod vector;
 pub mod walk;
 
-pub use agg::{partitioned_group_by, AggFunc, GroupByPlan, GroupBySpec};
+pub use agg::{AggFunc, GroupByPlan, GroupBySpec};
 pub use bitvec::BitVec;
 pub use column::{pack, set_pack, Column, Pack, PackChunk, PackedColumn, Table};
 pub use expr::Expr;

@@ -19,7 +19,7 @@
 //! 2. **Partition** ([`partition_row_ids`]): CRC32-C row-id
 //!    partitioning with four independent CRC streams in flight — the
 //!    stream-split trick hardware CRC units use.
-//! 3. **Group-by probe** ([`crate::agg::GroupBySpec::execute_vector`]):
+//! 3. **Group-by probe** ([`crate::agg::GroupBySpec::execute`]):
 //!    lane-batched key hashing (4 keys per CRC batch, composite keys
 //!    flattened into contiguous `u64` words) resolving each row to a
 //!    group id in an open-addressed table, then column-at-a-time

@@ -185,7 +185,7 @@ proptest! {
         };
         let flat = spec.execute_seq(&stripped(&t), None);
         prop_assert_eq!(&flat, &spec.execute_seq(&t, None));
-        prop_assert_eq!(&flat, &spec.execute_vector(&t, None));
+        prop_assert_eq!(&flat, &spec.execute(&t, None));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property tests for the work-stealing host pool and every parallel
-//! code path built on it: chunked TPC-H generation, the partitioned
-//! hash-join and group-by kernels, and the pool's own ordering and
-//! exactly-once guarantees. The engine's contract is that host thread
-//! count is *pure performance*: any worker count, any chunking, must be
-//! bit-identical to the sequential path.
+//! code path built on it: chunked TPC-H generation, the shard, query
+//! and sweep-cell fan-out of the cluster, and the pool's own ordering
+//! and exactly-once guarantees. The pool is the host's only level of
+//! parallelism; every SQL operator below it runs one sequential path.
+//! The engine's contract is that host thread count is *pure
+//! performance*: any worker count, any chunking, must be bit-identical
+//! to the sequential path.
 //!
 //! Since PR 5 the same contract extends to cluster forking: a
 //! [`Cluster::fork`] must be indistinguishable from a fresh
@@ -21,12 +23,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use dpu_repro::cluster::{
-    serve_pipeline_hooked, Cluster, ClusterConfig, ClusterCore, DegradedWindow, FaultPlan, QueryId,
-    ServeConfig, ShardPolicy, Speculation, Template,
+    serve_pipeline_hooked, Cluster, ClusterConfig, ClusterCore, ClusterQueryCost, DegradedWindow,
+    FaultPlan, QueryId, QueryOutput, ServeConfig, ShardPolicy, Speculation, Template,
 };
 use dpu_repro::pool::{chunk_bounds, set_global_threads, Pool};
-use dpu_repro::sql::tpch;
-use dpu_repro::sql::{AggFunc, Column, GroupBySpec, HashJoin, Table};
+use dpu_repro::sql::tpch::{self, TpchDb};
 use dpu_repro::xeon::XeonRack;
 
 const NODES: usize = 8;
@@ -69,57 +70,6 @@ proptest! {
         let sequential = tpch::generate(orders_n, seed);
         let chunked = tpch::generate_chunked_on(Pool::new(workers), orders_n, seed, chunks);
         prop_assert_eq!(sequential, chunked);
-    }
-
-    #[test]
-    fn partitioned_join_is_bit_identical_to_sequential(
-        bkeys in proptest::collection::vec(0i64..40, 1..200),
-        pkeys in proptest::collection::vec(0i64..40, 1..200),
-        fanout in 1u64..9,
-        workers in 1usize..5,
-    ) {
-        let build = Table::new(vec![
-            Column::i64("k", bkeys.clone()),
-            Column::i64("bv", bkeys.iter().map(|&k| k * 10).collect()),
-        ]);
-        let probe = Table::new(vec![
-            Column::i64("k", pkeys.clone()),
-            Column::i64("pv", pkeys.iter().map(|&k| k + 1000).collect()),
-        ]);
-        let join = HashJoin {
-            build_key: "k".into(),
-            probe_key: "k".into(),
-            build_cols: vec!["bv".into()],
-            probe_cols: vec!["pv".into()],
-        };
-        let (seq, seq_max) = join.execute_seq(&build, &probe, fanout);
-        let (par, par_max) = join.execute_on(Pool::new(workers), &build, &probe, fanout);
-        prop_assert_eq!(seq, par);
-        prop_assert_eq!(seq_max, par_max);
-    }
-
-    #[test]
-    fn partitioned_group_by_is_bit_identical_to_sequential(
-        keys in proptest::collection::vec(-20i64..20, 1..300),
-        workers in 1usize..5,
-    ) {
-        let vals: Vec<i64> = keys.iter().enumerate().map(|(i, &k)| k * 7 + i as i64).collect();
-        let table = Table::new(vec![
-            Column::i64("g", keys),
-            Column::i64("v", vals),
-        ]);
-        let spec = GroupBySpec {
-            group_cols: vec!["g".into()],
-            aggs: vec![
-                ("n".into(), AggFunc::Count),
-                ("s".into(), AggFunc::Sum("v".into())),
-                ("lo".into(), AggFunc::Min("v".into())),
-                ("hi".into(), AggFunc::Max("v".into())),
-            ],
-        };
-        let seq = spec.execute_seq(&table, None);
-        let par = spec.execute_on(Pool::new(workers), &table, None);
-        prop_assert_eq!(seq, par);
     }
 
     #[test]
@@ -235,19 +185,33 @@ fn failover_matrix(core: &Arc<ClusterCore>) -> Vec<(&'static str, usize, usize, 
     })
 }
 
+/// The whole suite on a 1-node cluster: one shard, so the pool fans
+/// out only the single-node references and every operator runs over the
+/// full tables.
+fn one_node_suite(db: &TpchDb) -> Vec<(QueryOutput, ClusterQueryCost)> {
+    let cfg = ClusterConfig::prototype_slice(1, 10_000);
+    let mut c = Cluster::new(db.clone(), &ShardPolicy::hash(1), cfg);
+    c.run_all().into_iter().map(|q| (q.output, q.cost)).collect()
+}
+
 #[test]
 fn failover_matrix_is_identical_at_any_thread_count() {
     // The rack_tpch sweeps and CI byte-diff their committed baselines at
     // DPU_THREADS ∈ {1, 4}; this is the same claim in-process — the
-    // host-parallel sweep is pure performance, never semantics.
+    // host-parallel sweep is pure performance, never semantics. The
+    // 1-node suite runs every operator over the whole database, sized
+    // past a few thousand lineitem rows so that any operator-level
+    // parallelism would take part.
     let core = ClusterCore::new(
         tpch::generate(300, 7),
         &ShardPolicy::hash(NODES),
         ClusterConfig::prototype_slice(NODES, 10_000).with_replicas(2),
     );
+    let db = tpch::generate(1500, 7);
     set_global_threads(1);
-    let one = failover_matrix(&core);
+    let one = (failover_matrix(&core), one_node_suite(&db));
     set_global_threads(4);
-    let four = failover_matrix(&core);
-    assert_eq!(one, four, "failover matrix must not depend on host thread count");
+    let four = (failover_matrix(&core), one_node_suite(&db));
+    assert_eq!(one.0, four.0, "failover matrix must not depend on host thread count");
+    assert_eq!(one.1, four.1, "1-node suite must not depend on host thread count");
 }

@@ -4,10 +4,10 @@
 //! against one reference. For every table size (including row counts
 //! ≢ 0 mod 64 and empty tables), every predicate (all-match, none-match,
 //! extreme bands), every fanout, every group-key distribution
-//! (including `i64::MIN/MAX` keys), and every pool width, the filter /
-//! partition / join / group-by / top-k / sort / expression kernels must
-//! be **bit-identical** to their reference — same words, same row
-//! order, same accumulator values.
+//! (including `i64::MIN/MAX` keys), and every top-k and sort worker
+//! count, the filter / partition / join / group-by / top-k / sort /
+//! expression kernels must be **bit-identical** to their reference —
+//! same words, same row order, same accumulator values.
 //!
 //! The references are brute force where the tests can compute one: the
 //! filter against `CompareOp::matches` per row, partitioning against
@@ -23,7 +23,6 @@ use dpu_repro::isa::hash::{
     crc32c_u64, crc32c_u64_hw, crc32c_u64_table, crc32c_u64_x4, crc32c_u64_x4_hw, crc32c_wide,
     crc32c_wide_hw, crc32c_wide_table, crc32c_wide_x4, crc32c_wide_x4_hw, hw_crc_available,
 };
-use dpu_repro::pool::Pool;
 use dpu_repro::sql::{
     partition_row_ids, sort_indices_multi, sort_indices_multi_selected, sort_indices_selected,
     top_k, top_k_selected, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
@@ -160,7 +159,6 @@ proptest! {
         bkeys in values(200),
         pkeys in values(200),
         fanout in 1u64..10,
-        workers in 1usize..5,
     ) {
         let build = Table::new(vec![
             Column::i64("k", bkeys.clone()),
@@ -179,16 +177,12 @@ proptest! {
         let want = join_reference(&join, &build, &probe, fanout);
         // Exact row order, not just multiset equality.
         prop_assert_eq!(&want, &join.execute(&build, &probe, fanout));
-        prop_assert_eq!(&want, &join.execute_seq(&build, &probe, fanout));
-        // The pool path merges per-chunk matches in probe order.
-        prop_assert_eq!(&want, &join.execute_on(Pool::new(workers), &build, &probe, fanout));
     }
 
     #[test]
     fn swar_group_by_is_bit_identical_to_scalar(
         keys in values(400),
         sel_stride in proptest::option::of(1usize..7),
-        workers in 1usize..5,
     ) {
         let vals: Vec<i64> =
             keys.iter().enumerate().map(|(i, &k)| (k % 1000).wrapping_mul(3) + i as i64).collect();
@@ -210,10 +204,6 @@ proptest! {
         let sel = sel_stride.map(|m| BitVec::from_fn(keys.len(), |i| i % m != 0));
         let want = spec.execute_seq(&t, sel.as_ref());
         prop_assert_eq!(&want, &spec.execute(&t, sel.as_ref()));
-        prop_assert_eq!(&want, &spec.execute_vector(&t, sel.as_ref()));
-        // Pool leaves run the same probe; the merge must agree with the
-        // sequential reference at any worker count.
-        prop_assert_eq!(&want, &spec.execute_on(Pool::new(workers), &t, sel.as_ref()));
     }
 
     #[test]
@@ -227,7 +217,6 @@ proptest! {
     fn swar_multi_key_group_by_is_bit_identical_to_scalar(
         (k1, k2, k3, width) in key_columns(),
         sel_stride in proptest::option::of(1usize..7),
-        workers in 1usize..5,
     ) {
         let len = k1.len();
         let vals: Vec<i64> = (0..len as i64).map(|i| i.wrapping_mul(7) - 3).collect();
@@ -248,10 +237,7 @@ proptest! {
         };
         let sel = sel_stride.map(|m| BitVec::from_fn(len, |i| i % m != 0));
         let want = spec.execute_seq(&t, sel.as_ref());
-        prop_assert_eq!(&want, &spec.execute_vector(&t, sel.as_ref()));
-        // Pool leaves aggregate through the same composite-key probe;
-        // the partitioned merge must land on the same table.
-        prop_assert_eq!(&want, &spec.execute_on(Pool::new(workers), &t, sel.as_ref()));
+        prop_assert_eq!(&want, &spec.execute(&t, sel.as_ref()));
     }
 
     #[test]
@@ -362,7 +348,7 @@ fn group_by_extreme_keys_are_exact() {
             ("hi".into(), AggFunc::Max("v".into())),
         ],
     };
-    assert_eq!(spec.execute_seq(&t, None), spec.execute_vector(&t, None));
+    assert_eq!(spec.execute_seq(&t, None), spec.execute(&t, None));
 }
 
 /// Empty tables and empty selections produce identical empty results.
@@ -373,7 +359,7 @@ fn empty_inputs_are_exact() {
         group_cols: vec!["g".into()],
         aggs: vec![("s".into(), AggFunc::Sum("v".into()))],
     };
-    assert_eq!(spec.execute_seq(&t, None), spec.execute_vector(&t, None));
+    assert_eq!(spec.execute_seq(&t, None), spec.execute(&t, None));
 
     let spec_f = FilterSpec::new("g", CompareOp::Ge(0));
     assert_eq!(spec_f.apply(&t), filter_reference(&[], CompareOp::Ge(0)));
@@ -383,7 +369,7 @@ fn empty_inputs_are_exact() {
     // All-false selection: the hash path sees zero selected rows.
     let t2 = Table::new(vec![Column::i64("g", vec![1, 2, 3]), Column::i64("v", vec![4, 5, 6])]);
     let none = BitVec::new(3);
-    assert_eq!(spec.execute_seq(&t2, Some(&none)), spec.execute_vector(&t2, Some(&none)));
+    assert_eq!(spec.execute_seq(&t2, Some(&none)), spec.execute(&t2, Some(&none)));
 }
 
 /// The table-driven and 4-lane CRC32-C engines agree with the bit-serial
@@ -475,7 +461,7 @@ fn multi_key_groups_pin_signed_extremes_per_column() {
     };
     let none = BitVec::new(t.rows());
     for sel in [None, Some(&none)] {
-        assert_eq!(spec.execute_seq(&t, sel), spec.execute_vector(&t, sel));
+        assert_eq!(spec.execute_seq(&t, sel), spec.execute(&t, sel));
     }
 }
 
@@ -531,19 +517,14 @@ fn filter_words_feed_topk_and_sort_directly() {
     assert!(sorted.windows(2).all(|w| (vals[w[0]], w[0]) < (vals[w[1]], w[1])));
 }
 
-/// Checks `join` — `execute`, `execute_seq`, and the pool at widths 1
-/// to 4 — against the nested-loop reference, over fanouts that leave
-/// some partitions empty, returning the reference result.
+/// Checks `join.execute` against the nested-loop reference, over
+/// fanouts that leave some partitions empty, returning the reference
+/// result.
 fn assert_join_exact(join: &HashJoin, build: &Table, probe: &Table) -> Table {
     let mut out = None;
     for fanout in [1u64, 2, 7, 32] {
         let want = join_reference(join, build, probe, fanout);
-        assert_eq!(join.execute(build, probe, fanout), want, "fanout={fanout} execute");
-        assert_eq!(join.execute_seq(build, probe, fanout), want, "fanout={fanout} execute_seq");
-        for workers in 1usize..=4 {
-            let got = join.execute_on(Pool::new(workers), build, probe, fanout);
-            assert_eq!(got, want, "fanout={fanout} workers={workers}");
-        }
+        assert_eq!(join.execute(build, probe, fanout), want, "fanout={fanout}");
         out.get_or_insert(want.0);
     }
     out.unwrap()
@@ -642,16 +623,10 @@ fn grouped_table(rows: usize, ndv: u64, seed: u64) -> Table {
 /// Grouping columns of 1, 2 and 3 keys, each set identifying `x`.
 const KEY_SETS: [&[&str]; 3] = [&["x"], &["a", "x"], &["a", "b", "c"]];
 
-/// Every entry point of `spec` — `execute`, `execute_vector`, and the
-/// pool at widths 1 to 4 — equals the `execute_seq` reference.
+/// `spec.execute` equals the `execute_seq` reference.
 fn assert_group_by_exact(spec: &GroupBySpec, t: &Table, sel: Option<&BitVec>) -> Table {
     let want = spec.execute_seq(t, sel);
-    assert_eq!(spec.execute(t, sel), want, "execute");
-    assert_eq!(spec.execute_vector(t, sel), want, "execute_vector");
-    for workers in 1usize..=4 {
-        let got = spec.execute_on(Pool::new(workers), t, sel);
-        assert_eq!(got, want, "pooled workers={workers}");
-    }
+    assert_eq!(spec.execute(t, sel), want);
     want
 }
 
