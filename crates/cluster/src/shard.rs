@@ -357,6 +357,21 @@ mod tests {
     }
 
     #[test]
+    fn lineitem_shards_take_the_key_ordered_group_by_for_q18() {
+        // Every shard keeps lineitem in `l_orderkey` order, so Q18's
+        // `GROUP BY l_orderkey` never hashes.
+        let plan = dpu_sql::logical::q18_plan();
+        let dpu_sql::logical::Source::GroupHaving { spec, .. } = &plan.scans[0].source else {
+            panic!("Q18 starts from a grouped lineitem scan");
+        };
+        let sharded = shard_tpch(&generate(2_000, 2026), &ShardPolicy::hash(8));
+        for node in &sharded.shards {
+            let ordered = spec.execute_ordered(&node.lineitem, None);
+            assert_eq!(ordered, Some(spec.execute_seq(&node.lineitem, None)));
+        }
+    }
+
+    #[test]
     fn replication_multiplies_storage_not_shards() {
         let db = generate(400, 11);
         let one = shard_tpch_replicated(&db, &ShardPolicy::hash(6), 1);

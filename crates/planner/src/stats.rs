@@ -284,6 +284,10 @@ mod tests {
         let none =
             orders.selectivity(&ColFilter::new("o_orderdate", CompareOp::Lt(i32::MIN as i64 + 1)));
         assert_eq!(none, 0.0);
+        // Strict compares past the i64 extremes are empty bands.
+        for op in [CompareOp::Lt(i64::MIN), CompareOp::Gt(i64::MAX)] {
+            assert_eq!(orders.selectivity(&ColFilter::new("o_orderdate", op)), 0.0, "{op:?}");
+        }
         let half_band = {
             let s = &orders.columns["o_orderdate"];
             ColFilter::new("o_orderdate", CompareOp::Between(s.min, s.min + (s.max - s.min) / 2))

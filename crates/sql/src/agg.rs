@@ -10,6 +10,7 @@
 //! hardware for free, which is why the high-NDV case favours the DPU
 //! even more (9.7×) than the low-NDV case (6.7×).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, crc32c_wide_hw, crc32c_wide_x4_hw};
@@ -82,18 +83,24 @@ impl GroupBySpec {
 
     /// Executes the group-by over (optionally selected) rows, returning a
     /// result table sorted by group key. This is the reference-semantics
-    /// path; timing goes through [`GroupByPlan`]. A small key domain
-    /// takes the dense path ([`Self::execute_dense`]). Other keyed
-    /// group-bys stream the selected rows in ascending order (selection
-    /// consumed a word at a time) through lane-batched key hashing —
-    /// four keys per CRC batch, composite keys flattened into contiguous
-    /// `u64` words — into an open-addressed group table
-    /// ([`Self::aggregate_swar`]); each aggregate then accumulates
-    /// column-at-a-time and the groups come out through one permutation
-    /// sort by key ([`FlatGroups::into_table`]). A key-less aggregate
-    /// folds through [`Self::execute_seq`]. Per-group accumulation visits
-    /// rows in the same ascending order as [`Self::execute_seq`], so the
-    /// result is bit-identical to it.
+    /// path; timing goes through [`GroupByPlan`]. The first arm that
+    /// applies runs:
+    ///
+    /// 1. a small key domain takes the dense path
+    ///    ([`Self::execute_dense`]);
+    /// 2. selected keys that never descend take the key-ordered path
+    ///    ([`Self::execute_ordered`]), which also serves key-less
+    ///    aggregates (every row repeats the empty key);
+    /// 3. the rest stream the selected rows in ascending order through
+    ///    lane-batched key hashing — four keys per CRC batch, composite
+    ///    keys flattened into contiguous `u64` words — into an
+    ///    open-addressed group table ([`Self::aggregate_swar`]); each
+    ///    aggregate then accumulates column-at-a-time and the groups come
+    ///    out through one permutation sort by key
+    ///    ([`FlatGroups::into_table`]).
+    ///
+    /// Every arm folds each group's rows in the same ascending order as
+    /// [`Self::execute_seq`], so the result is bit-identical to it.
     ///
     /// # Panics
     ///
@@ -103,16 +110,35 @@ impl GroupBySpec {
         if let Some(t) = self.execute_dense(table, sel) {
             return t;
         }
-        if self.group_cols.is_empty() {
-            return self.execute_seq(table, sel);
+        let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
+        let rows = selected_rows(table, sel);
+        match self.aggregate_ordered(table, &rows, &key_idx) {
+            Some(t) => t,
+            None => self.aggregate_swar(table, &rows, &key_idx).into_table(self),
+        }
+    }
+
+    /// The key-ordered group-by, or `None` when some selected row's key
+    /// tuple is less than the previous selected row's. While the keys
+    /// never descend, each run of equal keys is one group and the runs
+    /// come in ascending key order — a lineitem shard in `l_orderkey`
+    /// order and a join's output in that probe order, for example.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named column is missing or the selection length
+    /// mismatches.
+    pub fn execute_ordered(&self, table: &Table, sel: Option<&BitVec>) -> Option<Table> {
+        if let Some(bv) = sel {
+            assert_eq!(bv.len(), table.rows(), "selection length mismatch");
         }
         let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
-        self.aggregate_swar(table, &selected_rows(table, sel), &key_idx).into_table(self)
+        self.aggregate_ordered(table, &selected_rows(table, sel), &key_idx)
     }
 
     /// The sequential reference group-by: one `HashMap` from key tuple
-    /// to accumulator state, rows folded in ascending order. It also
-    /// serves key-less aggregates.
+    /// to accumulator state, rows folded in ascending order, key-less
+    /// aggregates included.
     ///
     /// # Panics
     ///
@@ -308,6 +334,42 @@ impl GroupBySpec {
 
         let states = self.fold(table, rows, &gids, groups.keys.len() / width);
         FlatGroups { width, keys: groups.keys, states }
+    }
+
+    /// The pass behind [`Self::execute_ordered`]: one walk over `rows`
+    /// compares each key tuple with the previous one as signed
+    /// lexicographic `i64`s and stops at the first descent. Otherwise
+    /// row `rows[i]` joins the group of its key run, [`Self::fold`]
+    /// accumulates over those run-indexed group ids, and each group's key
+    /// is read from its run's first row — already in key order, so no
+    /// hash, probe or sort runs.
+    fn aggregate_ordered(&self, table: &Table, rows: &[usize], key_idx: &[usize]) -> Option<Table> {
+        assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 group encoding");
+        let keys: Vec<&[i64]> = key_idx.iter().map(|&i| table.columns[i].data.as_slice()).collect();
+        let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
+        // The first row of each key run, one per group.
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut prev = None;
+        for &r in rows {
+            let order = prev.map_or(Ordering::Less, |p: usize| {
+                keys.iter().map(|k| k[p].cmp(&k[r])).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+            });
+            match order {
+                Ordering::Greater => return None,
+                Ordering::Less => firsts.push(r),
+                Ordering::Equal => {}
+            }
+            gids.push(firsts.len() as u32 - 1);
+            prev = Some(r);
+        }
+        let states = self.fold(table, rows, &gids, firsts.len());
+        let key_cols = self
+            .group_cols
+            .iter()
+            .zip(&keys)
+            .map(|(name, k)| Column::i64(name, firsts.iter().map(|&r| k[r]).collect()));
+        let agg_cols = self.aggs.iter().zip(states).map(|((name, _), s)| Column::i64(name, s));
+        Some(Table::new(key_cols.chain(agg_cols).collect()))
     }
 
     /// Accumulates every aggregate over `rows` into `n` groups, row

@@ -33,14 +33,16 @@ pub enum CompareOp {
 }
 
 impl CompareOp {
-    /// The inclusive band `[lo, hi]` this comparison selects.
+    /// The inclusive band `[lo, hi]` this comparison selects. The strict
+    /// comparisons saturate, so `Lt(i64::MIN)` and `Gt(i64::MAX)` are
+    /// empty bands (`lo > hi`).
     pub fn band(self) -> (i64, i64) {
         match self {
             CompareOp::Between(lo, hi) => (lo, hi),
             CompareOp::Eq(v) => (v, v),
-            CompareOp::Lt(v) => (i32::MIN as i64, v - 1),
+            CompareOp::Lt(v) => (i32::MIN as i64, v.saturating_sub(1)),
             CompareOp::Le(v) => (i32::MIN as i64, v),
-            CompareOp::Gt(v) => (v + 1, i32::MAX as i64),
+            CompareOp::Gt(v) => (v.saturating_add(1), i32::MAX as i64),
             CompareOp::Ge(v) => (v, i32::MAX as i64),
         }
     }
@@ -227,6 +229,21 @@ mod tests {
         assert!(CompareOp::Ge(5).matches(5));
         assert!(CompareOp::Between(2, 4).matches(3));
         assert!(!CompareOp::Between(2, 4).matches(5));
+    }
+
+    #[test]
+    fn strict_compares_at_the_i64_extremes_select_nothing() {
+        let data = vec![-5, 0, 7];
+        let mut t = Table::new(vec![Column::i64("x", data.clone())]);
+        t.columns[0].packed = Some(crate::column::PackedColumn::encode(&data));
+        for op in [CompareOp::Lt(i64::MIN), CompareOp::Gt(i64::MAX)] {
+            let (lo, hi) = op.band();
+            assert!(lo > hi, "{op:?}: band [{lo}, {hi}] is not empty");
+            assert!(data.iter().all(|&x| !op.matches(x)), "{op:?}");
+            for pack in [Pack::Off, Pack::On] {
+                assert_eq!(FilterSpec::new("x", op).apply_pack(&t, pack).count(), 0, "{op:?}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!    flattened into contiguous `u64` words) resolving each row to a
 //!    group id in an open-addressed table, then column-at-a-time
 //!    min/max/sum accumulation per aggregate. Key domains of at most
-//!    4096 combinations index dense slots instead, with no hashing.
+//!    4096 combinations index dense slots instead, and keys that never
+//!    descend group by runs, both with no hashing.
 //! 4. **Top-k pre-filter** ([`gt_mask_word`]): a branch-free 64-row
 //!    band test against the current k-th value, so the heap only sees
 //!    rows that can change it ([`crate::topk::top_k`]).
@@ -156,10 +157,9 @@ fn compress_even(mut x: u64) -> u64 {
 
 /// Compacts bits at stride `stride` (a power of two: positions 0,
 /// `stride`, `2·stride`, …) to contiguous low positions — `log2(stride)`
-/// rounds of [`compress_even`]. This gathers per-field compare flags
-/// into selection-word bits; the multiply-and-shift movemask trick is
-/// *not* equivalent here (partial products collide for 4-bit fields),
-/// so the compaction ladder is the correct branch-free gather.
+/// rounds of [`compress_even`]. The packed filter gathers 2- and 4-bit
+/// lane flags this way: at those strides the partial products of the
+/// multiply gather ([`gather_flags`]) collide and carry.
 #[inline(always)]
 fn compress_stride(mut x: u64, mut stride: usize) -> u64 {
     while stride > 1 {
@@ -167,6 +167,46 @@ fn compress_stride(mut x: u64, mut stride: usize) -> u64 {
         stride >>= 1;
     }
     x
+}
+
+/// Gathers the flags at bits `0, W, 2·W, …` of `x` (one per `W`-bit
+/// lane, every other bit clear) into the low `64 / W` bits, in lane
+/// order. For `W ≥ 8` one multiply does it: the magic
+/// `Σ_j 2^(64 − vpw + j − j·W)` (`vpw = 64 / W`) carries lane `j`'s flag
+/// to bit `64 − vpw + j`, and the shift leaves `vpw` contiguous bits.
+/// Lane `j`'s flag times the magic's term `k` lands at bit
+/// `64 − vpw + k + (j − k)·W`; as `k < vpw ≤ W`, distinct `(j, k)` land
+/// on distinct bits, so nothing carries, and only `j = k` lands in the
+/// top `vpw` bits. Narrower lanes take [`compress_stride`].
+#[inline(always)]
+fn gather_flags<const W: usize>(x: u64) -> u64 {
+    let vpw = 64 / W;
+    if W < 8 {
+        return compress_stride(x, W);
+    }
+    let magic = (0..vpw).fold(0u64, |m, j| m | 1 << (64 - vpw + j - j * W));
+    x.wrapping_mul(magic) >> (64 - vpw)
+}
+
+/// One packed chunk's selection words for the rebased band
+/// `[elo, ehi]` over `W`-bit lanes: [`le_flags`]`/`[`ge_flags`] test the
+/// `64 / W` lanes of each word at once, [`gather_flags`] moves the lane
+/// flags into row order, and `W` words fill one selection word (a final
+/// partial group fills the low bits of the last one).
+#[inline(always)]
+fn filter_lanes<const W: usize>(words: &[u64], elo: u64, ehi: u64, out: &mut Vec<u64>) {
+    let vpw = 64 / W;
+    let ones = u64::MAX / ((1u64 << W) - 1);
+    let h = ones << (W - 1);
+    let (lo_b, hi_b) = (elo.wrapping_mul(ones), ehi.wrapping_mul(ones));
+    for group in words.chunks(W) {
+        let mut ow = 0u64;
+        for (j, &x) in group.iter().enumerate() {
+            let flags = le_flags(x, hi_b, h) & ge_flags(x, lo_b, h);
+            ow |= gather_flags::<W>(flags >> (W - 1)) << (j * vpw);
+        }
+        out.push(ow);
+    }
 }
 
 /// The packed-column filter kernel: evaluates the band `[lo, hi]`
@@ -183,11 +223,13 @@ fn compress_stride(mut x: u64, mut stride: usize) -> u64 {
 ///    `ehi = min(hi, max) − min` — so the test becomes an unsigned
 ///    compare against the stored deltas (exact for every `i64`: deltas
 ///    live in unsigned `[0, max − min]`).
-/// 3. **SWAR compare**: [`le_flags`]`/`[`ge_flags`] test all `64/bits`
-///    delta lanes of each packed word at once; [`compress_stride`]
-///    gathers the per-field flags into selection-bit order. 1-bit
-///    chunks reduce to whole-word Boolean ops and 64-bit chunks to one
-///    compare per row.
+/// 3. **SWAR compare** ([`filter_lanes`]): [`le_flags`]`/`[`ge_flags`]
+///    test all `64/bits` delta lanes of each packed word at once, and
+///    the per-field flags gather into selection-bit order — with one
+///    multiply for 8-, 16- and 32-bit lanes, with the [`compress_stride`]
+///    ladder for 2- and 4-bit lanes ([`gather_flags`]). 1-bit chunks
+///    reduce to whole-word Boolean ops and 64-bit chunks to one compare
+///    per row.
 ///
 /// Chunk size is a multiple of 64, so chunk outputs tile whole
 /// selection words; garbage lanes in a final partial word only ever
@@ -228,28 +270,12 @@ pub fn filter_band_packed(col: &PackedColumn, lo: i64, hi: i64) -> BitVec {
                     out.push(if elo == 1 { x } else { !x });
                 }
             }
-            bits => {
-                let w = bits as usize;
-                let vpw = 64 / w;
-                let ones = u64::MAX / ((1u64 << w) - 1);
-                let h = ones << (w - 1);
-                let (lo_b, hi_b) = (elo.wrapping_mul(ones), ehi.wrapping_mul(ones));
-                let mut ow = 0u64;
-                let mut j = 0;
-                for &x in words {
-                    let flags = le_flags(x, hi_b, h) & ge_flags(x, lo_b, h);
-                    ow |= compress_stride(flags >> (w - 1), w) << (j * vpw);
-                    j += 1;
-                    if j * vpw == 64 {
-                        out.push(ow);
-                        ow = 0;
-                        j = 0;
-                    }
-                }
-                if j > 0 {
-                    out.push(ow);
-                }
-            }
+            2 => filter_lanes::<2>(words, elo, ehi, &mut out),
+            4 => filter_lanes::<4>(words, elo, ehi, &mut out),
+            8 => filter_lanes::<8>(words, elo, ehi, &mut out),
+            16 => filter_lanes::<16>(words, elo, ehi, &mut out),
+            32 => filter_lanes::<32>(words, elo, ehi, &mut out),
+            bits => unreachable!("packed lanes are 1, 2, 4, 8, 16, 32 or 64 bits, not {bits}"),
         }
     }
     BitVec::from_words(len, out)
@@ -509,6 +535,23 @@ mod tests {
             }
             assert_eq!(got, want, "stride={stride}");
         }
+    }
+
+    #[test]
+    fn multiply_gather_equals_the_compaction_ladder() {
+        // Every flag pattern a word of 8-, 16- or 32-bit lanes can
+        // produce: 256, 16 and 4 patterns.
+        fn check<const W: usize>() {
+            let vpw = 64 / W;
+            for pattern in 0u64..1 << vpw {
+                let x = (0..vpw).fold(0u64, |x, j| x | (pattern >> j & 1) << (j * W));
+                assert_eq!(gather_flags::<W>(x), compress_stride(x, W), "w={W} x={x:#x}");
+                assert_eq!(gather_flags::<W>(x), pattern, "w={W} x={x:#x}");
+            }
+        }
+        check::<8>();
+        check::<16>();
+        check::<32>();
     }
 
     #[test]

@@ -64,23 +64,57 @@ fn framed_values(max_len: usize) -> impl Strategy<Value = Vec<i64>> {
 }
 
 /// A comparison-operator strategy covering every `CompareOp` arm plus
-/// always-true and always-false bands, with band edges drawn near the
-/// column values so partially-overlapping bands are common.
-fn compare_op() -> impl Strategy<Value = CompareOp> {
-    (any::<i64>(), any::<i64>(), 0u8..8).prop_map(|(a, b, arm)| {
+/// always-true and always-false bands. Its draws resolve against the
+/// filtered column ([`OpDraw::on`]).
+fn compare_op() -> impl Strategy<Value = OpDraw> {
+    (any::<i64>(), any::<i64>(), 0u8..12).prop_map(|(a, b, arm)| OpDraw { a, b, arm })
+}
+
+/// One drawn comparison. Arms 0–7 take the raw edges `a` and `b`,
+/// uniform over `i64` and so almost never inside a narrow chunk; arms
+/// 8–11 move each edge onto a value of the filtered column plus or
+/// minus up to 8 (saturating), so the band cuts through 8-, 16- and
+/// 32-bit chunks instead of the zone map answering them whole.
+#[derive(Debug, Clone, Copy)]
+struct OpDraw {
+    a: i64,
+    b: i64,
+    arm: u8,
+}
+
+impl OpDraw {
+    /// The comparison this draw makes over a column holding `data`.
+    fn on(self, data: &[i64]) -> CompareOp {
+        let OpDraw { a, b, arm } = self;
         let (lo, hi) = (a.min(b), a.max(b));
         match arm {
             0 => CompareOp::Between(lo, hi),
             1 => CompareOp::Eq(a),
-            // Guard the band() ±1 arithmetic against i64 overflow.
-            2 => CompareOp::Lt(a.max(i64::MIN + 1)),
+            2 => CompareOp::Lt(a),
             3 => CompareOp::Le(a),
-            4 => CompareOp::Gt(a.min(i64::MAX - 1)),
+            4 => CompareOp::Gt(a),
             5 => CompareOp::Ge(a),
             6 => CompareOp::Between(i64::MIN, i64::MAX), // all match
-            _ => CompareOp::Between(1, 0),               // empty band: none match
+            7 => CompareOp::Between(1, 0),               // empty band: none match
+            _ => {
+                // An edge's low bits pick a row, its top four bits an
+                // offset in -8..8.
+                let near = |r: i64| match data.len() as u64 {
+                    0 => r,
+                    n => data[(r as u64 % n) as usize].saturating_add(r >> 60),
+                };
+                let (x, y) = (near(a), near(b));
+                match (a ^ b).rem_euclid(6) {
+                    0 => CompareOp::Between(x.min(y), x.max(y)),
+                    1 => CompareOp::Eq(x),
+                    2 => CompareOp::Lt(x),
+                    3 => CompareOp::Le(x),
+                    4 => CompareOp::Gt(x),
+                    _ => CompareOp::Ge(x),
+                }
+            }
         }
-    })
+    }
 }
 
 /// A column with packing **forced** (bypassing the payoff rule), so the
@@ -122,6 +156,7 @@ proptest! {
         data in framed_values(3000),
         op in compare_op(),
     ) {
+        let op = op.on(&data);
         let t = Table::new(vec![force_packed("x", &data)]);
         let spec = FilterSpec::new("x", op);
         let want = filter_reference(&data, op);
@@ -139,6 +174,7 @@ proptest! {
         data in values(500),
         op in compare_op(),
     ) {
+        let op = op.on(&data);
         let t = Table::new(vec![force_packed("x", &data)]);
         let spec = FilterSpec::new("x", op);
         let want = filter_reference(&data, op);
@@ -212,7 +248,7 @@ proptest! {
         let build = Table::new(vec![force_packed("k", &bkeys), force_packed("bv", &bv)]);
         let (flat, flat_build) = (stripped(&t), stripped(&build));
 
-        let filter = FilterSpec::new("a", op);
+        let filter = FilterSpec::new("a", op.on(&data));
         let group = GroupBySpec {
             group_cols: vec!["b".into()],
             aggs: vec![

@@ -14,8 +14,8 @@
 //! the bit-serial `crc32c_u64`, the join against a nested loop over
 //! probe rows then build rows, top-k and sort against one full stable
 //! sort, and expressions against per-row wrapping arithmetic. The
-//! group-by's reference is `GroupBySpec::execute_seq`, which also
-//! serves key-less aggregates.
+//! group-by's reference is `GroupBySpec::execute_seq`, key-less
+//! aggregates included.
 
 use proptest::prelude::*;
 
@@ -780,6 +780,81 @@ fn group_by_key_runs_are_exact() {
             assert_group_by_exact(&spec, &t, Some(&sel));
         }
     }
+}
+
+/// `spec.execute` equals the `execute_seq` reference, and the
+/// key-ordered arm takes the input exactly when `ordered`.
+fn assert_ordered_arm(spec: &GroupBySpec, t: &Table, sel: Option<&BitVec>, ordered: bool) {
+    let want = assert_group_by_exact(spec, t, sel);
+    let got = spec.execute_ordered(t, sel);
+    assert_eq!(got.is_some(), ordered, "{:?} ordered arm", spec.group_cols);
+    if let Some(got) = got {
+        assert_eq!(got, want);
+    }
+}
+
+/// Keys that never descend take the key-ordered arm: ascending single
+/// and composite keys in runs of 1–9 rows that cross zero (ascending as
+/// `i64`, not as bit-cast `u64`), with and without a selection that
+/// splits runs, a descent only at an unselected row, an empty table and
+/// selection, and key-less aggregates. A descent at the last selected
+/// row, or a key coming
+/// back after another, falls back to the hash path. Every case matches
+/// `execute_seq`; the key domain is far above the dense cap.
+#[test]
+fn group_by_key_ordered_inputs_are_exact() {
+    let runs: Vec<usize> = (0..400).map(|i| 1 + (i * 5) % 9).collect();
+    let a: Vec<i64> =
+        runs.iter().enumerate().flat_map(|(i, &n)| vec![i as i64 * 3_001 - 600_000; n]).collect();
+    // Ascends within each `a` run, so (a, b) never descends either.
+    let b: Vec<i64> = runs.iter().flat_map(|&n| (0..n as i64).map(|j| j / 2 - 1)).collect();
+    let n = a.len();
+    let table = |a: Vec<i64>| {
+        Table::new(vec![
+            Column::i64("a", a),
+            Column::i64("b", b.clone()),
+            Column::i64("v", (0..n as i64).map(|i| i * 7 - 900).collect()),
+            Column::i64("d", (0..n as i64).map(|i| i % 5 - 2).collect()),
+        ])
+    };
+    let sel = BitVec::from_fn(n, |r| r % 4 != 3);
+    let last_selected = (0..n).rev().find(|&r| sel.get(r)).unwrap();
+    let below = |mut a: Vec<i64>, r: usize| {
+        a[r] = a[r - 1] - 1;
+        a
+    };
+    // A A B A: key `a[0]` reappears after the next key.
+    let back = {
+        let mut a = a.clone();
+        a.insert(runs[0] + runs[1], a[0]);
+        a.pop();
+        a
+    };
+    for keys in [&["a"][..], &["a", "b"]] {
+        let spec = all_aggs(keys);
+        let asc = table(a.clone());
+        assert_ordered_arm(&spec, &asc, None, true);
+        assert_ordered_arm(&spec, &asc, Some(&sel), true);
+        let out = spec.execute(&asc, None);
+        assert!(out.columns[0].data[0] < 0 && out.columns[0].data[out.rows() - 1] > 0);
+
+        let unselected_dip = table(below(a.clone(), 3));
+        assert!(!sel.get(3));
+        assert_ordered_arm(&spec, &unselected_dip, None, false);
+        assert_ordered_arm(&spec, &unselected_dip, Some(&sel), true);
+        assert_ordered_arm(&spec, &table(below(a.clone(), n - 1)), None, false);
+        assert_ordered_arm(&spec, &table(below(a.clone(), last_selected)), Some(&sel), false);
+        assert_ordered_arm(&spec, &table(back.clone()), None, false);
+        assert_ordered_arm(&spec, &asc, Some(&BitVec::new(n)), true);
+        let empty = Table::new(asc.columns.iter().map(|c| Column::i64(&c.name, vec![])).collect());
+        assert_ordered_arm(&spec, &empty, None, true);
+    }
+    // Key-less: every row repeats the empty key, so one run.
+    let spec = all_aggs(&[]);
+    let asc = table(back);
+    assert_ordered_arm(&spec, &asc, None, true);
+    assert_ordered_arm(&spec, &asc, Some(&sel), true);
+    assert_ordered_arm(&spec, &asc, Some(&BitVec::new(n)), true);
 }
 
 /// Every join entry point emits matches in (probe row, ascending build row)
