@@ -3,15 +3,14 @@
 //! Everything else in this workspace measures *simulated* DPU time;
 //! this binary measures the *host* seconds the simulator itself burns,
 //! comparing one worker thread against the resolved pool width on the
-//! three hot paths the pool parallelises:
+//! paths the pool parallelises, then timing the kernels below it:
 //!
-//! 1. chunked deterministic TPC-H generation (`tpch::generate_parallel`),
-//! 2. single-node `Cluster::run_all` (the eight single-node references
+//! 1. single-node `Cluster::run_all` (the eight single-node references
 //!    side by side; the one shard's operators run sequentially),
-//! 3. 8-node `Cluster::run_all` (shard fan-out + single-node references),
-//! 4. the `rack_tpch` failover matrix (replication × kill patterns), one
+//! 2. 8-node `Cluster::run_all` (shard fan-out + single-node references),
+//! 3. the `rack_tpch` failover matrix (replication × kill patterns), one
 //!    O(1) `Cluster` fork per cell from shared per-k cores,
-//! 5. the SQL kernels' production entry points, single-threaded so
+//! 4. the SQL kernels' production entry points, single-threaded so
 //!    each row isolates the kernel itself: filter, CRC32 partition,
 //!    single- and multi-key hash group-by, the dense small-domain
 //!    group-by, the hash join, threshold-prefiltered top-k, word-key
@@ -19,11 +18,11 @@
 //!    reference column — `GroupBySpec::execute_seq`, the one in-crate
 //!    reference left — with a speedup and a ≥1.3× floor; the other
 //!    operators have one path each and report their rate alone.
-//! 6. the CRC engine: the 4-lane table-driven CRC32-C against the
+//! 5. the CRC engine: the 4-lane table-driven CRC32-C against the
 //!    SSE4.2 hardware CRC over the same keys, where the instruction
 //!    exists. The platform makes that choice (the hardware engine falls
 //!    back to the table without SSE4.2); informational row.
-//! 7. the packed filter (`DPU_PACK`): the band evaluated in the encoded
+//! 6. the packed filter (`DPU_PACK`): the band evaluated in the encoded
 //!    domain vs the flat filter on the same encoded table, with resident
 //!    bytes-scanned and the compression ratio, over a 4-bit-lane
 //!    (`filter_pack`) and a 16-bit-lane (`filter_pack16`) column; each
@@ -47,7 +46,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::{Criterion, Throughput};
 use dpu_bench::json::{emit, Json};
 use dpu_bench::{header, row};
 use dpu_cluster::{
@@ -65,7 +63,6 @@ use dpu_sql::{
 const SEED: u64 = 2026;
 const NODES: usize = 8;
 const SCALE: u64 = 30_000; // cost queries at SF≈100 cardinalities
-const DATAGEN_ORDERS: [usize; 2] = [20_000, 100_000];
 const CLUSTER_ORDERS: usize = 10_000;
 const REPS: usize = 3;
 
@@ -117,36 +114,10 @@ fn main() {
         if assert_speedups { "armed" } else { "not armed — needs >= 4 CPUs" }
     );
 
-    // ── Datagen: sequential vs chunked-parallel, bit-identical ───────
-    header(&["orders_n", "seq (s)", "par (s)", "speedup", "bit-identical"]);
-    let mut datagen_json: Vec<Json> = Vec::new();
-    let mut datagen_speedup_at_largest = 0.0f64;
-    for orders_n in DATAGEN_ORDERS {
-        set_global_threads(1);
-        let (seq_s, seq_db) = best_of(|| tpch::generate(orders_n, SEED));
-        set_global_threads(threads);
-        let (par_s, par_db) = best_of(|| tpch::generate_parallel(orders_n, SEED));
-        assert_eq!(seq_db, par_db, "chunked datagen diverged at orders_n={orders_n}");
-        let speedup = seq_s / par_s;
-        datagen_speedup_at_largest = speedup;
-        row(&[
-            format!("{orders_n}"),
-            format!("{seq_s:.3}"),
-            format!("{par_s:.3}"),
-            format!("{speedup:.2}x"),
-            "yes".into(),
-        ]);
-        datagen_json.push(Json::obj([
-            ("orders_n", Json::num(orders_n as f64)),
-            ("speedup", Json::num(speedup)),
-        ]));
-    }
-
     // ── Cluster::run_all: single node and 8 nodes ─────────────────────
     let db = tpch::generate(CLUSTER_ORDERS, SEED);
     let mut suite_json: Vec<Json> = Vec::new();
     let mut cluster_speedup = 0.0f64;
-    println!();
     header(&["suite", "seq (s)", "par (s)", "speedup", "thread-invariant"]);
     for nodes in [1, NODES] {
         set_global_threads(1);
@@ -482,26 +453,7 @@ fn main() {
         "TPC-H shard columns must average >= 2x compression: got {mean_ratio:.2}x"
     );
 
-    // ── Criterion throughput report (elements/s) ──────────────────────
-    // The stand-in criterion's `Throughput` prints a rate next to
-    // ns/iter; datagen throughput is in generated orders per second.
-    set_global_threads(threads);
-    let orders_n = DATAGEN_ORDERS[0];
-    let mut c = Criterion::default();
-    let mut g = c.benchmark_group("wallclock/datagen");
-    g.throughput(Throughput::Elements(orders_n as u64));
-    g.bench_function(format!("orders_{orders_n}").as_str(), |b| {
-        b.iter(|| tpch::generate_parallel(orders_n, SEED))
-    });
-    g.finish();
-
     if assert_speedups {
-        assert!(
-            datagen_speedup_at_largest >= 2.0,
-            "datagen at orders_n={} must speed up >= 2x on {threads} threads \
-             ({host_cpus} CPUs): got {datagen_speedup_at_largest:.2}x",
-            DATAGEN_ORDERS[DATAGEN_ORDERS.len() - 1],
-        );
         assert!(
             cluster_speedup >= 2.0,
             "{NODES}-node run_all must speed up >= 2x on {threads} threads \
@@ -527,8 +479,8 @@ fn main() {
             );
         }
         println!(
-            "\nSpeedup floor (>= 2.0x) holds for datagen, {NODES}-node run_all, \
-             and the failover matrix; group-by kernels hold >= 1.3x over execute_seq; \
+            "\nSpeedup floor (>= 2.0x) holds for {NODES}-node run_all and the \
+             failover matrix; group-by kernels hold >= 1.3x over execute_seq; \
              the packed filters hold >= 1.2x over flat."
         );
     } else {
@@ -543,7 +495,6 @@ fn main() {
             ("threads", Json::num(threads as f64)),
             ("speedups_asserted", Json::Bool(assert_speedups)),
             ("deterministic", Json::Bool(true)),
-            ("datagen", Json::Arr(datagen_json)),
             ("run_all", Json::Arr(suite_json)),
             ("kernels", Json::Arr(kernels_json)),
             ("crc_kernels", Json::Arr(crc_json)),

@@ -70,8 +70,9 @@ impl TableStats {
         if matches!(f.op, CompareOp::Eq(_)) {
             return (1.0 / s.ndv).min(1.0);
         }
-        let width = (hi - lo + 1) as f64;
-        let domain = (s.max - s.min + 1) as f64;
+        // In i128: a band or domain spanning most of `i64` overflows it.
+        let width = (hi as i128 - lo as i128 + 1) as f64;
+        let domain = (s.max as i128 - s.min as i128 + 1) as f64;
         (width / domain).min(1.0)
     }
 
@@ -297,5 +298,33 @@ mod tests {
         let eq = orders.selectivity(&ColFilter::new("o_custkey", CompareOp::Eq(1)));
         let ndv = catalog.ndv("o_custkey");
         assert!((eq - 1.0 / ndv).abs() < 1e-9);
+    }
+
+    #[test]
+    fn selectivity_spans_the_whole_i64_domain() {
+        let stats = |min: i64, max: i64| TableStats {
+            rows: 100,
+            per_shard_rows: vec![100],
+            sharded: false,
+            columns: BTreeMap::from([(
+                "x".to_string(),
+                ColumnStats {
+                    min,
+                    max,
+                    ndv: 100.0,
+                    bytes: 800,
+                    sketch: HyperLogLog::new(SKETCH_PRECISION, HashKind::Murmur64),
+                },
+            )]),
+        };
+        let ge0 = ColFilter::new("x", CompareOp::Ge(0));
+        // [0, MAX] of [-5, MAX]: all but five values.
+        let sel = stats(-5, i64::MAX).selectivity(&ge0);
+        assert!((sel - 1.0).abs() < 1e-9, "Ge(0) over [-5, MAX]: {sel}");
+        // [0, MAX] of [MIN, MAX]: half the domain.
+        let sel = stats(i64::MIN, i64::MAX).selectivity(&ge0);
+        assert!((sel - 0.5).abs() < 1e-9, "Ge(0) over [MIN, MAX]: {sel}");
+        let sel = stats(i64::MIN, i64::MAX).selectivity(&ColFilter::new("x", CompareOp::Lt(0)));
+        assert!((sel - 0.5).abs() < 1e-9, "Lt(0) over [MIN, MAX]: {sel}");
     }
 }

@@ -6,12 +6,12 @@
 //! This crate parallelizes the **host** work that produces those
 //! deterministic results, one level deep and above the operators, the
 //! way the rack spreads work across DPUs: per-shard sub-plans,
-//! single-node references, Q10 owners, sweep cells and TPC-H datagen
-//! chunks. Every operator below that fan-out runs sequentially on its
-//! worker. The contract is that a parallel caller always merges worker
-//! results in a fixed input order, so results are bit-identical at any
-//! thread count (pinned by `tests/parallel_properties.rs` and the
-//! thread-determinism test in `tests/cluster_serve.rs`).
+//! single-node references, Q10 owners and sweep cells. Every operator
+//! below that fan-out runs sequentially on its worker. The contract is
+//! that a parallel caller always merges worker results in a fixed input
+//! order, so results are bit-identical at any thread count (pinned by
+//! `tests/parallel_properties.rs` and the thread-determinism test in
+//! `tests/cluster_serve.rs`).
 //!
 //! Design notes:
 //!
@@ -127,14 +127,6 @@ pub fn set_global_threads(threads: usize) {
 pub fn global_threads() -> usize {
     GLOBAL_THREADS
         .get(|v| parse_threads(v, std::thread::available_parallelism().map_or(1, |n| n.get())))
-}
-
-/// Splits `0..n` into at most `chunks` contiguous non-empty ranges of
-/// near-equal size, in ascending order. Concatenating per-chunk results
-/// in this order reproduces the sequential iteration exactly.
-pub fn chunk_bounds(n: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let c = chunks.clamp(1, n.max(1));
-    (0..c).map(|i| (i * n / c, (i + 1) * n / c)).filter(|&(lo, hi)| lo < hi).collect()
 }
 
 /// A work-stealing pool of `threads` workers. Copyable and stateless:
@@ -292,20 +284,6 @@ mod tests {
         });
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(*inner, (0..8).map(|j| i * 8 + j).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_partition_the_range() {
-        for n in [0usize, 1, 7, 100, 101] {
-            for chunks in [1usize, 2, 3, 16, 200] {
-                let b = chunk_bounds(n, chunks);
-                let covered: usize = b.iter().map(|&(lo, hi)| hi - lo).sum();
-                assert_eq!(covered, n, "n={n} chunks={chunks}");
-                assert!(b.windows(2).all(|w| w[0].1 == w[1].0), "contiguous");
-                assert!(b.iter().all(|&(lo, hi)| lo < hi), "non-empty");
-                assert!(b.len() <= chunks.max(1));
-            }
         }
     }
 

@@ -15,7 +15,8 @@ use crate::column::{pack, Pack, Table};
 use crate::vector;
 
 /// Comparison operators supported by the engine's scan predicates; all
-/// lower to the FILT band `[lo, hi]` on signed 32-bit values.
+/// lower to an inclusive band `[lo, hi]` over the column's `i64` values
+/// (the FILT form; one-sided compares open at the `i64` extremes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareOp {
     /// `lo <= x <= hi` (the native FILT form).
@@ -33,17 +34,19 @@ pub enum CompareOp {
 }
 
 impl CompareOp {
-    /// The inclusive band `[lo, hi]` this comparison selects. The strict
-    /// comparisons saturate, so `Lt(i64::MIN)` and `Gt(i64::MAX)` are
-    /// empty bands (`lo > hi`).
+    /// The inclusive band `[lo, hi]` this comparison selects. One-sided
+    /// comparisons open at `i64::MIN` / `i64::MAX`; `Lt(i64::MIN)` and
+    /// `Gt(i64::MAX)` select nothing and lower to the empty band
+    /// `[i64::MAX, i64::MIN]` (`lo > hi`).
     pub fn band(self) -> (i64, i64) {
+        const EMPTY: (i64, i64) = (i64::MAX, i64::MIN);
         match self {
             CompareOp::Between(lo, hi) => (lo, hi),
             CompareOp::Eq(v) => (v, v),
-            CompareOp::Lt(v) => (i32::MIN as i64, v.saturating_sub(1)),
-            CompareOp::Le(v) => (i32::MIN as i64, v),
-            CompareOp::Gt(v) => (v.saturating_add(1), i32::MAX as i64),
-            CompareOp::Ge(v) => (v, i32::MAX as i64),
+            CompareOp::Lt(v) => v.checked_sub(1).map_or(EMPTY, |hi| (i64::MIN, hi)),
+            CompareOp::Le(v) => (i64::MIN, v),
+            CompareOp::Gt(v) => v.checked_add(1).map_or(EMPTY, |lo| (lo, i64::MAX)),
+            CompareOp::Ge(v) => (v, i64::MAX),
         }
     }
 
@@ -242,6 +245,32 @@ mod tests {
             assert!(data.iter().all(|&x| !op.matches(x)), "{op:?}");
             for pack in [Pack::Off, Pack::On] {
                 assert_eq!(FilterSpec::new("x", op).apply_pack(&t, pack).count(), 0, "{op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_sided_compares_reach_past_32_bits() {
+        // Values beyond ±2^31 on a column wide enough for 64-bit lanes.
+        let data: Vec<i64> =
+            vec![-3_000_000_000, -(1 << 31) - 1, -5, 0, 5, (1 << 31) + 1, 3_000_000_000];
+        let mut t = Table::new(vec![Column::i64("x", data.clone())]);
+        t.columns[0].packed = Some(crate::column::PackedColumn::encode(&data));
+        assert_eq!(t.columns[0].packed.as_ref().unwrap().chunks()[0].bits, 64);
+        for (op, want) in [
+            (CompareOp::Lt(5), [true, true, true, true, false, false, false]),
+            (CompareOp::Le(5), [true, true, true, true, true, false, false]),
+            (CompareOp::Gt(5), [false, false, false, false, false, true, true]),
+            (CompareOp::Ge(5), [false, false, false, false, true, true, true]),
+            (CompareOp::Le(-3_000_000_000), [true, false, false, false, false, false, false]),
+            (CompareOp::Ge(3_000_000_000), [false, false, false, false, false, false, true]),
+        ] {
+            let got: Vec<bool> = data.iter().map(|&x| op.matches(x)).collect();
+            assert_eq!(got, want, "{op:?} matches");
+            for pack in [Pack::Off, Pack::On] {
+                let bv = FilterSpec::new("x", op).apply_pack(&t, pack);
+                let got: Vec<bool> = (0..data.len()).map(|i| bv.get(i)).collect();
+                assert_eq!(got, want, "{op:?} {pack:?}");
             }
         }
     }

@@ -25,11 +25,12 @@
 //!
 //! On the host every operator runs one sequential path. The host's
 //! parallelism sits above the operators, as the rack's does: the
-//! `dpu_pool` fan-out runs shards, queries, sweep cells and datagen
-//! chunks side by side, each of them on one thread.
+//! `dpu_pool` fan-out runs shards, queries and sweep cells side by side,
+//! each of them on one thread.
 //!
-//! [`tpch`] provides a scaled TPC-H generator and eight queries used by
-//! the Figure 16 reproduction.
+//! [`tpch`] provides a scaled TPC-H generator (one sequential pass over
+//! one seeded stream) and eight queries used by the Figure 16
+//! reproduction.
 
 pub mod agg;
 pub mod bitvec;

@@ -276,8 +276,8 @@ fn pipeline_is_deterministic_across_all_features() {
 
 #[test]
 fn thread_count_never_changes_bench_relevant_output() {
-    // The full rack_tpch flow — parallel datagen, distributed suite,
-    // closed-loop serving — run with the work-stealing pool pinned to
+    // The full rack_tpch flow — datagen, distributed suite, closed-loop
+    // serving — run with the work-stealing pool pinned to
     // one worker and then to four. Every number a BENCH file is derived
     // from must be bit-identical: host threads may only change how fast
     // the simulator runs, never what it computes. This is the only test
@@ -288,7 +288,7 @@ fn thread_count_never_changes_bench_relevant_output() {
 
     #[allow(clippy::type_complexity)]
     fn flow() -> (Vec<(QueryOutput, ClusterQueryCost)>, Vec<f64>) {
-        let db = tpch::generate_parallel(500, 13);
+        let db = tpch::generate(500, 13);
         let cfg = ClusterConfig::prototype_slice(NODES, 10_000).with_replicas(2);
         let mut c = Cluster::new(db, &ShardPolicy::hash(NODES), cfg);
         let runs = c.run_all();

@@ -1,11 +1,11 @@
 //! Property tests for the work-stealing host pool and every parallel
-//! code path built on it: chunked TPC-H generation, the shard, query
-//! and sweep-cell fan-out of the cluster, and the pool's own ordering
-//! and exactly-once guarantees. The pool is the host's only level of
-//! parallelism; every SQL operator below it runs one sequential path.
-//! The engine's contract is that host thread count is *pure
-//! performance*: any worker count, any chunking, must be bit-identical
-//! to the sequential path.
+//! code path built on it: the shard, query and sweep-cell fan-out of
+//! the cluster, and the pool's own ordering and exactly-once
+//! guarantees. The pool is the host's only level of parallelism; every
+//! SQL operator below it, and the TPC-H generator, runs one sequential
+//! path. The engine's contract is that host thread count is *pure
+//! performance*: any worker count must be bit-identical to the
+//! sequential path.
 //!
 //! Since PR 5 the same contract extends to cluster forking: a
 //! [`Cluster::fork`] must be indistinguishable from a fresh
@@ -26,7 +26,7 @@ use dpu_repro::cluster::{
     serve_pipeline_hooked, Cluster, ClusterConfig, ClusterCore, ClusterQueryCost, DegradedWindow,
     FaultPlan, QueryId, QueryOutput, ServeConfig, ShardPolicy, Speculation, Template,
 };
-use dpu_repro::pool::{chunk_bounds, set_global_threads, Pool};
+use dpu_repro::pool::{set_global_threads, Pool};
 use dpu_repro::sql::tpch::{self, TpchDb};
 use dpu_repro::xeon::XeonRack;
 
@@ -43,33 +43,6 @@ proptest! {
         // Order and exactly-once in one shot: any duplicate, drop, or
         // reorder breaks the expected sequence.
         prop_assert_eq!(out, (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunk_bounds_tile_the_range_exactly(
-        n in 0usize..10_000,
-        chunks in 1usize..33,
-    ) {
-        let bounds = chunk_bounds(n, chunks);
-        let mut next = 0usize;
-        for &(lo, hi) in &bounds {
-            prop_assert_eq!(lo, next, "chunks must be contiguous");
-            prop_assert!(lo < hi, "chunks must be non-empty");
-            next = hi;
-        }
-        prop_assert_eq!(next, n, "chunks must cover 0..n");
-    }
-
-    #[test]
-    fn chunked_datagen_is_bit_identical_to_sequential(
-        orders_n in 1usize..160,
-        seed in any::<u64>(),
-        chunks in 1usize..12,
-        workers in 1usize..5,
-    ) {
-        let sequential = tpch::generate(orders_n, seed);
-        let chunked = tpch::generate_chunked_on(Pool::new(workers), orders_n, seed, chunks);
-        prop_assert_eq!(sequential, chunked);
     }
 
     #[test]
