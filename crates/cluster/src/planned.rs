@@ -197,7 +197,7 @@ impl Cluster {
                 // order, so the tie columns are not needed here.
                 let partials = tables(outputs, merge)?;
                 let complete = spec.merge_partials(&partials);
-                let top = top_k(&complete, value, (*k).min(complete.rows().max(1)), 32);
+                let top = top_k(&complete, value, (*k).min(complete.rows().max(1)), 1);
                 let merged = project_rows(&complete, &top);
                 let cost = self.scatter_gather_cost(per_shard, &partials, start)?;
                 (QueryOutput::Table(merged), cost)
@@ -277,7 +277,7 @@ impl Cluster {
                 let received: Vec<Table> = chunks.iter().map(|row| row[j].clone()).collect();
                 let rows_in: usize = received.iter().map(Table::rows).sum();
                 let complete = spec.merge_partials(&received);
-                let top = top_k(&complete, value, k.min(complete.rows().max(1)), 32);
+                let top = top_k(&complete, value, k.min(complete.rows().max(1)), 1);
                 (rows_in, project_rows(&complete, &top))
             });
         let mut candidates = Vec::with_capacity(live.len());

@@ -10,7 +10,6 @@
 //! hardware for free, which is why the high-NDV case favours the DPU
 //! even more (9.7×) than the low-NDV case (6.7×).
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, crc32c_wide_hw, crc32c_wide_x4_hw};
@@ -336,38 +335,64 @@ impl GroupBySpec {
         FlatGroups { width, keys: groups.keys, states }
     }
 
-    /// The pass behind [`Self::execute_ordered`]: one walk over `rows`
-    /// compares each key tuple with the previous one as signed
-    /// lexicographic `i64`s and stops at the first descent. Otherwise
-    /// row `rows[i]` joins the group of its key run, [`Self::fold`]
-    /// accumulates over those run-indexed group ids, and each group's key
-    /// is read from its run's first row — already in key order, so no
-    /// hash, probe or sort runs.
+    /// The pass behind [`Self::execute_ordered`]: one branch-free walk
+    /// over `rows` ([`key_runs`]) numbers the key runs and stops at the
+    /// first descent, comparing each key tuple with the previous one as
+    /// signed lexicographic `i64`s — one- and two-column keys as scalars
+    /// and pairs, wider ones column by column (the column-by-column
+    /// walk measured about 20 % slower on two-column ordered keys, Q3's
+    /// shape). While the keys never
+    /// descend, each run of equal keys is one group and the runs come in
+    /// ascending key order: [`Self::fold`] accumulates over the
+    /// run-indexed group ids and each group's key is read from a row of
+    /// its run, so no hash, probe or sort runs.
     fn aggregate_ordered(&self, table: &Table, rows: &[usize], key_idx: &[usize]) -> Option<Table> {
         assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 group encoding");
         let keys: Vec<&[i64]> = key_idx.iter().map(|&i| table.columns[i].data.as_slice()).collect();
-        let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
-        // The first row of each key run, one per group.
-        let mut firsts: Vec<usize> = Vec::new();
-        let mut prev = None;
-        for &r in rows {
-            let order = prev.map_or(Ordering::Less, |p: usize| {
-                keys.iter().map(|k| k[p].cmp(&k[r])).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
-            });
-            match order {
-                Ordering::Greater => return None,
-                Ordering::Less => firsts.push(r),
-                Ordering::Equal => {}
+        let mut gids = vec![0u32; rows.len()];
+        // A row of each key run, one per group.
+        let mut reps = vec![0usize; rows.len()];
+        // The first row's key in column `k`: where each walk starts.
+        let first = |k: &[i64]| rows.first().map_or(0, |&r| k[r]);
+        let groups = match keys.as_slice() {
+            [k] => {
+                let mut prev = first(k);
+                key_runs(rows, &mut gids, &mut reps, |r| {
+                    let step = (k[r] != prev, k[r] < prev);
+                    prev = k[r];
+                    step
+                })
             }
-            gids.push(firsts.len() as u32 - 1);
-            prev = Some(r);
-        }
-        let states = self.fold(table, rows, &gids, firsts.len());
+            [a, b] => {
+                let mut prev = (first(a), first(b));
+                key_runs(rows, &mut gids, &mut reps, |r| {
+                    let key = (a[r], b[r]);
+                    let step = (key != prev, key < prev);
+                    prev = key;
+                    step
+                })
+            }
+            _ => {
+                let mut prev: Vec<i64> = keys.iter().map(|k| first(k)).collect();
+                key_runs(rows, &mut gids, &mut reps, |r| {
+                    // The first differing column decides `<`.
+                    let (mut ne, mut lt) = (false, false);
+                    for (k, p) in keys.iter().zip(&mut prev) {
+                        lt |= !ne & (k[r] < *p);
+                        ne |= k[r] != *p;
+                        *p = k[r];
+                    }
+                    (ne, lt)
+                })
+            }
+        }?;
+        reps.truncate(groups);
+        let states = self.fold(table, rows, &gids, groups);
         let key_cols = self
             .group_cols
             .iter()
             .zip(&keys)
-            .map(|(name, k)| Column::i64(name, firsts.iter().map(|&r| k[r]).collect()));
+            .map(|(name, k)| Column::i64(name, reps.iter().map(|&r| k[r]).collect()));
         let agg_cols = self.aggs.iter().zip(states).map(|((name, _), s)| Column::i64(name, s));
         Some(Table::new(key_cols.chain(agg_cols).collect()))
     }
@@ -460,6 +485,43 @@ impl GroupBySpec {
 /// (state arrays past 32 KiB) it loses 4× at 250 rows, and at 16 384
 /// slots it loses at 1000 rows.
 const DENSE_CAP: u64 = 1 << 12;
+
+/// Rows between two checks of the key-ordered group-by's descent flag
+/// ([`GroupBySpec::aggregate_ordered`]): small enough that unordered
+/// input falls back to hashing after a few hundred rows, large enough
+/// that the check costs nothing per row.
+const ORDER_CHECK_ROWS: usize = 256;
+
+/// The key runs of `rows` for [`GroupBySpec::aggregate_ordered`], or
+/// `None` if some row's key is less than the previous row's. Row
+/// `rows[i]` gets its run index in `gids[i]`, and `reps[g]` ends up
+/// holding a row of run `g`. `step(r)` compares row `r`'s key with the
+/// previous row's (the first row's with itself): whether it differs,
+/// and whether it is less. The walk has no per-row branch: descents
+/// are ORed into a flag that is checked once per [`ORDER_CHECK_ROWS`]
+/// rows. Returns the run count.
+fn key_runs(
+    rows: &[usize],
+    gids: &mut [u32],
+    reps: &mut [usize],
+    mut step: impl FnMut(usize) -> (bool, bool),
+) -> Option<usize> {
+    let mut g = 0u32;
+    for (ids, rs) in gids.chunks_mut(ORDER_CHECK_ROWS).zip(rows.chunks(ORDER_CHECK_ROWS)) {
+        let mut desc = false;
+        for (id, &r) in ids.iter_mut().zip(rs) {
+            let (ne, lt) = step(r);
+            g += ne as u32;
+            desc |= lt;
+            *id = g;
+            reps[g as usize] = r;
+        }
+        if desc {
+            return None;
+        }
+    }
+    Some(if rows.is_empty() { 0 } else { g as usize + 1 })
+}
 
 /// The least and greatest value of a column (`None` when empty): from
 /// the packed chunks' exact zone maps when it has them, else one scan.
@@ -835,6 +897,95 @@ mod tests {
             t.encode_packed();
             assert!(t.columns.iter().all(|c| c.packed.is_some()));
             assert_eq!(two.execute_dense(&t, None).is_some(), dense, "packed b_range={b_range}");
+        }
+    }
+
+    /// `spec.execute` equals the `execute_seq` reference, and the
+    /// key-ordered arm takes `t` exactly when `ordered`, returning the
+    /// same table.
+    fn assert_ordered_arm(spec: &GroupBySpec, t: &Table, ordered: bool, what: &str) {
+        let want = spec.execute_seq(t, None);
+        assert_eq!(spec.execute(t, None), want, "{what}");
+        let got = spec.execute_ordered(t, None);
+        assert_eq!(got.is_some(), ordered, "{what}: ordered arm");
+        if let Some(got) = got {
+            assert_eq!(got, want, "{what}");
+        }
+    }
+
+    /// Key columns `a`, `b`, `c` plus value columns: `a` ascends in
+    /// runs of 1–2 rows (spaced far above the dense cap), and `b`, `c`
+    /// are functions of `a`, so every width-1–3 key tuple ascends.
+    fn ascending_keys(n: usize) -> [Vec<i64>; 3] {
+        let a: Vec<i64> = (0..n as i64).map(|i| (i / 2 + i / 3) * 1_000_003 - 5_000_000).collect();
+        let b = a.iter().map(|k| k.rem_euclid(5) - 2).collect();
+        let c = a.iter().map(|k| k.rem_euclid(3)).collect();
+        [a, b, c]
+    }
+
+    fn keyed_table([a, b, c]: [Vec<i64>; 3]) -> Table {
+        let n = a.len() as i64;
+        Table::new(vec![
+            Column::i64("a", a),
+            Column::i64("b", b),
+            Column::i64("c", c),
+            Column::i64("v", (0..n).map(|i| i * 7 - 900).collect()),
+            Column::i64("d", (0..n).map(|i| i % 5 - 2).collect()),
+        ])
+    }
+
+    fn all_aggs(keys: &[&str]) -> GroupBySpec {
+        GroupBySpec {
+            group_cols: keys.iter().map(|s| s.to_string()).collect(),
+            aggs: vec![
+                ("cnt".into(), AggFunc::Count),
+                ("s".into(), AggFunc::Sum("v".into())),
+                ("lo".into(), AggFunc::Min("v".into())),
+                ("hi".into(), AggFunc::Max("d".into())),
+                ("sp".into(), AggFunc::SumProduct("v".into(), "d".into())),
+            ],
+        }
+    }
+
+    /// The branch-free key-run walk checks its descent flag once per
+    /// block: a descent at the second row, at the last row, and on each
+    /// side of the block boundaries falls back to hashing, in the first
+    /// key column or only in a later one (which a narrower key does not
+    /// see). All keys equal is one group, and so is a single row. Key
+    /// widths 1–3 cover the scalar, pair and column-by-column walks.
+    #[test]
+    fn key_ordered_walk_edge_cases() {
+        let n = 3 * ORDER_CHECK_ROWS + 17;
+        let widths: [&[&str]; 3] = [&["a"], &["a", "b"], &["a", "b", "c"]];
+        let asc = ascending_keys(n);
+        for keys in widths {
+            assert_ordered_arm(&all_aggs(keys), &keyed_table(asc.clone()), true, "ascending");
+        }
+        let b = ORDER_CHECK_ROWS;
+        for row in [1, b - 1, b, b + 1, 2 * b, n - 1] {
+            // Column `col` of row `row` dips below the previous row while
+            // the columns before it tie.
+            for col in 0..3 {
+                let mut cols = asc.clone();
+                for (i, c) in cols.iter_mut().enumerate().take(col) {
+                    c[row] = asc[i][row - 1];
+                }
+                cols[col][row] = asc[col][row - 1] - 1;
+                let t = keyed_table(cols);
+                for (w, keys) in widths.iter().enumerate() {
+                    let what = format!("descent in column {col} at row {row}, width {}", w + 1);
+                    assert_ordered_arm(&all_aggs(keys), &t, w < col, &what);
+                }
+            }
+        }
+        let same = keyed_table([vec![-7; n], vec![i64::MIN; n], vec![i64::MAX; n]]);
+        let single = keyed_table([vec![i64::MAX], vec![i64::MIN], vec![0]]);
+        for keys in widths {
+            let spec = all_aggs(keys);
+            assert_ordered_arm(&spec, &same, true, "all keys equal");
+            assert_eq!(spec.execute(&same, None).rows(), 1);
+            assert_ordered_arm(&spec, &single, true, "single row");
+            assert_eq!(spec.execute(&single, None).rows(), 1);
         }
     }
 }

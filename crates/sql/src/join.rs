@@ -5,12 +5,15 @@
 //! the DPU both sides are hash-partitioned (DMS hardware + software
 //! rounds) until each build-side partition's hash table fits DMEM. The
 //! cost model prices that from the build rows; the host has no 32 KB
-//! DMEM to fit, so it builds one table over all build rows and probes in
-//! probe-row order, and the partition fanout only sizes the reported
-//! largest build partition.
+//! DMEM to fit, so it builds one table over all selected build rows and
+//! probes in probe-row order, and the partition fanout only sizes the
+//! reported largest build partition. Each side arrives as a table plus
+//! an optional selection bit vector, as FILT leaves it, so a filtered
+//! scan is never copied before its join.
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw};
 
+use crate::bitvec::BitVec;
 use crate::column::{Column, Table};
 use crate::vector;
 
@@ -28,20 +31,63 @@ pub struct HashJoin {
 }
 
 impl HashJoin {
-    /// Executes the inner join, returning the projected result and the
-    /// largest build partition a `fanout`-way CRC32 split would hold
-    /// (for DMEM-budget assertions): one [`JoinTable`] over the build
-    /// side, probed in probe-row order, so output rows appear in (probe
-    /// row, ascending build row) order.
+    /// Executes the inner join over every row of both tables:
+    /// [`Self::execute_selected`] without selections.
     ///
     /// # Panics
     ///
     /// Panics if named columns are missing or `fanout` is zero.
     pub fn execute(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
+        self.execute_selected(build, None, probe, None, fanout)
+    }
+
+    /// Executes the inner join over the rows the optional selections
+    /// keep, returning the projected result and the largest build
+    /// partition a `fanout`-way CRC32 split of the selected build keys
+    /// would hold (for DMEM-budget assertions). The selected build keys
+    /// are gathered once into one [`JoinTable`], the selected probe rows
+    /// probe it in ascending row order, and each projected column is
+    /// gathered once from the input tables at the matched row ids. No
+    /// filtered copy of either side is made, just as the DMS gathers
+    /// only a bit vector's selected rows. Output rows appear in
+    /// (probe row, ascending build row) order, exactly as
+    /// [`Self::execute`] over [`crate::tpch::select_rows`] copies would
+    /// emit them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if named columns are missing, `fanout` is zero, or a
+    /// selection's length mismatches its table.
+    pub fn execute_selected(
+        &self,
+        build: &Table,
+        build_sel: Option<&BitVec>,
+        probe: &Table,
+        probe_sel: Option<&BitVec>,
+        fanout: u64,
+    ) -> (Table, u64) {
         let bkeys = &build.columns[build.col_index(&self.build_key)].data;
         let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
-        let max_part = max_partition(bkeys, fanout);
-        let (brows, prows) = JoinTable::new(bkeys).probe(pkeys);
+        for (sel, rows) in [(build_sel, bkeys.len()), (probe_sel, pkeys.len())] {
+            if let Some(bv) = sel {
+                assert_eq!(bv.len(), rows, "selection length mismatch");
+            }
+        }
+        // The selected build rows and their keys, gathered once.
+        let bids: Option<Vec<usize>> = build_sel.map(|bv| bv.iter_set().collect());
+        let gathered: Vec<i64>;
+        let keys = match &bids {
+            Some(ids) => {
+                gathered = ids.iter().map(|&r| bkeys[r]).collect();
+                &gathered
+            }
+            None => bkeys,
+        };
+        let max_part = max_partition(keys, fanout);
+        let (mut brows, prows) = JoinTable::new(keys).probe(pkeys, probe_sel);
+        if let Some(ids) = &bids {
+            brows.iter_mut().for_each(|b| *b = ids[*b]);
+        }
         (self.project(build, probe, &brows, &prows), max_part)
     }
 
@@ -146,11 +192,21 @@ impl<'a> JoinTable<'a> {
         }
     }
 
-    /// Probes the probe keys `pkeys` in order, returning the matched
+    /// Probes the probe keys `pkeys` at the rows `sel` keeps (every
+    /// row when `None`) in ascending row order, returning the matched
     /// build and probe row ids in emission order.
-    fn probe(&self, pkeys: &[i64]) -> (Vec<usize>, Vec<usize>) {
+    fn probe(&self, pkeys: &[i64], sel: Option<&BitVec>) -> (Vec<usize>, Vec<usize>) {
+        match sel {
+            Some(bv) => self.probe_rows(bv.iter_set().map(|pr| (pr, pkeys[pr]))),
+            None => self.probe_rows(pkeys.iter().copied().enumerate()),
+        }
+    }
+
+    /// Probes `(probe row, key)` pairs in order: each row's matches come
+    /// out in ascending build row.
+    fn probe_rows(&self, rows: impl Iterator<Item = (usize, i64)>) -> (Vec<usize>, Vec<usize>) {
         let (mut brows, mut prows) = (Vec::new(), Vec::new());
-        for (pr, &key) in pkeys.iter().enumerate() {
+        for (pr, key) in rows {
             let mut br = self.find(key);
             while br != NIL {
                 brows.push(br as usize);

@@ -158,10 +158,13 @@ pub struct Relation {
     /// Conjunctive filters applied at (or pushed down to) the scan.
     pub filters: Vec<ColFilter>,
     /// Columns the scan streams from DRAM: the scan is costed on their
-    /// resident bytes, and a filtered base-table scan materializes only
-    /// these columns. The list must therefore cover every column the
+    /// resident bytes. The list must therefore cover every column the
     /// plan reads from this relation — its filters, join keys, carried
-    /// columns and the finish's inputs.
+    /// columns and the finish's inputs — or the scan is priced below
+    /// the bytes it moves. Joins and group-bys read the base table's
+    /// columns through the scan's selection, so execution does not
+    /// check this; the `touched_covers_every_column_a_plan_reads` test
+    /// does, over every default plan and linearization.
     pub touched: Vec<String>,
 }
 
@@ -333,27 +336,38 @@ impl LogicalPlan {
         scale: u64,
     ) -> (LogicalOutput, QueryCost, Trace<usize>) {
         let mut trace = Trace::default();
-        let (first, mut kept) = self.eval_scan(self.first, db, &mut trace);
-        // A join-free plan finishing in a group-by aggregates the scan's
-        // selection in place; every other plan materializes it.
-        let in_place = self.joins.is_empty()
-            && self.post_filters.is_empty()
-            && matches!(self.finish, Finish::Agg(_) | Finish::AggTopK { .. });
-        let mut cur =
-            if in_place { first } else { self.materialize(self.first, first, kept.take()) };
+        // The accumulator: a table and the rows of it still selected.
+        let (mut cur, mut kept) = self.eval_scan(self.first, db, &mut trace);
         for j in &self.joins {
+            // Filtered scans reach the join as (table, selection): the
+            // join gathers just the selected rows of the columns it reads.
             let (other, sel) = self.eval_scan(j.scan, db, &mut trace);
-            let other = self.materialize(j.scan, other, sel);
-            let (build, probe) = if j.build_acc { (&*cur, &*other) } else { (&*other, &*cur) };
+            let (acc, scan) = ((&*cur, kept.take()), (&*other, sel));
+            let ((build, build_sel), (probe, probe_sel)) =
+                if j.build_acc { (acc, scan) } else { (scan, acc) };
             let join = HashJoin {
                 build_key: j.build_key.clone(),
                 probe_key: j.probe_key.clone(),
                 build_cols: j.build_cols.clone(),
                 probe_cols: j.probe_cols.clone(),
             };
-            let (out, _) = join.execute(build, probe, j.fanout as u64);
+            let (out, _) = join.execute_selected(
+                build,
+                build_sel.as_ref(),
+                probe,
+                probe_sel.as_ref(),
+                j.fanout as u64,
+            );
             trace.rows.push(out.rows());
             cur = Cow::Owned(out);
+        }
+        // A join-free plan finishing in a group-by aggregates the scan's
+        // selection in place; post-filters and the other finishes read
+        // a materialized copy (Q6).
+        let in_place = self.post_filters.is_empty()
+            && matches!(self.finish, Finish::Agg(_) | Finish::AggTopK { .. });
+        if let Some(sel) = kept.take_if(|_| !in_place) {
+            cur = self.materialize(self.first, cur, sel);
         }
         if !self.post_filters.is_empty() {
             let keep = conjunction(&self.post_filters, &cur);
@@ -374,7 +388,7 @@ impl LogicalPlan {
             Finish::AggTopK { spec, value, k } => {
                 let grouped = spec.execute(&cur, sel.as_ref());
                 trace.rows.push(grouped.rows());
-                let top = top_k(&grouped, value, (*k).min(grouped.rows().max(1)), 32);
+                let top = top_k(&grouped, value, (*k).min(grouped.rows().max(1)), 1);
                 LogicalOutput::Table(project_rows(&grouped, &top))
             }
             Finish::TopK { value, k, sort_by } => {
@@ -392,7 +406,7 @@ impl LogicalPlan {
                     );
                     jo = Cow::Owned(project_rows(&jo, &order));
                 }
-                let top = top_k(&jo, value, (*k).min(jo.rows().max(1)), 32);
+                let top = top_k(&jo, value, (*k).min(jo.rows().max(1)), 1);
                 LogicalOutput::Table(project_rows(&jo, &top))
             }
             Finish::ScalarSums(sums) => {
@@ -421,7 +435,8 @@ impl LogicalPlan {
 
     /// Evaluates one leaf: records its inputs and evaluates its filters.
     /// Returns the staged table — a base table borrowed, a derived
-    /// source computed — and the rows the filters keep (`None`: all).
+    /// source computed — and the rows the filters (and a derived
+    /// source's HAVING) keep (`None`: all).
     fn eval_scan<'a>(
         &self,
         i: usize,
@@ -439,31 +454,30 @@ impl LogicalPlan {
             .map(|n| base.column(n).expect("touched column").resident_bytes())
             .sum();
         trace.inputs.push((base.rows(), touched));
-        let staged = match &rel.source {
-            Source::Base(_) => Cow::Borrowed(base),
+        let (staged, having) = match &rel.source {
+            Source::Base(_) => (Cow::Borrowed(base), None),
             Source::GroupHaving { spec, having, .. } => {
                 let grouped = spec.execute(base, None);
                 trace.rows.push(grouped.rows());
                 let keep = having.apply(&grouped);
-                Cow::Owned(select_rows(&grouped, &keep))
+                (Cow::Owned(grouped), Some(keep))
             }
         };
-        let sel = (!rel.filters.is_empty()).then(|| conjunction(&rel.filters, &staged));
+        let filtered = (!rel.filters.is_empty()).then(|| conjunction(&rel.filters, &staged));
+        let sel = match (having, filtered) {
+            (Some(a), Some(b)) => Some(a.and(&b)),
+            (a, b) => a.or(b),
+        };
         trace.rows.push(sel.as_ref().map_or(staged.rows(), BitVec::count));
         (staged, sel)
     }
 
-    /// Materializes scan `i`'s output: the rows `sel` keeps of the
-    /// relation's touched columns (of every column, for a derived
-    /// source). An unfiltered scan stays as staged — borrowed, for a
-    /// base table.
-    fn materialize<'a>(
-        &self,
-        i: usize,
-        staged: Cow<'a, Table>,
-        sel: Option<BitVec>,
-    ) -> Cow<'a, Table> {
-        let Some(sel) = sel else { return staged };
+    /// Materializes the rows `sel` keeps of scan `i`'s staged table:
+    /// of the relation's touched columns for a base table, of every
+    /// column for a derived source. Only a join-free plan that does not
+    /// finish in a group-by copies its scan (Q6); joins and group-bys
+    /// read the selection in place.
+    fn materialize<'a>(&self, i: usize, staged: Cow<'a, Table>, sel: BitVec) -> Cow<'a, Table> {
         let rel = &self.scans[i];
         Cow::Owned(match &rel.source {
             Source::Base(_) => select_columns(
@@ -545,45 +559,7 @@ impl JoinGraph {
 
     /// Columns the finish (and residual filter) consumes.
     pub fn needed_columns(&self) -> Vec<String> {
-        let mut cols: Vec<String> = Vec::new();
-        let mut push = |c: &str| {
-            if !cols.iter().any(|x| x == c) {
-                cols.push(c.to_string());
-            }
-        };
-        match &self.finish {
-            Finish::Agg(spec) | Finish::AggTopK { spec, .. } => {
-                for c in &spec.group_cols {
-                    push(c);
-                }
-                for (_, f) in &spec.aggs {
-                    for c in agg_inputs(f) {
-                        push(&c);
-                    }
-                }
-            }
-            Finish::TopK { value, sort_by, .. } => {
-                push(value);
-                if let Some(s) = sort_by {
-                    push(s);
-                }
-            }
-            Finish::ScalarSums(sums) => {
-                for s in sums {
-                    for c in expr_columns(&s.expr) {
-                        push(&c);
-                    }
-                    if let Some(f) = &s.filter {
-                        push(&f.col);
-                    }
-                }
-            }
-        }
-        if let Some((a, b)) = &self.col_eq {
-            push(a);
-            push(b);
-        }
-        cols
+        finish_inputs(&self.finish, self.col_eq.as_ref())
     }
 
     /// Columns of relation `r` that are needed downstream: by the finish
@@ -644,6 +620,49 @@ impl JoinGraph {
             }
         }
     }
+}
+
+/// Columns a finish (and a residual column-equality filter) consumes.
+fn finish_inputs(finish: &Finish, col_eq: Option<&(String, String)>) -> Vec<String> {
+    let mut cols: Vec<String> = Vec::new();
+    let mut push = |c: &str| {
+        if !cols.iter().any(|x| x == c) {
+            cols.push(c.to_string());
+        }
+    };
+    match finish {
+        Finish::Agg(spec) | Finish::AggTopK { spec, .. } => {
+            for c in &spec.group_cols {
+                push(c);
+            }
+            for (_, f) in &spec.aggs {
+                for c in agg_inputs(f) {
+                    push(&c);
+                }
+            }
+        }
+        Finish::TopK { value, sort_by, .. } => {
+            push(value);
+            if let Some(s) = sort_by {
+                push(s);
+            }
+        }
+        Finish::ScalarSums(sums) => {
+            for s in sums {
+                for c in expr_columns(&s.expr) {
+                    push(&c);
+                }
+                if let Some(f) = &s.filter {
+                    push(&f.col);
+                }
+            }
+        }
+    }
+    if let Some((a, b)) = col_eq {
+        push(a);
+        push(b);
+    }
+    cols
 }
 
 fn agg_inputs(f: &crate::agg::AggFunc) -> Vec<String> {
@@ -1185,6 +1204,136 @@ mod tests {
         let finished = project_rows(grouped, &top);
         assert_eq!(&finished, q10_plan().execute(&db).table());
         let _ = spec;
+    }
+
+    /// Every connected order of `g`'s relations: each relation after
+    /// the first shares an edge with one before it.
+    fn connected_orders(g: &JoinGraph) -> Vec<Vec<usize>> {
+        fn extend(g: &JoinGraph, order: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if order.len() == g.relations.len() {
+                out.push(order.clone());
+                return;
+            }
+            for r in 0..g.relations.len() {
+                let linked = |e: &JoinEdge| {
+                    (e.a == r && order.contains(&e.b)) || (e.b == r && order.contains(&e.a))
+                };
+                if !order.contains(&r) && (order.is_empty() || g.edges.iter().any(linked)) {
+                    order.push(r);
+                    extend(g, order, out);
+                    order.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        extend(g, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Asserts that every column `p` reads from a relation is in that
+    /// relation's `touched` list: its filters, a derived source's
+    /// grouping inputs, the join keys and carried columns on its side
+    /// of each join, and the post-filter and finish inputs it provides.
+    /// Columns read from the accumulated side are traced to the one
+    /// joined relation whose table provides them.
+    fn assert_touched_covers_reads(p: &LogicalPlan, db: &TpchDb) {
+        // Whether relation `i`'s staged table has column `c`.
+        let provides = |i: usize, c: &str| match &p.scans[i].source {
+            Source::Base(t) => t.of(db).column(c).is_some(),
+            Source::GroupHaving { spec, .. } => {
+                spec.group_cols.iter().chain(spec.aggs.iter().map(|(n, _)| n)).any(|x| x == c)
+            }
+        };
+        // A base scan reads its touched columns; a derived source's
+        // outputs are computed from touched inputs, checked below.
+        let check = |i: usize, c: &str, what: &str| {
+            let rel = &p.scans[i];
+            let read = match &rel.source {
+                Source::Base(_) => rel.touched.iter().any(|t| t == c),
+                Source::GroupHaving { .. } => provides(i, c),
+            };
+            assert!(read, "{}: {what} column {c} of relation {i} is not touched", p.name);
+        };
+        let from = |members: &[usize], c: &str, what: &str| {
+            let owners: Vec<usize> = members.iter().copied().filter(|&i| provides(i, c)).collect();
+            assert_eq!(owners.len(), 1, "{}: {what} column {c} owned by {owners:?}", p.name);
+            check(owners[0], c, what);
+        };
+        for (i, rel) in p.scans.iter().enumerate() {
+            rel.filters.iter().for_each(|f| check(i, &f.col, "filter"));
+            if let Source::GroupHaving { spec, .. } = &rel.source {
+                let inputs = spec.aggs.iter().flat_map(|(_, f)| agg_inputs(f));
+                for c in spec.group_cols.iter().cloned().chain(inputs) {
+                    assert!(rel.touched.contains(&c), "{}: group input {c} not touched", p.name);
+                }
+            }
+        }
+        let mut joined = vec![p.first];
+        for j in &p.joins {
+            let (acc_key, scan_key, acc_cols, scan_cols) = if j.build_acc {
+                (&j.build_key, &j.probe_key, &j.build_cols, &j.probe_cols)
+            } else {
+                (&j.probe_key, &j.build_key, &j.probe_cols, &j.build_cols)
+            };
+            check(j.scan, scan_key, "join key");
+            scan_cols.iter().for_each(|c| check(j.scan, c, "carried"));
+            from(&joined, acc_key, "join key");
+            acc_cols.iter().for_each(|c| from(&joined, c, "carried"));
+            joined.push(j.scan);
+        }
+        p.post_filters.iter().for_each(|f| from(&joined, &f.col, "post-filter"));
+        for c in finish_inputs(&p.finish, p.col_eq.as_ref()) {
+            from(&joined, &c, "finish");
+        }
+    }
+
+    /// Joins and group-bys read base columns through the scans'
+    /// selections, so no copy checks `Relation::touched` at run time:
+    /// this pins, for every default plan and every linearization of
+    /// the join graphs (both build-side choices), that each scan is
+    /// priced on every column the plan reads from it.
+    #[test]
+    fn touched_covers_every_column_a_plan_reads() {
+        let db = db();
+        let mut plans = vec![
+            q1_plan(),
+            q3_plan(),
+            q5_plan(),
+            q6_plan(),
+            q10_plan(),
+            q10_partial_plan(),
+            q12_plan(),
+            q14_plan(),
+            q18_plan(),
+        ];
+        let mut linearized = 0;
+        for g in [q3_graph(), q5_graph(), q10_graph()] {
+            let n = g.relations.len();
+            let ests = [
+                (1..=n).map(|i| i as f64).collect::<Vec<_>>(),
+                (1..=n).rev().map(|i| i as f64).collect(),
+                vec![1.0; n],
+            ];
+            for order in connected_orders(&g) {
+                for est in &ests {
+                    plans.push(g.linearize(&order, est));
+                    linearized += 1;
+                }
+            }
+        }
+        assert!(linearized >= 3 * (4 + 2), "only {linearized} linearizations");
+        for p in &plans {
+            assert_touched_covers_reads(p, &db);
+        }
+    }
+
+    /// The check above catches a touched list missing a join key.
+    #[test]
+    #[should_panic(expected = "join key column o_custkey of relation 1 is not touched")]
+    fn touched_check_catches_a_missing_join_key() {
+        let mut p = q3_plan();
+        p.scans[1].touched.retain(|c| c != "o_custkey");
+        assert_touched_covers_reads(&p, &db());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! The references are brute force where the tests can compute one: the
 //! filter against `CompareOp::matches` per row, partitioning against
 //! the bit-serial `crc32c_u64`, the join against a nested loop over
-//! probe rows then build rows, top-k and sort against one full stable
+//! probe rows then build rows, the selection join against the join over
+//! `select_rows` copies, top-k and sort against one full stable
 //! sort, and expressions against per-row wrapping arithmetic. The
 //! group-by's reference is `GroupBySpec::execute_seq`, key-less
 //! aggregates included.
@@ -23,6 +24,7 @@ use dpu_repro::isa::hash::{
     crc32c_u64, crc32c_u64_hw, crc32c_u64_table, crc32c_u64_x4, crc32c_u64_x4_hw, crc32c_wide,
     crc32c_wide_hw, crc32c_wide_table, crc32c_wide_x4, crc32c_wide_x4_hw, hw_crc_available,
 };
+use dpu_repro::sql::tpch::select_rows;
 use dpu_repro::sql::{
     partition_row_ids, sort_indices_multi, sort_indices_multi_selected, sort_indices_selected,
     top_k, top_k_selected, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
@@ -69,6 +71,27 @@ fn join_reference(join: &HashJoin, build: &Table, probe: &Table, fanout: u64) ->
         counts[(crc32c_u64(k as u64) as u64 % fanout) as usize] += 1;
     }
     (Table::new(build_cols.chain(probe_cols).collect()), counts.into_iter().max().unwrap_or(0))
+}
+
+/// How many selection shapes [`shaped_selection`] draws from.
+const SELECTION_SHAPES: u8 = 6;
+
+/// A selection over `n` rows of the given shape, sized by `(a, b)`:
+/// none (every row), empty, full, strided, a single row, or a run of
+/// 2–18 rows straddling a 64-row word boundary.
+fn shaped_selection(n: usize, shape: u8, (a, b): (usize, usize)) -> Option<BitVec> {
+    let stride = 1 + a % 7;
+    match shape {
+        0 => None,
+        1 => Some(BitVec::new(n)),
+        2 => Some(BitVec::from_fn(n, |_| true)),
+        3 => Some(BitVec::from_fn(n, |r| r % stride == b % stride)),
+        4 => Some(BitVec::from_fn(n, |r| r == a % n.max(1))),
+        _ => {
+            let (word, lo, hi) = (64 * (1 + a % 3), 1 + b % 9, 1 + (b / 9) % 9);
+            Some(BitVec::from_fn(n, |r| r + lo >= word && r < word + hi))
+        }
+    }
 }
 
 /// The top-k reference: the selected rows in one full stable sort by
@@ -177,6 +200,30 @@ proptest! {
         let want = join_reference(&join, &build, &probe, fanout);
         // Exact row order, not just multiset equality.
         prop_assert_eq!(&want, &join.execute(&build, &probe, fanout));
+    }
+
+    #[test]
+    fn selection_join_equals_join_over_selected_copies(
+        bkeys in values(200),
+        pkeys in values(200),
+        bdraw in (any::<usize>(), any::<usize>()),
+        pdraw in (any::<usize>(), any::<usize>()),
+        fanout in 1u64..10,
+    ) {
+        let (build, probe) = (keyed(bkeys, "brow"), keyed(pkeys, "prow"));
+        let join = row_id_join();
+        let copy = |t: &Table, sel: &Option<BitVec>| sel.as_ref().map_or(t.clone(), |s| select_rows(t, s));
+        // Every selection shape on each side, so each pairing runs.
+        for bshape in 0..SELECTION_SHAPES {
+            for pshape in 0..SELECTION_SHAPES {
+                let bsel = shaped_selection(build.rows(), bshape, bdraw);
+                let psel = shaped_selection(probe.rows(), pshape, pdraw);
+                let want = join.execute(&copy(&build, &bsel), &copy(&probe, &psel), fanout);
+                // Exact row order, base row ids and partition figure.
+                let got = join.execute_selected(&build, bsel.as_ref(), &probe, psel.as_ref(), fanout);
+                prop_assert_eq!(&want, &got, "shapes {} x {}", bshape, pshape);
+            }
+        }
     }
 
     #[test]
