@@ -12,10 +12,12 @@
 //!    O(1) `Cluster` fork per cell from shared per-k cores,
 //! 4. the SQL kernels' production entry points, single-threaded so
 //!    each row isolates the kernel itself: filter, CRC32 partition,
-//!    single- and multi-key hash group-by, the dense small-domain
-//!    group-by, the key-ordered group-by (`agg_ordered`), the hash join,
-//!    the selection join (`join_selected`), threshold-prefiltered
-//!    top-k, word-key sort and expression evaluation. The group-by rows
+//!    single- and multi-key hash group-by (each key tuple coded as one
+//!    `u64` and hashed into a table of one-word keys), the dense
+//!    small-domain group-by, the key-ordered group-by (`agg_ordered`),
+//!    the hash join, the selection join (`join_selected`),
+//!    threshold-prefiltered top-k, the key-code sort (`sortkey`: one
+//!    sort of `(code, row)` pairs) and expression evaluation. The group-by rows
 //!    carry a reference column — `GroupBySpec::execute_seq`, the one
 //!    in-crate reference left — with a speedup and a ≥1.3× floor.
 //!    `join_selected` is timed against copying both selections out and
@@ -286,8 +288,8 @@ fn main() {
     assert_eq!(a_ref, a, "group-by diverged from its reference");
     kernel_row("agg", Some(a_ref_s), a_s, true);
 
-    // Multi-key group-by: two-column composite keys (≤65 536 groups)
-    // through the flattened wide-CRC probe.
+    // Multi-key group-by: two-column composite keys (≤65 536 groups),
+    // each tuple coded as one `u64` and hashed into the code table.
     let mspec = GroupBySpec {
         group_cols: vec!["s1".into(), "g2".into()],
         aggs: vec![
@@ -305,7 +307,7 @@ fn main() {
 
     // Dense group-by: the TPC-H Q1 shape, two low-cardinality keys (3 × 2
     // slots, derived from the existing streams) and four aggregates. It
-    // indexes slots directly: no CRC, no probe, no sort.
+    // indexes slots by key code directly: no hash, no probe, no sort.
     let mt_col = |name: &str| mt.column(name).expect("multi-key column").data.clone();
     let dt = Table::new(vec![
         Column::i64("rf", keys.iter().map(|&k| k.rem_euclid(3)).collect()),
@@ -345,14 +347,14 @@ fn main() {
     // Selection join: both sides filtered, as a plan's scans reach its
     // joins. The selected build keys are gathered once and the selected
     // probe rows probe in place, against copying both selections out
-    // first and joining the copies. Identity asserted; no floor.
+    // first and joining the copies with `execute` (which also counts
+    // the largest build partition). Identity asserted; no floor.
     let bsel = BitVec::from_fn(jb.rows(), |r| r % 3 != 0);
     let psel = fspec.apply(&kt);
-    let (copy_s, copied) = best_of(|| {
+    let (copy_s, (copied, _)) = best_of(|| {
         join.execute(&tpch::select_rows(&jb, &bsel), &tpch::select_rows(&kt, &psel), 32)
     });
-    let (sel_s, selected) =
-        best_of(|| join.execute_selected(&jb, Some(&bsel), &kt, Some(&psel), 32));
+    let (sel_s, selected) = best_of(|| join.execute_selected(&jb, Some(&bsel), &kt, Some(&psel)));
     assert_eq!(copied, selected, "selection join diverged from joining the copies");
     kernel_row("join_selected", Some(copy_s), sel_s, false);
 
@@ -372,8 +374,8 @@ fn main() {
     // the heap fills (k=100 over 2M uniform rows ⇒ almost all of them).
     kernel_row("topk", None, best_of(|| top_k(&kt, "v", 100, 1)).0, false);
 
-    // Sort-key extraction: a duplicate-heavy two-column sort comparing
-    // materialized order-normalized words.
+    // Key-code sort: a duplicate-heavy two-column sort, each selected
+    // row coded as one `u64` and the `(code, row)` pairs sorted once.
     kernel_row("sortkey", None, best_of(|| sort_indices_multi(&mt, &["s1", "s2"], 1)).0, false);
 
     // Expression evaluation: the TPC-H revenue shape.

@@ -128,56 +128,6 @@ pub fn crc32c_u64_x4(keys: [u64; 4]) -> [u32; 4] {
     [!c[0], !c[1], !c[2], !c[3]]
 }
 
-/// CRC32-C of a flattened multi-word key (the composite group-by key
-/// encoding): each word folds through the engine low half first, exactly
-/// as if the words streamed through the `crc32` instruction in order.
-/// `crc32c_wide(&[k])` equals [`crc32c_u64`]`(k)`, so single-key callers
-/// and composite-key callers share one hash family.
-pub fn crc32c_wide(words: &[u64]) -> u32 {
-    let mut c = !0u32;
-    for &w in words {
-        c = crc32c_step(crc32c_step(c, w as u32), (w >> 32) as u32);
-    }
-    !c
-}
-
-/// Table-driven [`crc32c_wide`]: the composite-key hash where SSE4.2 is
-/// absent.
-/// Bit-identical to the bit-serial reference at ~8 lookups per word.
-#[inline]
-pub fn crc32c_wide_table(words: &[u64]) -> u32 {
-    let mut c = !0u32;
-    for &w in words {
-        c = crc32c_step_table(crc32c_step_table(c, w as u32), (w >> 32) as u32);
-    }
-    !c
-}
-
-/// Four independent [`crc32c_wide`] streams over equal-width keys,
-/// word-interleaved so the four lookup chains overlap in the host
-/// pipeline — the wide-key analogue of [`crc32c_u64_x4`].
-///
-/// # Panics
-///
-/// Panics if the four lanes have different widths.
-#[inline]
-pub fn crc32c_wide_x4(lanes: [&[u64]; 4]) -> [u32; 4] {
-    let width = lanes[0].len();
-    assert!(lanes.iter().all(|l| l.len() == width), "lanes must share one key width");
-    let mut c = [!0u32; 4];
-    // Word-major walk on purpose: the four chains advance in lockstep.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..width {
-        let mut lane = 0;
-        while lane < 4 {
-            let w = lanes[lane][i];
-            c[lane] = crc32c_step_table(crc32c_step_table(c[lane], w as u32), (w >> 32) as u32);
-            lane += 1;
-        }
-    }
-    [!c[0], !c[1], !c[2], !c[3]]
-}
-
 /// True when the host exposes the SSE4.2 `crc32` instruction, the
 /// hardware twin of the dpCore's single-cycle `CRC32`. The `*_hw`
 /// engines run it when this holds and the table-driven CRC otherwise.
@@ -217,34 +167,6 @@ fn crc32c_u64_x4_hw_inner(keys: [u64; 4]) -> [u32; 4] {
     [!c[0], !c[1], !c[2], !c[3]]
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-fn crc32c_wide_hw_inner(words: &[u64]) -> u32 {
-    let mut c = !0u32;
-    for &w in words {
-        c = crc32q(c, w);
-    }
-    !c
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-fn crc32c_wide_x4_hw_inner(lanes: [&[u64]; 4]) -> [u32; 4] {
-    let width = lanes[0].len();
-    assert!(lanes.iter().all(|l| l.len() == width), "lanes must share one key width");
-    let mut c = [!0u32; 4];
-    // Word-major walk on purpose: the four chains advance in lockstep.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..width {
-        let mut lane = 0;
-        while lane < 4 {
-            c[lane] = crc32q(c[lane], lanes[lane][i]);
-            lane += 1;
-        }
-    }
-    [!c[0], !c[1], !c[2], !c[3]]
-}
-
 /// Hardware [`crc32c_u64`] via SSE4.2 `crc32q`; falls back to the table
 /// CRC when the instruction is absent, so it is total (and bit-identical
 /// to the bit-serial reference) on every host.
@@ -268,32 +190,6 @@ pub fn crc32c_u64_x4_hw(keys: [u64; 4]) -> [u32; 4] {
         return unsafe { crc32c_u64_x4_hw_inner(keys) };
     }
     crc32c_u64_x4(keys)
-}
-
-/// Hardware [`crc32c_wide`] (table fallback without SSE4.2).
-#[inline]
-pub fn crc32c_wide_hw(words: &[u64]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if hw_crc_available() {
-        // SAFETY: the sse4.2 feature was just detected at runtime.
-        return unsafe { crc32c_wide_hw_inner(words) };
-    }
-    crc32c_wide_table(words)
-}
-
-/// Hardware [`crc32c_wide_x4`] (table fallback without SSE4.2).
-///
-/// # Panics
-///
-/// Panics if the four lanes have different widths.
-#[inline]
-pub fn crc32c_wide_x4_hw(lanes: [&[u64]; 4]) -> [u32; 4] {
-    #[cfg(target_arch = "x86_64")]
-    if hw_crc_available() {
-        // SAFETY: the sse4.2 feature was just detected at runtime.
-        return unsafe { crc32c_wide_x4_hw_inner(lanes) };
-    }
-    crc32c_wide_x4(lanes)
 }
 
 /// MurmurHash3's 64-bit finalizer ("Murmur64" in the paper): two 64-bit
@@ -416,31 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_crc_of_one_word_equals_u64_crc() {
-        for key in [0u64, 1, u64::MAX, 0xDEAD_BEEF_CAFE_F00D, 1 << 32] {
-            assert_eq!(crc32c_wide(&[key]), crc32c_u64(key), "key {key:#x}");
-            assert_eq!(crc32c_wide_table(&[key]), crc32c_u64(key), "key {key:#x}");
-        }
-    }
-
-    #[test]
-    fn wide_crc_arms_agree_and_are_width_sensitive() {
-        let keys: Vec<u64> = (0..7u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        for width in 1..=4usize {
-            let words = &keys[..width];
-            let want = crc32c_wide(words);
-            assert_eq!(crc32c_wide_table(words), want, "width {width}");
-            assert_eq!(crc32c_wide_hw(words), want, "width {width}");
-            let lanes = crc32c_wide_x4([words, words, words, words]);
-            assert_eq!(lanes, [want; 4], "width {width}");
-            assert_eq!(crc32c_wide_x4_hw([words, words, words, words]), [want; 4]);
-        }
-        // Appending a word must change the hash (the flattened encoding
-        // distinguishes (k) from (k, 0)).
-        assert_ne!(crc32c_wide(&[5]), crc32c_wide(&[5, 0]));
-    }
-
-    #[test]
     fn hw_crc_matches_bit_serial_when_available() {
         // The fallback path makes these equalities hold on every host;
         // on SSE4.2 hosts they additionally pin the crc32q instruction
@@ -453,12 +324,6 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(lanes[i], crc32c_u64(k), "lane {i}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "lanes must share one key width")]
-    fn wide_x4_rejects_ragged_lanes() {
-        crc32c_wide_x4([&[1, 2], &[1], &[1, 2], &[1, 2]]);
     }
 
     #[test]

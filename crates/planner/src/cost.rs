@@ -59,7 +59,7 @@ pub struct CostModel<'a> {
     pub fabric: FabricConfig,
     /// The spine/leaf geometry: sources outside the coordinator's rack
     /// pay doubled hop latency and their bytes share the rack uplinks
-    /// (see [`CostModel::merge_estimate`]). A single-rack topology
+    /// (see `CostModel::merge_estimate`). A single-rack topology
     /// prices exactly like the flat model.
     pub topo: Topology,
     /// Full-scale multiplier (`ClusterConfig::scale`).

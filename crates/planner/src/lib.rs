@@ -16,7 +16,7 @@
 //!   query's join graph, and merge placement; any chosen plan is
 //!   bit-identical to the default plan because every finishing
 //!   operator canonicalizes its output.
-//! - [`explain`] — a stable text rendering with estimated vs actual
+//! - [`mod@explain`] — a stable text rendering with estimated vs actual
 //!   rows per operator.
 //! - [`profile`] — adaptive re-optimization: a [`ServeHook`] that
 //!   charges each template its selected plan's profiled cost and

@@ -8,6 +8,8 @@
 //! [`ShardedTpch::table_rows`] source the skew report uses, so the
 //! planner and the load balancer can never disagree about shard sizes.
 //!
+//! [`ShardedTpch::table_rows`]: dpu_cluster::ShardedTpch::table_rows
+//!
 //! Sketches hash with `Murmur64`, not the DPU's native CRC32: planner
 //! statistics run over raw (often sequential) key columns, exactly the
 //! structured inputs where CRC32's GF(2) linearity collapses register

@@ -12,10 +12,9 @@
 
 use std::collections::HashMap;
 
-use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, crc32c_wide_hw, crc32c_wide_x4_hw};
-
 use crate::bitvec::BitVec;
 use crate::column::{Column, Table};
+use crate::key::KeyCode;
 use crate::vector;
 
 /// An aggregate function over a named column.
@@ -82,21 +81,21 @@ impl GroupBySpec {
 
     /// Executes the group-by over (optionally selected) rows, returning a
     /// result table sorted by group key. This is the reference-semantics
-    /// path; timing goes through [`GroupByPlan`]. The first arm that
-    /// applies runs:
+    /// path; timing goes through [`GroupByPlan`]. Each key tuple maps to
+    /// one `u64` code whose order is the tuple order (`KeyCode`), and the
+    /// first arm that applies runs:
     ///
-    /// 1. a small key domain takes the dense path
-    ///    ([`Self::execute_dense`]);
+    /// 1. key domains of at most `DENSE_CAP` codes index dense slots by
+    ///    the code (`aggregate_dense`);
     /// 2. selected keys that never descend take the key-ordered path
     ///    ([`Self::execute_ordered`]), which also serves key-less
     ///    aggregates (every row repeats the empty key);
-    /// 3. the rest stream the selected rows in ascending order through
-    ///    lane-batched key hashing — four keys per CRC batch, composite
-    ///    keys flattened into contiguous `u64` words — into an
-    ///    open-addressed group table ([`Self::aggregate_swar`]); each
-    ///    aggregate then accumulates column-at-a-time and the groups come
-    ///    out through one permutation sort by key
-    ///    ([`FlatGroups::into_table`]).
+    /// 3. the rest hash their codes into a table of one-word keys
+    ///    (`aggregate_hash`), and the groups come out through one sort
+    ///    by code;
+    /// 4. key tuples whose value ranges multiply past 2^64 have no code:
+    ///    the selected rows sort stably by tuple, and the key-ordered
+    ///    walk groups the sorted rows.
     ///
     /// Every arm folds each group's rows in the same ascending order as
     /// [`Self::execute_seq`], so the result is bit-identical to it.
@@ -106,14 +105,27 @@ impl GroupBySpec {
     /// Panics if a named column is missing or the selection length
     /// mismatches.
     pub fn execute(&self, table: &Table, sel: Option<&BitVec>) -> Table {
-        if let Some(t) = self.execute_dense(table, sel) {
-            return t;
+        self.route(table, sel).1
+    }
+
+    /// [`Self::execute`], and the arm that ran.
+    fn route(&self, table: &Table, sel: Option<&BitVec>) -> (Route, Table) {
+        if let Some(bv) = sel {
+            assert_eq!(bv.len(), table.rows(), "selection length mismatch");
         }
         let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
+        let cols: Vec<&Column> = key_idx.iter().map(|&i| &table.columns[i]).collect();
+        let code = KeyCode::new(&cols);
         let rows = selected_rows(table, sel);
-        match self.aggregate_ordered(table, &rows, &key_idx) {
-            Some(t) => t,
-            None => self.aggregate_swar(table, &rows, &key_idx).into_table(self),
+        if let Some(code) = code.as_ref().filter(|c| !cols.is_empty() && c.domain() <= DENSE_CAP) {
+            return (Route::Dense, self.aggregate_dense(table, &rows, &key_idx, code));
+        }
+        if let Some(t) = self.aggregate_ordered(table, &rows, &key_idx) {
+            return (Route::Ordered, t);
+        }
+        match code {
+            Some(code) => (Route::Hash, self.aggregate_hash(table, &rows, &key_idx, &code)),
+            None => (Route::Sorted, self.aggregate_sorted(table, rows, &key_idx)),
         }
     }
 
@@ -177,162 +189,97 @@ impl GroupBySpec {
         Table::new(out_cols)
     }
 
-    /// The dense group-by for small key domains, or `None` when there
-    /// is no key column, the table is empty, or the product of the key
-    /// columns' value ranges exceeds [`DENSE_CAP`]. Each selected row
-    /// maps to the slot `Σ (k_c − min_c)·stride_c` (the last key column
-    /// varies fastest), the aggregates accumulate into slot-indexed
-    /// arrays, and the non-empty slots come out in index order — which
-    /// is signed lexicographic key order, so no hash, probe or sort
-    /// runs. Rows reach each accumulator in ascending order, as in
+    /// The dense group-by for key domains of at most [`DENSE_CAP`]
+    /// codes: each row's code is its slot, the aggregates accumulate
+    /// into slot-indexed arrays, and the non-empty slots come out in
+    /// index order — which is key order, so no hash, probe or sort runs.
+    /// Rows reach each accumulator in ascending order, as in
     /// [`Self::execute_seq`], so the result is bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named column is missing or the selection length
-    /// mismatches.
-    fn execute_dense(&self, table: &Table, sel: Option<&BitVec>) -> Option<Table> {
-        if let Some(bv) = sel {
-            assert_eq!(bv.len(), table.rows(), "selection length mismatch");
-        }
-        let cols: Vec<&Column> =
-            self.group_cols.iter().map(|c| &table.columns[table.col_index(c)]).collect();
-        if cols.is_empty() {
-            return None;
-        }
-        // Per key column: its minimum and value range, then the strides.
-        let mut dims: Vec<(i64, u64)> = Vec::with_capacity(cols.len());
-        let mut domain = 1u64;
-        for col in &cols {
-            let (lo, hi) = key_bounds(col)?;
-            let range = hi.abs_diff(lo).checked_add(1)?;
-            domain = domain.checked_mul(range).filter(|&d| d <= DENSE_CAP)?;
-            dims.push((lo, range));
-        }
-        let mut strides = vec![1u32; cols.len()];
-        for c in (0..cols.len() - 1).rev() {
-            strides[c] = strides[c + 1] * dims[c + 1].1 as u32;
-        }
-
-        let rows = selected_rows(table, sel);
-        let mut slots = vec![0u32; rows.len()];
-        for ((col, &(lo, _)), &stride) in cols.iter().zip(&dims).zip(&strides) {
-            let kd = &col.data;
-            for (slot, &r) in slots.iter_mut().zip(&rows) {
-                *slot += kd[r].wrapping_sub(lo) as u32 * stride;
-            }
-        }
-        let states = self.fold(table, &rows, &slots, domain as usize);
-        let mut seen = vec![false; domain as usize];
-        slots.iter().for_each(|&g| seen[g as usize] = true);
-        let live: Vec<usize> = (0..domain as usize).filter(|&g| seen[g]).collect();
-
-        let key_cols = self.group_cols.iter().zip(dims.iter().zip(&strides)).map(
-            |(name, (&(lo, range), &stride))| {
-                let key = |g: usize| lo.wrapping_add((g as u64 / stride as u64 % range) as i64);
-                Column::i64(name, live.iter().map(|&g| key(g)).collect())
-            },
-        );
-        let agg_cols = self
-            .aggs
-            .iter()
-            .zip(&states)
-            .map(|((name, _), s)| Column::i64(name, live.iter().map(|&g| s[g]).collect()));
-        Some(Table::new(key_cols.chain(agg_cols).collect()))
+    fn aggregate_dense(
+        &self,
+        table: &Table,
+        rows: &[usize],
+        key_idx: &[usize],
+        code: &KeyCode,
+    ) -> Table {
+        let domain = code.domain() as usize;
+        let slots: Vec<u32> = rows.iter().map(|&r| code.code(r) as u32).collect();
+        let states = self.fold(table, rows, &slots, domain);
+        // A row of each non-empty slot.
+        let mut reps = vec![usize::MAX; domain];
+        slots.iter().zip(rows).for_each(|(&g, &r)| reps[g as usize] = r);
+        let live: Vec<usize> = (0..domain).filter(|&g| reps[g] != usize::MAX).collect();
+        self.output(table, key_idx, &reps, &states, &live)
     }
 
-    /// The hash group-by behind [`Self::execute`], in two passes over
-    /// `rows`:
+    /// The hash group-by for key domains past [`DENSE_CAP`], in two
+    /// passes over `rows`:
     ///
-    /// 1. *Probe*: each row's key resolves to a dense `u32` group id in
-    ///    an open-addressed [`SwarGroups`] table. Capacity starts at
+    /// 1. *Probe*: each row's code resolves to a dense `u32` group id in
+    ///    an open-addressed [`CodeGroups`] table. Capacity starts at
     ///    `2 × rows` rounded up to a power of two, capped at 16 Ki slots
     ///    (64 KiB), so inputs up to 8 Ki rows never rehash and larger
     ///    ones grow with their group count rather than their row count.
-    ///    Single-key specs hash the column values directly; wider specs
-    ///    pack each row's key tuple into a contiguous `u64`-word region
-    ///    and hash the flattened words — both through four CRC lanes. A
-    ///    row whose key equals the previous row's reuses that row's
-    ///    group id without probing, so key runs (a lineitem shard
-    ///    ordered by orderkey, and the joins' output in probe order)
-    ///    probe once per run.
+    ///    A row whose code equals the previous row's reuses that row's
+    ///    group id without probing, so key runs (the joins' output in
+    ///    probe order) probe once per run.
     /// 2. *Accumulate*: one aggregate at a time over its resolved input
     ///    slices, indexed by group id — rows in ascending order, as the
     ///    scalar reference folds them ([`Self::fold`]).
     ///
-    /// Groups come back unsorted, in first-seen order.
-    fn aggregate_swar(&self, table: &Table, rows: &[usize], key_idx: &[usize]) -> FlatGroups {
+    /// The groups then come out through one sort by code.
+    fn aggregate_hash(
+        &self,
+        table: &Table,
+        rows: &[usize],
+        key_idx: &[usize],
+        code: &KeyCode,
+    ) -> Table {
         assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 slot encoding");
-        let width = key_idx.len();
-        let cap = (rows.len() * 2).next_power_of_two().clamp(16, 1 << 14);
-        let mut groups = SwarGroups::new(cap, width);
+        let codes: Vec<u64> = rows.iter().map(|&r| code.code(r)).collect();
+        let mut groups = CodeGroups::new((rows.len() * 2).next_power_of_two().clamp(16, 1 << 14));
         let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
-
-        if width == 1 {
-            let kd = &table.columns[key_idx[0]].data;
-            // Row j repeats row j - 1's key.
-            let repeats = |j: usize| j > 0 && kd[rows[j]] == kd[rows[j - 1]];
-            let mut quads = rows.chunks_exact(4);
-            for quad in &mut quads {
-                // Lane-batched hashing: four independent CRC streams.
-                let keys = [quad[0], quad[1], quad[2], quad[3]].map(|r| kd[r] as u64);
-                let h = crc32c_u64_x4_hw(keys);
-                for j in 0..4 {
-                    let g = if repeats(gids.len()) {
-                        gids[gids.len() - 1]
-                    } else {
-                        groups.group_of(&keys[j..j + 1], h[j])
-                    };
-                    gids.push(g);
-                }
-            }
-            for &row in quads.remainder() {
-                let key = kd[row] as u64;
-                let g = if repeats(gids.len()) {
-                    gids[gids.len() - 1]
-                } else {
-                    groups.group_of(&[key], crc32c_u64_hw(key))
-                };
-                gids.push(g);
-            }
-        } else {
-            // Flattened composite-key encoding: row j's key tuple packs
-            // into flat[j*width .. (j+1)*width], hashed as one wide key.
-            let mut flat = vec![0u64; rows.len() * width];
-            for (c, &ki) in key_idx.iter().enumerate() {
-                let kd = &table.columns[ki].data;
-                for (j, &row) in rows.iter().enumerate() {
-                    flat[j * width + c] = kd[row] as u64;
-                }
-            }
-            // Row j repeats row j - 1's key when their word regions match.
-            let repeats =
-                |j: usize| j > 0 && flat[j * width..][..width] == flat[(j - 1) * width..][..width];
-            let mut quads = flat.chunks_exact(4 * width);
-            for quad in &mut quads {
-                let lanes: [&[u64]; 4] = std::array::from_fn(|j| &quad[j * width..][..width]);
-                let h = crc32c_wide_x4_hw(lanes);
-                for j in 0..4 {
-                    let g = if repeats(gids.len()) {
-                        gids[gids.len() - 1]
-                    } else {
-                        groups.group_of(lanes[j], h[j])
-                    };
-                    gids.push(g);
-                }
-            }
-            for key in quads.remainder().chunks_exact(width) {
-                let g = if repeats(gids.len()) {
-                    gids[gids.len() - 1]
-                } else {
-                    groups.group_of(key, crc32c_wide_hw(key))
-                };
-                gids.push(g);
-            }
+        for (j, (&c, &r)) in codes.iter().zip(rows).enumerate() {
+            let g = if j > 0 && c == codes[j - 1] { gids[j - 1] } else { groups.group_of(c, r) };
+            gids.push(g);
         }
+        let states = self.fold(table, rows, &gids, groups.codes.len());
+        let mut order: Vec<(u64, usize)> = groups.codes.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        let order: Vec<usize> = order.into_iter().map(|(_, g)| g).collect();
+        self.output(table, key_idx, &groups.reps, &states, &order)
+    }
 
-        let states = self.fold(table, rows, &gids, groups.keys.len() / width);
-        FlatGroups { width, keys: groups.keys, states }
+    /// The group-by for key tuples without a code: the rows sort stably
+    /// by tuple, so the key-ordered walk groups them and each group's
+    /// rows stay in ascending order.
+    fn aggregate_sorted(&self, table: &Table, mut rows: Vec<usize>, key_idx: &[usize]) -> Table {
+        let keys: Vec<&[i64]> = key_idx.iter().map(|&i| table.columns[i].data.as_slice()).collect();
+        rows.sort_by(|&a, &b| keys.iter().map(|k| k[a]).cmp(keys.iter().map(|k| k[b])));
+        self.aggregate_ordered(table, &rows, key_idx).expect("sorted key tuples never descend")
+    }
+
+    /// The result table of groups `order`, in that order: group `g`'s
+    /// key read from its row `reps[g]` and its aggregates from
+    /// `states[_][g]`.
+    fn output(
+        &self,
+        table: &Table,
+        key_idx: &[usize],
+        reps: &[usize],
+        states: &[Vec<i64>],
+        order: &[usize],
+    ) -> Table {
+        let key_cols = self.group_cols.iter().zip(key_idx).map(|(name, &i)| {
+            let k = &table.columns[i].data;
+            Column::i64(name, order.iter().map(|&g| k[reps[g]]).collect())
+        });
+        let agg_cols = self
+            .aggs
+            .iter()
+            .zip(states)
+            .map(|((name, _), s)| Column::i64(name, order.iter().map(|&g| s[g]).collect()));
+        Table::new(key_cols.chain(agg_cols).collect())
     }
 
     /// The pass behind [`Self::execute_ordered`]: one branch-free walk
@@ -475,16 +422,29 @@ impl GroupBySpec {
     }
 }
 
+/// The arms of [`GroupBySpec::execute`], in the order it tries them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// [`GroupBySpec::aggregate_dense`].
+    Dense,
+    /// [`GroupBySpec::aggregate_ordered`].
+    Ordered,
+    /// [`GroupBySpec::aggregate_hash`].
+    Hash,
+    /// [`GroupBySpec::aggregate_sorted`].
+    Sorted,
+}
+
 /// Largest key domain — the product of the key columns' value ranges —
-/// the dense group-by ([`GroupBySpec::execute_dense`]) serves. Every
-/// aggregate's state array, the occupancy flags and the final slot
+/// the dense group-by ([`GroupBySpec::aggregate_dense`]) serves. Every
+/// aggregate's state array, the slots' key rows and the final slot
 /// scan are this long whatever the row count, so the cap bounds what a
 /// tiny input can pay for a wide domain. Measured single-key with three
 /// aggregates on a 2-vCPU Xeon: at 4096 slots the dense path ties the
 /// hash path at 250 rows and wins from 1000 rows up; at 8192 slots
 /// (state arrays past 32 KiB) it loses 4× at 250 rows, and at 16 384
 /// slots it loses at 1000 rows.
-const DENSE_CAP: u64 = 1 << 12;
+const DENSE_CAP: u128 = 1 << 12;
 
 /// Rows between two checks of the key-ordered group-by's descent flag
 /// ([`GroupBySpec::aggregate_ordered`]): small enough that unordered
@@ -523,18 +483,8 @@ fn key_runs(
     Some(if rows.is_empty() { 0 } else { g as usize + 1 })
 }
 
-/// The least and greatest value of a column (`None` when empty): from
-/// the packed chunks' exact zone maps when it has them, else one scan.
-fn key_bounds(col: &Column) -> Option<(i64, i64)> {
-    let bounds = |(lo, hi): (i64, i64), (a, b): (i64, i64)| (lo.min(a), hi.max(b));
-    match &col.packed {
-        Some(p) => p.chunks().iter().map(|c| (c.frame, c.max)).reduce(bounds),
-        None => col.data.iter().map(|&k| (k, k)).reduce(bounds),
-    }
-}
-
 /// The ids of the rows `sel` keeps (every row when `None`), ascending.
-fn selected_rows(table: &Table, sel: Option<&BitVec>) -> Vec<usize> {
+pub(crate) fn selected_rows(table: &Table, sel: Option<&BitVec>) -> Vec<usize> {
     match sel {
         Some(bv) => bv.iter_set().collect(),
         None => (0..table.rows()).collect(),
@@ -550,78 +500,46 @@ fn init_of(f: &AggFunc) -> i64 {
     }
 }
 
-/// Unsorted group-by output in flat form: `width` bit-cast key words
-/// per group and one accumulator column per aggregate, groups in the
-/// same order in both.
-struct FlatGroups {
-    width: usize,
-    keys: Vec<u64>,
-    states: Vec<Vec<i64>>,
-}
-
-impl FlatGroups {
-    /// The key-sorted result table: one permutation sort of the group
-    /// ids by key tuple, compared as `i64` (a bit-cast `u64` order
-    /// would put negative keys last), then one gather per column. Keys
-    /// are distinct, so the unstable sort is deterministic.
-    fn into_table(self, spec: &GroupBySpec) -> Table {
-        let w = self.width;
-        let key = |g: usize| self.keys[g * w..][..w].iter().map(|&k| k as i64);
-        let mut perm: Vec<usize> = (0..self.keys.len() / w).collect();
-        perm.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        let key_cols = spec.group_cols.iter().enumerate().map(|(i, name)| {
-            Column::i64(name, perm.iter().map(|&g| self.keys[g * w + i] as i64).collect())
-        });
-        let agg_cols = spec
-            .aggs
-            .iter()
-            .zip(&self.states)
-            .map(|((name, _), s)| Column::i64(name, perm.iter().map(|&g| s[g]).collect()));
-        Table::new(key_cols.chain(agg_cols).collect())
-    }
-}
-
-/// Open-addressed group table for the SWAR probe loop: linear probing
-/// over power-of-two slots, groups stored densely in first-seen order
-/// with flattened keys (`width` bit-cast `u64` words per group) and
-/// their hashes. The slots double whenever the groups would fill half
-/// of them, so the table tracks the group count, not the row count, and
-/// every probe terminates on an empty slot.
-struct SwarGroups {
+/// Open-addressed group table over key codes: linear probing over
+/// power-of-two slots, groups stored densely in first-seen order with
+/// their code and a row holding their key. The slots double whenever
+/// the groups would fill half of them, so the table tracks the group
+/// count, not the row count, and every probe terminates on an empty
+/// slot.
+struct CodeGroups {
     /// `64 - log2(slots.len())`: a group's home slot is the top bits of
-    /// its CRC's Fibonacci mix ([`vector::fib_mix`]), never the CRC's
-    /// low bits, which a hash shard's keys share.
+    /// its code's Fibonacci mix ([`vector::fib_mix`]). A hash shard's
+    /// keys share their CRC32 residue, and a key range's codes can
+    /// share their low bits, so no fixed bits of either make a home.
     shift: u32,
+    /// Group id + 1 per slot; 0 is empty.
     slots: Vec<u32>,
-    hashes: Vec<u32>,
-    width: usize,
-    keys: Vec<u64>,
+    codes: Vec<u64>,
+    reps: Vec<usize>,
     /// Slots visited by [`Self::group_of`], for the probe-length test.
     #[cfg(test)]
     probes: usize,
 }
 
-impl SwarGroups {
+impl CodeGroups {
     /// An empty table with `cap` slots (a power of two).
-    fn new(cap: usize, width: usize) -> Self {
-        SwarGroups {
+    fn new(cap: usize) -> Self {
+        CodeGroups {
             shift: 64 - cap.trailing_zeros(),
             slots: vec![0u32; cap],
-            hashes: Vec::new(),
-            width,
-            keys: Vec::new(),
+            codes: Vec::new(),
+            reps: Vec::new(),
             #[cfg(test)]
             probes: 0,
         }
     }
 
-    /// Dense id of `key`'s group (a `width`-word flattened tuple),
-    /// inserting it on first sight.
+    /// Dense id of `code`'s group, inserting it with its key's row
+    /// `row` on first sight.
     #[inline]
-    fn group_of(&mut self, key: &[u64], hash: u32) -> u32 {
-        let w = self.width;
+    fn group_of(&mut self, code: u64, row: usize) -> u32 {
         let mask = self.slots.len() - 1;
-        let mut i = home(hash, self.shift);
+        let mut i = self.home(code);
         loop {
             #[cfg(test)]
             {
@@ -629,44 +547,43 @@ impl SwarGroups {
             }
             let s = self.slots[i];
             if s == 0 {
-                self.keys.extend_from_slice(key);
-                self.hashes.push(hash);
-                let g = self.hashes.len() as u32;
+                self.codes.push(code);
+                self.reps.push(row);
+                let g = self.codes.len() as u32;
                 self.slots[i] = g;
-                if 2 * self.hashes.len() > self.slots.len() {
+                if 2 * self.codes.len() > self.slots.len() {
                     self.grow();
                 }
                 return g - 1;
             }
-            if &self.keys[(s as usize - 1) * w..][..w] == key {
+            if self.codes[s as usize - 1] == code {
                 return s - 1;
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Doubles the slots and re-inserts every group from its stored hash.
+    /// Home slot of `code`.
+    #[inline]
+    fn home(&self, code: u64) -> usize {
+        (vector::fib_mix(code) >> self.shift) as usize
+    }
+
+    /// Doubles the slots and re-inserts every group.
     #[cold]
     fn grow(&mut self) {
         self.shift -= 1;
         let cap = self.slots.len() * 2;
         self.slots.clear();
         self.slots.resize(cap, 0);
-        for (g, &h) in self.hashes.iter().enumerate() {
-            let mut i = home(h, self.shift);
+        for (g, &code) in self.codes.iter().enumerate() {
+            let mut i = self.home(code);
             while self.slots[i] != 0 {
                 i = (i + 1) & (cap - 1);
             }
             self.slots[i] = g as u32 + 1;
         }
     }
-}
-
-/// Home slot of a group with CRC `hash` in a table of `2^(64 - shift)`
-/// slots.
-#[inline]
-fn home(hash: u32, shift: u32) -> usize {
-    (vector::fib_mix(hash as u64) >> shift) as usize
 }
 
 /// The partitioning-rounds planner (paper §5.3).
@@ -753,7 +670,6 @@ impl GroupByPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpu_isa::hash::crc32c_u64;
 
     fn sales_table() -> Table {
         // 1000 rows, 10 groups.
@@ -850,12 +766,22 @@ mod tests {
         assert!(p.xeon_paid_rounds > p.dpu_paid_rounds);
     }
 
+    /// Mean slots visited per row when `codes` stream through a
+    /// [`CodeGroups`] table that starts at 16 slots.
+    fn mean_probes(codes: &[u64]) -> f64 {
+        let mut groups = CodeGroups::new(16);
+        codes.iter().enumerate().for_each(|(r, &c)| _ = groups.group_of(c, r));
+        groups.probes as f64 / codes.len() as f64
+    }
+
     #[test]
     fn one_shard_residue_keeps_group_probes_short() {
         // A hash shard's keys: every CRC32 ≡ 3 (mod 8), as
         // `ShardPolicy::hash(8)` leaves Q18's `l_orderkey` on a shard.
-        let keys: Vec<i64> =
-            (0i64..).filter(|&k| crc32c_u64(k as u64) % 8 == 3).take(3000).collect();
+        let candidates: Vec<i64> = (0..24_000).collect();
+        let keys = vector::partition_row_ids(&candidates, 0, 8).swap_remove(3);
+        let keys: Vec<i64> = keys.into_iter().map(|k| k as i64).collect();
+        assert!(keys.len() > 2_500, "{} shard keys", keys.len());
         let n = keys.len() * 3;
         let t = Table::new(vec![
             Column::i64("k", keys.iter().cycle().take(n).copied().collect()),
@@ -865,13 +791,15 @@ mod tests {
             group_cols: vec!["k".into()],
             aggs: vec![("cnt".into(), AggFunc::Count), ("s".into(), AggFunc::Sum("v".into()))],
         };
-        assert_eq!(spec.execute(&t, None), spec.execute_seq(&t, None));
-        let mut groups = SwarGroups::new(16, 1);
-        for &k in &t.columns[0].data {
-            groups.group_of(&[k as u64], crc32c_u64(k as u64));
-        }
-        let mean = groups.probes as f64 / n as f64;
-        assert!(mean < 2.0, "mean probe length {mean:.2} slots");
+        assert_eq!(spec.route(&t, None), (Route::Hash, spec.execute_seq(&t, None)));
+        let lo = keys[0];
+        let codes: Vec<u64> = t.columns[0].data.iter().map(|&k| (k - lo) as u64).collect();
+        let mean = mean_probes(&codes);
+        assert!(mean < 2.0, "shard keys: mean probe length {mean:.2} slots");
+        // Codes that share their low bits: a key column of multiples of 8.
+        let strided: Vec<u64> = (0..n as u64).map(|i| i % 3000 * 8).collect();
+        let mean = mean_probes(&strided);
+        assert!(mean < 2.0, "multiples of 8: mean probe length {mean:.2} slots");
     }
 
     #[test]
@@ -879,24 +807,75 @@ mod tests {
         let one =
             GroupBySpec { group_cols: vec!["k".into()], aggs: vec![("c".into(), AggFunc::Count)] };
         let keys = |k: Vec<i64>| Table::new(vec![Column::i64("k", k)]);
+        let route = |spec: &GroupBySpec, t: &Table| spec.route(t, None).0;
         let cap = DENSE_CAP as i64;
-        assert!(one.execute_dense(&keys(vec![-5, cap - 6]), None).is_some());
-        assert!(one.execute_dense(&keys(vec![-5, cap - 5]), None).is_none());
-        assert!(one.execute_dense(&keys(vec![i64::MIN, i64::MAX]), None).is_none());
-        assert!(one.execute_dense(&keys(vec![]), None).is_none());
+        assert_eq!(route(&one, &keys(vec![cap - 6, -5])), Route::Dense);
+        assert_eq!(route(&one, &keys(vec![cap - 5, -5])), Route::Hash);
+        assert_eq!(route(&one, &keys(vec![i64::MAX, i64::MIN])), Route::Hash);
+        // An empty column has one code, so no group in one slot.
+        assert_eq!(
+            one.route(&keys(vec![]), None),
+            (Route::Dense, one.execute_seq(&keys(vec![]), None))
+        );
 
         // 64 × 64 composite slots sit at the cap, 64 × 65 above it; the
         // packed zone maps give the same bounds as a scan.
         let two = GroupBySpec { group_cols: vec!["a".into(), "b".into()], ..one };
-        for (b_range, dense) in [(64, true), (65, false)] {
+        for (b_range, want) in [(64, Route::Dense), (65, Route::Hash)] {
             let mut t = Table::new(vec![
                 Column::i64("a", (0..5000).map(|i| i % 64).collect()),
                 Column::i64("b", (0..5000).map(|i| -(i / 64 % b_range) - 1).collect()),
             ]);
-            assert_eq!(two.execute_dense(&t, None).is_some(), dense, "flat b_range={b_range}");
+            assert_eq!(route(&two, &t), want, "flat b_range={b_range}");
             t.encode_packed();
             assert!(t.columns.iter().all(|c| c.packed.is_some()));
-            assert_eq!(two.execute_dense(&t, None).is_some(), dense, "packed b_range={b_range}");
+            assert_eq!(route(&two, &t), want, "packed b_range={b_range}");
+        }
+    }
+
+    /// Each arm of `execute` on inputs built for it, with and without a
+    /// selection: the arm that runs and its result, against
+    /// `execute_seq`. The code-less arm takes key ranges whose product
+    /// is past 2^64 (2^64 + 1 = 274 177 × 67 280 421 310 721 is the
+    /// least), and the hash arm takes a product of exactly 2^64 and a
+    /// full-range column beside constant ones.
+    #[test]
+    fn every_route_matches_the_reference() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        // Row `i` of a column cycling through `vals` at stride `s`.
+        let col = |vals: &[i64], s: usize, n: usize| -> Vec<i64> {
+            (0..n).map(|i| vals[(i * s) % vals.len()]).collect()
+        };
+        let n = 300;
+        let unordered: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 29_989 - 15_000).collect();
+        let cases: Vec<(Route, Vec<Vec<i64>>)> = vec![
+            (Route::Dense, vec![col(&[-3, 2, 0], 1, n), col(&[9, -9], 1, n)]),
+            (Route::Ordered, vec![(0..n as i64).map(|i| i / 3 * 5_000 - 700_000).collect()]),
+            (Route::Hash, vec![unordered.clone()]),
+            (Route::Hash, vec![col(&[min, max, 0, -1], 3, n)]),
+            (Route::Hash, vec![col(&[-1, 1], 1, n), unordered.clone(), col(&[4, 5], 7, n)]),
+            (Route::Hash, vec![col(&[0, (1 << 32) - 1, 7], 1, n), col(&[(1 << 32) - 1, 0], 1, n)]),
+            (Route::Hash, vec![vec![7; n], col(&[max, min, 0, -1, 5], 2, n), vec![-2; n]]),
+            (Route::Sorted, vec![col(&[0, 274_176, 9], 1, n), col(&[67_280_421_310_720, 0], 1, n)]),
+            (Route::Sorted, vec![col(&[min, max, 0], 1, n), col(&[max, 0, min, 1], 1, n)]),
+            (Route::Sorted, vec![col(&[1, 0], 1, n), vec![0; n], col(&[min, max, 3], 1, n)]),
+        ];
+        for (case, (want, keys)) in cases.into_iter().enumerate() {
+            let names: Vec<String> = (0..keys.len()).map(|c| format!("k{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut cols: Vec<Column> =
+                names.iter().zip(&keys).map(|(name, k)| Column::i64(name, k.clone())).collect();
+            let v: Vec<i64> = (0..n as i64).map(|i| i * 13 - 2_000).collect();
+            cols.push(Column::i64("v", v));
+            cols.push(Column::i64("d", (0..n as i64).map(|i| i % 5 - 2).collect()));
+            let t = Table::new(cols);
+            let spec = all_aggs(&names);
+            // Every third row dropped.
+            let sels = [None, Some(BitVec::from_fn(n, |r| r % 3 != 1))];
+            for sel in &sels {
+                let got = spec.route(&t, sel.as_ref());
+                assert!(got == (want, spec.execute_seq(&t, sel.as_ref())), "case {case}: {want:?}");
+            }
         }
     }
 

@@ -6,10 +6,10 @@
 //! rounds) until each build-side partition's hash table fits DMEM. The
 //! cost model prices that from the build rows; the host has no 32 KB
 //! DMEM to fit, so it builds one table over all selected build rows and
-//! probes in probe-row order, and the partition fanout only sizes the
-//! reported largest build partition. Each side arrives as a table plus
-//! an optional selection bit vector, as FILT leaves it, so a filtered
-//! scan is never copied before its join.
+//! probes in probe-row order. The partition fanout only sizes the
+//! largest build partition [`HashJoin::execute`] reports. Each side
+//! arrives as a table plus an optional selection bit vector, as FILT
+//! leaves it, so a filtered scan is never copied before its join.
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw};
 
@@ -32,40 +32,41 @@ pub struct HashJoin {
 
 impl HashJoin {
     /// Executes the inner join over every row of both tables:
-    /// [`Self::execute_selected`] without selections.
+    /// [`Self::execute_selected`] without selections, plus the largest
+    /// build partition a `fanout`-way CRC32 split of the build keys
+    /// would hold (for DMEM-budget assertions).
     ///
     /// # Panics
     ///
     /// Panics if named columns are missing or `fanout` is zero.
     pub fn execute(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
-        self.execute_selected(build, None, probe, None, fanout)
+        let bkeys = &build.columns[build.col_index(&self.build_key)].data;
+        let max_part = max_partition(bkeys, fanout);
+        (self.execute_selected(build, None, probe, None), max_part)
     }
 
     /// Executes the inner join over the rows the optional selections
-    /// keep, returning the projected result and the largest build
-    /// partition a `fanout`-way CRC32 split of the selected build keys
-    /// would hold (for DMEM-budget assertions). The selected build keys
-    /// are gathered once into one [`JoinTable`], the selected probe rows
-    /// probe it in ascending row order, and each projected column is
-    /// gathered once from the input tables at the matched row ids. No
-    /// filtered copy of either side is made, just as the DMS gathers
-    /// only a bit vector's selected rows. Output rows appear in
+    /// keep, returning the projected result. The selected build keys are
+    /// gathered once into one open-addressed join table, the selected
+    /// probe rows probe it in ascending row order, and each projected
+    /// column is gathered once from the input tables at the matched row
+    /// ids. No filtered copy of either side is made, just as the DMS
+    /// gathers only a bit vector's selected rows. Output rows appear in
     /// (probe row, ascending build row) order, exactly as
     /// [`Self::execute`] over [`crate::tpch::select_rows`] copies would
     /// emit them.
     ///
     /// # Panics
     ///
-    /// Panics if named columns are missing, `fanout` is zero, or a
-    /// selection's length mismatches its table.
+    /// Panics if named columns are missing or a selection's length
+    /// mismatches its table.
     pub fn execute_selected(
         &self,
         build: &Table,
         build_sel: Option<&BitVec>,
         probe: &Table,
         probe_sel: Option<&BitVec>,
-        fanout: u64,
-    ) -> (Table, u64) {
+    ) -> Table {
         let bkeys = &build.columns[build.col_index(&self.build_key)].data;
         let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
         for (sel, rows) in [(build_sel, bkeys.len()), (probe_sel, pkeys.len())] {
@@ -83,12 +84,11 @@ impl HashJoin {
             }
             None => bkeys,
         };
-        let max_part = max_partition(keys, fanout);
         let (mut brows, prows) = JoinTable::new(keys).probe(pkeys, probe_sel);
         if let Some(ids) = &bids {
             brows.iter_mut().for_each(|b| *b = ids[*b]);
         }
-        (self.project(build, probe, &brows, &prows), max_part)
+        self.project(build, probe, &brows, &prows)
     }
 
     /// Gathers the projected columns of the matched `(brows[i], prows[i])`

@@ -13,10 +13,11 @@
 //! naive reference implementations) while reporting the byte volumes and
 //! operation counts that the DPU simulator and the Xeon model price.
 //! The host inner loops (filter evaluation, CRC32 partitioning, group-by
-//! probes) run hand-rolled SWAR kernels — see [`vector`] — hashing with
-//! the SSE4.2 CRC32-C instruction where the host has it and the
-//! table-driven CRC where it does not; the tests check every kernel
-//! against a reference implementation.
+//! probes) run hand-rolled SWAR kernels — see [`vector`]. Partitioning
+//! hashes with the SSE4.2 CRC32-C instruction where the host has it and
+//! the table-driven CRC where it does not; group-bys and sorts key each
+//! tuple by one order-preserving `u64` code. The tests check every
+//! kernel against a reference implementation.
 //! Columns additionally carry a frame-of-reference bit-packed resident
 //! form ([`column::PackedColumn`]) that prices every simulated scan.
 //! Filters execute on it in the encoded domain (the `DPU_PACK` knob);
@@ -39,6 +40,7 @@ pub mod expr;
 pub mod filter;
 pub mod hll;
 pub mod join;
+pub(crate) mod key;
 pub mod knob;
 pub mod logical;
 pub mod plan;

@@ -191,8 +191,8 @@ pub struct JoinEdge {
     /// Join column on `b`.
     pub b_col: String,
     /// Partition fanout the DPU's hash join would use: it labels the
-    /// join in EXPLAIN and sizes the reported largest build partition;
-    /// the host join builds one table whatever its value.
+    /// join in EXPLAIN; the host join builds one table whatever its
+    /// value.
     pub fanout: usize,
 }
 
@@ -213,8 +213,8 @@ pub struct JoinNode {
     pub build_cols: Vec<String>,
     /// Probe-side columns carried into the output.
     pub probe_cols: Vec<String>,
-    /// Partition fanout, as on [`JoinEdge::fanout`]: the EXPLAIN label
-    /// and the reported largest build partition, not the host's table.
+    /// Partition fanout, as on [`JoinEdge::fanout`]: the EXPLAIN label,
+    /// not the host's table.
     pub fanout: usize,
 }
 
@@ -351,13 +351,7 @@ impl LogicalPlan {
                 build_cols: j.build_cols.clone(),
                 probe_cols: j.probe_cols.clone(),
             };
-            let (out, _) = join.execute_selected(
-                build,
-                build_sel.as_ref(),
-                probe,
-                probe_sel.as_ref(),
-                j.fanout as u64,
-            );
+            let out = join.execute_selected(build, build_sel.as_ref(), probe, probe_sel.as_ref());
             trace.rows.push(out.rows());
             cur = Cow::Owned(out);
         }

@@ -1,25 +1,24 @@
-//! Parallel range-partitioned sort.
+//! Sorting by key, and the range engine's splitter sampling.
 //!
 //! The partitioning literature the paper builds on (reference \[49\] in
 //! the paper) sorts by range-partitioning into per-core buckets and
 //! sorting each locally — on the DPU, the DMS range engine does the
 //! partitioning pass in hardware (Figure 13's range scheme), each dpCore
 //! sorts its DMEM-resident bucket, and concatenation is free because the
-//! buckets are ordered.
+//! buckets are ordered. [`sample_bounds`] picks such a scheme's bounds
+//! for range sharding.
 //!
-//! The sorts extract order-normalized `u64` sort keys in lane batches
-//! ([`crate::vector::sort_keys`]) — multi-column keys flatten into
-//! contiguous word regions ([`crate::vector::composite_sort_keys`]) —
-//! so the per-bucket sorts compare words instead of calling per-row
-//! multi-column comparators. The normalization preserves order exactly
-//! and the `(key, index)` pairs are distinct, so the unstable word sort
-//! yields the stable permutation bit for bit.
+//! The host sort keys each selected row by one `u64` whose order is its
+//! key tuple's order (the group-by's key code) and sorts the
+//! `(code, row)` pairs. The pairs are distinct, so the unstable sort
+//! yields the stable permutation bit for bit. Key tuples whose value
+//! ranges multiply past 2^64 have no code and take one stable sort by
+//! tuple instead.
 
-use dpu_dms::PartitionScheme;
-
+use crate::agg::selected_rows;
 use crate::bitvec::BitVec;
-use crate::column::Table;
-use crate::vector;
+use crate::column::{Column, Table};
+use crate::key::KeyCode;
 
 /// Samples `parts - 1` splitter bounds from the data (equi-depth over a
 /// sorted sample), suitable for the DMS range engine's 32-bound limit.
@@ -48,9 +47,10 @@ pub fn sample_bounds(values: &[i64], parts: usize) -> Vec<i64> {
     bounds
 }
 
-/// Sorts `table` by `col` ascending via range partitioning across
-/// `workers` buckets; returns the row permutation (ties keep original
-/// order — the sort is stable).
+/// Sorts `table` by `col` ascending; returns the row permutation (ties
+/// keep original order — the sort is stable). `workers` labels the
+/// dpCores the simulated sort would range-partition across; the host
+/// result is the same for any count.
 ///
 /// # Panics
 ///
@@ -73,21 +73,11 @@ pub fn sort_indices_selected(
     workers: usize,
     sel: Option<&BitVec>,
 ) -> Vec<usize> {
-    let values = &table.columns[table.col_index(col)].data;
-    if let Some(bv) = sel {
-        assert_eq!(bv.len(), values.len(), "selection length mismatch");
-    }
-    let buckets = range_buckets(values, workers, sel);
-    // Order-normalized u64 keys, materialized once in lane batches;
-    // (key, index) pairs are distinct, so the unstable word sort is
-    // stable.
-    let keys = vector::sort_keys(values);
-    concat_sorted(buckets, |bucket| bucket.sort_unstable_by_key(|&i| (keys[i], i)))
+    sort_indices_multi_selected(table, &[col], workers, sel)
 }
 
-/// Sorts `table` by `cols` lexicographically (each ascending) via range
-/// partitioning on the *first* column; returns the stable row
-/// permutation.
+/// Sorts `table` by `cols` lexicographically (each ascending); returns
+/// the stable row permutation.
 ///
 /// # Panics
 ///
@@ -98,10 +88,6 @@ pub fn sort_indices_multi(table: &Table, cols: &[&str], workers: usize) -> Vec<u
 }
 
 /// [`sort_indices_multi`] over the rows an optional selection keeps.
-/// Rows compare as flattened order-normalized word regions, which
-/// orders them exactly as comparing column by column, because the
-/// normalization preserves each column's order and slice comparison is
-/// lexicographic.
 ///
 /// # Panics
 ///
@@ -113,66 +99,32 @@ pub fn sort_indices_multi_selected(
     workers: usize,
     sel: Option<&BitVec>,
 ) -> Vec<usize> {
-    let data: Vec<&[i64]> =
-        cols.iter().map(|c| table.columns[table.col_index(c)].data.as_slice()).collect();
-    let first = *data.first().expect("multi-column sort needs at least one column");
+    assert!((1..=32).contains(&workers), "range engine supports up to 32 partitions");
+    assert!(!cols.is_empty(), "a sort needs at least one key column");
+    let keys: Vec<&Column> = cols.iter().map(|c| &table.columns[table.col_index(c)]).collect();
     if let Some(bv) = sel {
-        assert_eq!(bv.len(), first.len(), "selection length mismatch");
+        assert_eq!(bv.len(), table.rows(), "selection length mismatch");
     }
-    // Bounds come from the first (most significant) column.
-    let buckets = range_buckets(first, workers, sel);
-    let width = data.len();
-    let flat = vector::composite_sort_keys(&data);
-    concat_sorted(buckets, |bucket| {
-        bucket.sort_unstable_by(|&a, &b| {
-            flat[a * width..a * width + width]
-                .cmp(&flat[b * width..b * width + width])
-                .then(a.cmp(&b))
-        })
-    })
-}
-
-/// Range-partitions the selected row ids into per-worker buckets in
-/// arrival order (the DMS pass). One bucket when the sampled bounds
-/// collapse; the selection is consumed word-driven, not per-row.
-fn range_buckets(values: &[i64], workers: usize, sel: Option<&BitVec>) -> Vec<Vec<usize>> {
-    let bounds = sample_bounds(values, workers);
-    if bounds.is_empty() {
-        let idx: Vec<usize> = match sel {
-            Some(bv) => bv.iter_set_in(0, values.len()).collect(),
-            None => (0..values.len()).collect(),
-        };
-        return vec![idx];
+    let mut rows = selected_rows(table, sel);
+    match KeyCode::new(&keys) {
+        Some(code) => {
+            let mut pairs: Vec<(u64, usize)> =
+                rows.into_iter().map(|r| (code.code(r), r)).collect();
+            pairs.sort_unstable();
+            pairs.into_iter().map(|(_, r)| r).collect()
+        }
+        None => {
+            let tuple = |r: usize| keys.iter().map(move |k| k.data[r]);
+            rows.sort_by(|&a, &b| tuple(a).cmp(tuple(b)));
+            rows
+        }
     }
-    let scheme = PartitionScheme::Range { bounds };
-    scheme.validate().expect("sampled bounds are valid");
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); scheme.partitions()];
-    let mut route = |i: usize| buckets[scheme.partition_of(values[i])].push(i);
-    match sel {
-        Some(bv) => bv.iter_set_in(0, values.len()).for_each(&mut route),
-        None => (0..values.len()).for_each(&mut route),
-    }
-    buckets
-}
-
-/// Sorts each bucket with `sort` and concatenates (free, because the
-/// buckets are range-ordered).
-fn concat_sorted(
-    mut buckets: Vec<Vec<usize>>,
-    mut sort: impl FnMut(&mut Vec<usize>),
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-    for bucket in &mut buckets {
-        sort(bucket);
-        out.extend_from_slice(bucket);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
+    use dpu_dms::PartitionScheme;
 
     fn table(vals: Vec<i64>) -> Table {
         Table::new(vec![Column::i64("v", vals)])
@@ -224,6 +176,44 @@ mod tests {
         let idx = sort_indices_multi(&t, &["a", "b"], 4);
         // (1,3)=4, (1,5)=1, (1,5)=3 (stable), (2,-1)=2, (2,0)=0.
         assert_eq!(idx, vec![4, 1, 3, 2, 0]);
+    }
+
+    /// Both routes against one std stable sort by tuple, on duplicate
+    /// keys with and without a selection: tuples with a code (a lone
+    /// full-range column, ranges multiplying to exactly 2^64, and a
+    /// full-range column between constant ones) and without one (ranges
+    /// multiplying to 2^64 + 1 = 274 177 × 67 280 421 310 721, and two
+    /// full-range columns).
+    #[test]
+    fn code_and_tuple_sorts_match_a_stable_sort() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        let n = 200;
+        let col = |vals: &[i64], s: usize| -> Vec<i64> {
+            (0..n).map(|i| vals[(i * s) % vals.len()]).collect()
+        };
+        let cases: [(bool, Vec<Vec<i64>>); 5] = [
+            (true, vec![col(&[max, -1, min, 0, 7, -1], 5)]),
+            (true, vec![col(&[(1 << 32) - 1, 0, 9], 1), col(&[0, (1 << 32) - 1, 5], 2)]),
+            (true, vec![vec![3; n], col(&[0, max, -8, min], 3), vec![-3; n]]),
+            (false, vec![col(&[274_176, 0, 5], 1), col(&[0, 67_280_421_310_720, 0, 4], 1)]),
+            (false, vec![col(&[min, max, 0], 1), col(&[max, 1, min, 1], 1)]),
+        ];
+        for (case, (coded, keys)) in cases.into_iter().enumerate() {
+            let names = ["a", "b", "c"];
+            let t = Table::new(
+                keys.iter().zip(names).map(|(k, c)| Column::i64(c, k.clone())).collect(),
+            );
+            let cols: Vec<&Column> = t.columns.iter().collect();
+            assert_eq!(KeyCode::new(&cols).is_some(), coded, "case {case}");
+            let sel = BitVec::from_fn(n, |r| r % 4 != 1);
+            for sel in [None, Some(&sel)] {
+                let mut want: Vec<usize> =
+                    (0..n).filter(|&r| sel.is_none_or(|bv| bv.get(r))).collect();
+                want.sort_by_key(|&r| keys.iter().map(|k| k[r]).collect::<Vec<i64>>());
+                let got = sort_indices_multi_selected(&t, &names[..keys.len()], 4, sel);
+                assert_eq!(got, want, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Top-k selection.
 //!
-//! Each dpCore maintains a k-element heap over its chunk of the input;
-//! the per-core heaps are merged at the end (the merge touches only
-//! `cores × k` rows, so its cost is negligible — the same argument as the
-//! group-by merge operator in §5.3).
+//! On the DPU each dpCore keeps a k-element heap over its chunk of the
+//! input and the per-core heaps merge at the end (the merge touches only
+//! `cores × k` rows, so its cost is negligible — the same argument as
+//! the group-by merge operator in §5.3). The host keeps one heap over
+//! every row, which selects the same rows.
 //!
-//! A branch-free pre-filter replaces per-row heap churn: once a
-//! worker's heap holds k rows, whole 64-row blocks test against the
-//! current k-th value ([`crate::vector::gt_mask_word`]) and only rows
-//! that can displace the heap minimum reach it. The pre-filter is
-//! *exact*, not heuristic: with the ascending scan and the
-//! `(value, Reverse(index))` ordering, pushing a row with `v <= t`
-//! immediately pops that same row, leaving the heap untouched — so
-//! skipping it is bit-identical to pushing every row, even though the
-//! threshold is only refreshed per block.
+//! A branch-free pre-filter replaces per-row heap churn: once the heap
+//! holds k rows, whole 64-row blocks test against the current k-th
+//! value ([`crate::vector::gt_mask_word`]) and only rows that can
+//! displace the heap minimum reach it. The pre-filter is *exact*, not
+//! heuristic: with the ascending scan and the `(value, Reverse(index))`
+//! ordering, pushing a row with `v <= t` immediately pops that same
+//! row, leaving the heap untouched — so skipping it is bit-identical to
+//! pushing every row, even though the threshold is only refreshed per
+//! block.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -22,18 +23,19 @@ use crate::bitvec::BitVec;
 use crate::column::Table;
 use crate::vector;
 
-/// The per-worker min-heap entry ordering: `Reverse` over
-/// `(value, Reverse(index))`, so the root is the smallest value with
-/// ties held by the *largest* row index — exactly the element a new
-/// tied row would displace-and-replace as a no-op.
+/// The min-heap entry ordering: `Reverse` over `(value,
+/// Reverse(index))`, so the root is the smallest value with ties held
+/// by the *largest* row index — exactly the element a new tied row
+/// would displace-and-replace as a no-op.
 type MinHeap = BinaryHeap<Reverse<(i64, Reverse<usize>)>>;
 
 /// Selects the top `k` row indices of `table` by `order_col`
 /// descending (ties broken by ascending row index, making results
 /// deterministic).
 ///
-/// `workers` models the per-core decomposition; the result is identical
-/// for any worker count.
+/// `workers` labels the dpCores the simulated top-k would split its
+/// input across; the host keeps one heap, so the result is the same
+/// for any count.
 ///
 /// # Panics
 ///
@@ -45,6 +47,13 @@ pub fn top_k(table: &Table, order_col: &str, k: usize, workers: usize) -> Vec<us
 /// [`top_k`] over the rows an optional selection keeps (consumed a word
 /// at a time — `filter_band` output words feed straight in, no per-row
 /// bool expansion).
+///
+/// One heap over every selected row: push each row, pop the minimum
+/// once the heap exceeds k — except that once the heap is full, each
+/// fully covered 64-row block pre-filters against the block-start
+/// threshold with one branch-free word test ANDed into the selection
+/// word, and only surviving rows touch the heap. A stale threshold only
+/// admits extra no-op push/pops (see the module docs).
 ///
 /// # Panics
 ///
@@ -64,59 +73,19 @@ pub fn top_k_selected(
     if let Some(bv) = sel {
         assert_eq!(bv.len(), rows, "selection length mismatch");
     }
-
-    // Per-worker heaps over contiguous chunks (min-heap of size k via
-    // Reverse ordering on (value, Reverse(index))).
-    let mut candidates: Vec<(i64, usize)> = Vec::new();
-    let chunk = rows.div_ceil(workers);
-    for w in 0..workers {
-        // Both bounds clamp: with more workers than rows, trailing
-        // chunks are empty, not out of range.
-        let start = (w * chunk).min(rows);
-        let end = ((w + 1) * chunk).min(rows);
-        let heap = chunk_heap(col, start, end, k, sel);
-        candidates.extend(heap.into_iter().map(|Reverse((v, Reverse(r)))| (v, r)));
-    }
-
-    // Merge: sort the ≤ workers×k candidates.
-    candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    candidates.truncate(k);
-    candidates.into_iter().map(|(_, r)| r).collect()
-}
-
-/// One worker's heap over rows `[start, end)`: push every selected row,
-/// pop the minimum once the heap exceeds k — except that once the heap
-/// is full, each fully-covered 64-row block pre-filters against the
-/// block-start threshold with one branch-free word test ANDed into the
-/// selection word, and only surviving rows touch the heap. A stale
-/// threshold only admits extra no-op push/pops (see the module docs).
-fn chunk_heap(col: &[i64], start: usize, end: usize, k: usize, sel: Option<&BitVec>) -> MinHeap {
     let mut heap = MinHeap::new();
-    if start >= end {
-        return heap;
-    }
-    let (wlo, whi) = (start / 64, end.div_ceil(64));
-    for wi in wlo..whi {
+    for (wi, block) in col.chunks(64).enumerate() {
         let base = wi * 64;
-        // The selection word for rows [base, base + 64), clipped to the
-        // worker's [start, end) range.
-        let mut mask = sel.map_or(!0u64, |bv| bv.words()[wi]);
-        if base < start {
-            mask &= !0u64 << (start - base);
-        }
-        if base + 64 > end {
-            mask &= !0u64 >> (base + 64 - end);
-        }
-        if heap.len() >= k {
-            if let Some(block) = col.get(base..base + 64) {
-                // Full block: one word-wide threshold test. Rows at or
-                // below t cannot change the heap; rows above t might
-                // (t == i64::MAX clears the word outright — no `t + 1`).
-                let t = heap.peek().expect("heap holds k > 0 rows").0 .0;
-                mask &= vector::gt_mask_word(block, t);
-            }
-            // A partial tail block skips the pre-filter: its rows run
-            // the plain push/pop below.
+        // The selection word for rows [base, base + 64), clipped to
+        // the column.
+        let mut mask = sel.map_or(!0u64 >> (64 - block.len()), |bv| bv.words()[wi]);
+        if heap.len() >= k && block.len() == 64 {
+            // Full block: one word-wide threshold test. Rows at or
+            // below t cannot change the heap; rows above t might
+            // (t == i64::MAX clears the word outright — no `t + 1`).
+            // A partial tail block runs the plain push/pop below.
+            let t = heap.peek().expect("heap holds k > 0 rows").0 .0;
+            mask &= vector::gt_mask_word(block, t);
         }
         while mask != 0 {
             let r = base + mask.trailing_zeros() as usize;
@@ -127,7 +96,8 @@ fn chunk_heap(col: &[i64], start: usize, end: usize, k: usize, sel: Option<&BitV
             }
         }
     }
-    heap
+    // Ascending `Reverse` order is descending value, then ascending row.
+    heap.into_sorted_vec().into_iter().map(|Reverse((_, Reverse(r)))| r).collect()
 }
 
 #[cfg(test)]

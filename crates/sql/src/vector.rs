@@ -19,29 +19,26 @@
 //! 2. **Partition** ([`partition_row_ids`]): CRC32-C row-id
 //!    partitioning with four independent CRC streams in flight — the
 //!    stream-split trick hardware CRC units use.
-//! 3. **Group-by probe** ([`crate::agg::GroupBySpec::execute`]):
-//!    lane-batched key hashing (4 keys per CRC batch, composite keys
-//!    flattened into contiguous `u64` words) resolving each row to a
-//!    group id in an open-addressed table, then column-at-a-time
+//! 3. **Group-by probe** ([`crate::agg::GroupBySpec::execute`]): each
+//!    row's key tuple maps to one order-preserving `u64` code, which
+//!    resolves to a group id in an open-addressed table through a
+//!    Fibonacci multiply (`fib_mix`), then column-at-a-time
 //!    min/max/sum accumulation per aggregate. Key domains of at most
-//!    4096 combinations index dense slots instead, and keys that never
-//!    descend group by runs, both with no hashing.
+//!    4096 codes index dense slots instead, and keys that never descend
+//!    group by runs, both with no hashing.
 //! 4. **Top-k pre-filter** ([`gt_mask_word`]): a branch-free 64-row
 //!    band test against the current k-th value, so the heap only sees
 //!    rows that can change it ([`crate::topk::top_k`]).
-//! 5. **Sort keys** ([`sort_keys`], [`composite_sort_keys`]):
-//!    order-normalized `u64` sort keys materialized in lane batches, so
-//!    [`crate::sort`] compares words instead of per-row multi-column
-//!    comparators.
 //!
 //! Every kernel is **bit-identical** to a reference implementation — same
 //! words, same row order, same accumulator values — at every table
 //! size, chunking, and `DPU_THREADS`; `tests/vector_properties.rs` pins
-//! this differentially. Every hash is CRC32-C through
-//! `dpu_isa::hash::crc32c_*_hw`: the SSE4.2 `crc32q` instruction where
-//! the host has it, the table-driven CRC where it does not. The values
-//! are identical either way, so the engine is a platform fact, not an
-//! option; [`kernel`] reports which one runs.
+//! this differentially. The partition kernel and the joins' reported
+//! partition sizes hash with CRC32-C through `dpu_isa::hash::crc32c_*_hw`:
+//! the SSE4.2 `crc32q` instruction where the host has it, the
+//! table-driven CRC where it does not. The values are identical either
+//! way, so the engine is a platform fact, not an option; [`kernel`]
+//! reports which one runs.
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, hw_crc_available};
 
@@ -71,8 +68,9 @@ pub fn kernel() -> Kernel {
 /// Fibonacci hashing: multiplies by 2⁶⁴/φ so every input bit reaches
 /// the product's top bits, which the open-addressed tables take as
 /// their slot index. The join and group-by tables hash keys that share
-/// their CRC32 residue modulo the partition or shard count, so slots
-/// taken from the CRC's low bits would leave most of a table unused.
+/// their CRC32 residue modulo the partition or shard count, and key
+/// codes that can share their low bits, so a slot taken from fixed
+/// bits of either would leave most of a table unused.
 #[inline]
 pub(crate) fn fib_mix(x: u64) -> u64 {
     x.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -223,11 +221,11 @@ fn filter_lanes<const W: usize>(words: &[u64], elo: u64, ehi: u64, out: &mut Vec
 ///    `ehi = min(hi, max) − min` — so the test becomes an unsigned
 ///    compare against the stored deltas (exact for every `i64`: deltas
 ///    live in unsigned `[0, max − min]`).
-/// 3. **SWAR compare** ([`filter_lanes`]): [`le_flags`]`/`[`ge_flags`]
+/// 3. **SWAR compare** (`filter_lanes`): `le_flags`/`ge_flags`
 ///    test all `64/bits` delta lanes of each packed word at once, and
 ///    the per-field flags gather into selection-bit order — with one
-///    multiply for 8-, 16- and 32-bit lanes, with the [`compress_stride`]
-///    ladder for 2- and 4-bit lanes ([`gather_flags`]). 1-bit chunks
+///    multiply for 8-, 16- and 32-bit lanes, with the `compress_stride`
+///    ladder for 2- and 4-bit lanes (`gather_flags`). 1-bit chunks
 ///    reduce to whole-word Boolean ops and 64-bit chunks to one compare
 ///    per row.
 ///
@@ -302,54 +300,6 @@ pub fn gt_mask_word(block: &[i64], threshold: i64) -> u64 {
     (l0 | l1) | (l2 | l3)
 }
 
-/// The sign-bit flip that makes unsigned `u64` comparison agree with
-/// signed `i64` comparison — the order-normalized sort-key encoding.
-#[inline(always)]
-pub fn sort_key(v: i64) -> u64 {
-    (v as u64) ^ (1 << 63)
-}
-
-/// Materializes order-normalized `u64` sort keys for a whole column in
-/// lane batches (four rows per unrolled step): `sort_key(a) <
-/// sort_key(b)` iff `a < b`, so sorting compares words instead of
-/// signed values.
-pub fn sort_keys(values: &[i64]) -> Vec<u64> {
-    let mut keys = Vec::with_capacity(values.len());
-    let mut quads = values.chunks_exact(4);
-    for q in &mut quads {
-        keys.extend_from_slice(&[sort_key(q[0]), sort_key(q[1]), sort_key(q[2]), sort_key(q[3])]);
-    }
-    for &v in quads.remainder() {
-        keys.push(sort_key(v));
-    }
-    keys
-}
-
-/// Flattens a multi-column sort key into a contiguous row-major `u64`
-/// region (`width = cols.len()` words per row), each word
-/// order-normalized: comparing `&flat[a*w..a*w+w]` with
-/// `&flat[b*w..b*w+w]` lexicographically equals comparing the rows
-/// column by column. The same flattened encoding the composite-key
-/// group-by hashes.
-///
-/// # Panics
-///
-/// Panics if `cols` is empty or the columns disagree on length.
-pub fn composite_sort_keys(cols: &[&[i64]]) -> Vec<u64> {
-    let rows = cols.first().expect("composite key needs at least one column").len();
-    assert!(cols.iter().all(|c| c.len() == rows), "key columns must share one length");
-    let width = cols.len();
-    let mut flat = vec![0u64; rows * width];
-    for (j, col) in cols.iter().enumerate() {
-        // Column-at-a-time writes keep the inner loop a strided store of
-        // one normalized word, lane-friendly for the compiler.
-        for (r, &v) in col.iter().enumerate() {
-            flat[r * width + j] = sort_key(v);
-        }
-    }
-    flat
-}
-
 /// The partition kernel: `fanout`-way CRC32-C row-id partitioning of
 /// `keys`, row ids offset by `base` (callers partition chunk
 /// `[base, base + keys.len())` of a larger column). Keys stream through
@@ -387,7 +337,7 @@ pub fn partition_row_ids(keys: &[i64], base: usize, fanout: u64) -> Vec<Vec<usiz
 mod tests {
     use super::*;
 
-    use dpu_isa::hash::{crc32c_u64, crc32c_wide, crc32c_wide_hw, crc32c_wide_x4_hw};
+    use dpu_isa::hash::crc32c_u64;
 
     #[test]
     fn kernel_reports_the_hardware_crc_iff_the_host_has_it() {
@@ -406,13 +356,6 @@ mod tests {
             let want = crc32c_u64(key);
             assert_eq!(crc32c_u64_hw(key), want, "key {key:#x}");
             assert_eq!(crc32c_u64_x4_hw([key; 4]), [want; 4], "key {key:#x}");
-            assert_eq!(crc32c_wide_hw(&[key]), want, "key {key:#x}");
-            for other in keys {
-                let wide = [key, other, !key];
-                let want_wide = crc32c_wide(&wide);
-                assert_eq!(crc32c_wide_hw(&wide), want_wide, "keys {wide:x?}");
-                assert_eq!(crc32c_wide_x4_hw([&wide[..]; 4]), [want_wide; 4], "keys {wide:x?}");
-            }
         }
         let signed: Vec<i64> = keys.iter().map(|&k| k as i64).collect();
         let parts = partition_row_ids(&signed, 3, 5);
@@ -456,31 +399,6 @@ mod tests {
         // No row exceeds i64::MAX, so the word is empty (the guard the
         // top-k kernel relies on instead of computing t + 1).
         assert_eq!(gt_mask_word(&block, i64::MAX), 0);
-    }
-
-    #[test]
-    fn sort_keys_preserve_order() {
-        let vals = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
-        let keys = sort_keys(&vals);
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "normalization must preserve order");
-        // Lane batches and tail agree with the per-value map.
-        let many: Vec<i64> = (0..103).map(|i| i * 31 - 1500).collect();
-        assert_eq!(sort_keys(&many), many.iter().map(|&v| sort_key(v)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn composite_keys_compare_like_rows() {
-        let a: Vec<i64> = vec![1, 1, -5, i64::MIN, 1];
-        let b: Vec<i64> = vec![9, -9, 0, i64::MAX, 9];
-        let flat = composite_sort_keys(&[&a, &b]);
-        assert_eq!(flat.len(), 10);
-        for x in 0..a.len() {
-            for y in 0..a.len() {
-                let want = (a[x], b[x]).cmp(&(a[y], b[y]));
-                let got = flat[x * 2..x * 2 + 2].cmp(&flat[y * 2..y * 2 + 2]);
-                assert_eq!(got, want, "rows {x} vs {y}");
-            }
-        }
     }
 
     #[test]

@@ -21,8 +21,7 @@
 use proptest::prelude::*;
 
 use dpu_repro::isa::hash::{
-    crc32c_u64, crc32c_u64_hw, crc32c_u64_table, crc32c_u64_x4, crc32c_u64_x4_hw, crc32c_wide,
-    crc32c_wide_hw, crc32c_wide_table, crc32c_wide_x4, crc32c_wide_x4_hw, hw_crc_available,
+    crc32c_u64, crc32c_u64_hw, crc32c_u64_table, crc32c_u64_x4, crc32c_u64_x4_hw, hw_crc_available,
 };
 use dpu_repro::sql::tpch::select_rows;
 use dpu_repro::sql::{
@@ -218,9 +217,9 @@ proptest! {
             for pshape in 0..SELECTION_SHAPES {
                 let bsel = shaped_selection(build.rows(), bshape, bdraw);
                 let psel = shaped_selection(probe.rows(), pshape, pdraw);
-                let want = join.execute(&copy(&build, &bsel), &copy(&probe, &psel), fanout);
-                // Exact row order, base row ids and partition figure.
-                let got = join.execute_selected(&build, bsel.as_ref(), &probe, psel.as_ref(), fanout);
+                let (want, _) = join.execute(&copy(&build, &bsel), &copy(&probe, &psel), fanout);
+                // Exact row order and base row ids.
+                let got = join.execute_selected(&build, bsel.as_ref(), &probe, psel.as_ref());
                 prop_assert_eq!(&want, &got, "shapes {} x {}", bshape, pshape);
             }
         }
@@ -379,9 +378,9 @@ fn filter_tail_lanes_are_exact_at_word_boundaries() {
     }
 }
 
-/// Group keys at the signed extremes flow through CRC hashing, open
-/// addressing, and the final key sort exactly like the reference
-/// HashMap.
+/// Group keys at the signed extremes — one column spanning all of
+/// `i64`, still one key code — flow through the code table and the
+/// final sort by code exactly like the reference HashMap.
 #[test]
 fn group_by_extreme_keys_are_exact() {
     let keys = vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
@@ -449,7 +448,7 @@ fn splitmix(seed: u64) -> impl FnMut() -> u64 {
 }
 
 /// The SSE4.2 hardware CRC engine agrees with the table and bit-serial
-/// engines over a seeded sample of single and multi-word keys. Skips
+/// engines over a seeded sample of single keys and key quads. Skips
 /// cleanly (the wrappers fall back to the table engine anyway) on hosts
 /// without SSE4.2.
 #[test]
@@ -467,24 +466,13 @@ fn hardware_crc_matches_table_and_bit_serial() {
 
         let quad = [next(), next(), next(), next()];
         assert_eq!(crc32c_u64_x4_hw(quad), crc32c_u64_x4(quad), "round {round}");
-
-        let width = (round % 4 + 1) as usize;
-        let wide: Vec<u64> = (0..width).map(|_| next()).collect();
-        let want_wide = crc32c_wide(&wide);
-        assert_eq!(crc32c_wide_hw(&wide), want_wide, "round {round} width {width}");
-        assert_eq!(crc32c_wide_table(&wide), want_wide, "round {round} width {width}");
-
-        let lanes_flat: Vec<Vec<u64>> =
-            (0..4).map(|_| (0..width).map(|_| next()).collect()).collect();
-        let lanes =
-            [&lanes_flat[0][..], &lanes_flat[1][..], &lanes_flat[2][..], &lanes_flat[3][..]];
-        assert_eq!(crc32c_wide_x4_hw(lanes), crc32c_wide_x4(lanes), "round {round} width {width}");
     }
 }
 
 /// Composite group keys pinning a signed extreme in each column position
-/// survive flattening, wide-CRC hashing, probe compares, and the key
-/// sort, with duplicate-heavy groups and all-false selections included.
+/// have value ranges multiplying past 2^64, so they take the sorted
+/// fallback: a stable sort by tuple and the key-run walk, with
+/// duplicate-heavy groups and all-false selections included.
 #[test]
 fn multi_key_groups_pin_signed_extremes_per_column() {
     let a = vec![i64::MIN, i64::MIN, i64::MAX, i64::MAX, 0, 0, i64::MIN, i64::MIN];
@@ -528,22 +516,27 @@ fn top_k_ties_at_the_threshold_are_exact() {
     }
 }
 
-/// Equal sort keys stay in row order — the unstable word sort must not
-/// be observably unstable.
+/// Equal sort keys stay in row order — neither the unstable sort of
+/// `(code, row)` pairs nor the tuple sort that key ranges past 2^64
+/// take (a second column at the `i64` extremes) may be observably
+/// unstable.
 #[test]
 fn sort_keeps_equal_keys_in_row_order() {
     let a: Vec<i64> = (0..500).map(|i| i % 4).collect();
-    let b: Vec<i64> = (0..500).map(|i| i % 2).collect();
-    let t = Table::new(vec![Column::i64("a", a.clone()), Column::i64("b", b.clone())]);
-    for workers in [1usize, 8] {
-        let got = sort_indices_multi(&t, &["a", "b"], workers);
-        assert_eq!(got, sort_reference(&[&a, &b], None), "workers={workers}");
-        for w in got.windows(2) {
-            let (x, y) = (w[0], w[1]);
-            assert!(
-                (a[x], b[x]) < (a[y], b[y]) || ((a[x], b[x]) == (a[y], b[y]) && x < y),
-                "stability violated at rows {x},{y}"
-            );
+    let small: Vec<i64> = (0..500).map(|i| i % 2).collect();
+    let extreme: Vec<i64> = (0..500).map(|i| [i64::MAX, i64::MIN][i % 2]).collect();
+    for b in [small, extreme] {
+        let t = Table::new(vec![Column::i64("a", a.clone()), Column::i64("b", b.clone())]);
+        for workers in [1usize, 8] {
+            let got = sort_indices_multi(&t, &["a", "b"], workers);
+            assert_eq!(got, sort_reference(&[&a, &b], None), "workers={workers}");
+            for w in got.windows(2) {
+                let (x, y) = (w[0], w[1]);
+                assert!(
+                    (a[x], b[x]) < (a[y], b[y]) || ((a[x], b[x]) == (a[y], b[y]) && x < y),
+                    "stability violated at rows {x},{y}"
+                );
+            }
         }
     }
 }
@@ -677,9 +670,9 @@ fn assert_group_by_exact(spec: &GroupBySpec, t: &Table, sel: Option<&BitVec>) ->
     want
 }
 
-/// Negative and mixed-sign keys sort as signed integers: ordering the
-/// bit-cast `u64` key words would put every negative key after the
-/// positives.
+/// Negative and mixed-sign keys sort as signed integers: codes offset
+/// each column by its least value, where ordering bit-cast `u64` keys
+/// would put every negative key after the positives.
 #[test]
 fn group_by_mixed_sign_keys_sort_as_signed() {
     let t = grouped_table(3_000, 4_000, 7);
@@ -757,11 +750,23 @@ fn domain_table(rows: usize, ranges: &[u64], base: i64, seed: u64) -> Table {
 
 /// Small key domains take the dense group-by: domains exactly at its
 /// 4096-slot cap and one slot above it (which falls back to hashing),
-/// negative keys, widths 1–3, with and without a selection.
+/// negative keys, widths 1–3, with and without a selection. The key
+/// code's own bounds ride along: ranges multiplying to exactly 2^64
+/// still hash, and to 2^64 + 1 = 274 177 × 67 280 421 310 721 they
+/// take the sorted fallback.
 #[test]
 fn dense_group_by_at_and_above_the_cap_is_exact() {
-    let shapes: [&[u64]; 7] =
-        [&[4096], &[4097], &[64, 64], &[17, 241], &[16, 16, 16], &[17, 241, 1], &[3, 2]];
+    let shapes: [&[u64]; 9] = [
+        &[4096],
+        &[4097],
+        &[64, 64],
+        &[17, 241],
+        &[16, 16, 16],
+        &[17, 241, 1],
+        &[3, 2],
+        &[1 << 32, 1 << 32],
+        &[274_177, 67_280_421_310_721],
+    ];
     for (i, ranges) in shapes.into_iter().enumerate() {
         let t = domain_table(9_000, ranges, -2_000, 100 + i as u64);
         let spec = all_aggs(&["a", "b", "c"][..ranges.len()]);
@@ -799,14 +804,13 @@ fn dense_group_by_edge_inputs_are_exact() {
 }
 
 /// The hash path reuses the previous row's group for a repeated key:
-/// runs crossing the 4-lane hash batches, keys reappearing after a
-/// different key, and alternating keys, at widths 1 and 2 over a key
-/// domain far above the dense cap, with and without a selection that
-/// cuts runs apart.
+/// runs of 1–9 rows, keys reappearing after a different key, and
+/// alternating keys, at widths 1 and 2 over a key domain far above the
+/// dense cap, with and without a selection that cuts runs apart.
 #[test]
 fn group_by_key_runs_are_exact() {
     let far = |k: i64| k * 1_000_003 - 5_000_000;
-    // Runs of 1–9 rows: most straddle a four-row batch.
+    // Runs of 1–9 rows.
     let runs: Vec<i64> = (0..300).flat_map(|i| vec![far(i); 1 + (i as usize * 5) % 9]).collect();
     // A A B A A C A …: the run key comes back after each other key.
     let back: Vec<i64> = (0..900).map(|i| if i % 3 == 2 { far(i) } else { far(0) }).collect();
