@@ -15,13 +15,19 @@
 //!    single- and multi-key hash group-by (each key tuple coded as one
 //!    `u64` and hashed into a table of one-word keys), the dense
 //!    small-domain group-by, the key-ordered group-by (`agg_ordered`),
-//!    the hash join, the selection join (`join_selected`),
-//!    threshold-prefiltered top-k, the key-code sort (`sortkey`: one
-//!    sort of `(code, row)` pairs) and expression evaluation. The group-by rows
-//!    carry a reference column — `GroupBySpec::execute_seq`, the one
-//!    in-crate reference left — with a speedup and a ≥1.3× floor.
-//!    `join_selected` is timed against copying both selections out and
-//!    joining the copies, with identity asserted and no floor; the
+//!    the hash join, the selection join (`join_selected`, plus
+//!    `join_selected_miss`, where about 3 % of the probes match and the
+//!    rest stop at the join table's bit filter), threshold-prefiltered
+//!    top-k, the key-code sort (`sortkey`: one sort of `(code, row)`
+//!    pairs) and expression evaluation. The group-by rows carry a
+//!    reference column — `GroupBySpec::execute_seq`, the one in-crate
+//!    reference left — with a speedup and a ≥1.3× floor; the dense
+//!    group-by under 1 %, 50 % and 94 % random selections
+//!    (`agg_dense_sel*`: listed rows at 1 %, every row streamed at
+//!    94 %, the crossover at 50 %) carries one with identity asserted
+//!    and no floor. The
+//!    selection joins are timed against copying both selections out
+//!    and joining the copies, with identity asserted and no floor; the
 //!    other operators have one path each and report their rate alone.
 //! 5. the CRC engine: the 4-lane table-driven CRC32-C against the
 //!    SSE4.2 hardware CRC over the same keys, where the instruction
@@ -328,6 +334,18 @@ fn main() {
     let (d_s, d) = best_of(|| dspec.execute(&dt, None));
     assert_eq!(d_ref, d, "dense group-by diverged from its reference");
     kernel_row("agg_dense", Some(d_ref_s), d_s, true);
+    // The same group-by under random selections: at 1 % the selected
+    // rows are listed, at 94 % every row streams and the dropped ones
+    // fold into trash slots, and 50 % sits at the crossover between
+    // the two. Identity asserted; no floor.
+    let draws: Vec<u64> = (0..kernel_rows).map(|_| splitmix() % 100).collect();
+    for (name, pct) in [("agg_dense_sel1", 1), ("agg_dense_sel50", 50), ("agg_dense_sel94", 94)] {
+        let sel = BitVec::from_fn(kernel_rows, |r| draws[r] < pct);
+        let (ref_s, want) = best_of(|| dspec.execute_seq(&dt, Some(&sel)));
+        let (s, got) = best_of(|| dspec.execute(&dt, Some(&sel)));
+        assert_eq!(want, got, "{name} diverged from its reference");
+        kernel_row(name, Some(ref_s), s, false);
+    }
 
     // Hash join: the 2M-row key column probes a 65 536-key build through
     // one flat open-addressed table; fanout 32 only sizes the reported
@@ -357,6 +375,17 @@ fn main() {
     let (sel_s, selected) = best_of(|| join.execute_selected(&jb, Some(&bsel), &kt, Some(&psel)));
     assert_eq!(copied, selected, "selection join diverged from joining the copies");
     kernel_row("join_selected", Some(copy_s), sel_s, false);
+    // Mostly misses, like Q5's lineitem probe: a build of every 32nd
+    // key, so about 3 % of the selected probes match and the rest stop
+    // at the join table's bit filter. Same comparison, no floor.
+    let sparse_sel = BitVec::from_fn(jb.rows(), |r| r % 32 == 0);
+    let (copy_s, (copied, _)) = best_of(|| {
+        join.execute(&tpch::select_rows(&jb, &sparse_sel), &tpch::select_rows(&kt, &psel), 32)
+    });
+    let (sel_s, selected) =
+        best_of(|| join.execute_selected(&jb, Some(&sparse_sel), &kt, Some(&psel)));
+    assert_eq!(copied, selected, "mostly-miss selection join diverged from joining the copies");
+    kernel_row("join_selected_miss", Some(copy_s), sel_s, false);
 
     // Key-ordered group-by: keys ascending in runs of four rows (a
     // lineitem shard grouped by `l_orderkey`) span far more than the

@@ -9,6 +9,15 @@
 //! respective budgets — the DPU's DMS performs the final round in
 //! hardware for free, which is why the high-NDV case favours the DPU
 //! even more (9.7×) than the low-NDV case (6.7×).
+//!
+//! The host only has to return the exact result ([`GroupBySpec::execute`]).
+//! Its two common arms stream their columns: the dense arm computes a
+//! `u16` slot per row block by block and folds every aggregate over
+//! the slots zipped with its input columns, sending the rows a
+//! selection drops to trash slots instead of listing the kept ones; the
+//! key-ordered arm walks the key columns themselves and keeps one
+//! representative row per group. Neither lists row ids unless a
+//! selection asks for it.
 
 use std::collections::HashMap;
 
@@ -97,6 +106,9 @@ impl GroupBySpec {
     ///    the selected rows sort stably by tuple, and the key-ordered
     ///    walk groups the sorted rows.
     ///
+    /// Without a selection no arm lists row ids: the dense and
+    /// key-ordered arms stream the columns themselves.
+    ///
     /// Every arm folds each group's rows in the same ascending order as
     /// [`Self::execute_seq`], so the result is bit-identical to it.
     ///
@@ -116,16 +128,17 @@ impl GroupBySpec {
         let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
         let cols: Vec<&Column> = key_idx.iter().map(|&i| &table.columns[i]).collect();
         let code = KeyCode::new(&cols);
-        let rows = selected_rows(table, sel);
         if let Some(code) = code.as_ref().filter(|c| !cols.is_empty() && c.domain() <= DENSE_CAP) {
-            return (Route::Dense, self.aggregate_dense(table, &rows, &key_idx, code));
+            return (Route::Dense, self.aggregate_dense(table, sel, &key_idx, code));
         }
-        if let Some(t) = self.aggregate_ordered(table, &rows, &key_idx) {
+        let list: Option<Vec<usize>> = sel.map(|bv| bv.iter_set().collect());
+        let rows = Rows::of(table, list.as_deref());
+        if let Some(t) = self.aggregate_ordered(table, rows, &key_idx) {
             return (Route::Ordered, t);
         }
         match code {
-            Some(code) => (Route::Hash, self.aggregate_hash(table, &rows, &key_idx, &code)),
-            None => (Route::Sorted, self.aggregate_sorted(table, rows, &key_idx)),
+            Some(code) => (Route::Hash, self.aggregate_hash(table, rows, &key_idx, &code)),
+            None => (Route::Sorted, self.aggregate_sorted(table, rows.to_vec(), &key_idx)),
         }
     }
 
@@ -144,7 +157,8 @@ impl GroupBySpec {
             assert_eq!(bv.len(), table.rows(), "selection length mismatch");
         }
         let key_idx: Vec<usize> = self.group_cols.iter().map(|c| table.col_index(c)).collect();
-        self.aggregate_ordered(table, &selected_rows(table, sel), &key_idx)
+        let list: Option<Vec<usize>> = sel.map(|bv| bv.iter_set().collect());
+        self.aggregate_ordered(table, Rows::of(table, list.as_deref()), &key_idx)
     }
 
     /// The sequential reference group-by: one `HashMap` from key tuple
@@ -190,24 +204,53 @@ impl GroupBySpec {
     }
 
     /// The dense group-by for key domains of at most [`DENSE_CAP`]
-    /// codes: each row's code is its slot, the aggregates accumulate
-    /// into slot-indexed arrays, and the non-empty slots come out in
-    /// index order — which is key order, so no hash, probe or sort runs.
-    /// Rows reach each accumulator in ascending order, as in
-    /// [`Self::execute_seq`], so the result is bit-identical.
+    /// codes, in two passes per block of [`DENSE_BLOCK_ROWS`] rows:
+    ///
+    /// 1. *Slots*: one pass computes each row's `u16` slot, its code,
+    ///    with one- and two-column codes specialized (as in [`key_runs`])
+    ///    and a row of each non-empty slot kept. Without a selection, or
+    ///    with one that keeps at least one row in [`DENSE_LIST_SHARE`],
+    ///    the pass streams every table row and sends each dropped row to
+    ///    one of the [`TRASH_SLOTS`] from `domain` on, with no branch on
+    ///    the selection; a sparser selection lists its rows instead.
+    /// 2. *Fold*: every aggregate accumulates over the slots zipped with
+    ///    its input columns ([`Self::fold`]).
+    ///
+    /// The non-empty slots below `domain` come out in index order —
+    /// which is key order, so no hash, probe or sort runs, and the trash
+    /// slots' states, rows and keys never reach the result. Rows reach
+    /// each accumulator in ascending order, as in [`Self::execute_seq`],
+    /// so the result is bit-identical.
     fn aggregate_dense(
         &self,
         table: &Table,
-        rows: &[usize],
+        sel: Option<&BitVec>,
         key_idx: &[usize],
         code: &KeyCode,
     ) -> Table {
         let domain = code.domain() as usize;
-        let slots: Vec<u32> = rows.iter().map(|&r| code.code(r) as u32).collect();
-        let states = self.fold(table, rows, &slots, domain);
-        // A row of each non-empty slot.
-        let mut reps = vec![usize::MAX; domain];
-        slots.iter().zip(rows).for_each(|(&g, &r)| reps[g as usize] = r);
+        let sparse = sel.filter(|bv| bv.count() * DENSE_LIST_SHARE < bv.len());
+        let list: Option<Vec<usize>> = sparse.map(|bv| bv.iter_set().collect());
+        let rows = Rows::of(table, list.as_deref());
+        let keep = sel.filter(|_| list.is_none());
+        // A row of each non-empty slot, the trash slots' included.
+        let mut reps = vec![usize::MAX; domain + TRASH_SLOTS];
+        let mut states = self.states(domain + TRASH_SLOTS);
+        let mut slots = Vec::with_capacity(DENSE_BLOCK_ROWS);
+        for lo in (0..rows.len()).step_by(DENSE_BLOCK_ROWS) {
+            let block = rows.block(lo, (lo + DENSE_BLOCK_ROWS).min(rows.len()));
+            slots.clear();
+            match *code.columns() {
+                [(a, la, _)] => dense_slots(block, keep, &mut reps, &mut slots, |r| {
+                    a[r].wrapping_sub(la) as u64
+                }),
+                [(a, la, sa), (b, lb, _)] => dense_slots(block, keep, &mut reps, &mut slots, |r| {
+                    (a[r].wrapping_sub(la) as u64).wrapping_mul(sa) + b[r].wrapping_sub(lb) as u64
+                }),
+                _ => dense_slots(block, keep, &mut reps, &mut slots, |r| code.code(r)),
+            }
+            self.fold(table, block, &slots, &mut states);
+        }
         let live: Vec<usize> = (0..domain).filter(|&g| reps[g] != usize::MAX).collect();
         self.output(table, key_idx, &reps, &states, &live)
     }
@@ -231,19 +274,25 @@ impl GroupBySpec {
     fn aggregate_hash(
         &self,
         table: &Table,
-        rows: &[usize],
+        rows: Rows,
         key_idx: &[usize],
         code: &KeyCode,
     ) -> Table {
-        assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 slot encoding");
-        let codes: Vec<u64> = rows.iter().map(|&r| code.code(r)).collect();
-        let mut groups = CodeGroups::new((rows.len() * 2).next_power_of_two().clamp(16, 1 << 14));
-        let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
-        for (j, (&c, &r)) in codes.iter().zip(rows).enumerate() {
-            let g = if j > 0 && c == codes[j - 1] { gids[j - 1] } else { groups.group_of(c, r) };
+        let n = rows.len();
+        assert!(n < u32::MAX as usize, "row count exceeds the u32 slot encoding");
+        let codes: Vec<u64> = (0..n).map(|i| code.code(rows.at(i))).collect();
+        let mut groups = CodeGroups::new((n * 2).next_power_of_two().clamp(16, 1 << 14));
+        let mut gids: Vec<u32> = Vec::with_capacity(n);
+        for (j, &c) in codes.iter().enumerate() {
+            let g = if j > 0 && c == codes[j - 1] {
+                gids[j - 1]
+            } else {
+                groups.group_of(c, rows.at(j))
+            };
             gids.push(g);
         }
-        let states = self.fold(table, rows, &gids, groups.codes.len());
+        let mut states = self.states(groups.codes.len());
+        self.fold(table, rows, &gids, &mut states);
         let mut order: Vec<(u64, usize)> = groups.codes.iter().copied().zip(0..).collect();
         order.sort_unstable();
         let order: Vec<usize> = order.into_iter().map(|(_, g)| g).collect();
@@ -256,7 +305,8 @@ impl GroupBySpec {
     fn aggregate_sorted(&self, table: &Table, mut rows: Vec<usize>, key_idx: &[usize]) -> Table {
         let keys: Vec<&[i64]> = key_idx.iter().map(|&i| table.columns[i].data.as_slice()).collect();
         rows.sort_by(|&a, &b| keys.iter().map(|k| k[a]).cmp(keys.iter().map(|k| k[b])));
-        self.aggregate_ordered(table, &rows, key_idx).expect("sorted key tuples never descend")
+        self.aggregate_ordered(table, Rows::List(&rows), key_idx)
+            .expect("sorted key tuples never descend")
     }
 
     /// The result table of groups `order`, in that order: group `g`'s
@@ -288,19 +338,20 @@ impl GroupBySpec {
     /// signed lexicographic `i64`s — one- and two-column keys as scalars
     /// and pairs, wider ones column by column (the column-by-column
     /// walk measured about 20 % slower on two-column ordered keys, Q3's
-    /// shape). While the keys never
-    /// descend, each run of equal keys is one group and the runs come in
-    /// ascending key order: [`Self::fold`] accumulates over the
-    /// run-indexed group ids and each group's key is read from a row of
-    /// its run, so no hash, probe or sort runs.
-    fn aggregate_ordered(&self, table: &Table, rows: &[usize], key_idx: &[usize]) -> Option<Table> {
-        assert!(rows.len() < u32::MAX as usize, "row count exceeds the u32 group encoding");
+    /// shape). While the keys never descend, each run of equal keys is
+    /// one group and the runs come in ascending key order:
+    /// [`Self::fold`] accumulates over the run-indexed group ids and
+    /// each group's key is read from the one row the walk keeps of its
+    /// run, so no hash, probe or sort runs.
+    fn aggregate_ordered(&self, table: &Table, rows: Rows, key_idx: &[usize]) -> Option<Table> {
+        let n = rows.len();
+        assert!(n < u32::MAX as usize, "row count exceeds the u32 group encoding");
         let keys: Vec<&[i64]> = key_idx.iter().map(|&i| table.columns[i].data.as_slice()).collect();
-        let mut gids = vec![0u32; rows.len()];
+        let mut gids = vec![0u32; n];
         // A row of each key run, one per group.
-        let mut reps = vec![0usize; rows.len()];
+        let mut reps = Vec::new();
         // The first row's key in column `k`: where each walk starts.
-        let first = |k: &[i64]| rows.first().map_or(0, |&r| k[r]);
+        let first = |k: &[i64]| if n == 0 { 0 } else { k[rows.at(0)] };
         let groups = match keys.as_slice() {
             [k] => {
                 let mut prev = first(k);
@@ -333,8 +384,8 @@ impl GroupBySpec {
                 })
             }
         }?;
-        reps.truncate(groups);
-        let states = self.fold(table, rows, &gids, groups);
+        let mut states = self.states(groups);
+        self.fold(table, rows, &gids, &mut states);
         let key_cols = self
             .group_cols
             .iter()
@@ -344,39 +395,31 @@ impl GroupBySpec {
         Some(Table::new(key_cols.chain(agg_cols).collect()))
     }
 
-    /// Accumulates every aggregate over `rows` into `n` groups, row
-    /// `rows[i]` into group `gids[i]`: one aggregate at a time over its
-    /// resolved input slices, rows in the given order. Returns one state
-    /// column per aggregate.
-    fn fold(&self, table: &Table, rows: &[usize], gids: &[u32], n: usize) -> Vec<Vec<i64>> {
-        self.aggs
-            .iter()
-            .map(|(_, f)| {
-                let col = |c: &String| table.columns[table.col_index(c)].data.as_slice();
-                let mut s = vec![init_of(f); n];
-                let each = gids.iter().map(|&g| g as usize).zip(rows.iter().copied());
-                match f {
-                    AggFunc::Count => gids.iter().for_each(|&g| s[g as usize] += 1),
-                    AggFunc::Sum(c) => {
-                        let v = col(c);
-                        each.for_each(|(g, r)| s[g] += v[r]);
-                    }
-                    AggFunc::Min(c) => {
-                        let v = col(c);
-                        each.for_each(|(g, r)| s[g] = s[g].min(v[r]));
-                    }
-                    AggFunc::Max(c) => {
-                        let v = col(c);
-                        each.for_each(|(g, r)| s[g] = s[g].max(v[r]));
-                    }
-                    AggFunc::SumProduct(a, b) => {
-                        let (va, vb) = (col(a), col(b));
-                        each.for_each(|(g, r)| s[g] += va[r] * vb[r]);
-                    }
-                }
-                s
-            })
-            .collect()
+    /// Every aggregate's initial state column, `n` groups long.
+    fn states(&self, n: usize) -> Vec<Vec<i64>> {
+        self.aggs.iter().map(|(_, f)| vec![init_of(f); n]).collect()
+    }
+
+    /// Accumulates every aggregate over `rows` into its column of
+    /// `states`, the `i`-th row into group `gids[i]`: one aggregate at a
+    /// time, its input columns zipped with the group ids when `rows` is
+    /// a row range and gathered through the list otherwise, rows in the
+    /// given order. Sums and products wrap, as a release build's `+`
+    /// and `*` do, so the dense arm's trash slots can take rows a
+    /// selection drops whatever their values.
+    fn fold<G: GroupId>(&self, table: &Table, rows: Rows, gids: &[G], states: &mut [Vec<i64>]) {
+        let col = |c: &String| table.columns[table.col_index(c)].data.as_slice();
+        for ((_, f), s) in self.aggs.iter().zip(states) {
+            match f {
+                AggFunc::Count => each(rows, gids, [], |g, []| s[g] = s[g].wrapping_add(1)),
+                AggFunc::Sum(c) => each(rows, gids, [col(c)], |g, [x]| s[g] = s[g].wrapping_add(x)),
+                AggFunc::Min(c) => each(rows, gids, [col(c)], |g, [x]| s[g] = s[g].min(x)),
+                AggFunc::Max(c) => each(rows, gids, [col(c)], |g, [x]| s[g] = s[g].max(x)),
+                AggFunc::SumProduct(a, b) => each(rows, gids, [col(a), col(b)], |g, [x, y]| {
+                    s[g] = s[g].wrapping_add(x.wrapping_mul(y))
+                }),
+            }
+        }
     }
 
     /// Initial accumulator state, one slot per aggregate.
@@ -443,8 +486,32 @@ enum Route {
 /// aggregates on a 2-vCPU Xeon: at 4096 slots the dense path ties the
 /// hash path at 250 rows and wins from 1000 rows up; at 8192 slots
 /// (state arrays past 32 KiB) it loses 4× at 250 rows, and at 16 384
-/// slots it loses at 1000 rows.
+/// slots it loses at 1000 rows. The slots are `u16`, so the trash slots
+/// from `domain` on ([`TRASH_SLOTS`]) still fit one.
 const DENSE_CAP: u128 = 1 << 12;
+
+/// The dense group-by streams every table row when its selection keeps
+/// at least one row in this many, and lists the selected rows when it
+/// keeps fewer: streaming pays for every row, listing for every kept row
+/// at about twice the cost. Measured on the Q1 shape (two keys, six
+/// slots, four aggregates) on a 2-vCPU Xeon: streaming took about 6
+/// ns/row at 100 000 rows whatever the selection, the list 3.3–4.6
+/// ns/row at 30 %, 4.9–6.7 at 50 % and 6.5–9.0 at 70 %; at 2 M rows the
+/// two crossed near 50 % as well.
+const DENSE_LIST_SHARE: usize = 2;
+
+/// Rows the dense group-by ([`GroupBySpec::aggregate_dense`]) slots and
+/// folds at a time: a block's slots and input columns stay in cache
+/// while every aggregate folds them, so each column streams from memory
+/// once, and no slot list as long as the table is made.
+const DENSE_BLOCK_ROWS: usize = 4096;
+
+/// Trash slots the dense group-by sends dropped rows to, row `r` to
+/// slot `domain + r % TRASH_SLOTS`: with one, a run of dropped rows
+/// folds into one accumulator, each add waiting on the store before it.
+/// Streaming the Q1 shape over 2 M rows with 1 % kept took 17.5 ns/row
+/// with one trash slot and 9.1–11.2 with four.
+const TRASH_SLOTS: usize = 4;
 
 /// Rows between two checks of the key-ordered group-by's descent flag
 /// ([`GroupBySpec::aggregate_ordered`]): small enough that unordered
@@ -452,35 +519,182 @@ const DENSE_CAP: u128 = 1 << 12;
 /// that the check costs nothing per row.
 const ORDER_CHECK_ROWS: usize = 256;
 
-/// The key runs of `rows` for [`GroupBySpec::aggregate_ordered`], or
-/// `None` if some row's key is less than the previous row's. Row
-/// `rows[i]` gets its run index in `gids[i]`, and `reps[g]` ends up
-/// holding a row of run `g`. `step(r)` compares row `r`'s key with the
-/// previous row's (the first row's with itself): whether it differs,
-/// and whether it is less. The walk has no per-row branch: descents
-/// are ORed into a flag that is checked once per [`ORDER_CHECK_ROWS`]
-/// rows. Returns the run count.
-fn key_runs(
-    rows: &[usize],
-    gids: &mut [u32],
+/// The rows a group-by arm reads, by position.
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    /// The rows `lo..hi`: position `i` is row `lo + i`, and no id list
+    /// exists.
+    Range(usize, usize),
+    /// The selected rows' ids, ascending.
+    List(&'a [usize]),
+}
+
+impl<'a> Rows<'a> {
+    /// Every row of `table`, or the listed ones.
+    fn of(table: &Table, list: Option<&'a [usize]>) -> Self {
+        list.map_or(Rows::Range(0, table.rows()), Rows::List)
+    }
+
+    fn len(self) -> usize {
+        match self {
+            Rows::Range(lo, hi) => hi - lo,
+            Rows::List(ids) => ids.len(),
+        }
+    }
+
+    /// The row at position `i`.
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        match self {
+            Rows::Range(lo, _) => lo + i,
+            Rows::List(ids) => ids[i],
+        }
+    }
+
+    /// The rows at positions `lo..hi`.
+    fn block(self, lo: usize, hi: usize) -> Self {
+        match self {
+            Rows::Range(first, _) => Rows::Range(first + lo, first + hi),
+            Rows::List(ids) => Rows::List(&ids[lo..hi]),
+        }
+    }
+
+    /// The row ids, listed.
+    fn to_vec(self) -> Vec<usize> {
+        (0..self.len()).map(|i| self.at(i)).collect()
+    }
+}
+
+/// A group id as the arms store them: `u16` dense slots, `u32` groups.
+trait GroupId: Copy {
+    fn index(self) -> usize;
+}
+
+impl GroupId for u16 {
+    #[inline(always)]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl GroupId for u32 {
+    #[inline(always)]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// Calls `f(gids[i], values)` for each position `i` of `rows` in order,
+/// `values` holding each of `cols` at the `i`-th row: the columns are
+/// zipped with the ids when `rows` is a range, and gathered through
+/// the list otherwise.
+#[inline(always)]
+fn each<G: GroupId, const N: usize>(
+    rows: Rows,
+    gids: &[G],
+    cols: [&[i64]; N],
+    mut f: impl FnMut(usize, [i64; N]),
+) {
+    match rows {
+        Rows::Range(lo, hi) => {
+            let cols = cols.map(|c| &c[lo..hi]);
+            for (i, &g) in gids.iter().enumerate() {
+                f(g.index(), cols.map(|c| c[i]));
+            }
+        }
+        Rows::List(ids) => {
+            for (&g, &r) in gids.iter().zip(ids) {
+                f(g.index(), cols.map(|c| c[r]));
+            }
+        }
+    }
+}
+
+/// The dense group-by's slot pass ([`GroupBySpec::aggregate_dense`]):
+/// pushes the `u16` slot `code(r)` of each row of `rows` onto `slots`,
+/// in order, leaving `reps[slot]` holding a row of each non-empty slot.
+/// When `keep` is given, `rows` is a row range and each row `keep`
+/// drops goes to a trash slot instead ([`TRASH_SLOTS`], the last ones
+/// of `reps`), chosen without a branch.
+fn dense_slots(
+    rows: Rows,
+    keep: Option<&BitVec>,
     reps: &mut [usize],
+    slots: &mut Vec<u16>,
+    code: impl Fn(usize) -> u64,
+) {
+    let trash = reps.len() - TRASH_SLOTS;
+    let mut slot = |r: usize, g: usize| {
+        reps[g] = r;
+        g as u16
+    };
+    match (rows, keep) {
+        (Rows::Range(lo, hi), Some(bv)) => {
+            let words = bv.words();
+            slots.extend((lo..hi).map(|r| {
+                // All ones when row `r` is kept, zero when dropped.
+                let kept = (words[r / 64] >> (r % 64) & 1).wrapping_neg() as usize;
+                let t = trash + r % TRASH_SLOTS;
+                slot(r, t ^ ((code(r) as usize ^ t) & kept))
+            }))
+        }
+        _ => slots.extend((0..rows.len()).map(|i| rows.at(i)).map(|r| slot(r, code(r) as usize))),
+    }
+}
+
+/// The key runs of `rows` for [`GroupBySpec::aggregate_ordered`], or
+/// `None` if some row's key is less than the previous row's. The `i`-th
+/// row gets its run index in `gids[i]`, and `reps[g]` ends up holding a
+/// row of run `g`: `reps` grows one block at a time to the runs that
+/// block can start, and ends one row per run long. `step(r)` compares
+/// row `r`'s key with the previous row's (the first row's with itself):
+/// whether it differs, and whether it is less. The walk has no per-row
+/// branch: descents are ORed into a flag that is checked once per
+/// [`ORDER_CHECK_ROWS`] rows. Returns the run count.
+fn key_runs(
+    rows: Rows,
+    gids: &mut [u32],
+    reps: &mut Vec<usize>,
     mut step: impl FnMut(usize) -> (bool, bool),
 ) -> Option<usize> {
     let mut g = 0u32;
-    for (ids, rs) in gids.chunks_mut(ORDER_CHECK_ROWS).zip(rows.chunks(ORDER_CHECK_ROWS)) {
-        let mut desc = false;
-        for (id, &r) in ids.iter_mut().zip(rs) {
-            let (ne, lt) = step(r);
-            g += ne as u32;
-            desc |= lt;
-            *id = g;
-            reps[g as usize] = r;
-        }
+    for (b, ids) in gids.chunks_mut(ORDER_CHECK_ROWS).enumerate() {
+        reps.resize(g as usize + ids.len() + 1, 0);
+        let block = b * ORDER_CHECK_ROWS..b * ORDER_CHECK_ROWS + ids.len();
+        let desc = match rows {
+            Rows::Range(lo, _) => {
+                run_block(ids, lo + block.start..lo + block.end, &mut g, reps, &mut step)
+            }
+            Rows::List(l) => run_block(ids, l[block].iter().copied(), &mut g, reps, &mut step),
+        };
         if desc {
             return None;
         }
     }
-    Some(if rows.is_empty() { 0 } else { g as usize + 1 })
+    let groups = if rows.len() == 0 { 0 } else { g as usize + 1 };
+    reps.truncate(groups);
+    Some(groups)
+}
+
+/// One block of [`key_runs`] over the rows `rs`, run index `g` carried
+/// across blocks: whether some row's key descended.
+#[inline(always)]
+fn run_block(
+    ids: &mut [u32],
+    rs: impl Iterator<Item = usize>,
+    g: &mut u32,
+    reps: &mut [usize],
+    step: &mut impl FnMut(usize) -> (bool, bool),
+) -> bool {
+    let mut desc = false;
+    for (id, r) in ids.iter_mut().zip(rs) {
+        let (ne, lt) = step(r);
+        *g += ne as u32;
+        desc |= lt;
+        *id = *g;
+        reps[*g as usize] = r;
+    }
+    desc
 }
 
 /// The ids of the rows `sel` keeps (every row when `None`), ascending.
@@ -965,6 +1179,99 @@ mod tests {
             assert_eq!(spec.execute(&same, None).rows(), 1);
             assert_ordered_arm(&spec, &single, true, "single row");
             assert_eq!(spec.execute(&single, None).rows(), 1);
+        }
+    }
+
+    /// A descent only in a row the selection drops — at row 1,
+    /// `ORDER_CHECK_ROWS − 1`, `ORDER_CHECK_ROWS` and `ORDER_CHECK_ROWS +
+    /// 1` — neither splits the run of equal keys around it nor sends the
+    /// key-ordered arm to its fallback, at key widths 1–3. Without the
+    /// selection the same table falls back.
+    #[test]
+    fn key_ordered_arm_ignores_descents_in_dropped_rows() {
+        let n = 3 * ORDER_CHECK_ROWS + 17;
+        let b = ORDER_CHECK_ROWS;
+        let widths: [&[&str]; 3] = [&["a"], &["a", "b"], &["a", "b", "c"]];
+        for row in [1, b - 1, b, b + 1] {
+            // Rows `row − 1` and `row + 1` hold one key tuple, and row
+            // `row` between them a lower one in the first column.
+            let mut cols = ascending_keys(n);
+            for c in &mut cols {
+                c[row + 1] = c[row - 1];
+            }
+            cols[0][row] = cols[0][row - 1] - 1;
+            let t = keyed_table(cols);
+            let sel = BitVec::from_fn(n, |r| r != row);
+            for keys in widths {
+                let spec = all_aggs(keys);
+                let what = format!("descent at dropped row {row}, width {}", keys.len());
+                let want = spec.execute_seq(&t, Some(&sel));
+                assert_eq!(spec.route(&t, Some(&sel)), (Route::Ordered, want.clone()), "{what}");
+                assert_eq!(spec.execute_ordered(&t, Some(&sel)), Some(want), "{what}");
+                assert_ordered_arm(&spec, &t, false, &what);
+            }
+        }
+    }
+
+    /// The dense arm under every selection shape — none, empty, one row,
+    /// 1 % strided (listed), 50 % and 94 % random and full (streamed) —
+    /// at key widths 1–3, each over a domain of exactly `DENSE_CAP`
+    /// codes (so the trash slots start at 4096), with all five
+    /// aggregates, across several slot blocks. The rows a selection
+    /// drops hold the signed extremes in the value columns: were one to
+    /// reach a live slot, its `Min`, `Max` or sums would show, and a
+    /// trash slot reaching the live list would add a group.
+    #[test]
+    fn dense_arm_under_every_selection_matches_the_reference() {
+        let n = 2 * DENSE_BLOCK_ROWS + 77;
+        let mut x = 0x2026_u64;
+        let draws: Vec<u64> = (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect();
+        // Per width, the key columns' value ranges, multiplying to the cap.
+        let ranges: [&[u64]; 3] = [&[4096], &[64, 64], &[16, 16, 16]];
+        let pct = |r: usize| draws[r] >> 32 & 127;
+        let sels: Vec<(&str, Option<BitVec>)> = vec![
+            ("none", None),
+            ("empty", Some(BitVec::new(n))),
+            ("one row", Some(BitVec::from_fn(n, |r| r == n / 3))),
+            ("1 % strided", Some(BitVec::from_fn(n, |r| r % 100 == 7))),
+            ("50 % random", Some(BitVec::from_fn(n, |r| pct(r) < 64))),
+            ("94 % random", Some(BitVec::from_fn(n, |r| pct(r) < 120))),
+            ("full", Some(BitVec::from_fn(n, |_| true))),
+        ];
+        for widths in ranges {
+            let names: Vec<String> = (0..widths.len()).map(|c| format!("k{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            // Column `c` draws from `range` values below zero and above;
+            // rows 0 and 1 hold its least and greatest value.
+            let keys = widths.iter().enumerate().map(|(c, &range)| {
+                let lo = -(range as i64) / 2;
+                let k = (0..n).map(|r| match r {
+                    0 => lo,
+                    1 => lo + range as i64 - 1,
+                    _ => lo + ((draws[r] >> (8 * c)) % range) as i64,
+                });
+                Column::i64(names[c], k.collect())
+            });
+            for (what, sel) in &sels {
+                let kept = |r: usize| sel.as_ref().is_none_or(|bv| bv.get(r));
+                let v =
+                    (0..n as i64).map(|r| if kept(r as usize) { r * 7 - 900 } else { i64::MAX });
+                let d = (0..n as i64).map(|r| if kept(r as usize) { r % 5 - 2 } else { i64::MIN });
+                let mut cols: Vec<Column> = keys.clone().collect();
+                cols.extend([Column::i64("v", v.collect()), Column::i64("d", d.collect())]);
+                let t = Table::new(cols);
+                let spec = all_aggs(&names);
+                let want = spec.execute_seq(&t, sel.as_ref());
+                let what = format!("{what}, width {}", widths.len());
+                assert_eq!(spec.route(&t, sel.as_ref()), (Route::Dense, want), "{what}");
+            }
         }
     }
 }

@@ -49,6 +49,12 @@ impl<'a> KeyCode<'a> {
         self.domain
     }
 
+    /// Per key column: its values, least value and stride, so a caller
+    /// can specialize [`Self::code`] to its column count.
+    pub(crate) fn columns(&self) -> &[(&'a [i64], i64, u64)] {
+        &self.cols
+    }
+
     /// The code of row `r`'s key tuple. The sum never exceeds
     /// `u64::MAX`, so wrapping arithmetic is exact.
     #[inline]

@@ -13,7 +13,9 @@
 //! filter against `CompareOp::matches` per row, partitioning against
 //! the bit-serial `crc32c_u64`, the join against a nested loop over
 //! probe rows then build rows, the selection join against the join over
-//! `select_rows` copies, top-k and sort against one full stable
+//! `select_rows` copies and against a nested loop over the selected rows
+//! (with build keys that all share one filter bit of the join table),
+//! top-k and sort against one full stable
 //! sort, and expressions against per-row wrapping arithmetic. The
 //! group-by's reference is `GroupBySpec::execute_seq`, key-less
 //! aggregates included.
@@ -49,11 +51,31 @@ fn partition_reference(keys: &[i64], base: usize, fanout: u64) -> Vec<Vec<usize>
 /// projecting each matched pair; plus the largest partition of a
 /// bit-serial `fanout`-way CRC32 split of the build keys.
 fn join_reference(join: &HashJoin, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
+    let bkeys = &build.column(&join.build_key).expect("join column").data;
+    let mut counts = vec![0u64; fanout as usize];
+    for &k in bkeys {
+        counts[(crc32c_u64(k as u64) as u64 % fanout) as usize] += 1;
+    }
+    let max_part = counts.into_iter().max().unwrap_or(0);
+    (selection_join_reference(join, build, None, probe, None), max_part)
+}
+
+/// The selection join reference: a nested loop over the probe rows
+/// `psel` keeps, then the build rows `bsel` keeps (every row for
+/// `None`), projecting each matched pair.
+fn selection_join_reference(
+    join: &HashJoin,
+    build: &Table,
+    bsel: Option<&BitVec>,
+    probe: &Table,
+    psel: Option<&BitVec>,
+) -> Table {
     let col = |t: &Table, name: &str| t.column(name).expect("join column").data.clone();
     let (bkeys, pkeys) = (col(build, &join.build_key), col(probe, &join.probe_key));
+    let kept = |sel: Option<&BitVec>, r: usize| sel.is_none_or(|bv| bv.get(r));
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for (pr, pk) in pkeys.iter().enumerate() {
-        for (br, bk) in bkeys.iter().enumerate() {
+    for (pr, pk) in pkeys.iter().enumerate().filter(|&(pr, _)| kept(psel, pr)) {
+        for (br, bk) in bkeys.iter().enumerate().filter(|&(br, _)| kept(bsel, br)) {
             if bk == pk {
                 pairs.push((br, pr));
             }
@@ -65,11 +87,35 @@ fn join_reference(join: &HashJoin, build: &Table, probe: &Table, fanout: u64) ->
     };
     let build_cols = join.build_cols.iter().map(|c| gather(build, c, |p| p.0));
     let probe_cols = join.probe_cols.iter().map(|c| gather(probe, c, |p| p.1));
-    let mut counts = vec![0u64; fanout as usize];
-    for &k in &bkeys {
-        counts[(crc32c_u64(k as u64) as u64 % fanout) as usize] += 1;
+    Table::new(build_cols.chain(probe_cols).collect())
+}
+
+/// The inverse of the join table's Fibonacci multiplier modulo 2⁶⁴: key
+/// `j · inverse` has the product `j`, so small `j` put every key in the
+/// table's home slot 0 and its filter bit 0.
+fn fib_inverse() -> u64 {
+    const C: u64 = 0x9E37_79B9_7F4A_7C15;
+    let inv = (0..6).fold(C, |x, _| x.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(x))));
+    assert_eq!(C.wrapping_mul(inv), 1);
+    inv
+}
+
+/// A join key from a pool that stresses the join table's bit filter:
+/// for `tag` 0–2, one of 40 keys that share one filter bit and one home
+/// slot; then the signed extremes, small keys that repeat, or any key.
+fn filter_key(raw: i64, tag: u8) -> i64 {
+    match tag {
+        0..=2 => (1 + raw.rem_euclid(40) as u64).wrapping_mul(fib_inverse()) as i64,
+        3 => [i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1][raw.rem_euclid(4) as usize],
+        4..=5 => raw.rem_euclid(8) - 4,
+        _ => raw,
     }
-    (Table::new(build_cols.chain(probe_cols).collect()), counts.into_iter().max().unwrap_or(0))
+}
+
+/// A join-key-column strategy over the [`filter_key`] pool.
+fn filter_keys(max_len: usize) -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec((any::<i64>(), any::<u8>()), 0..max_len)
+        .prop_map(|pairs| pairs.into_iter().map(|(raw, tag)| filter_key(raw, tag % 7)).collect())
 }
 
 /// How many selection shapes [`shaped_selection`] draws from.
@@ -220,6 +266,34 @@ proptest! {
                 let (want, _) = join.execute(&copy(&build, &bsel), &copy(&probe, &psel), fanout);
                 // Exact row order and base row ids.
                 let got = join.execute_selected(&build, bsel.as_ref(), &probe, psel.as_ref());
+                prop_assert_eq!(&want, &got, "shapes {} x {}", bshape, pshape);
+            }
+        }
+    }
+
+    /// The join table's bit filter changes no result: build keys that
+    /// all share one filter bit and home slot, probe keys that share
+    /// them and miss, duplicates on both sides, the signed extremes and
+    /// empty sides, under every selection shape on each side, against a
+    /// nested loop over the selected rows in exact row order. Sides of
+    /// unequal size take both the filtered probe (at least as many
+    /// probes as build keys) and the unfiltered one.
+    #[test]
+    fn filtered_join_equals_nested_loop_over_selected_rows(
+        bkeys in filter_keys(120),
+        pkeys in filter_keys(160),
+        bdraw in (any::<usize>(), any::<usize>()),
+        pdraw in (any::<usize>(), any::<usize>()),
+    ) {
+        let (build, probe) = (keyed(bkeys, "brow"), keyed(pkeys, "prow"));
+        let join = row_id_join();
+        for bshape in 0..SELECTION_SHAPES {
+            for pshape in 0..SELECTION_SHAPES {
+                let bsel = shaped_selection(build.rows(), bshape, bdraw);
+                let psel = shaped_selection(probe.rows(), pshape, pdraw);
+                let (bsel, psel) = (bsel.as_ref(), psel.as_ref());
+                let want = selection_join_reference(&join, &build, bsel, &probe, psel);
+                let got = join.execute_selected(&build, bsel, &probe, psel);
                 prop_assert_eq!(&want, &got, "shapes {} x {}", bshape, pshape);
             }
         }
@@ -610,10 +684,8 @@ fn join_duplicate_build_keys_chain_in_build_row_order() {
 /// extremes, and builds larger than their probes.
 #[test]
 fn join_colliding_and_extreme_keys_are_exact() {
-    // The inverse of the table's multiplier: k·C ≡ j (mod 2⁶⁴).
-    const C: u64 = 0x9E37_79B9_7F4A_7C15;
-    let inv = (0..6).fold(C, |x, _| x.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(x))));
-    assert_eq!(C.wrapping_mul(inv), 1);
+    // k·C ≡ j (mod 2⁶⁴) for the table's multiplier C.
+    let inv = fib_inverse();
     let mut bkeys: Vec<i64> = (1..=400u64).map(|j| j.wrapping_mul(inv) as i64).collect();
     bkeys.extend((1..=400i64).map(|j| (j << 32) | 0x2A));
     bkeys.extend([i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, 0, -1, i64::MIN, i64::MAX]);
@@ -906,6 +978,45 @@ fn group_by_key_ordered_inputs_are_exact() {
     assert_ordered_arm(&spec, &asc, None, true);
     assert_ordered_arm(&spec, &asc, Some(&sel), true);
     assert_ordered_arm(&spec, &asc, Some(&BitVec::new(n)), true);
+}
+
+/// Build keys that all share one filter bit (and home slot), each twice
+/// and beside the signed extremes, probed by 20 times as many rows — so
+/// the probe runs through the filter, in several blocks — of which most
+/// share that bit and miss: every selection shape on each side matches
+/// the nested loop over the selected rows, in exact row order.
+#[test]
+fn filtered_join_of_one_filter_bit_is_exact() {
+    let inv = fib_inverse();
+    let colliding = |j: u64| j.wrapping_mul(inv) as i64;
+    let mut bkeys: Vec<i64> = (1..=60).chain(1..=60).map(colliding).collect();
+    bkeys.extend([i64::MIN, i64::MAX, i64::MIN, i64::MAX]);
+    let pkeys: Vec<i64> = (0..2_500u64)
+        .map(|i| match i % 8 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => colliding(1 + i % 60),
+            _ => colliding(61 + i),
+        })
+        .collect();
+    let (build, probe) = (keyed(bkeys, "brow"), keyed(pkeys, "prow"));
+    let join = row_id_join();
+    let mut matched = 0;
+    for bshape in 0..SELECTION_SHAPES {
+        for pshape in 0..SELECTION_SHAPES {
+            let bsel = shaped_selection(build.rows(), bshape, (5, 3));
+            let psel = shaped_selection(probe.rows(), pshape, (2, 40));
+            let (bsel, psel) = (bsel.as_ref(), psel.as_ref());
+            let want = selection_join_reference(&join, &build, bsel, &probe, psel);
+            assert_eq!(
+                join.execute_selected(&build, bsel, &probe, psel),
+                want,
+                "{bshape}x{pshape}"
+            );
+            matched += want.rows();
+        }
+    }
+    assert!(matched > 5_000, "only {matched} matched rows");
 }
 
 /// Every join entry point emits matches in (probe row, ascending build row)
