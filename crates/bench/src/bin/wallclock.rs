@@ -15,9 +15,10 @@
 //!    single- and multi-key hash group-by (each key tuple coded as one
 //!    `u64` and hashed into a table of one-word keys), the dense
 //!    small-domain group-by, the key-ordered group-by (`agg_ordered`),
-//!    the hash join, the selection join (`join_selected`, plus
-//!    `join_selected_miss`, where about 3 % of the probes match and the
-//!    rest stop at the join table's bit filter), threshold-prefiltered
+//!    the hash join (`join`, through the direct table), the selection
+//!    join (`join_selected`, plus `join_selected_miss`, where about 3 %
+//!    of the probes match and the rest stop at the hashed table's
+//!    exact bitmap), threshold-prefiltered
 //!    top-k, the key-code sort (`sortkey`: one sort of `(code, row)`
 //!    pairs) and expression evaluation. The group-by rows carry a
 //!    reference column — `GroupBySpec::execute_seq`, the one in-crate
@@ -347,9 +348,9 @@ fn main() {
         kernel_row(name, Some(ref_s), s, false);
     }
 
-    // Hash join: the 2M-row key column probes a 65 536-key build through
-    // one flat open-addressed table; fanout 32 only sizes the reported
-    // largest build partition.
+    // Hash join: the 2M-row key column probes a build of 65 536 dense
+    // keys, which takes the direct table (one slot per key value);
+    // fanout 32 only sizes the reported largest build partition.
     let jb = Table::new(vec![
         Column::i64("k", (-32_768..32_768).collect()),
         Column::i64("bv", (0..65_536).collect()),
@@ -376,8 +377,10 @@ fn main() {
     assert_eq!(copied, selected, "selection join diverged from joining the copies");
     kernel_row("join_selected", Some(copy_s), sel_s, false);
     // Mostly misses, like Q5's lineitem probe: a build of every 32nd
-    // key, so about 3 % of the selected probes match and the rest stop
-    // at the join table's bit filter. Same comparison, no floor.
+    // key, whose range is too wide for the direct table, so it takes
+    // hashed slots behind the exact bitmap of the key range; about 3 %
+    // of the selected probes match and the rest stop at the bitmap.
+    // Same comparison, no floor.
     let sparse_sel = BitVec::from_fn(jb.rows(), |r| r % 32 == 0);
     let (copy_s, (copied, _)) = best_of(|| {
         join.execute(&tpch::select_rows(&jb, &sparse_sel), &tpch::select_rows(&kt, &psel), 32)

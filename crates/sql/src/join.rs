@@ -11,19 +11,29 @@
 //! arrives as a table plus an optional selection bit vector, as FILT
 //! leaves it, so a filtered scan is never copied before its join.
 //!
+//! Every TPC-H join key is a dense surrogate key, and the paper's DMS
+//! partitions by key range as well as by hash. So the join table first
+//! reads the build keys' bounds — from a packed column's zone maps, or
+//! one scan of the gathered keys — and a build whose key range is
+//! within a few times its hashed slot count indexes one slot per key
+//! value: a probe is one load, with no hash, key compare or slot walk.
+//! Wider ranges keep Fibonacci-hashed slots.
+//!
 //! The paper's scan never branches on data: FILT/BVLD set a bit per row
 //! and the DMS gathers only the rows the bit vector keeps (§4–5). The
-//! join table does the same in front of its slots: a one-hash bit
-//! filter over the build keys, and a probe that first compacts, without
-//! a branch, the probe rows whose filter bit is set, so only those walk
-//! the slots — a probe that misses stops at one bit test instead of a
-//! mispredicted slot walk. The filter is built only when the probe rows
-//! are at least as many as the build keys.
+//! probe does the same: a branch-free pass compacts the probe rows
+//! whose key is a build key before only those find their build rows.
+//! The direct table answers that test itself; hashed slots put an
+//! exact bitmap of the key range in front when the probe rows are at
+//! least as many as the build keys and the range fits the bitmap's
+//! budget, so a probe that misses stops at one bit test instead of a
+//! mispredicted slot walk. Other hashed tables probe every row.
 
 use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw};
 
 use crate::bitvec::BitVec;
-use crate::column::{Column, Table};
+use crate::column::{Column, PackedColumn, Table};
+use crate::key::key_bounds;
 use crate::vector;
 
 /// An equi-join of two tables.
@@ -56,7 +66,8 @@ impl HashJoin {
 
     /// Executes the inner join over the rows the optional selections
     /// keep, returning the projected result. The selected build keys are
-    /// gathered once into one open-addressed join table, the selected
+    /// gathered once into one join table, slotted directly by key or
+    /// hashed as their range decides, the selected
     /// probe rows probe it in ascending row order, and each projected
     /// column is gathered once from the input tables at the matched row
     /// ids. No filtered copy of either side is made, just as the DMS
@@ -76,7 +87,8 @@ impl HashJoin {
         probe: &Table,
         probe_sel: Option<&BitVec>,
     ) -> Table {
-        let bkeys = &build.columns[build.col_index(&self.build_key)].data;
+        let bcol = &build.columns[build.col_index(&self.build_key)];
+        let bkeys = &bcol.data;
         let pkeys = &probe.columns[probe.col_index(&self.probe_key)].data;
         for (sel, rows) in [(build_sel, bkeys.len()), (probe_sel, pkeys.len())] {
             if let Some(bv) = sel {
@@ -94,7 +106,9 @@ impl HashJoin {
             None => bkeys,
         };
         let probes = probe_sel.map_or(pkeys.len(), BitVec::count);
-        let (mut brows, prows) = JoinTable::new(keys, probes).probe(pkeys, probe_sel);
+        // A whole packed column's zone maps bound its keys.
+        let zones = bcol.packed.as_ref().filter(|_| bids.is_none());
+        let (mut brows, prows) = JoinTable::new(keys, zones, probes).probe(pkeys, probe_sel);
         if let Some(ids) = &bids {
             brows.iter_mut().for_each(|b| *b = ids[*b]);
         }
@@ -137,184 +151,271 @@ fn max_partition(keys: &[i64], fanout: u64) -> u64 {
 /// End of a build chain.
 const NIL: u32 = u32::MAX;
 
-/// Bits of a [`JoinTable`]'s bit filter per slot. The slots number at
-/// least twice the build keys, so each key has at least 8 filter bits
-/// and a key not in the build passes the filter with probability at
-/// most about 1/8.
-const FILTER_BITS_PER_SLOT: usize = 4;
+/// Largest key range a direct [`JoinTable`] spans, in hashed slots the
+/// same build would take: its slots are then at most four times the
+/// hashed table's, and a probe costs one load in place of a hash and a
+/// slot walk with a key compare.
+const DIRECT_SLOTS_PER_HASHED: u64 = 4;
 
-/// Probe rows a [`JoinTable`] filters at a time: a multiple of 64, so
+/// Largest key range a hashed [`JoinTable`]'s bitmap spans, in bits
+/// (32 KiB, within a 48 KiB L1 data cache). Measured on a 2-vCPU Xeon,
+/// one join of random build keys over the range against uniform probe
+/// keys: with one build key per 32 key values the bitmap cut the call
+/// 3–4× at 2^17 and 2^18 bits (27.1 → 4.5 ns a probe at 2^18, with 8
+/// probes per key) and 2–5× at 2^19 and 2^20; with one key per 4096 values
+/// and a probe per key it stayed within 0.4 µs at 2^18 bits (64 keys,
+/// 0.9–1.1 against 0.7–1.0 µs over two runs), but lost 2× at 2^19
+/// (2.6–2.8 against 1.1–1.3 µs) and 7× at 2^20, where the 128 KiB
+/// bitmap page-faults about 3 times a call (15.0–16.7 against
+/// 1.9–2.3 µs). A TPC-H shard's orderkeys, the widest bitmap build,
+/// span about 200 k keys.
+const BITMAP_CAP: u64 = 1 << 18;
+
+/// Probe rows a [`JoinTable`] compacts at a time: a multiple of 64, so
 /// each block of a selection is whole words, and small enough that the
 /// block's candidate list stays in L1.
 const PROBE_BLOCK_ROWS: usize = 1024;
 
+/// How a [`JoinTable`] finds a key's slot, picked from the build keys'
+/// range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// One slot per key value, at `key − lo`: the range is at most
+    /// [`DIRECT_SLOTS_PER_HASHED`] times the hashed slots.
+    Direct,
+    /// Hashed slots behind an exact bitmap of the key range: a wider
+    /// range of at most [`BITMAP_CAP`] keys, and at least as many probe
+    /// rows as build keys.
+    Bitmap,
+    /// Hashed slots alone.
+    Hashed,
+}
+
 /// A join table over a whole build side, flat like the paper's
-/// DMEM-resident tables (§5.3): open-addressed `u32` slots at twice the
-/// build size hold each key's lowest build row + 1 (0 = empty), and
-/// `next` links a key's build rows in ascending order — so a probe walks
-/// its matches in ascending build row. A slot's key is read back from
-/// the build column itself. In front of the slots sits a one-hash bit
-/// filter with one bit set per build key, so a probe key that misses
-/// the build almost always stops at one bit test instead of a slot walk.
+/// DMEM-resident tables (§5.3): `u32` slots hold each key's lowest
+/// build row + 1 (0 = empty), and `next` links a key's build rows in
+/// ascending order — so a probe walks its matches in ascending build
+/// row. The build keys' range picks the slots ([`Arm`]). Dense keys —
+/// every TPC-H surrogate key a build selects most of — index one slot
+/// per key value, as the paper's DMS partitions by key range as well as
+/// by hash. Other keys take open-addressed slots at twice the build
+/// size under Fibonacci hashing, whose keys are read back from the
+/// build column itself; when the probe rows are at least as many as
+/// the build keys, an exact bitmap of the key range sits in front, as
+/// the paper's scan filters with exact bit vectors (BVLD/FILT, §4–5).
 struct JoinTable<'a> {
-    /// `64 - log2(slots.len())`: the multiplicative hash keeps the
-    /// product's top bits. A hash shard's keys share their CRC32
-    /// residue, so the slot hash must not be the CRC's low bits.
+    arm: Arm,
+    /// The least build key (0 for an empty build).
+    lo: i64,
+    /// The number of key values from the least build key to the
+    /// greatest, where [`Self::offset`] clamps every key outside them:
+    /// the index of the direct table's last slot and the bitmap's last
+    /// bit, both always 0. Unused by [`Arm::Hashed`].
+    range: u64,
+    /// `64 - log2(slots.len())` for hashed slots: the multiplicative
+    /// hash keeps the product's top bits. A hash shard's keys share
+    /// their CRC32 residue, so the slot hash must not be the CRC's low
+    /// bits.
     shift: u32,
     keys: &'a [i64],
     slots: Vec<u32>,
     next: Vec<u32>,
-    /// The bit filter's words ([`Self::filter_bit`]); none when the
-    /// table has no filter.
-    filter: Vec<u64>,
-    /// `64 - log2(filter bits)`.
-    filter_shift: u32,
+    /// [`Arm::Bitmap`]'s bit per key value; empty on the other arms.
+    bitmap: Vec<u64>,
 }
 
 impl<'a> JoinTable<'a> {
     /// Builds the table over every row of the key column `keys`,
     /// inserting rows last to first so each chain comes out ascending.
-    /// When `probes` (the probe rows to come) are at least as many as
-    /// the build keys, the loop also sets each key's filter bit: the
-    /// filter costs a bit per build key and a test per probe, and only
-    /// a probe that misses gains, so a build larger than its probe side
-    /// — Q12's 25 000 orders against about 4 400 lineitem probes, Q14's
-    /// 26 666 parts against about 1 300, every probe matching — builds
-    /// none (with one, Q14 measured about 40 % slower and Q12 up to
-    /// 10 %).
-    fn new(keys: &'a [i64], probes: usize) -> Self {
+    /// The keys' bounds come from `zones`, the column's packed chunks,
+    /// when it has them, and from one scan of `keys` otherwise.
+    ///
+    /// A bitmap costs a bit per key value and a test per probe, and only
+    /// a probe that misses gains, so it is built only when `probes`
+    /// (the probe rows to come) are at least as many as the build keys:
+    /// a build larger than its probe side would pay for it and gain
+    /// little. (A filter in front of hashed slots once made Q14's join
+    /// of 26 666 parts against about 1 300 probes, every one matching,
+    /// about 40 % slower; that build now takes the direct table.)
+    fn new(keys: &'a [i64], zones: Option<&PackedColumn>, probes: usize) -> Self {
         assert!(keys.len() < NIL as usize / 2, "build side exceeds the u32 slot encoding");
         let cap = (keys.len() * 2).next_power_of_two().max(16);
-        let filtered = probes >= keys.len();
-        let bits = if filtered { cap * FILTER_BITS_PER_SLOT } else { 0 };
+        let (lo, hi) = key_bounds(keys, zones).unwrap_or((0, 0));
+        // `None` when the keys span all of i64.
+        let range = hi.abs_diff(lo).checked_add(1);
+        let arm = match range {
+            Some(r) if r <= DIRECT_SLOTS_PER_HASHED * cap as u64 => Arm::Direct,
+            Some(r) if r <= BITMAP_CAP && probes >= keys.len() => Arm::Bitmap,
+            _ => Arm::Hashed,
+        };
+        let range = range.unwrap_or(0);
+        let (slots, bits) = match arm {
+            Arm::Direct => (range as usize + 1, 0),
+            Arm::Bitmap => (cap, range as usize + 1),
+            Arm::Hashed => (cap, 0),
+        };
         let mut table = JoinTable {
+            arm,
+            lo,
+            range,
             shift: 64 - cap.trailing_zeros(),
             keys,
-            slots: vec![0; cap],
+            slots: vec![0; slots],
             next: vec![NIL; keys.len()],
-            filter: vec![0; bits / 64],
-            filter_shift: 64 - bits.trailing_zeros(),
+            bitmap: vec![0; bits.div_ceil(64)],
         };
         for (r, &key) in keys.iter().enumerate().rev() {
-            if filtered {
-                let bit = table.filter_bit(key);
-                table.filter[bit / 64] |= 1 << (bit % 64);
+            let i = match arm {
+                Arm::Direct => table.offset(key),
+                _ => table.hashed_slot(key),
+            };
+            if arm == Arm::Bitmap {
+                let bit = table.offset(key);
+                table.bitmap[bit / 64] |= 1 << (bit % 64);
             }
-            let mut i = table.home(key);
-            loop {
-                match table.slots[i] {
-                    0 => break,
-                    s if keys[s as usize - 1] == key => {
-                        table.next[r] = s - 1;
-                        break;
-                    }
-                    _ => i = (i + 1) & (cap - 1),
-                }
-            }
+            // An empty slot's 0 wraps to NIL.
+            table.next[r] = table.slots[i].wrapping_sub(1);
             table.slots[i] = r as u32 + 1;
         }
         table
     }
 
-    /// Home slot of `key` (Fibonacci hashing).
+    /// `key − lo`, or [`Self::range`] for a key outside the build keys'
+    /// bounds. Wrapping subtraction maps the keys below `lo` past the
+    /// ones above it, so one unsigned `min` clamps both sides.
     #[inline]
-    fn home(&self, key: i64) -> usize {
-        (vector::fib_mix(key as u64) >> self.shift) as usize
+    fn offset(&self, key: i64) -> usize {
+        (key.wrapping_sub(self.lo) as u64).min(self.range) as usize
     }
 
-    /// The filter bit of `key`: the top bits of the same Fibonacci
-    /// product, two more than the home slot takes. Those bits spread
-    /// consecutive keys evenly, as they do the slots: the bits just
-    /// below the slot's set only 7 792 distinct bits for 26 666
-    /// consecutive part keys, where these set one per key.
+    /// The hashed slot that holds `key`'s lowest build row + 1, or the
+    /// empty slot where it would go: from `key`'s home slot (Fibonacci
+    /// hashing), the first slot that is empty or holds `key`.
     #[inline]
-    fn filter_bit(&self, key: i64) -> usize {
-        (vector::fib_mix(key as u64) >> self.filter_shift) as usize
-    }
-
-    /// Whether `key`'s filter bit is set: always for a build key, and
-    /// for other keys with probability about the filter's fill.
-    #[inline]
-    fn may_hold(&self, key: i64) -> bool {
-        let bit = self.filter_bit(key);
-        self.filter[bit / 64] >> (bit % 64) & 1 == 1
-    }
-
-    /// The lowest build row holding `key`, or [`NIL`].
-    #[inline]
-    fn find(&self, key: i64) -> u32 {
+    fn hashed_slot(&self, key: i64) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
+        let mut i = (vector::fib_mix(key as u64) >> self.shift) as usize;
         loop {
             match self.slots[i] {
-                0 => return NIL,
-                s if self.keys[s as usize - 1] == key => return s - 1,
+                s if s == 0 || self.keys[s as usize - 1] == key => return i,
                 _ => i = (i + 1) & mask,
             }
         }
     }
 
+    /// Whether `key`'s bit is set in [`Arm::Bitmap`]'s bitmap: exactly
+    /// when it is a build key.
+    #[inline]
+    fn in_bitmap(&self, key: i64) -> bool {
+        let bit = self.offset(key);
+        self.bitmap[bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// The lowest build row holding `key` in the direct table, or
+    /// [`NIL`].
+    #[inline]
+    fn find_direct(&self, key: i64) -> u32 {
+        self.slots[self.offset(key)].wrapping_sub(1)
+    }
+
+    /// The lowest build row holding `key` in the hashed slots, or
+    /// [`NIL`].
+    #[inline]
+    fn find_hashed(&self, key: i64) -> u32 {
+        self.slots[self.hashed_slot(key)].wrapping_sub(1)
+    }
+
     /// Probes the probe keys `pkeys` at the rows `sel` keeps (every
     /// row when `None`) in ascending row order, returning the matched
-    /// build and probe row ids in emission order. Each block of
-    /// [`PROBE_BLOCK_ROWS`] probe rows takes two passes: a branch-free
-    /// pass writes each row into a candidate list and advances past it
-    /// only when its filter bit is set, as the encoded filter compacts
-    /// lanes; then only the candidates [`Self::find`] their key and walk
-    /// its chain. The list is one block long, so it stays in cache.
+    /// build and probe row ids in emission order. The direct table and
+    /// the bitmap filter each block of [`PROBE_BLOCK_ROWS`] probe rows
+    /// in two passes: a branch-free pass writes each row into a
+    /// candidate list and advances past it only when its key is a build
+    /// key, as the encoded filter compacts lanes; then only the
+    /// candidates find their key's first build row and walk its chain.
+    /// The list is one block long, so it stays in cache. Unfiltered
+    /// hashed slots look up every row.
     fn probe(&self, pkeys: &[i64], sel: Option<&BitVec>) -> (Vec<usize>, Vec<usize>) {
-        let (mut brows, mut prows) = (Vec::new(), Vec::new());
-        // Probe row `pr`'s matches, in ascending build row.
-        let mut emit = |pr: usize| {
-            let mut br = self.find(pkeys[pr]);
-            while br != NIL {
-                brows.push(br as usize);
-                prows.push(pr);
-                br = self.next[br as usize];
+        match self.arm {
+            Arm::Direct => self.probe_filtered(
+                pkeys,
+                sel,
+                |k| self.find_direct(k) != NIL,
+                |k| self.find_direct(k),
+            ),
+            Arm::Bitmap => {
+                self.probe_filtered(pkeys, sel, |k| self.in_bitmap(k), |k| self.find_hashed(k))
             }
-        };
-        if self.filter.is_empty() {
-            match sel {
-                Some(bv) => bv.iter_set().for_each(emit),
-                None => (0..pkeys.len()).for_each(emit),
+            Arm::Hashed => {
+                let mut out = (Vec::new(), Vec::new());
+                let mut emit = |pr: usize| self.emit(pr, self.find_hashed(pkeys[pr]), &mut out);
+                match sel {
+                    Some(bv) => bv.iter_set().for_each(&mut emit),
+                    None => (0..pkeys.len()).for_each(&mut emit),
+                }
+                out
             }
-            return (brows, prows);
         }
+    }
+
+    /// [`Self::probe`] through a candidate list of the rows whose key
+    /// passes `hit`, each of which `find`s its first build row.
+    fn probe_filtered(
+        &self,
+        pkeys: &[i64],
+        sel: Option<&BitVec>,
+        hit: impl Fn(i64) -> bool,
+        find: impl Fn(i64) -> u32,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut out = (Vec::new(), Vec::new());
         let mut candidates = vec![0; PROBE_BLOCK_ROWS];
         for lo in (0..pkeys.len()).step_by(PROBE_BLOCK_ROWS) {
             let hi = (lo + PROBE_BLOCK_ROWS).min(pkeys.len());
             let len = match sel {
-                Some(bv) => self.candidates(bv.iter_set_in(lo, hi), pkeys, &mut candidates),
-                None => self.candidates(lo..hi, pkeys, &mut candidates),
+                Some(bv) => candidates_of(bv.iter_set_in(lo, hi), pkeys, &hit, &mut candidates),
+                None => candidates_of(lo..hi, pkeys, &hit, &mut candidates),
             };
-            candidates[..len].iter().for_each(|&pr| emit(pr));
+            for &pr in &candidates[..len] {
+                self.emit(pr, find(pkeys[pr]), &mut out);
+            }
         }
-        (brows, prows)
+        out
     }
 
-    /// Writes the probe rows of `rows` (at most `out.len()` of them)
-    /// whose key's filter bit is set to the front of `out`, in order,
-    /// and returns how many. Each row is written at the list's end and
-    /// kept by advancing the end by its bit, so no branch depends on a
-    /// key.
-    fn candidates(
-        &self,
-        rows: impl Iterator<Item = usize>,
-        pkeys: &[i64],
-        out: &mut [usize],
-    ) -> usize {
-        let mut len = 0;
-        for r in rows {
-            out[len] = r;
-            len += self.may_hold(pkeys[r]) as usize;
+    /// Appends probe row `pr`'s matches to `(brows, prows)`: the chain
+    /// from build row `first` ([`NIL`] for none), in ascending build row.
+    #[inline]
+    fn emit(&self, pr: usize, first: u32, (brows, prows): &mut (Vec<usize>, Vec<usize>)) {
+        let mut br = first;
+        while br != NIL {
+            brows.push(br as usize);
+            prows.push(pr);
+            br = self.next[br as usize];
         }
-        len
     }
 }
 
-/// Convenience: joins `probe` against `build` on integer keys and
-/// returns the result sorted by all columns (for order-insensitive
-/// comparisons in tests and queries).
+/// Writes the probe rows of `rows` (at most `out.len()` of them) whose
+/// key passes `hit` to the front of `out`, in order, and returns how
+/// many. Each row is written at the list's end and kept by advancing
+/// the end by its test, so no branch depends on a key.
+fn candidates_of(
+    rows: impl Iterator<Item = usize>,
+    pkeys: &[i64],
+    hit: impl Fn(i64) -> bool,
+    out: &mut [usize],
+) -> usize {
+    let mut len = 0;
+    for r in rows {
+        out[len] = r;
+        len += hit(pkeys[r]) as usize;
+    }
+    len
+}
+
+/// The rows of `t`, each as its column values, sorted (for
+/// order-insensitive comparisons of join results in tests and
+/// queries).
 pub fn sorted_rows(t: &Table) -> Vec<Vec<i64>> {
     let mut rows: Vec<Vec<i64>> =
         (0..t.rows()).map(|r| t.columns.iter().map(|c| c.data[r]).collect()).collect();
@@ -461,39 +562,79 @@ mod tests {
         let distinct: Vec<i64> = (1..=50u64).map(|j| j.wrapping_mul(inv) as i64).collect();
         // Each key twice, the copies 50 rows apart.
         let keys: Vec<i64> = distinct.iter().chain(&distinct).copied().collect();
-        let table = JoinTable::new(&keys, keys.len());
-        assert!(distinct.iter().all(|&k| table.home(k) == 0 && table.filter_bit(k) == 0));
-        assert_eq!(table.filter.iter().map(|w| w.count_ones()).sum::<u32>(), 1);
-        // A miss that shares the bit passes the filter; the lookup
-        // turns it away.
+        let table = JoinTable::new(&keys, None, keys.len());
+        // The keys span far more than the bitmap's cap.
+        assert_eq!(table.arm, Arm::Hashed);
+        let home = |k: i64| (vector::fib_mix(k as u64) >> table.shift) as usize;
         let miss = 51u64.wrapping_mul(inv) as i64;
-        assert!(table.may_hold(miss));
+        assert!(distinct.iter().chain([&miss]).all(|&k| home(k) == 0));
         for (i, &k) in distinct.iter().enumerate() {
-            let first = table.find(k);
+            let first = table.find_hashed(k);
             assert_eq!(first, i as u32);
             assert_eq!(table.next[first as usize], i as u32 + 50);
             assert_eq!(table.next[i + 50], NIL);
         }
-        assert_eq!(table.find(miss), NIL);
+        assert_eq!(table.find_hashed(miss), NIL);
         assert_eq!(table.probe(&[miss, keys[3], miss], None), (vec![3, 53], vec![1, 1]));
     }
 
     #[test]
-    fn filter_is_built_only_for_at_least_as_many_probes_as_build_keys() {
-        let keys: Vec<i64> = (1..=1000).collect();
-        let filtered = JoinTable::new(&keys, 1000);
-        // 1000 keys take 2048 slots and 8192 filter bits, one per key.
-        assert_eq!(filtered.filter.len(), 2048 * FILTER_BITS_PER_SLOT / 64);
-        assert_eq!(filtered.filter.iter().map(|w| w.count_ones()).sum::<u32>(), 1000);
-        let misses: Vec<i64> = (1001..=9000).collect();
-        let passed = misses.iter().filter(|&&k| filtered.may_hold(k)).count();
-        assert!(passed < misses.len() / 6, "{passed} of {} misses pass", misses.len());
-        // Fewer probes: no filter, and every probe row looks up its key.
-        let unfiltered = JoinTable::new(&keys, 999);
-        assert!(unfiltered.filter.is_empty());
-        for table in [&filtered, &unfiltered] {
-            let probe = [5, 1001, 1000, -3];
-            assert_eq!(table.probe(&probe, None), (vec![4, 999], vec![0, 2]));
+    fn arm_follows_the_build_key_range() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        let cap = BITMAP_CAP as i64;
+        // 8 keys take 16 hashed slots, so a direct table spans 64 keys.
+        let eight = |hi: i64| vec![hi, 0, 1, 2, 3, 4, 5, 6];
+        let sparse: Vec<i64> = (0..1000).map(|i| i * 97 - 40_000).collect();
+        let cases: Vec<(Arm, Vec<i64>, usize)> = vec![
+            // Dense keys: negative, duplicated, and however many probes.
+            (Arm::Direct, (-500..500).chain(-20..30).collect(), 0),
+            (Arm::Direct, (-500..500).chain(-20..30).collect(), 5000),
+            (Arm::Direct, vec![min, min + 1, min, min + 3], 4),
+            (Arm::Direct, vec![max, max - 2, max], 4),
+            (Arm::Direct, eight(63), 8),
+            (Arm::Direct, vec![], 0),
+            // Wider ranges: the bitmap with at least as many probes as
+            // build keys and a range within its cap, else bare slots.
+            (Arm::Bitmap, eight(64), 8),
+            (Arm::Hashed, eight(64), 7),
+            (Arm::Bitmap, sparse.clone(), 1000),
+            (Arm::Hashed, sparse.clone(), 999),
+            (Arm::Bitmap, vec![-5, cap - 6, -5], 3),
+            (Arm::Hashed, vec![-5, cap - 5, -5], 3),
+            // A range of all 2^64 keys overflows.
+            (Arm::Hashed, vec![min, max], 2),
+        ];
+        for (arm, keys, probes) in cases {
+            let table = JoinTable::new(&keys, None, probes);
+            assert_eq!(table.arm, arm, "keys {:?}", &keys[..keys.len().min(8)]);
+            // Zone maps bound a packed column's keys the same.
+            let packed = PackedColumn::encode(&keys);
+            assert_eq!(JoinTable::new(&keys, Some(&packed), probes).arm, arm);
+            let (lo, hi) = key_bounds(&keys, None).unwrap_or((0, 0));
+            let around = [lo.wrapping_sub(1), lo, hi, hi.wrapping_add(1), min, max];
+            let probe: Vec<i64> = around.iter().chain(&keys).chain(&around).copied().collect();
+            // Nested-loop reference: probe rows in order, then build rows.
+            let mut want = (Vec::new(), Vec::new());
+            for (pr, &pk) in probe.iter().enumerate() {
+                for br in (0..keys.len()).filter(|&br| keys[br] == pk) {
+                    want.0.push(br);
+                    want.1.push(pr);
+                }
+            }
+            assert_eq!(table.probe(&probe, None), want, "{arm:?}");
+            match arm {
+                Arm::Direct => assert_eq!(table.slots.last(), Some(&0)),
+                // The bitmap passes every build key and no other.
+                Arm::Bitmap => {
+                    let mut sorted = keys.clone();
+                    sorted.sort_unstable();
+                    let span = (lo.saturating_sub(70)..=hi.saturating_add(70)).chain(around);
+                    for k in span {
+                        assert_eq!(table.in_bitmap(k), sorted.binary_search(&k).is_ok(), "{k}");
+                    }
+                }
+                Arm::Hashed => assert!(table.bitmap.is_empty()),
+            }
         }
     }
 

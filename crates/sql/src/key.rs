@@ -8,7 +8,7 @@
 //! the dense group-by indexes slots by it, the hash group-by hashes it
 //! into one-word keys, and the sort sorts `(code, row)` pairs.
 
-use crate::column::Column;
+use crate::column::{Column, PackedColumn};
 
 /// The map from a key tuple over some columns to one `u64`,
 /// `Σ (k_c − lo_c)·stride_c`: `lo_c` is column `c`'s least value and
@@ -35,7 +35,7 @@ impl<'a> KeyCode<'a> {
         let mut codes = Vec::with_capacity(cols.len());
         let mut domain = 1u128;
         for col in cols.iter().rev() {
-            let (lo, hi) = key_bounds(col).unwrap_or((0, 0));
+            let (lo, hi) = key_bounds(&col.data, col.packed.as_ref()).unwrap_or((0, 0));
             codes.push((col.data.as_slice(), lo, domain as u64));
             let range = hi.abs_diff(lo) as u128 + 1;
             domain = domain.checked_mul(range).filter(|&d| d <= 1 << 64)?;
@@ -65,13 +65,14 @@ impl<'a> KeyCode<'a> {
     }
 }
 
-/// The least and greatest value of a column (`None` when empty): from
-/// the packed chunks' exact zone maps when it has them, else one scan.
-fn key_bounds(col: &Column) -> Option<(i64, i64)> {
+/// The least and greatest of the values `data` (`None` when empty):
+/// from `zones`, the packed chunks of a column holding exactly `data`,
+/// when given, since their zone maps are exact; else one scan.
+pub(crate) fn key_bounds(data: &[i64], zones: Option<&PackedColumn>) -> Option<(i64, i64)> {
     let bounds = |(lo, hi): (i64, i64), (a, b): (i64, i64)| (lo.min(a), hi.max(b));
-    match &col.packed {
+    match zones {
         Some(p) => p.chunks().iter().map(|c| (c.frame, c.max)).reduce(bounds),
-        None => col.data.iter().map(|&k| (k, k)).reduce(bounds),
+        None => data.iter().map(|&k| (k, k)).reduce(bounds),
     }
 }
 

@@ -14,7 +14,7 @@
 //! the bit-serial `crc32c_u64`, the join against a nested loop over
 //! probe rows then build rows, the selection join against the join over
 //! `select_rows` copies and against a nested loop over the selected rows
-//! (with build keys that all share one filter bit of the join table),
+//! (under build key ranges that reach every arm of the join table),
 //! top-k and sort against one full stable
 //! sort, and expressions against per-row wrapping arithmetic. The
 //! group-by's reference is `GroupBySpec::execute_seq`, key-less
@@ -92,7 +92,7 @@ fn selection_join_reference(
 
 /// The inverse of the join table's Fibonacci multiplier modulo 2⁶⁴: key
 /// `j · inverse` has the product `j`, so small `j` put every key in the
-/// table's home slot 0 and its filter bit 0.
+/// hashed table's home slot 0.
 fn fib_inverse() -> u64 {
     const C: u64 = 0x9E37_79B9_7F4A_7C15;
     let inv = (0..6).fold(C, |x, _| x.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(x))));
@@ -100,9 +100,9 @@ fn fib_inverse() -> u64 {
     inv
 }
 
-/// A join key from a pool that stresses the join table's bit filter:
-/// for `tag` 0–2, one of 40 keys that share one filter bit and one home
-/// slot; then the signed extremes, small keys that repeat, or any key.
+/// A join key from a pool that stresses the hashed join table: for
+/// `tag` 0–2, one of 40 keys that share one home slot; then the signed
+/// extremes, small keys that repeat, or any key.
 fn filter_key(raw: i64, tag: u8) -> i64 {
     match tag {
         0..=2 => (1 + raw.rem_euclid(40) as u64).wrapping_mul(fib_inverse()) as i64,
@@ -112,10 +112,50 @@ fn filter_key(raw: i64, tag: u8) -> i64 {
     }
 }
 
-/// A join-key-column strategy over the [`filter_key`] pool.
-fn filter_keys(max_len: usize) -> impl Strategy<Value = Vec<i64>> {
+/// A join-key-column draw: raw values and their tags.
+fn key_draws(max_len: usize) -> impl Strategy<Value = Vec<(i64, u8)>> {
     proptest::collection::vec((any::<i64>(), any::<u8>()), 0..max_len)
-        .prop_map(|pairs| pairs.into_iter().map(|(raw, tag)| filter_key(raw, tag % 7)).collect())
+}
+
+/// Key spans of the join table's range shapes: the first takes the
+/// direct table at any build size; the second hashed slots, behind the
+/// bitmap when the probe rows are at least as many as the build keys;
+/// the third spans past the bitmap's cap.
+const KEY_SPANS: [i64; 3] = [64, 1 << 16, 1 << 20];
+
+/// The least key and the span of range shape `shape` (an index of
+/// [`KEY_SPANS`]; `None` past them), based at the least, the greatest or
+/// a middle span of `i64` by `base`.
+fn key_span(shape: u8, base: u8) -> Option<(i64, i64)> {
+    let span = *KEY_SPANS.get(shape as usize)?;
+    Some(([i64::MIN, i64::MAX - (span - 1), -span / 2][base as usize % 3], span))
+}
+
+/// The build keys of range shape `shape` ([`key_span`], else the
+/// [`filter_key`] pool): each draw is a key of the span, and a third of
+/// them one of its first 8 keys, so keys repeat.
+fn ranged_build_keys(draws: &[(i64, u8)], shape: u8, base: u8) -> Vec<i64> {
+    let Some((lo, span)) = key_span(shape, base) else {
+        return draws.iter().map(|&(raw, tag)| filter_key(raw, tag % 7)).collect();
+    };
+    let offset = |(raw, tag): (i64, u8)| raw.rem_euclid(if tag % 3 == 0 { 8 } else { span });
+    draws.iter().map(|&d| lo + offset(d)).collect()
+}
+
+/// The probe keys of the same range shape against the build keys
+/// `bkeys`: per draw a build key, a key of the span widened by two on
+/// each side (wrapping past the `i64` extremes), or a key of the
+/// [`filter_key`] pool — its signed extremes included.
+fn ranged_probe_keys(draws: &[(i64, u8)], shape: u8, base: u8, bkeys: &[i64]) -> Vec<i64> {
+    let Some((lo, span)) = key_span(shape, base) else {
+        return draws.iter().map(|&(raw, tag)| filter_key(raw, tag % 7)).collect();
+    };
+    let key = |&(raw, tag): &(i64, u8)| match tag % 4 {
+        0 if !bkeys.is_empty() => bkeys[raw.rem_euclid(bkeys.len() as i64) as usize],
+        1 => filter_key(raw, tag % 7),
+        _ => lo.wrapping_add(raw.rem_euclid(span + 4) - 2),
+    };
+    draws.iter().map(key).collect()
 }
 
 /// How many selection shapes [`shaped_selection`] draws from.
@@ -271,21 +311,31 @@ proptest! {
         }
     }
 
-    /// The join table's bit filter changes no result: build keys that
-    /// all share one filter bit and home slot, probe keys that share
-    /// them and miss, duplicates on both sides, the signed extremes and
-    /// empty sides, under every selection shape on each side, against a
-    /// nested loop over the selected rows in exact row order. Sides of
-    /// unequal size take both the filtered probe (at least as many
-    /// probes as build keys) and the unfiltered one.
+    /// Every join-table arm gives the nested loop's result over the
+    /// selected rows, in exact row order. Build keys within 64 values
+    /// take the direct table, within 2^16 the hashed slots behind the
+    /// bitmap (or bare, when fewer probe rows than build keys are
+    /// selected), and within 2^20 or from the colliding pool bare
+    /// hashed slots; each span sits at either `i64` extreme or in the
+    /// middle, so probe keys just outside it wrap. Build keys repeat,
+    /// either side may be empty, a packed build column bounds its keys
+    /// by its zone maps, and every selection shape runs on each side.
     #[test]
     fn filtered_join_equals_nested_loop_over_selected_rows(
-        bkeys in filter_keys(120),
-        pkeys in filter_keys(160),
+        bdraws in key_draws(120),
+        pdraws in key_draws(160),
+        shape in 0u8..4,
+        base in 0u8..3,
+        packed in any::<bool>(),
         bdraw in (any::<usize>(), any::<usize>()),
         pdraw in (any::<usize>(), any::<usize>()),
     ) {
-        let (build, probe) = (keyed(bkeys, "brow"), keyed(pkeys, "prow"));
+        let bkeys = ranged_build_keys(&bdraws, shape, base);
+        let pkeys = ranged_probe_keys(&pdraws, shape, base, &bkeys);
+        let (mut build, probe) = (keyed(bkeys, "brow"), keyed(pkeys, "prow"));
+        if packed {
+            build.columns[0].encode_packed();
+        }
         let join = row_id_join();
         for bshape in 0..SELECTION_SHAPES {
             for pshape in 0..SELECTION_SHAPES {
@@ -980,11 +1030,12 @@ fn group_by_key_ordered_inputs_are_exact() {
     assert_ordered_arm(&spec, &asc, Some(&BitVec::new(n)), true);
 }
 
-/// Build keys that all share one filter bit (and home slot), each twice
-/// and beside the signed extremes, probed by 20 times as many rows — so
-/// the probe runs through the filter, in several blocks — of which most
-/// share that bit and miss: every selection shape on each side matches
-/// the nested loop over the selected rows, in exact row order.
+/// Build keys that all share one home slot of the hashed table, each twice
+/// and beside the signed extremes (so their range takes bare hashed
+/// slots), probed by 20 times as many rows — in several probe blocks —
+/// of which most share that slot and miss: every selection shape on
+/// each side matches the nested loop over the selected rows, in exact
+/// row order.
 #[test]
 fn filtered_join_of_one_filter_bit_is_exact() {
     let inv = fib_inverse();
