@@ -11,16 +11,16 @@
 //! 3. the `rack_tpch` failover matrix (replication × kill patterns), one
 //!    O(1) `Cluster` fork per cell from shared per-k cores,
 //! 4. the SQL kernels' production entry points, single-threaded so
-//!    each row isolates the kernel itself: filter, CRC32 partition,
-//!    single- and multi-key hash group-by (each key tuple coded as one
+//!    each row isolates the kernel itself: filter, single- and
+//!    multi-key hash group-by (each key tuple coded as one
 //!    `u64` and hashed into a table of one-word keys), the dense
 //!    small-domain group-by, the key-ordered group-by (`agg_ordered`),
 //!    the hash join (`join`, through the direct table), the selection
 //!    join (`join_selected`, plus `join_selected_miss`, where about 3 %
 //!    of the probes match and the rest stop at the hashed table's
 //!    exact bitmap), threshold-prefiltered
-//!    top-k, the key-code sort (`sortkey`: one sort of `(code, row)`
-//!    pairs) and expression evaluation. The group-by rows carry a
+//!    top-k, the sort (`sortkey`: one key, one sort of its
+//!    `(value, row)` pairs) and expression evaluation. The group-by rows carry a
 //!    reference column — `GroupBySpec::execute_seq`, the one in-crate
 //!    reference left — with a speedup and a ≥1.3× floor; the dense
 //!    group-by under 1 %, 50 % and 94 % random selections
@@ -32,13 +32,15 @@
 //!    other operators have one path each and report their rate alone.
 //! 5. the CRC engine: the 4-lane table-driven CRC32-C against the
 //!    SSE4.2 hardware CRC over the same keys, where the instruction
-//!    exists. The platform makes that choice (the hardware engine falls
-//!    back to the table without SSE4.2); informational row.
-//! 6. the packed filter (`DPU_PACK`): the band evaluated in the encoded
-//!    domain vs the flat filter on the same encoded table, with resident
-//!    bytes-scanned and the compression ratio, over a 4-bit-lane
-//!    (`filter_pack`) and a 16-bit-lane (`filter_pack16`) column; each
-//!    carries a ≥1.2× packed-over-flat floor. The other operators read the flat values
+//!    exists. The joins' reported partition sizes hash with it. The
+//!    platform makes that choice (the hardware engine falls back to the
+//!    table without SSE4.2); informational row.
+//! 6. the packed filter: `FilterSpec::apply` on a packed table (the band
+//!    evaluated in the encoded domain) against `vector::filter_band`
+//!    over the same column's flat values, with resident bytes-scanned
+//!    and the compression ratio, over a 4-bit-lane (`filter_pack`) and a
+//!    16-bit-lane (`filter_pack16`) column; each carries a ≥1.2×
+//!    packed-over-flat floor. The other operators read the flat values
 //!    and have no packed arm. The TPC-H shard columns must average ≥2×
 //!    compression (asserted unconditionally — it is deterministic).
 //!
@@ -68,8 +70,8 @@ use dpu_isa::hash::{crc32c_u64_x4, crc32c_u64_x4_hw, hw_crc_available};
 use dpu_pool::{set_global_threads, Pool};
 use dpu_sql::tpch::{self, TpchDb};
 use dpu_sql::{
-    partition_row_ids, sort_indices_multi, top_k, AggFunc, BitVec, Column, CompareOp, Expr,
-    FilterSpec, GroupBySpec, HashJoin, Pack, Table,
+    sort_indices, top_k, vector, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
+    HashJoin, Table,
 };
 
 const SEED: u64 = 2026;
@@ -232,7 +234,7 @@ fn main() {
     };
     let keys: Vec<i64> = (0..kernel_rows).map(|_| (splitmix() % 65_536) as i64 - 32_768).collect();
     let vals: Vec<i64> = (0..kernel_rows).map(|_| (splitmix() % 1_000_000) as i64).collect();
-    // Extra columns for the multi-key and sort kernels, drawn *after*
+    // Extra columns for the multi-key, dense and expression kernels, drawn *after*
     // keys/vals so the established streams stay seed-stable.
     let g2: Vec<i64> = (0..kernel_rows).map(|_| (splitmix() % 256) as i64).collect();
     let s2: Vec<i64> = (0..kernel_rows).map(|_| (splitmix() % 1024) as i64 - 512).collect();
@@ -280,7 +282,6 @@ fn main() {
 
     let fspec = FilterSpec::new("v", CompareOp::Between(100_000, 700_000));
     kernel_row("filter", None, best_of(|| fspec.apply(&kt)).0, false);
-    kernel_row("partition", None, best_of(|| partition_row_ids(&keys, 0, 32)).0, false);
 
     let gspec = GroupBySpec {
         group_cols: vec!["k".into()],
@@ -406,9 +407,9 @@ fn main() {
     // the heap fills (k=100 over 2M uniform rows ⇒ almost all of them).
     kernel_row("topk", None, best_of(|| top_k(&kt, "v", 100, 1)).0, false);
 
-    // Key-code sort: a duplicate-heavy two-column sort, each selected
-    // row coded as one `u64` and the `(code, row)` pairs sorted once.
-    kernel_row("sortkey", None, best_of(|| sort_indices_multi(&mt, &["s1", "s2"], 1)).0, false);
+    // Sort: one duplicate-heavy key (65 536 values over every row), its
+    // `(value, row)` pairs sorted once.
+    kernel_row("sortkey", None, best_of(|| sort_indices(&kt, "k", 1)).0, false);
 
     // Expression evaluation: the TPC-H revenue shape.
     let revenue =
@@ -471,8 +472,9 @@ fn main() {
         let mut t = Table::new(vec![Column::i64("q", vals)]);
         t.encode_packed();
         let spec = FilterSpec::new("q", op);
-        let (flat_s, flat) = best_of(|| spec.apply_pack(&t, Pack::Off));
-        let (packed_s, packed) = best_of(|| spec.apply_pack(&t, Pack::On));
+        let (lo, hi) = op.band();
+        let (flat_s, flat) = best_of(|| vector::filter_band(&t.columns[0].data, lo, hi));
+        let (packed_s, packed) = best_of(|| spec.apply(&t));
         assert_eq!(flat, packed, "packed {name} diverged from flat");
         let speedup = flat_s / packed_s;
         let col = &t.columns[0];

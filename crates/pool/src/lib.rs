@@ -30,76 +30,23 @@
 //! The global thread count resolves once from `DPU_THREADS`, falling
 //! back to [`std::thread::available_parallelism`]; benches and tests
 //! that need to compare thread counts within one process override it
-//! with [`set_global_threads`].
+//! with [`set_global_threads`]. `DPU_THREADS` is the workspace's one
+//! environment knob, and it is pure performance.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A parse-once process-wide environment knob: the shared resolution
-/// cell behind `DPU_THREADS` and `DPU_PACK`.
-///
-/// Both knobs follow one contract: the environment variable is
-/// read **once** per process, the resolved choice is cached, and
-/// benches or tests that compare settings in one process override the
-/// cache with [`EnvKnob::set`]. The cache is a plain atomic rather
-/// than a `OnceLock` precisely because the override must be able to
-/// *re*-store after resolution (the wallclock bench flips a knob back
-/// and forth); `0` is reserved as the unresolved sentinel, so every
-/// parser maps its choices onto non-zero codes.
-#[derive(Debug)]
-pub struct EnvKnob {
-    var: &'static str,
-    cell: AtomicUsize,
-}
+/// The resolved global worker count: `0` until [`global_threads`]
+/// first reads `DPU_THREADS` (or [`set_global_threads`] overrides it).
+/// A plain atomic rather than a `OnceLock`, because the override must
+/// be able to *re*-store after resolution.
+static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-impl EnvKnob {
-    /// A knob bound to environment variable `var`, initially unresolved.
-    pub const fn new(var: &'static str) -> Self {
-        EnvKnob { var, cell: AtomicUsize::new(0) }
-    }
-
-    /// The resolved non-zero code: the cached value if the knob has
-    /// been resolved or overridden, else `parse` applied to the
-    /// environment variable's value (`None` when unset), cached for
-    /// every later call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parse` returns the reserved unresolved code `0`.
-    pub fn get(&self, parse: impl FnOnce(Option<&str>) -> usize) -> usize {
-        let cached = self.cell.load(Ordering::SeqCst);
-        if cached != 0 {
-            return cached;
-        }
-        let v = std::env::var(self.var).ok();
-        let code = parse(v.as_deref());
-        assert!(code != 0, "{}: parser returned the unresolved sentinel", self.var);
-        self.cell.store(code, Ordering::SeqCst);
-        code
-    }
-
-    /// Overrides the cached code for subsequent [`EnvKnob::get`] calls
-    /// (in-process comparisons; the environment is no longer consulted).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the reserved unresolved code `0`.
-    pub fn set(&self, code: usize) {
-        assert!(code != 0, "{}: cannot store the unresolved sentinel", self.var);
-        self.cell.store(code, Ordering::SeqCst);
-    }
-}
-
-/// The resolved global worker count (0 = not yet resolved from
-/// `DPU_THREADS`).
-static GLOBAL_THREADS: EnvKnob = EnvKnob::new("DPU_THREADS");
-
-/// Parses a `DPU_THREADS`-style spelling: a positive integer is taken
+/// Parses a `DPU_THREADS` spelling: a positive integer is taken
 /// verbatim, anything else (unset, `0`, garbage) yields `fallback`.
-/// Public so `dpu_sql::knob`'s spelling tests cover both knobs.
-pub fn parse_threads(v: Option<&str>, fallback: usize) -> usize {
+fn parse_threads(v: Option<&str>, fallback: usize) -> usize {
     v.and_then(|s| s.parse::<usize>().ok()).filter(|&n| n >= 1).unwrap_or(fallback)
 }
 
@@ -118,15 +65,21 @@ pub fn in_worker() -> bool {
 /// [`Pool::global`] calls. `DPU_THREADS` is read once per process, so
 /// benches and tests that compare thread counts in-process use this.
 pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.set(threads.max(1));
+    GLOBAL_THREADS.store(threads.max(1), Ordering::SeqCst);
 }
 
 /// The global worker count: the last [`set_global_threads`] value, else
 /// `DPU_THREADS` (if set to a positive integer), else
 /// [`std::thread::available_parallelism`], else 1.
 pub fn global_threads() -> usize {
-    GLOBAL_THREADS
-        .get(|v| parse_threads(v, std::thread::available_parallelism().map_or(1, |n| n.get())))
+    let cached = GLOBAL_THREADS.load(Ordering::SeqCst);
+    if cached != 0 {
+        return cached;
+    }
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = parse_threads(std::env::var("DPU_THREADS").ok().as_deref(), host);
+    GLOBAL_THREADS.store(threads, Ordering::SeqCst);
+    threads
 }
 
 /// A work-stealing pool of `threads` workers. Copyable and stateless:
@@ -299,11 +252,32 @@ mod tests {
     }
 
     #[test]
-    fn global_override_wins() {
+    fn thread_spellings() {
+        assert_eq!(parse_threads(Some("1"), 7), 1);
+        assert_eq!(parse_threads(Some("16"), 7), 16);
+        // Unset, zero, negative, and garbage all fall back.
+        assert_eq!(parse_threads(None, 7), 7);
+        assert_eq!(parse_threads(Some("0"), 7), 7);
+        assert_eq!(parse_threads(Some("-2"), 7), 7);
+        assert_eq!(parse_threads(Some("many"), 7), 7);
+        assert_eq!(parse_threads(Some(""), 7), 7);
+    }
+
+    #[test]
+    fn global_width_caches_and_overrides() {
+        // The first read resolves and caches a positive width; later
+        // reads return the cache without consulting the environment.
+        let resolved = global_threads();
+        assert!(resolved >= 1);
+        assert_eq!(GLOBAL_THREADS.load(Ordering::SeqCst), resolved);
+        assert_eq!(global_threads(), resolved);
+        // Overrides keep working after resolution, clamped to one.
         set_global_threads(3);
         assert_eq!(Pool::global().threads(), 3);
-        set_global_threads(1);
+        set_global_threads(0);
         assert_eq!(Pool::global().threads(), 1);
+        set_global_threads(resolved);
+        assert_eq!(global_threads(), resolved);
     }
 
     #[test]

@@ -697,14 +697,6 @@ fn run_block(
     desc
 }
 
-/// The ids of the rows `sel` keeps (every row when `None`), ascending.
-pub(crate) fn selected_rows(table: &Table, sel: Option<&BitVec>) -> Vec<usize> {
-    match sel {
-        Some(bv) => bv.iter_set().collect(),
-        None => (0..table.rows()).collect(),
-    }
-}
-
 /// The identity of an aggregate's accumulator.
 fn init_of(f: &AggFunc) -> i64 {
     match f {
@@ -884,6 +876,7 @@ impl GroupByPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpu_isa::hash::crc32c_u64;
 
     fn sales_table() -> Table {
         // 1000 rows, 10 groups.
@@ -992,9 +985,7 @@ mod tests {
     fn one_shard_residue_keeps_group_probes_short() {
         // A hash shard's keys: every CRC32 ≡ 3 (mod 8), as
         // `ShardPolicy::hash(8)` leaves Q18's `l_orderkey` on a shard.
-        let candidates: Vec<i64> = (0..24_000).collect();
-        let keys = vector::partition_row_ids(&candidates, 0, 8).swap_remove(3);
-        let keys: Vec<i64> = keys.into_iter().map(|k| k as i64).collect();
+        let keys: Vec<i64> = (0..24_000).filter(|&k| crc32c_u64(k as u64) % 8 == 3).collect();
         assert!(keys.len() > 2_500, "{} shard keys", keys.len());
         let n = keys.len() * 3;
         let t = Table::new(vec![

@@ -15,15 +15,11 @@
 //! filter kernel evaluates predicates directly on the packed words
 //! ([`crate::vector::filter_band_packed`]); every other operator reads
 //! the flat `data` that stays resident next to the packed words, since
-//! decoding a copy per call measured slower than reading it. The
-//! `DPU_PACK` knob ([`pack`]/[`set_pack`]) therefore selects only the
-//! filter path, with the same contract as `DPU_THREADS`: resolved once,
-//! overridable in process, and **pure performance** — results are
-//! bit-identical either way (`tests/pack_properties.rs` pins this
-//! differentially).
+//! decoding a copy per call measured slower than reading it. Results
+//! are bit-identical to the flat values' (`tests/pack_properties.rs`
+//! pins this differentially).
 
 use dpu_mem::PhysMem;
-use dpu_pool::EnvKnob;
 
 /// Rows per frame-of-reference chunk. A multiple of 64 so chunk
 /// boundaries align with selection-word boundaries, and small enough
@@ -35,45 +31,29 @@ pub const PACK_CHUNK_ROWS: usize = 1024;
 /// width, alignment-padded).
 pub const PACK_HEADER_BYTES: u64 = 24;
 
-/// Whether filters execute on packed columns (`DPU_PACK`).
+/// Whether a column is read in its packed form. Kept only because the
+/// host benchmark (`perfbench`) names it; ROADMAP direction 5 removes
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pack {
-    /// Flat `Vec<i64>` filters (the exact pre-packing path).
+    /// The flat `Vec<i64>` values.
     Off,
-    /// Encoded-domain filters on packed columns. Bit-identical to
-    /// [`Pack::Off`], faster.
+    /// The packed words, where a column has them.
     On,
 }
 
 impl Pack {
-    /// True when packed execution is selected.
+    /// True for [`Pack::On`].
     pub fn on(self) -> bool {
         self == Pack::On
     }
 }
 
-/// The resolved pack choice (1 = off, 2 = on; 0 = unresolved).
-static PACK: EnvKnob = EnvKnob::new("DPU_PACK");
-
-/// The process-wide pack choice: the last [`set_pack`] value, else
-/// `DPU_PACK` (`off`, `0`, `false` or `flat` → [`Pack::Off`], anything
-/// else → [`Pack::On`]), else [`Pack::On`]. Resolved once, like
-/// `DPU_THREADS`.
+/// Always [`Pack::On`]: filters read a packed column's words whenever
+/// it has them. Kept only as the host benchmark's (`perfbench`)
+/// fingerprint field; ROADMAP direction 5 removes it.
 pub fn pack() -> Pack {
-    if PACK.get(crate::knob::pack_code) == 1 {
-        Pack::Off
-    } else {
-        Pack::On
-    }
-}
-
-/// Overrides the pack choice for subsequent [`pack`] calls (benches and
-/// tests that compare the arms in one process).
-pub fn set_pack(p: Pack) {
-    PACK.set(match p {
-        Pack::Off => 1,
-        Pack::On => 2,
-    })
+    Pack::On
 }
 
 /// One chunk's frame-of-reference header.
@@ -249,8 +229,8 @@ pub struct Column {
     /// Values (sign-extended to i64 in the engine).
     pub data: Vec<i64>,
     /// The packed representation, when [`Column::encode_packed`] found
-    /// it pays. Always decodes to exactly `data`; the `DPU_PACK` knob
-    /// picks which copy the filter reads.
+    /// it pays. Always decodes to exactly `data`; filters read it in
+    /// place of `data` whenever it is present.
     pub packed: Option<PackedColumn>,
 }
 
@@ -283,8 +263,8 @@ impl Column {
 
     /// Resident bytes the engine actually streams on a scan: the
     /// packed size when the column is packed, the flat size otherwise.
-    /// Knob-independent — packing happens unconditionally at load, so
-    /// simulated costs never depend on `DPU_PACK`.
+    /// Packing happens unconditionally at load, so simulated costs
+    /// always price the packed size.
     pub fn resident_bytes(&self) -> u64 {
         self.packed.as_ref().map_or_else(|| self.bytes(), PackedColumn::packed_bytes)
     }
@@ -323,7 +303,11 @@ pub struct TableLayout {
 }
 
 impl Table {
-    /// An empty table.
+    /// A table of `columns`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length.
     pub fn new(columns: Vec<Column>) -> Self {
         if let Some(first) = columns.first() {
             for c in &columns {
@@ -378,7 +362,9 @@ impl Table {
     /// decode throughput the host benchmark reports. The operators do
     /// not call it: they read the resident flat `data`. Returns `None`
     /// when there is nothing to do (pack off, no referenced column
-    /// packed, or an empty reference set).
+    /// packed, or an empty reference set). Kept only for the host
+    /// benchmark's (`perfbench`) decode row; ROADMAP direction 5
+    /// removes it.
     pub fn decode_for(&self, cols: &[&str], pack: Pack) -> Option<Table> {
         if !pack.on() {
             return None;
@@ -626,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_for_respects_the_knob() {
+    fn decode_for_skips_what_has_nothing_to_decode() {
         let mut t = Table::new(vec![
             Column::i32("k", (0..2000).map(|i| i % 8).collect()),
             Column::i64("v", (0..2000).map(|i| (i * 97) % 1_000_003).collect()),

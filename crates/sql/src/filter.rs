@@ -11,7 +11,7 @@ use dpu_isa::asm::assemble;
 use dpu_isa::interp::{Cpu, Trap};
 
 use crate::bitvec::BitVec;
-use crate::column::{pack, Pack, Table};
+use crate::column::Table;
 use crate::vector;
 
 /// Comparison operators supported by the engine's scan predicates; all
@@ -73,24 +73,19 @@ impl FilterSpec {
     }
 
     /// Applies the filter to a table, producing a selection vector
-    /// (reference semantics; the timed path runs on the DPU models), on
-    /// the process-wide pack choice ([`pack`], `DPU_PACK`).
+    /// (reference semantics; the timed path runs on the DPU models).
+    /// A packed column runs [`vector::filter_band_packed`] directly on
+    /// its packed words; an unpacked one (a wide chunk where packing
+    /// does not pay, or an operator output) runs the SWAR word builder
+    /// [`vector::filter_band`] over its flat values. Bit-identical
+    /// either way.
     pub fn apply(&self, table: &Table) -> BitVec {
-        self.apply_pack(table, pack())
-    }
-
-    /// Applies the filter with an explicit pack choice. With packing on
-    /// and the scanned column packed, [`vector::filter_band_packed`]
-    /// runs directly on the packed words; flat columns and
-    /// [`Pack::Off`] run the SWAR word builder [`vector::filter_band`]
-    /// over the flat values. Bit-identical either way.
-    pub fn apply_pack(&self, table: &Table, pack: Pack) -> BitVec {
         let col =
             table.column(&self.column).unwrap_or_else(|| panic!("no column {:?}", self.column));
         let (lo, hi) = self.op.band();
-        match (&col.packed, pack.on()) {
-            (Some(p), true) => vector::filter_band_packed(p, lo, hi),
-            _ => vector::filter_band(&col.data, lo, hi),
+        match &col.packed {
+            Some(p) => vector::filter_band_packed(p, lo, hi),
+            None => vector::filter_band(&col.data, lo, hi),
         }
     }
 }
@@ -219,7 +214,16 @@ pub fn measure_filter_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
+    use crate::column::{Column, PackedColumn};
+
+    /// `data` as a one-column table `x`, flat and with a forced packed
+    /// form: the two columns [`FilterSpec::apply`] dispatches on.
+    fn flat_and_packed(data: &[i64]) -> [Table; 2] {
+        let flat = Table::new(vec![Column::i64("x", data.to_vec())]);
+        let mut packed = flat.clone();
+        packed.columns[0].packed = Some(PackedColumn::encode(data));
+        [flat, packed]
+    }
 
     #[test]
     fn compare_ops_lower_to_bands() {
@@ -237,14 +241,12 @@ mod tests {
     #[test]
     fn strict_compares_at_the_i64_extremes_select_nothing() {
         let data = vec![-5, 0, 7];
-        let mut t = Table::new(vec![Column::i64("x", data.clone())]);
-        t.columns[0].packed = Some(crate::column::PackedColumn::encode(&data));
         for op in [CompareOp::Lt(i64::MIN), CompareOp::Gt(i64::MAX)] {
             let (lo, hi) = op.band();
             assert!(lo > hi, "{op:?}: band [{lo}, {hi}] is not empty");
             assert!(data.iter().all(|&x| !op.matches(x)), "{op:?}");
-            for pack in [Pack::Off, Pack::On] {
-                assert_eq!(FilterSpec::new("x", op).apply_pack(&t, pack).count(), 0, "{op:?}");
+            for t in &flat_and_packed(&data) {
+                assert_eq!(FilterSpec::new("x", op).apply(t).count(), 0, "{op:?}");
             }
         }
     }
@@ -254,9 +256,8 @@ mod tests {
         // Values beyond ±2^31 on a column wide enough for 64-bit lanes.
         let data: Vec<i64> =
             vec![-3_000_000_000, -(1 << 31) - 1, -5, 0, 5, (1 << 31) + 1, 3_000_000_000];
-        let mut t = Table::new(vec![Column::i64("x", data.clone())]);
-        t.columns[0].packed = Some(crate::column::PackedColumn::encode(&data));
-        assert_eq!(t.columns[0].packed.as_ref().unwrap().chunks()[0].bits, 64);
+        let tables = flat_and_packed(&data);
+        assert_eq!(tables[1].columns[0].packed.as_ref().unwrap().chunks()[0].bits, 64);
         for (op, want) in [
             (CompareOp::Lt(5), [true, true, true, true, false, false, false]),
             (CompareOp::Le(5), [true, true, true, true, true, false, false]),
@@ -267,10 +268,10 @@ mod tests {
         ] {
             let got: Vec<bool> = data.iter().map(|&x| op.matches(x)).collect();
             assert_eq!(got, want, "{op:?} matches");
-            for pack in [Pack::Off, Pack::On] {
-                let bv = FilterSpec::new("x", op).apply_pack(&t, pack);
+            for t in &tables {
+                let bv = FilterSpec::new("x", op).apply(t);
                 let got: Vec<bool> = (0..data.len()).map(|i| bv.get(i)).collect();
-                assert_eq!(got, want, "{op:?} {pack:?}");
+                assert_eq!(got, want, "{op:?} packed={}", t.columns[0].packed.is_some());
             }
         }
     }
@@ -285,18 +286,17 @@ mod tests {
 
     #[test]
     fn packed_apply_is_bit_identical_to_flat() {
-        let mut t = Table::new(vec![Column::i32("x", (0..5000).map(|i| i % 300).collect())]);
-        t.encode_packed();
-        assert!(t.columns[0].packed.is_some());
+        let flat = Table::new(vec![Column::i32("x", (0..5000).map(|i| i % 300).collect())]);
+        let mut packed = flat.clone();
+        packed.encode_packed();
+        assert!(packed.columns[0].packed.is_some());
         for op in
             [CompareOp::Between(10, 190), CompareOp::Eq(42), CompareOp::Lt(3), CompareOp::Ge(299)]
         {
             let spec = FilterSpec::new("x", op);
-            let want = BitVec::from_fn(t.rows(), |i| op.matches(t.columns[0].data[i]));
-            for pack in [Pack::Off, Pack::On] {
-                let got = spec.apply_pack(&t, pack);
-                assert_eq!(got.words(), want.words(), "{op:?} {pack:?}");
-            }
+            let want = BitVec::from_fn(flat.rows(), |i| op.matches(flat.columns[0].data[i]));
+            assert_eq!(spec.apply(&flat).words(), want.words(), "{op:?} flat");
+            assert_eq!(spec.apply(&packed).words(), want.words(), "{op:?} packed");
         }
     }
 

@@ -53,7 +53,9 @@ impl HashJoin {
     /// Executes the inner join over every row of both tables:
     /// [`Self::execute_selected`] without selections, plus the largest
     /// build partition a `fanout`-way CRC32 split of the build keys
-    /// would hold (for DMEM-budget assertions).
+    /// would hold (for DMEM-budget assertions). No plan calls it: it
+    /// stays only because the host benchmark (`perfbench`) names it, and
+    /// ROADMAP direction 5 removes it.
     ///
     /// # Panics
     ///
@@ -130,6 +132,8 @@ impl HashJoin {
 
 /// The largest partition of a `fanout`-way CRC32 split of `keys` (the
 /// DMEM-budget figure joins report), counted without row-id lists.
+/// Only [`HashJoin::execute`] calls it, so it goes with that (ROADMAP
+/// direction 5).
 ///
 /// # Panics
 ///

@@ -1,12 +1,11 @@
-//! Key codes: a group-by or sort key tuple as one `u64`.
+//! Key codes: a group-by key tuple as one `u64`.
 //!
 //! The paper's group-by hashes each tuple's key into a DMEM-resident
-//! table and its sort range-partitions by key (§5.3); what those cost
-//! is priced by the cost walk ([`crate::walk`]), so the host only has
-//! to produce the exact result. [`KeyCode`] gives every key tuple one
-//! word whose unsigned order is the tuple's signed lexicographic order:
-//! the dense group-by indexes slots by it, the hash group-by hashes it
-//! into one-word keys, and the sort sorts `(code, row)` pairs.
+//! table (§5.3); what that costs is priced by the cost walk
+//! ([`crate::walk`]), so the host only has to produce the exact result.
+//! [`KeyCode`] gives every key tuple one word whose unsigned order is
+//! the tuple's signed lexicographic order: the dense group-by indexes
+//! slots by it, and the hash group-by hashes it into one-word keys.
 
 use crate::column::{Column, PackedColumn};
 

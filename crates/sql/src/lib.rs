@@ -12,17 +12,17 @@
 //! Every operator executes *functionally* (results are checked against
 //! naive reference implementations) while reporting the byte volumes and
 //! operation counts that the DPU simulator and the Xeon model price.
-//! The host inner loops (filter evaluation, CRC32 partitioning, group-by
-//! probes) run hand-rolled SWAR kernels — see [`vector`]. Partitioning
-//! hashes with the SSE4.2 CRC32-C instruction where the host has it and
-//! the table-driven CRC where it does not; group-bys and sorts key each
-//! tuple by one order-preserving `u64` code. The tests check every
-//! kernel against a reference implementation.
+//! The host inner loops (filter evaluation, group-by probes, the top-k
+//! pre-filter) run hand-rolled SWAR kernels — see [`vector`]. The
+//! joins' reported partition sizes hash with the SSE4.2 CRC32-C
+//! instruction where the host has it and the table-driven CRC where it
+//! does not; group-bys key each tuple by one order-preserving `u64`
+//! code. The tests check every kernel against a reference
+//! implementation.
 //! Columns additionally carry a frame-of-reference bit-packed resident
 //! form ([`column::PackedColumn`]) that prices every simulated scan.
-//! Filters execute on it in the encoded domain (the `DPU_PACK` knob);
-//! every other operator reads the flat values resident beside it, and
-//! results stay bit-identical either way.
+//! Filters on a packed column execute on it in the encoded domain;
+//! every other operator reads the flat values resident beside it.
 //!
 //! On the host every operator runs one sequential path. The host's
 //! parallelism sits above the operators, as the rack's does: the
@@ -41,7 +41,6 @@ pub mod filter;
 pub mod hll;
 pub mod join;
 pub(crate) mod key;
-pub mod knob;
 pub mod logical;
 pub mod plan;
 pub mod sort;
@@ -52,7 +51,7 @@ pub mod walk;
 
 pub use agg::{AggFunc, GroupByPlan, GroupBySpec};
 pub use bitvec::BitVec;
-pub use column::{pack, set_pack, Column, Pack, PackChunk, PackedColumn, Table};
+pub use column::{pack, Column, Pack, PackChunk, PackedColumn, Table};
 pub use expr::Expr;
 pub use filter::{measure_filter_kernel, CompareOp, FilterSpec};
 pub use hll::{HyperLogLog, RankMethod};
@@ -61,10 +60,7 @@ pub use logical::{
     BaseTable, ColFilter, Finish, JoinEdge, JoinGraph, LogicalOutput, LogicalPlan, Relation, Source,
 };
 pub use plan::{CostAcc, PlatformCost, QueryCost};
-pub use sort::{
-    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_selected,
-    sort_indices_selected,
-};
-pub use topk::{top_k, top_k_selected};
-pub use vector::{kernel as vector_kernel, partition_row_ids, Kernel};
+pub use sort::{sample_bounds, sort_indices};
+pub use topk::top_k;
+pub use vector::{kernel as vector_kernel, Kernel};
 pub use walk::{Op, Rows, Trace};

@@ -8,17 +8,10 @@
 //! buckets are ordered. [`sample_bounds`] picks such a scheme's bounds
 //! for range sharding.
 //!
-//! The host sort keys each selected row by one `u64` whose order is its
-//! key tuple's order (the group-by's key code) and sorts the
-//! `(code, row)` pairs. The pairs are distinct, so the unstable sort
-//! yields the stable permutation bit for bit. Key tuples whose value
-//! ranges multiply past 2^64 have no code and take one stable sort by
-//! tuple instead.
+//! The host sort sorts `(value, row)` pairs with one unstable sort. The
+//! pairs are distinct, so it yields the stable permutation bit for bit.
 
-use crate::agg::selected_rows;
-use crate::bitvec::BitVec;
-use crate::column::{Column, Table};
-use crate::key::KeyCode;
+use crate::column::Table;
 
 /// Samples `parts - 1` splitter bounds from the data (equi-depth over a
 /// sorted sample), suitable for the DMS range engine's 32-bound limit.
@@ -50,80 +43,25 @@ pub fn sample_bounds(values: &[i64], parts: usize) -> Vec<i64> {
 /// Sorts `table` by `col` ascending; returns the row permutation (ties
 /// keep original order — the sort is stable). `workers` labels the
 /// dpCores the simulated sort would range-partition across; the host
-/// result is the same for any count.
+/// result is the same for any count. No plan sorts: the function and
+/// its `workers` label stay only because the host benchmark
+/// (`perfbench`) names them, and ROADMAP direction 5 removes them.
 ///
 /// # Panics
 ///
 /// Panics if the column is missing or `workers` is outside `1..=32`.
 pub fn sort_indices(table: &Table, col: &str, workers: usize) -> Vec<usize> {
-    sort_indices_selected(table, col, workers, None)
-}
-
-/// [`sort_indices`] over the rows an optional selection keeps
-/// (unselected rows drop out; the selection is consumed a word at a
-/// time).
-///
-/// # Panics
-///
-/// Panics if the column is missing, `workers` is outside `1..=32`, or
-/// the selection length mismatches.
-pub fn sort_indices_selected(
-    table: &Table,
-    col: &str,
-    workers: usize,
-    sel: Option<&BitVec>,
-) -> Vec<usize> {
-    sort_indices_multi_selected(table, &[col], workers, sel)
-}
-
-/// Sorts `table` by `cols` lexicographically (each ascending); returns
-/// the stable row permutation.
-///
-/// # Panics
-///
-/// Panics if `cols` is empty, a column is missing, or `workers` is
-/// outside `1..=32`.
-pub fn sort_indices_multi(table: &Table, cols: &[&str], workers: usize) -> Vec<usize> {
-    sort_indices_multi_selected(table, cols, workers, None)
-}
-
-/// [`sort_indices_multi`] over the rows an optional selection keeps.
-///
-/// # Panics
-///
-/// Panics if `cols` is empty, a column is missing, `workers` is outside
-/// `1..=32`, or the selection length mismatches.
-pub fn sort_indices_multi_selected(
-    table: &Table,
-    cols: &[&str],
-    workers: usize,
-    sel: Option<&BitVec>,
-) -> Vec<usize> {
     assert!((1..=32).contains(&workers), "range engine supports up to 32 partitions");
-    assert!(!cols.is_empty(), "a sort needs at least one key column");
-    let keys: Vec<&Column> = cols.iter().map(|c| &table.columns[table.col_index(c)]).collect();
-    if let Some(bv) = sel {
-        assert_eq!(bv.len(), table.rows(), "selection length mismatch");
-    }
-    let mut rows = selected_rows(table, sel);
-    match KeyCode::new(&keys) {
-        Some(code) => {
-            let mut pairs: Vec<(u64, usize)> =
-                rows.into_iter().map(|r| (code.code(r), r)).collect();
-            pairs.sort_unstable();
-            pairs.into_iter().map(|(_, r)| r).collect()
-        }
-        None => {
-            let tuple = |r: usize| keys.iter().map(move |k| k.data[r]);
-            rows.sort_by(|&a, &b| tuple(a).cmp(tuple(b)));
-            rows
-        }
-    }
+    let data = &table.columns[table.col_index(col)].data;
+    let mut pairs: Vec<(i64, usize)> = data.iter().copied().zip(0..).collect();
+    pairs.sort_unstable();
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
     use dpu_dms::PartitionScheme;
 
     fn table(vals: Vec<i64>) -> Table {
@@ -168,61 +106,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_column_sort_orders_lexicographically() {
-        let t = Table::new(vec![
-            Column::i64("a", vec![2, 1, 2, 1, 1]),
-            Column::i64("b", vec![0, 5, -1, 5, 3]),
-        ]);
-        let idx = sort_indices_multi(&t, &["a", "b"], 4);
-        // (1,3)=4, (1,5)=1, (1,5)=3 (stable), (2,-1)=2, (2,0)=0.
-        assert_eq!(idx, vec![4, 1, 3, 2, 0]);
-    }
-
-    /// Both routes against one std stable sort by tuple, on duplicate
-    /// keys with and without a selection: tuples with a code (a lone
-    /// full-range column, ranges multiplying to exactly 2^64, and a
-    /// full-range column between constant ones) and without one (ranges
-    /// multiplying to 2^64 + 1 = 274 177 × 67 280 421 310 721, and two
-    /// full-range columns).
-    #[test]
-    fn code_and_tuple_sorts_match_a_stable_sort() {
+    fn extreme_keys_sort_stably() {
+        // Long enough that the unstable sort does not fall back to an
+        // insertion sort, which would be stable by itself.
         let (min, max) = (i64::MIN, i64::MAX);
-        let n = 200;
-        let col = |vals: &[i64], s: usize| -> Vec<i64> {
-            (0..n).map(|i| vals[(i * s) % vals.len()]).collect()
-        };
-        let cases: [(bool, Vec<Vec<i64>>); 5] = [
-            (true, vec![col(&[max, -1, min, 0, 7, -1], 5)]),
-            (true, vec![col(&[(1 << 32) - 1, 0, 9], 1), col(&[0, (1 << 32) - 1, 5], 2)]),
-            (true, vec![vec![3; n], col(&[0, max, -8, min], 3), vec![-3; n]]),
-            (false, vec![col(&[274_176, 0, 5], 1), col(&[0, 67_280_421_310_720, 0, 4], 1)]),
-            (false, vec![col(&[min, max, 0], 1), col(&[max, 1, min, 1], 1)]),
-        ];
-        for (case, (coded, keys)) in cases.into_iter().enumerate() {
-            let names = ["a", "b", "c"];
-            let t = Table::new(
-                keys.iter().zip(names).map(|(k, c)| Column::i64(c, k.clone())).collect(),
-            );
-            let cols: Vec<&Column> = t.columns.iter().collect();
-            assert_eq!(KeyCode::new(&cols).is_some(), coded, "case {case}");
-            let sel = BitVec::from_fn(n, |r| r % 4 != 1);
-            for sel in [None, Some(&sel)] {
-                let mut want: Vec<usize> =
-                    (0..n).filter(|&r| sel.is_none_or(|bv| bv.get(r))).collect();
-                want.sort_by_key(|&r| keys.iter().map(|k| k[r]).collect::<Vec<i64>>());
-                let got = sort_indices_multi_selected(&t, &names[..keys.len()], 4, sel);
-                assert_eq!(got, want, "case {case}");
-            }
-        }
-    }
-
-    #[test]
-    fn selection_drops_rows_before_sorting() {
-        let vals = vec![9, 2, 7, 2, 5, 1];
-        let t = table(vals);
-        let sel = BitVec::from_fn(6, |i| i != 1 && i != 4);
-        let idx = sort_indices_selected(&t, "v", 3, Some(&sel));
-        assert_eq!(idx, vec![5, 3, 2, 0]);
+        let vals: Vec<i64> = (0..300).map(|i| [max, -1, min, 0, max, min, -1, 7][i % 8]).collect();
+        let mut want: Vec<usize> = (0..vals.len()).collect();
+        want.sort_by_key(|&r| vals[r]);
+        assert_eq!(sort_indices(&table(vals), "v", 4), want);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::bitvec::BitVec;
 use crate::column::Table;
 use crate::vector;
 
@@ -33,52 +32,31 @@ type MinHeap = BinaryHeap<Reverse<(i64, Reverse<usize>)>>;
 /// descending (ties broken by ascending row index, making results
 /// deterministic).
 ///
+/// One heap over every row: push each row, pop the minimum once the
+/// heap exceeds k — except that once the heap is full, each fully
+/// covered 64-row block pre-filters against the block-start threshold
+/// with one branch-free word test, and only surviving rows touch the
+/// heap. A stale threshold only admits extra no-op push/pops (see the
+/// module docs).
+///
 /// `workers` labels the dpCores the simulated top-k would split its
 /// input across; the host keeps one heap, so the result is the same
-/// for any count.
+/// for any count. Production plans pass 1; the label stays only because
+/// the host benchmark (`perfbench`) names it, and ROADMAP direction 5
+/// removes it.
 ///
 /// # Panics
 ///
 /// Panics if the column is missing, or `k` or `workers` is zero.
 pub fn top_k(table: &Table, order_col: &str, k: usize, workers: usize) -> Vec<usize> {
-    top_k_selected(table, order_col, k, workers, None)
-}
-
-/// [`top_k`] over the rows an optional selection keeps (consumed a word
-/// at a time — `filter_band` output words feed straight in, no per-row
-/// bool expansion).
-///
-/// One heap over every selected row: push each row, pop the minimum
-/// once the heap exceeds k — except that once the heap is full, each
-/// fully covered 64-row block pre-filters against the block-start
-/// threshold with one branch-free word test ANDed into the selection
-/// word, and only surviving rows touch the heap. A stale threshold only
-/// admits extra no-op push/pops (see the module docs).
-///
-/// # Panics
-///
-/// Panics if the column is missing, `k` or `workers` is zero, or the
-/// selection length mismatches.
-pub fn top_k_selected(
-    table: &Table,
-    order_col: &str,
-    k: usize,
-    workers: usize,
-    sel: Option<&BitVec>,
-) -> Vec<usize> {
     let col = &table.columns[table.col_index(order_col)].data;
     assert!(k > 0, "k must be positive");
     assert!(workers > 0, "need at least one worker");
-    let rows = col.len();
-    if let Some(bv) = sel {
-        assert_eq!(bv.len(), rows, "selection length mismatch");
-    }
     let mut heap = MinHeap::new();
     for (wi, block) in col.chunks(64).enumerate() {
         let base = wi * 64;
-        // The selection word for rows [base, base + 64), clipped to
-        // the column.
-        let mut mask = sel.map_or(!0u64 >> (64 - block.len()), |bv| bv.words()[wi]);
+        // Every row of [base, base + 64), clipped to the column.
+        let mut mask = !0u64 >> (64 - block.len());
         if heap.len() >= k && block.len() == 64 {
             // Full block: one word-wide threshold test. Rows at or
             // below t cannot change the heap; rows above t might
@@ -127,20 +105,15 @@ mod tests {
     }
 
     #[test]
-    fn matches_a_full_sort_with_and_without_selection() {
+    fn matches_a_full_sort() {
         let vals: Vec<i64> = (0..500).map(|i| (i * 37) % 91 - 45).collect();
         let t = table(vals.clone());
-        let sel = BitVec::from_fn(vals.len(), |i| i % 3 != 0);
         for k in [1usize, 7, 100] {
             for workers in [1usize, 3, 8] {
-                for sel in [None, Some(&sel)] {
-                    let mut want: Vec<usize> =
-                        (0..vals.len()).filter(|&i| sel.is_none_or(|bv| bv.get(i))).collect();
-                    want.sort_by(|&x, &y| vals[y].cmp(&vals[x]).then(x.cmp(&y)));
-                    want.truncate(k);
-                    let got = top_k_selected(&t, "v", k, workers, sel);
-                    assert_eq!(got, want, "k={k} workers={workers} sel={}", sel.is_some());
-                }
+                let mut want: Vec<usize> = (0..vals.len()).collect();
+                want.sort_by(|&x, &y| vals[y].cmp(&vals[x]).then(x.cmp(&y)));
+                want.truncate(k);
+                assert_eq!(top_k(&t, "v", k, workers), want, "k={k} workers={workers}");
             }
         }
     }

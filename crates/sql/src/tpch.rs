@@ -81,9 +81,8 @@ impl TpchDb {
 
     /// Packs every column of every table where packing pays
     /// ([`crate::column::Column::encode_packed`]). The generate paths
-    /// call this once at load — unconditionally, so resident sizes (and
-    /// every simulated cost derived from them) never depend on the
-    /// `DPU_PACK` execution knob. Idempotent and deterministic:
+    /// call this once at load, unconditionally, so every simulated cost
+    /// prices the packed resident sizes. Idempotent and deterministic:
     /// encoding depends only on the values, never on thread count.
     pub fn encode_packed(&mut self) {
         for t in [
@@ -294,7 +293,8 @@ pub fn generate(orders_n: usize, seed: u64) -> TpchDb {
 }
 
 /// [`generate`] under the name the host-clock benchmark (`perfbench`)
-/// calls; kept only until that benchmark names [`generate`] itself.
+/// calls; kept only until that benchmark names [`generate`] itself
+/// (ROADMAP direction 5).
 pub fn generate_parallel(orders_n: usize, seed: u64) -> TpchDb {
     generate(orders_n, seed)
 }

@@ -16,37 +16,36 @@
 //!    dependency chain, and each band test compiles to branch-free
 //!    compare-and-mask (`setcc`) — the host analogue of FILT shifting
 //!    bits into its accumulator.
-//! 2. **Partition** ([`partition_row_ids`]): CRC32-C row-id
-//!    partitioning with four independent CRC streams in flight — the
-//!    stream-split trick hardware CRC units use.
-//! 3. **Group-by probe** ([`crate::agg::GroupBySpec::execute`]): each
+//! 2. **Group-by probe** ([`crate::agg::GroupBySpec::execute`]): each
 //!    row's key tuple maps to one order-preserving `u64` code, which
 //!    resolves to a group id in an open-addressed table through a
 //!    Fibonacci multiply (`fib_mix`), then column-at-a-time
 //!    min/max/sum accumulation per aggregate. Key domains of at most
 //!    4096 codes index dense slots instead, and keys that never descend
 //!    group by runs, both with no hashing.
-//! 4. **Top-k pre-filter** ([`gt_mask_word`]): a branch-free 64-row
+//! 3. **Top-k pre-filter** ([`gt_mask_word`]): a branch-free 64-row
 //!    band test against the current k-th value, so the heap only sees
 //!    rows that can change it ([`crate::topk::top_k`]).
 //!
 //! Every kernel is **bit-identical** to a reference implementation — same
 //! words, same row order, same accumulator values — at every table
 //! size, chunking, and `DPU_THREADS`; `tests/vector_properties.rs` pins
-//! this differentially. The partition kernel and the joins' reported
-//! partition sizes hash with CRC32-C through `dpu_isa::hash::crc32c_*_hw`:
-//! the SSE4.2 `crc32q` instruction where the host has it, the
-//! table-driven CRC where it does not. The values are identical either
-//! way, so the engine is a platform fact, not an option; [`kernel`]
-//! reports which one runs.
+//! this differentially. The joins' reported partition sizes
+//! ([`crate::join::HashJoin::execute`]) hash with CRC32-C through
+//! `dpu_isa::hash::crc32c_*_hw`: the SSE4.2 `crc32q` instruction where
+//! the host has it, the table-driven CRC where it does not. The values
+//! are identical either way, so the engine is a platform fact, not an
+//! option; [`kernel`] reports which one runs.
 
-use dpu_isa::hash::{crc32c_u64_hw, crc32c_u64_x4_hw, hw_crc_available};
+use dpu_isa::hash::hw_crc_available;
 
 use crate::bitvec::BitVec;
 use crate::column::PackedColumn;
 
 /// The CRC32-C engine the host kernels hash with. A report, not a
-/// choice: the host decides it ([`kernel`]).
+/// choice: the host decides it ([`kernel`]). Kept only as the host
+/// benchmark's (`perfbench`) fingerprint field; ROADMAP direction 5
+/// removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// The table-driven CRC (hosts without SSE4.2).
@@ -56,7 +55,9 @@ pub enum Kernel {
 }
 
 /// The engine this host runs: [`Kernel::HwCrc`] exactly when
-/// [`hw_crc_available`], else [`Kernel::Swar`].
+/// [`hw_crc_available`], else [`Kernel::Swar`]. Kept only as the host
+/// benchmark's (`perfbench`) fingerprint field; ROADMAP direction 5
+/// removes it.
 pub fn kernel() -> Kernel {
     if hw_crc_available() {
         Kernel::HwCrc
@@ -300,44 +301,13 @@ pub fn gt_mask_word(block: &[i64], threshold: i64) -> u64 {
     (l0 | l1) | (l2 | l3)
 }
 
-/// The partition kernel: `fanout`-way CRC32-C row-id partitioning of
-/// `keys`, row ids offset by `base` (callers partition chunk
-/// `[base, base + keys.len())` of a larger column). Keys stream through
-/// four CRC lanes; the tail (< 4 keys) uses the single-key engine. Hash
-/// values — and therefore partition contents and row order — are
-/// bit-identical to the bit-serial reference loop.
-///
-/// # Panics
-///
-/// Panics if `fanout` is zero.
-pub fn partition_row_ids(keys: &[i64], base: usize, fanout: u64) -> Vec<Vec<usize>> {
-    assert!(fanout > 0, "fanout must be positive");
-    // CRC spreads rows near-uniformly; sizing each bucket for its
-    // expected share (plus slack) keeps the hot loop free of realloc
-    // copies without changing contents or order.
-    let per_bucket = keys.len() / fanout as usize + keys.len() / (8 * fanout as usize) + 8;
-    let mut parts: Vec<Vec<usize>> = (0..fanout).map(|_| Vec::with_capacity(per_bucket)).collect();
-    let mut quads = keys.chunks_exact(4);
-    let mut r = base;
-    for quad in &mut quads {
-        let h = crc32c_u64_x4_hw([quad[0] as u64, quad[1] as u64, quad[2] as u64, quad[3] as u64]);
-        parts[(h[0] as u64 % fanout) as usize].push(r);
-        parts[(h[1] as u64 % fanout) as usize].push(r + 1);
-        parts[(h[2] as u64 % fanout) as usize].push(r + 2);
-        parts[(h[3] as u64 % fanout) as usize].push(r + 3);
-        r += 4;
-    }
-    for (j, &k) in quads.remainder().iter().enumerate() {
-        parts[(crc32c_u64_hw(k as u64) as u64 % fanout) as usize].push(r + j);
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use dpu_isa::hash::crc32c_u64;
+    use crate::column::{Column, Table};
+    use crate::join::HashJoin;
+    use dpu_isa::hash::{crc32c_u64, crc32c_u64_hw, crc32c_u64_x4_hw};
 
     #[test]
     fn kernel_reports_the_hardware_crc_iff_the_host_has_it() {
@@ -349,7 +319,7 @@ mod tests {
     #[test]
     fn operator_hash_matches_bit_serial_on_extreme_keys() {
         // The engines the operators call, whichever one the host runs,
-        // against the bit-serial reference; plus the partition routing
+        // against the bit-serial reference; plus the partition sizes
         // those hashes drive.
         let keys = [0u64, 1, u64::MAX, 1 << 63, (1 << 63) - 1, 0xDEAD_BEEF_CAFE_F00D, 0xFFFF_FFFF];
         for &key in &keys {
@@ -358,10 +328,18 @@ mod tests {
             assert_eq!(crc32c_u64_x4_hw([key; 4]), [want; 4], "key {key:#x}");
         }
         let signed: Vec<i64> = keys.iter().map(|&k| k as i64).collect();
-        let parts = partition_row_ids(&signed, 3, 5);
-        for (r, &k) in signed.iter().enumerate() {
-            assert!(parts[(crc32c_u64(k as u64) % 5) as usize].contains(&(3 + r)), "key {k:#x}");
+        let mut sizes = [0u64; 5];
+        for &k in &keys {
+            sizes[(crc32c_u64(k) % 5) as usize] += 1;
         }
+        let build = Table::new(vec![Column::i64("k", signed)]);
+        let join = HashJoin {
+            build_key: "k".into(),
+            probe_key: "k".into(),
+            build_cols: vec![],
+            probe_cols: vec![],
+        };
+        assert_eq!(join.execute(&build, &build, 5).1, sizes.into_iter().max().unwrap());
     }
 
     #[test]
@@ -513,18 +491,6 @@ mod tests {
                 let got = filter_band_packed(&p, lo, hi);
                 assert_eq!(got.words(), want.words(), "rows={} band=[{lo},{hi}]", data.len());
             }
-        }
-    }
-
-    #[test]
-    fn partition_matches_scalar_crc_and_offsets() {
-        let keys: Vec<i64> = (0..103).map(|i| i * 7919 - 400).collect();
-        for fanout in [1u64, 2, 7, 32] {
-            let mut want: Vec<Vec<usize>> = vec![Vec::new(); fanout as usize];
-            for (r, &k) in keys.iter().enumerate() {
-                want[(crc32c_u64(k as u64) as u64 % fanout) as usize].push(10 + r);
-            }
-            assert_eq!(partition_row_ids(&keys, 10, fanout), want, "fanout={fanout}");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Differential property suite for FOR/bit-packed columns (`DPU_PACK`).
+//! Differential property suite for FOR/bit-packed columns.
 //!
 //! Packing is *pure performance*. For every bit width
 //! (1/2/4/8/16/32/64), every chunk-boundary row count, signed-extreme
@@ -8,28 +8,13 @@
 //! other operator — which reads the flat values resident beside the
 //! packed words — must return the same result on a packed table as on
 //! the same table stripped of its packed form.
-//!
-//! Tests pass an explicit [`Pack`] argument where an operator takes
-//! one. The two tests that go through the knob-resolving entry points
-//! ([`entry_apis_honor_the_resolved_knobs`] and
-//! `entry_points_ignore_the_packed_form`) hold [`KNOBS`] so that one's
-//! `set_pack` calls never change the arm the other runs, and the CI
-//! matrix (`DPU_PACK` × `DPU_THREADS`) exercises every resolution
-//! against the same references.
-
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use dpu_repro::isa::hash::crc32c_u64;
 use dpu_repro::sql::{
-    pack, partition_row_ids, set_pack, sort_indices, sort_indices_multi, top_k, AggFunc, BitVec,
-    Column, CompareOp, Expr, FilterSpec, GroupBySpec, HashJoin, Pack, PackedColumn, Table,
+    sort_indices, top_k, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
+    HashJoin, Pack, PackedColumn, Table,
 };
-
-/// Serializes the tests that resolve or override the process-wide
-/// `DPU_PACK` choice.
-static KNOBS: Mutex<()> = Mutex::new(());
 
 /// Widens a tagged raw value into a key distribution that exercises
 /// extremes (`i64::MIN`, `i64::MAX`), small dense ranges, and
@@ -160,13 +145,11 @@ proptest! {
         let t = Table::new(vec![force_packed("x", &data)]);
         let spec = FilterSpec::new("x", op);
         let want = filter_reference(&data, op);
-        for mode in [Pack::Off, Pack::On] {
-            let got = spec.apply_pack(&t, mode);
-            // Word-for-word equality, so tail-lane masking bugs cannot
-            // hide behind popcounts.
-            prop_assert_eq!(&want, &got, "pack {:?}", mode);
-            prop_assert_eq!(want.words(), got.words(), "pack {:?}", mode);
-        }
+        let got = spec.apply(&t);
+        // Word-for-word equality, so tail-lane masking bugs cannot hide
+        // behind popcounts.
+        prop_assert_eq!(&want, &got);
+        prop_assert_eq!(want.words(), got.words());
     }
 
     #[test]
@@ -178,7 +161,7 @@ proptest! {
         let t = Table::new(vec![force_packed("x", &data)]);
         let spec = FilterSpec::new("x", op);
         let want = filter_reference(&data, op);
-        prop_assert_eq!(want.words(), spec.apply_pack(&t, Pack::On).words());
+        prop_assert_eq!(want.words(), spec.apply(&t).words());
     }
 
     #[test]
@@ -188,21 +171,6 @@ proptest! {
         prop_assert_eq!(&d.columns[0].data, &data);
         prop_assert!(d.columns[0].packed.is_none(), "decoded tables are flat");
         prop_assert!(t.decode_for(&["x"], Pack::Off).is_none(), "pack off decodes nothing");
-    }
-
-    #[test]
-    fn packed_partition_matches_flat(
-        keys in framed_values(1500),
-        fanout in 1u64..40,
-    ) {
-        let unpacked = PackedColumn::encode(&keys).unpack();
-        // Bit-serial routing of the flat keys.
-        let mut want = vec![Vec::new(); fanout as usize];
-        for (r, &k) in keys.iter().enumerate() {
-            want[(crc32c_u64(k as u64) as u64 % fanout) as usize].push(r);
-        }
-        prop_assert_eq!(&partition_row_ids(&keys, 0, fanout), &want);
-        prop_assert_eq!(&partition_row_ids(&unpacked, 0, fanout), &want);
     }
 
     #[test]
@@ -232,13 +200,13 @@ proptest! {
         k in 1usize..40,
         workers in 1usize..5,
     ) {
-        let tie_break: Vec<i64> = data.iter().map(|&v| v.rem_euclid(7)).collect();
+        let groups: Vec<i64> = data.iter().map(|&v| v.rem_euclid(7)).collect();
         // Divisors shaped strictly positive: division by zero panics (by
         // contract) and `i64::MIN / -1` would trap.
         let divisor: Vec<i64> = data.iter().map(|&v| v.rem_euclid(1000) + 1).collect();
         let t = Table::new(vec![
             force_packed("a", &data),
-            force_packed("b", &tie_break),
+            force_packed("b", &groups),
             force_packed("d", &divisor),
         ]);
         // Build keys: every third probe key (so rows match) plus keys
@@ -272,35 +240,12 @@ proptest! {
             1 << 40,
         );
 
-        let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = pack();
-        for mode in [Pack::Off, Pack::On] {
-            set_pack(mode);
-            prop_assert_eq!(filter.apply(&t), filter.apply(&flat), "filter {:?}", mode);
-            prop_assert_eq!(group.execute(&t, None), group.execute(&flat, None), "group-by {:?}", mode);
-            prop_assert_eq!(
-                join.execute(&build, &t, 8),
-                join.execute(&flat_build, &flat, 8),
-                "join {:?}", mode
-            );
-            prop_assert_eq!(e.eval(&t), e.eval(&flat), "expr {:?}", mode);
-            prop_assert_eq!(
-                sort_indices(&t, "a", workers),
-                sort_indices(&flat, "a", workers),
-                "sort {:?}", mode
-            );
-            prop_assert_eq!(
-                sort_indices_multi(&t, &["b", "a"], workers),
-                sort_indices_multi(&flat, &["b", "a"], workers),
-                "multi-sort {:?}", mode
-            );
-            prop_assert_eq!(
-                top_k(&t, "a", k, workers),
-                top_k(&flat, "a", k, workers),
-                "top-k {:?}", mode
-            );
-        }
-        set_pack(prior);
+        prop_assert_eq!(filter.apply(&t), filter.apply(&flat), "filter");
+        prop_assert_eq!(group.execute(&t, None), group.execute(&flat, None), "group-by");
+        prop_assert_eq!(join.execute(&build, &t, 8), join.execute(&flat_build, &flat, 8), "join");
+        prop_assert_eq!(e.eval(&t), e.eval(&flat), "expr");
+        prop_assert_eq!(sort_indices(&t, "a", workers), sort_indices(&flat, "a", workers), "sort");
+        prop_assert_eq!(top_k(&t, "a", k, workers), top_k(&flat, "a", k, workers), "top-k");
     }
 }
 
@@ -320,11 +265,8 @@ fn packed_filter_is_exact_at_chunk_boundaries() {
             CompareOp::Ge(0),
             CompareOp::Lt(-25), // below every chunk frame: zone-map zeros
         ] {
-            let want = filter_reference(&data, op);
-            for mode in [Pack::Off, Pack::On] {
-                let got = FilterSpec::new("x", op).apply_pack(&t, mode);
-                assert_eq!(want.words(), got.words(), "len={len} op={op:?} pack={mode:?}");
-            }
+            let got = FilterSpec::new("x", op).apply(&t);
+            assert_eq!(filter_reference(&data, op).words(), got.words(), "len={len} op={op:?}");
         }
     }
 }
@@ -353,11 +295,8 @@ fn packed_extremes_and_constant_chunks_are_exact() {
         CompareOp::Ge(0),
         CompareOp::Le(-1),
     ] {
-        let want = filter_reference(&data, op);
-        for mode in [Pack::Off, Pack::On] {
-            let got = FilterSpec::new("x", op).apply_pack(&t, mode);
-            assert_eq!(want.words(), got.words(), "op={op:?} pack={mode:?}");
-        }
+        let got = FilterSpec::new("x", op).apply(&t);
+        assert_eq!(filter_reference(&data, op).words(), got.words(), "op={op:?}");
     }
 }
 
@@ -397,13 +336,12 @@ fn encode_packed_keeps_only_paying_columns() {
     assert!(empty.packed.is_none());
 }
 
-/// Goes through the knob-resolving entry points (`apply`, `execute`,
-/// `eval`, `top_k`, `sort_indices`, `sort_indices_multi`) on an encoded
-/// table, so the CI matrix (`DPU_PACK` × `DPU_THREADS`) checks every
-/// resolution against brute-force references over the flat values.
+/// Goes through the entry points (`apply`, `execute`, `eval`, `top_k`,
+/// `sort_indices`) on an encoded table, checked against brute-force
+/// references over the flat values; the CI matrix runs it at each
+/// `DPU_THREADS` width.
 #[test]
-fn entry_apis_honor_the_resolved_knobs() {
-    let _knobs = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+fn entry_apis_match_brute_force_references() {
     let n = 5000usize;
     let keys: Vec<i64> = (0..n as i64).map(|i| (i * 131) % 3000 - 1500).collect();
     let vals: Vec<i64> = (0..n as i64).map(|i| (i * 17) % 10_000).collect();
@@ -425,7 +363,7 @@ fn entry_apis_honor_the_resolved_knobs() {
     let want: Vec<i64> = (0..n).map(|i| v[i].wrapping_mul(100i64.wrapping_sub(x[i]))).collect();
     assert_eq!(e.eval(&t), want);
 
-    // Top-k and sorts against one full stable sort each.
+    // Top-k and the sort against one full stable sort each.
     let stable_sort = |cmp: &dyn Fn(usize, usize) -> std::cmp::Ordering| {
         let mut rows: Vec<usize> = (0..n).collect();
         rows.sort_by(|&a, &b| cmp(a, b));
@@ -433,6 +371,4 @@ fn entry_apis_honor_the_resolved_knobs() {
     };
     assert_eq!(top_k(&t, "v", 50, 4), stable_sort(&|a, b| v[b].cmp(&v[a]))[..50]);
     assert_eq!(sort_indices(&t, "x", 4), stable_sort(&|a, b| x[a].cmp(&x[b])));
-    let by_xv = stable_sort(&|a, b| (x[a], v[a]).cmp(&(x[b], v[b])));
-    assert_eq!(sort_indices_multi(&t, &["x", "v"], 4), by_xv);
 }

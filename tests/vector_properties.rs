@@ -5,20 +5,20 @@
 //! ≢ 0 mod 64 and empty tables), every predicate (all-match, none-match,
 //! extreme bands), every fanout, every group-key distribution
 //! (including `i64::MIN/MAX` keys), and every top-k and sort worker
-//! count, the filter / partition / join / group-by / top-k / sort /
-//! expression kernels must be **bit-identical** to their reference —
-//! same words, same row order, same accumulator values.
+//! count, the filter / join / group-by / top-k / sort / expression
+//! kernels must be **bit-identical** to their reference — same words,
+//! same row order, same accumulator values.
 //!
 //! The references are brute force where the tests can compute one: the
-//! filter against `CompareOp::matches` per row, partitioning against
-//! the bit-serial `crc32c_u64`, the join against a nested loop over
-//! probe rows then build rows, the selection join against the join over
-//! `select_rows` copies and against a nested loop over the selected rows
-//! (under build key ranges that reach every arm of the join table),
-//! top-k and sort against one full stable
-//! sort, and expressions against per-row wrapping arithmetic. The
-//! group-by's reference is `GroupBySpec::execute_seq`, key-less
-//! aggregates included.
+//! filter against `CompareOp::matches` per row, the join against a
+//! nested loop over probe rows then build rows (its reported partition
+//! size against the bit-serial `crc32c_u64`), the selection join
+//! against the join over `select_rows` copies and against a nested loop
+//! over the selected rows (under build key ranges that reach every arm
+//! of the join table), top-k and sort against one full stable sort, and
+//! expressions against per-row wrapping arithmetic. The group-by's
+//! reference is `GroupBySpec::execute_seq`, key-less aggregates
+//! included.
 
 use proptest::prelude::*;
 
@@ -27,24 +27,13 @@ use dpu_repro::isa::hash::{
 };
 use dpu_repro::sql::tpch::select_rows;
 use dpu_repro::sql::{
-    partition_row_ids, sort_indices_multi, sort_indices_multi_selected, sort_indices_selected,
-    top_k, top_k_selected, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
+    sort_indices, top_k, AggFunc, BitVec, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
     HashJoin, Table,
 };
 
 /// The filter reference: `op` evaluated on every row.
 fn filter_reference(data: &[i64], op: CompareOp) -> BitVec {
     BitVec::from_fn(data.len(), |i| op.matches(data[i]))
-}
-
-/// The partition reference: bit-serial CRC32-C routing, row ids offset
-/// by `base`.
-fn partition_reference(keys: &[i64], base: usize, fanout: u64) -> Vec<Vec<usize>> {
-    let mut parts = vec![Vec::new(); fanout as usize];
-    for (r, &k) in keys.iter().enumerate() {
-        parts[(crc32c_u64(k as u64) as u64 % fanout) as usize].push(base + r);
-    }
-    parts
 }
 
 /// The join reference: a nested loop over probe rows, then build rows,
@@ -179,22 +168,19 @@ fn shaped_selection(n: usize, shape: u8, (a, b): (usize, usize)) -> Option<BitVe
     }
 }
 
-/// The top-k reference: the selected rows in one full stable sort by
-/// value descending, row ascending, cut to `k`.
-fn top_k_reference(vals: &[i64], k: usize, sel: Option<&BitVec>) -> Vec<usize> {
-    let mut rows: Vec<usize> =
-        (0..vals.len()).filter(|&i| sel.is_none_or(|bv| bv.get(i))).collect();
+/// The top-k reference: every row in one full stable sort by value
+/// descending, row ascending, cut to `k`.
+fn top_k_reference(vals: &[i64], k: usize) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..vals.len()).collect();
     rows.sort_by(|&x, &y| vals[y].cmp(&vals[x]).then(x.cmp(&y)));
     rows.truncate(k);
     rows
 }
 
-/// The sort reference: the selected rows in one full stable sort by
-/// their key tuple over `cols`.
-fn sort_reference(cols: &[&[i64]], sel: Option<&BitVec>) -> Vec<usize> {
-    let mut rows: Vec<usize> =
-        (0..cols[0].len()).filter(|&i| sel.is_none_or(|bv| bv.get(i))).collect();
-    rows.sort_by_key(|&i| cols.iter().map(|c| c[i]).collect::<Vec<i64>>());
+/// The sort reference: every row in one full stable sort by value.
+fn sort_reference(vals: &[i64]) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..vals.len()).collect();
+    rows.sort_by_key(|&i| vals[i]);
     rows
 }
 
@@ -250,16 +236,6 @@ proptest! {
         // tail-lane masking bugs cannot hide behind popcounts.
         prop_assert_eq!(&want, &got);
         prop_assert_eq!(want.words(), got.words());
-    }
-
-    #[test]
-    fn swar_partition_is_bit_identical_to_scalar(
-        keys in values(400),
-        fanout in 1u64..40,
-        base in 0usize..10_000,
-    ) {
-        let want = partition_reference(&keys, base, fanout);
-        prop_assert_eq!(partition_row_ids(&keys, base, fanout), want);
     }
 
     #[test]
@@ -415,29 +391,18 @@ proptest! {
         data in values(400),
         k in 1usize..50,
         workers in 1usize..6,
-        sel_stride in proptest::option::of(1usize..5),
     ) {
         let t = Table::new(vec![Column::i64("v", data.clone())]);
-        let sel = sel_stride.map(|m| BitVec::from_fn(data.len(), |i| i % m != 0));
-        let want = top_k_reference(&data, k, sel.as_ref());
-        prop_assert_eq!(want, top_k_selected(&t, "v", k, workers, sel.as_ref()));
+        prop_assert_eq!(top_k_reference(&data, k), top_k(&t, "v", k, workers));
     }
 
     #[test]
     fn swar_sort_is_bit_identical_to_scalar(
-        (k1, k2, _k3, width) in key_columns(),
+        data in values(400),
         workers in 1usize..16,
-        sel_stride in proptest::option::of(1usize..5),
     ) {
-        let len = k1.len();
-        let sel = sel_stride.map(|m| BitVec::from_fn(len, |i| i % m != 0));
-        let want = sort_reference(&[&k1], sel.as_ref());
-        let want_multi = sort_reference(&[&k1[..], &k2[..]][..width.min(2)], sel.as_ref());
-        let t = Table::new(vec![Column::i64("a", k1), Column::i64("b", k2)]);
-        prop_assert_eq!(want, sort_indices_selected(&t, "a", workers, sel.as_ref()), "single-key");
-        let cols: Vec<&str> = ["a", "b"][..width.min(2)].to_vec();
-        let got = sort_indices_multi_selected(&t, &cols, workers, sel.as_ref());
-        prop_assert_eq!(want_multi, got, "multi-key");
+        let t = Table::new(vec![Column::i64("a", data.clone())]);
+        prop_assert_eq!(sort_reference(&data), sort_indices(&t, "a", workers));
     }
 
     #[test]
@@ -534,8 +499,6 @@ fn empty_inputs_are_exact() {
     let spec_f = FilterSpec::new("g", CompareOp::Ge(0));
     assert_eq!(spec_f.apply(&t), filter_reference(&[], CompareOp::Ge(0)));
 
-    assert_eq!(partition_row_ids(&[], 0, 8), partition_reference(&[], 0, 8));
-
     // All-false selection: the hash path sees zero selected rows.
     let t2 = Table::new(vec![Column::i64("g", vec![1, 2, 3]), Column::i64("v", vec![4, 5, 6])]);
     let none = BitVec::new(3);
@@ -544,7 +507,7 @@ fn empty_inputs_are_exact() {
 
 /// The table-driven and 4-lane CRC32-C engines agree with the bit-serial
 /// reference over a seeded 1M-key sample (SplitMix64 stream), scanned in
-/// lane batches exactly as the partition kernel consumes them.
+/// lane batches exactly as the joins' partition count consumes them.
 #[test]
 fn crc_lanes_match_bit_serial_over_a_million_keys() {
     let mut next = splitmix(0x9E37_79B9_7F4A_7C15);
@@ -633,52 +596,28 @@ fn top_k_ties_at_the_threshold_are_exact() {
     let vals: Vec<i64> = (0..256).map(|i| if i % 2 == 0 { 5 } else { i % 10 }).collect();
     let t = Table::new(vec![Column::i64("v", vals.clone())]);
     for k in [1usize, 3, 64, 128, 200] {
-        let want = top_k_reference(&vals, k, None);
+        let want = top_k_reference(&vals, k);
         for workers in [1usize, 3, 7] {
             assert_eq!(top_k(&t, "v", k, workers), want, "k={k} workers={workers}");
         }
     }
 }
 
-/// Equal sort keys stay in row order — neither the unstable sort of
-/// `(code, row)` pairs nor the tuple sort that key ranges past 2^64
-/// take (a second column at the `i64` extremes) may be observably
-/// unstable.
+/// Equal sort keys stay in row order: the unstable sort of distinct
+/// `(value, row)` pairs must not be observably unstable, on heavy
+/// duplicates that include the `i64` extremes.
 #[test]
 fn sort_keeps_equal_keys_in_row_order() {
-    let a: Vec<i64> = (0..500).map(|i| i % 4).collect();
-    let small: Vec<i64> = (0..500).map(|i| i % 2).collect();
-    let extreme: Vec<i64> = (0..500).map(|i| [i64::MAX, i64::MIN][i % 2]).collect();
-    for b in [small, extreme] {
-        let t = Table::new(vec![Column::i64("a", a.clone()), Column::i64("b", b.clone())]);
-        for workers in [1usize, 8] {
-            let got = sort_indices_multi(&t, &["a", "b"], workers);
-            assert_eq!(got, sort_reference(&[&a, &b], None), "workers={workers}");
-            for w in got.windows(2) {
-                let (x, y) = (w[0], w[1]);
-                assert!(
-                    (a[x], b[x]) < (a[y], b[y]) || ((a[x], b[x]) == (a[y], b[y]) && x < y),
-                    "stability violated at rows {x},{y}"
-                );
-            }
+    let vals: Vec<i64> = (0..500).map(|i| [3, i64::MAX, -1, i64::MIN, 3][i % 5]).collect();
+    let t = Table::new(vec![Column::i64("v", vals.clone())]);
+    for workers in [1usize, 8] {
+        let got = sort_indices(&t, "v", workers);
+        assert_eq!(got, sort_reference(&vals), "workers={workers}");
+        for w in got.windows(2) {
+            let (x, y) = (w[0], w[1]);
+            assert!(vals[x] < vals[y] || (vals[x] == vals[y] && x < y), "rows {x},{y}");
         }
     }
-}
-
-/// The filter's packed output words drive top-k and sort directly — no
-/// per-row bool expansion — and land on the same rows as per-row
-/// re-evaluation of the predicate.
-#[test]
-fn filter_words_feed_topk_and_sort_directly() {
-    let vals: Vec<i64> = (0..1000).map(|i| (i * 37) % 211 - 100).collect();
-    let t = Table::new(vec![Column::i64("v", vals.clone())]);
-    let sel = FilterSpec::new("v", CompareOp::Gt(-50)).apply(&t);
-    let top = top_k_selected(&t, "v", 25, 4, Some(&sel));
-    assert!(top.iter().all(|&r| vals[r] > -50));
-    assert_eq!(top, top_k_reference(&vals, 25, Some(&sel)));
-    let sorted = sort_indices_selected(&t, "v", 8, Some(&sel));
-    assert_eq!(sorted.len(), sel.count());
-    assert!(sorted.windows(2).all(|w| (vals[w[0]], w[0]) < (vals[w[1]], w[1])));
 }
 
 /// Checks `join.execute` against the nested-loop reference, over
