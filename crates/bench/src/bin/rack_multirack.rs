@@ -39,7 +39,7 @@ use dpu_cluster::{
     ShardPolicy, SingleRefCache, Template, Tenant, TenantServeConfig, Topology, TraceShape,
 };
 use dpu_pool::Pool;
-use dpu_sim::Time;
+use dpu_sim::{Frequency, Time};
 use dpu_sql::tpch;
 
 const NODES: usize = 16;
@@ -169,7 +169,7 @@ fn main() {
         let core = core_for(racks, 1.0, REPLICAS);
         core.warm_single_refs();
         let mut c = Cluster::from_core(core);
-        let timeout = c.fabric.failover_timeout_seconds();
+        let timeout = c.fabric.failover_timeout().as_secs(Frequency::DPU_CORE);
         let load = c.load_seconds();
         let (templates, failovers) = suite_templates(&mut c);
         assert_eq!(failovers, 0, "a healthy cluster never fails over");
@@ -264,7 +264,7 @@ fn main() {
             let dst = if spine_racks > 1 { (src + m) % NODES } else { (src + 1) % NODES };
             done = done.max(f.transfer(Time::ZERO, src, dst, BULK));
         }
-        let bulk_seconds = done.as_secs(fabric_cfg.clock);
+        let bulk_seconds = done.as_secs(Frequency::DPU_CORE);
         (oversub, uplink, q10.cost.fabric_seconds, spine_bytes, bulk_seconds)
     });
     let mut oversub_json: Vec<Json> = Vec::new();

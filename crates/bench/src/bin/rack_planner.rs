@@ -122,7 +122,7 @@ fn main() {
             ("actual_seconds", Json::num(act_s)),
             ("est_fabric_bytes", Json::num(choice.estimate.fabric_bytes as f64)),
             ("actual_fabric_bytes", Json::num(runs[0].1.query.cost.fabric_bytes as f64)),
-            ("matches_hand_wired", Json::Bool(true)),
+            ("matches_default_plan", Json::Bool(true)),
         ]));
         profiled.push((id, choice, runs));
     }

@@ -68,6 +68,7 @@ use dpu_cluster::{
 };
 use dpu_planner::{explain, AdaptiveServer, CandidatePlan, Planner, PlannerMode};
 use dpu_pool::Pool;
+use dpu_sim::Frequency;
 use dpu_sql::tpch;
 use xeon_model::XeonRack;
 
@@ -304,7 +305,7 @@ fn main() {
             args.racks,
             NODES / args.racks,
             args.oversub,
-            cluster.fabric.failover_timeout_seconds() * 1e6
+            cluster.fabric.failover_timeout().as_secs(Frequency::DPU_CORE) * 1e6
         );
     }
     if !args.kills.is_empty() {

@@ -77,6 +77,7 @@ use crate::planned::{default_physical, single_plan};
 use crate::replica::Placement;
 use crate::shard::{shard_tpch_placed, ShardPolicy, ShardedTpch};
 use crate::topology::Topology;
+use crate::CLOCK;
 
 /// The eight TPC-H queries of Figure 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,6 +224,11 @@ impl NodeCost {
     pub fn seconds(&self) -> f64 {
         self.mem_seconds.max(self.cpu_seconds)
     }
+
+    /// The local phase's span on the timeline at `speed` (≤ 1) of full rate.
+    pub(crate) fn span(&self, speed: f64) -> Time {
+        Time::from_secs(self.seconds() / speed, CLOCK)
+    }
 }
 
 /// Where and when one shard's local phase actually ran after failover
@@ -235,8 +241,8 @@ pub struct ShardRun {
     pub node: usize,
     /// Times the sub-plan was issued (1 = no failover).
     pub attempts: usize,
-    /// Absolute completion time of the local phase, seconds.
-    pub done_seconds: f64,
+    /// Absolute completion time of the local phase.
+    pub done: Time,
 }
 
 /// The cluster-wide cost of one distributed query.
@@ -246,11 +252,12 @@ pub struct ClusterQueryCost {
     /// re-executions; a node that ran nothing reports zeros).
     pub per_node: Vec<NodeCost>,
     /// Time from query start to the last shard's local-phase completion,
-    /// seconds (includes failover timeouts and re-executions).
+    /// seconds (includes failover timeouts and re-executions). A span of
+    /// the rack's timeline, so a whole number of dpCore cycles.
     pub local_seconds: f64,
     /// Time from the last local finish to the last byte landing at the
     /// coordinator (shuffle + gather + any distributed merge overlapped
-    /// with it), seconds.
+    /// with it), seconds; whole cycles, like `local_seconds`.
     pub fabric_seconds: f64,
     /// Coordinator merge compute, seconds.
     pub merge_seconds: f64,
@@ -281,17 +288,21 @@ impl ClusterQueryCost {
     }
 
     /// The local-phase portion of [`batch_seconds`](Self::batch_seconds):
-    /// the slowest node's roofline over one shard scan and `k×` compute.
+    /// the slowest node's roofline over one shard scan and `k×` compute,
+    /// in whole cycles like [`local_seconds`](Self::local_seconds), so a
+    /// healthy batch of one costs exactly one query.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero.
     pub fn batch_local_seconds(&self, k: usize) -> f64 {
         assert!(k > 0, "empty batch");
-        self.per_node
+        let roofline = self
+            .per_node
             .iter()
             .map(|n| n.mem_seconds.max(k as f64 * n.cpu_seconds))
-            .fold(0.0, f64::max)
+            .fold(0.0, f64::max);
+        Time::from_secs(roofline, CLOCK).as_secs(CLOCK)
     }
 }
 
@@ -381,7 +392,8 @@ pub struct RecoveryReport {
     pub shards: Vec<usize>,
     /// Fact bytes moved over the fabric.
     pub bytes_moved: u64,
-    /// Seconds from recovery start until the last shard lands.
+    /// Seconds from recovery start until the last shard lands (whole
+    /// cycles).
     pub rebuild_seconds: f64,
 }
 
@@ -599,16 +611,16 @@ impl ClusterCore {
 /// A simulated DPU cluster holding a sharded TPC-H database.
 ///
 /// Split into an immutable [`ClusterCore`] (shared by every fork) and
-/// the cheap per-fork mutable state: the [`Fabric`]'s queue occupancy,
-/// the installed [`FaultPlan`], and the [`Speculation`] policy.
+/// the cheap per-fork mutable state: the [`Fabric`]'s queue occupancy
+/// and the [`FaultPlan`] installed in it, and the [`Speculation`] policy.
 /// [`fork`](Self::fork) hands out an independent pristine cluster over
 /// the same core in O(1).
 #[derive(Debug)]
 pub struct Cluster {
     core: Arc<ClusterCore>,
-    /// The rack network (per-fork mutable state).
+    /// The rack network (per-fork mutable state) and the installed
+    /// fault plan.
     pub fabric: Fabric,
-    faults: FaultPlan,
     speculation: Option<Speculation>,
 }
 
@@ -629,7 +641,7 @@ impl Cluster {
     /// behind, without re-sharding or cloning the database.
     pub fn from_core(core: Arc<ClusterCore>) -> Self {
         let fabric = Fabric::with_topology(core.cfg.topology(), core.cfg.fabric.clone());
-        Cluster { core, fabric, faults: FaultPlan::none(), speculation: None }
+        Cluster { core, fabric, speculation: None }
     }
 
     /// Forks this cluster in O(1): the returned cluster shares the
@@ -677,16 +689,15 @@ impl Cluster {
         self.speculation
     }
 
-    /// Installs a fault plan for subsequent queries (also threaded into
-    /// the fabric's NIC-degradation model).
+    /// Installs a fault plan for subsequent queries. The fabric holds
+    /// the one copy: its NIC-degradation model reads it too.
     pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.fabric.set_faults(plan.clone());
-        self.faults = plan;
+        self.fabric.set_faults(plan);
     }
 
     /// The installed fault plan.
     pub fn faults(&self) -> &FaultPlan {
-        &self.faults
+        self.fabric.faults()
     }
 
     /// Total provisioned cluster power, watts.
@@ -714,9 +725,8 @@ impl Cluster {
             }
         }
         done = done.max(self.fabric.broadcast(Time::ZERO, 0, self.core.sharded.broadcast_bytes));
-        let s = self.fabric.seconds(done);
         self.fabric.reset();
-        s
+        done.as_secs(CLOCK)
     }
 
     /// Runs one query distributed at `t = 0`, returning the result, its
@@ -771,7 +781,7 @@ impl Cluster {
     /// report then covers zero bytes (the data is lost, not rebuilt).
     pub fn recover(&mut self, node: usize, at_seconds: f64) -> RecoveryReport {
         self.fabric.reset();
-        let start = self.fabric.at_seconds(at_seconds);
+        let start = Time::from_secs(at_seconds, CLOCK);
         let shards = self.core.sharded.placement.shards_on(node);
         let mut rebuilt = Vec::new();
         let mut bytes_moved = 0u64;
@@ -784,7 +794,7 @@ impl Cluster {
                 .placement
                 .gather_order(s, node)
                 .into_iter()
-                .find(|&o| o != node && !self.faults.is_down(o, at_seconds));
+                .find(|&o| o != node && !self.faults().is_down(o, start));
             if let Some(src) = src {
                 let bytes = self.core.sharded.shard_fact_bytes(s);
                 bytes_moved += bytes;
@@ -792,9 +802,9 @@ impl Cluster {
                 done = done.max(self.fabric.transfer(start, src, node, bytes));
             }
         }
-        let rebuild_seconds = self.fabric.seconds(done) - at_seconds;
+        let rebuild_seconds = (done - start).as_secs(CLOCK);
         self.fabric.reset();
-        let plan = self.faults.clone().recovered(node);
+        let plan = self.faults().clone().recovered(node);
         self.set_faults(plan);
         RecoveryReport { node, shards: rebuilt, bytes_moved, rebuild_seconds }
     }
@@ -810,40 +820,36 @@ impl Cluster {
     pub(crate) fn schedule_local(
         &self,
         costs: &[NodeCost],
-        start: f64,
+        start: Time,
     ) -> Result<(Vec<ShardRun>, Vec<NodeCost>, usize, usize), QueryError> {
         let n = self.core.sharded.n_nodes();
-        let timeout = self.fabric.failover_timeout_seconds();
-        let deadline = self.speculation.map(|p| p.deadline_seconds(costs));
+        let faults = self.faults();
+        let timeout = self.fabric.failover_timeout();
+        let deadline = self.speculation.map(|p| Time::from_secs(p.deadline_seconds(costs), CLOCK));
         let mut node_free = vec![start; n];
         let mut per_node = vec![NodeCost::ZERO; n];
         let mut runs: Vec<Option<ShardRun>> = vec![None; n];
         let mut failovers = 0usize;
         let mut speculations = 0usize;
         // (available-at, shard, owner-chain position, attempt #)
-        let mut pending: Vec<(f64, usize, usize, usize)> =
+        let mut pending: Vec<(Time, usize, usize, usize)> =
             (0..n).map(|s| (start, s, 0, 1)).collect();
         while !pending.is_empty() {
             // Pop the earliest-available shard (ties broken by shard id).
             let i = (0..pending.len())
-                .min_by(|&a, &b| {
-                    pending[a].0.total_cmp(&pending[b].0).then(pending[a].1.cmp(&pending[b].1))
-                })
+                .min_by_key(|&i| (pending[i].0, pending[i].1))
                 .expect("non-empty");
             let (avail, s, chain, attempt) = pending.swap_remove(i);
             let owners = self.core.sharded.placement.owners(s);
-            let Some((pos, &node)) = owners
-                .iter()
-                .enumerate()
-                .skip(chain)
-                .find(|&(_, &o)| !self.faults.is_down(o, avail))
+            let Some((pos, &node)) =
+                owners.iter().enumerate().skip(chain).find(|&(_, &o)| !faults.is_down(o, avail))
             else {
                 return Err(QueryError::ShardUnavailable { shard: s });
             };
             let begin = node_free[node].max(avail);
-            let slow = self.faults.compute_factor(node, begin);
-            let finish = begin + costs[s].seconds() / slow;
-            if let Some(tc) = self.faults.crash_time(node) {
+            let slow = faults.compute_factor(node, begin);
+            let finish = begin + costs[s].span(slow);
+            if let Some(tc) = faults.crash_time(node) {
                 if tc < finish {
                     // Crash mid-execution: detected one timeout later,
                     // re-issued to the next replica in the chain.
@@ -860,15 +866,13 @@ impl Cluster {
             if let Some(d) = deadline {
                 let launch = avail + d;
                 if finish > launch {
-                    let backup = owners
-                        .iter()
-                        .copied()
-                        .find(|&o| o != node && !self.faults.is_down(o, launch));
+                    let backup =
+                        owners.iter().copied().find(|&o| o != node && !faults.is_down(o, launch));
                     if let Some(b) = backup {
                         let b_begin = node_free[b].max(launch);
-                        let b_slow = self.faults.compute_factor(b, b_begin);
-                        let b_finish = b_begin + costs[s].seconds() / b_slow;
-                        let b_dies = self.faults.crash_time(b).is_some_and(|tc| tc < b_finish);
+                        let b_slow = faults.compute_factor(b, b_begin);
+                        let b_finish = b_begin + costs[s].span(b_slow);
+                        let b_dies = faults.crash_time(b).is_some_and(|tc| tc < b_finish);
                         if !b_dies {
                             speculations += 1;
                             if b_finish < finish {
@@ -876,7 +880,7 @@ impl Cluster {
                                 // backup's finish (fractional charge if it
                                 // had started), ship from the backup.
                                 if b_finish > begin {
-                                    let frac = ((b_finish - begin) / (finish - begin)).min(1.0);
+                                    let frac = fraction(b_finish - begin, finish - begin);
                                     per_node[node].mem_seconds +=
                                         frac * costs[s].mem_seconds / slow;
                                     per_node[node].cpu_seconds +=
@@ -890,14 +894,14 @@ impl Cluster {
                                     shard: s,
                                     node: b,
                                     attempts: attempt + 1,
-                                    done_seconds: b_finish,
+                                    done: b_finish,
                                 });
                                 continue;
                             }
                             // Original wins (ties included): cancel the
                             // backup at the original's finish.
                             if finish > b_begin {
-                                let frac = ((finish - b_begin) / (b_finish - b_begin)).min(1.0);
+                                let frac = fraction(finish - b_begin, b_finish - b_begin);
                                 per_node[b].mem_seconds += frac * costs[s].mem_seconds / b_slow;
                                 per_node[b].cpu_seconds += frac * costs[s].cpu_seconds / b_slow;
                                 node_free[b] = finish;
@@ -909,7 +913,7 @@ impl Cluster {
             node_free[node] = finish;
             per_node[node].mem_seconds += costs[s].mem_seconds / slow;
             per_node[node].cpu_seconds += costs[s].cpu_seconds / slow;
-            runs[s] = Some(ShardRun { shard: s, node, attempts: attempt, done_seconds: finish });
+            runs[s] = Some(ShardRun { shard: s, node, attempts: attempt, done: finish });
         }
         let runs: Vec<ShardRun> = runs.into_iter().map(|r| r.expect("all scheduled")).collect();
         Ok((runs, per_node, failovers, speculations))
@@ -925,24 +929,24 @@ impl Cluster {
     pub(crate) fn partial_source(
         &self,
         s: usize,
-        t: f64,
+        t: Time,
         runs: &[ShardRun],
         costs: &[NodeCost],
         dst: usize,
-    ) -> Result<(usize, f64), QueryError> {
+    ) -> Result<(usize, Time), QueryError> {
+        let faults = self.faults();
         let run = &runs[s];
-        if !self.faults.is_down(run.node, t) {
-            return Ok((run.node, run.done_seconds.max(t)));
+        if !faults.is_down(run.node, t) {
+            return Ok((run.node, run.done.max(t)));
         }
         let node = self
             .sharded()
             .placement
             .gather_order(s, dst)
             .into_iter()
-            .find(|&o| !self.faults.is_down(o, t))
+            .find(|&o| !faults.is_down(o, t))
             .ok_or(QueryError::ShardUnavailable { shard: s })?;
-        let slow = self.faults.compute_factor(node, t);
-        Ok((node, t + costs[s].seconds() / slow))
+        Ok((node, t + costs[s].span(faults.compute_factor(node, t))))
     }
 
     /// The gather coordinator among the nodes live at `t`: the one
@@ -951,10 +955,10 @@ impl Cluster {
     /// shard's partial actually ran), ties to the lowest node id. With
     /// one rack every candidate scores identically and the lowest live
     /// id wins — exactly the original `(0..n).find(live)` choice.
-    pub(crate) fn gather_destination(&self, sources: &[(usize, u64)], t: f64) -> Option<usize> {
+    pub(crate) fn gather_destination(&self, sources: &[(usize, u64)], t: Time) -> Option<usize> {
         let topo = self.fabric.topology();
         let n = topo.n_nodes();
-        (0..n).filter(|&v| !self.faults.is_down(v, t)).min_by_key(|&v| {
+        (0..n).filter(|&v| !self.faults().is_down(v, t)).min_by_key(|&v| {
             sources
                 .iter()
                 .map(|&(src, b)| {
@@ -974,10 +978,10 @@ impl Cluster {
         runs: &[ShardRun],
         costs: &[NodeCost],
         bytes: &[u64],
-        start: f64,
+        start: Time,
     ) -> Result<(usize, Time, usize), QueryError> {
         let n = self.core.sharded.n_nodes();
-        let timeout = self.fabric.failover_timeout_seconds();
+        let timeout = self.fabric.failover_timeout();
         let sources: Vec<(usize, u64)> =
             runs.iter().zip(bytes).map(|(r, &b)| (r.node, b)).collect();
         let mut t_try = start;
@@ -989,11 +993,11 @@ impl Cluster {
             let mut parts = Vec::with_capacity(runs.len());
             for (s, &b) in bytes.iter().enumerate().take(runs.len()) {
                 let (src, ready) = self.partial_source(s, t_try, runs, costs, dst)?;
-                parts.push((src, self.fabric.at_seconds(ready), b));
+                parts.push((src, ready, b));
             }
             let done = self.fabric.gather(&parts, dst);
-            match self.faults.crash_time(dst) {
-                Some(tc) if tc < self.fabric.seconds(done) => {
+            match self.faults().crash_time(dst) {
+                Some(tc) if tc < done => {
                     // The coordinator died mid-gather: detected one
                     // timeout later, the next live node takes over and
                     // the partials are re-shipped.
@@ -1013,27 +1017,31 @@ impl Cluster {
         &mut self,
         per_shard: Vec<NodeCost>,
         partials: &[Table],
-        start: f64,
+        start: Time,
     ) -> Result<ClusterQueryCost, QueryError> {
         self.fabric.reset();
         let (runs, per_node, local_failovers, speculations) =
             self.schedule_local(&per_shard, start)?;
-        let local_end = runs.iter().map(|r| r.done_seconds).fold(start, f64::max);
+        let local_end = runs.iter().map(|r| r.done).fold(start, Time::max);
         let bytes: Vec<u64> = partials.iter().map(Table::bytes).collect();
         let (_, done, gather_failovers) =
             self.gather_with_failover(&runs, &per_shard, &bytes, start)?;
-        let end = self.fabric.seconds(done).max(local_end);
         let merge_rows: usize = partials.iter().map(Table::rows).sum();
         Ok(ClusterQueryCost {
             per_node,
-            local_seconds: local_end - start,
-            fabric_seconds: end - local_end,
+            local_seconds: (local_end - start).as_secs(CLOCK),
+            fabric_seconds: (done.max(local_end) - local_end).as_secs(CLOCK),
             merge_seconds: merge_cpu_seconds(merge_rows as f64),
             fabric_bytes: self.fabric.payload_bytes(),
             failovers: local_failovers + gather_failovers,
             speculations,
         })
     }
+}
+
+/// The share (≤ 1) of a cancelled sub-plan's `whole` span it ran.
+fn fraction(part: Time, whole: Time) -> f64 {
+    (part.cycles() as f64 / whole.cycles() as f64).min(1.0)
 }
 
 /// The single-node reference for `id`: the query's complete plan
@@ -1338,7 +1346,7 @@ mod tests {
         let sw2 = sw1.max(tx2 + hop) + sw(b[1]);
         let rx1 = (sw1 + hop) + msg + nic(b[0]);
         let rx2 = rx1.max(sw2 + hop) + msg + nic(b[1]);
-        let expect = c.fabric.seconds(Time::from_cycles(rx1.max(rx2)));
+        let expect = Time::from_cycles(rx1.max(rx2)).as_secs(CLOCK);
 
         let r = c.recover(2, 0.0);
         assert_eq!(r.bytes_moved, b.iter().sum::<u64>());
@@ -1350,7 +1358,7 @@ mod tests {
         );
         // And the receiver NIC's serialization of both shards is a hard
         // floor on any schedule.
-        let floor = (b[0] + b[1]) as f64 / (cfg.nic_bytes_per_cycle as f64 * cfg.clock.hz());
+        let floor = (b[0] + b[1]) as f64 / (cfg.nic_bytes_per_cycle as f64 * CLOCK.hz());
         assert!(r.rebuild_seconds > floor);
     }
 
@@ -1367,8 +1375,8 @@ mod tests {
         let pinned_cycles = 2 * (4 * 1280 + 2 * 256);
         assert_eq!(pinned_cycles, 11_264u64);
         assert_eq!(c.cfg().topology().failover_timeout_cycles(fc), pinned_cycles);
-        let pinned_seconds = Time::from_cycles(pinned_cycles).as_secs(fc.clock);
-        assert_eq!(c.fabric.failover_timeout_seconds(), pinned_seconds);
+        let pinned = Time::from_cycles(pinned_cycles);
+        assert_eq!(c.fabric.failover_timeout(), pinned);
         // A spine topology probes over 4 hops each way: strictly longer.
         let db = generate(600, 42);
         let spread = Cluster::new(
@@ -1376,7 +1384,7 @@ mod tests {
             &ShardPolicy::hash(8),
             ClusterConfig::prototype_slice(8, 10_000).with_topology(2, 4.0),
         );
-        assert!(spread.fabric.failover_timeout_seconds() > pinned_seconds);
+        assert!(spread.fabric.failover_timeout() > pinned);
     }
 
     #[test]

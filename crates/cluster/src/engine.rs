@@ -12,33 +12,23 @@
 //! time is decided and its client's next arrival is scheduled; an
 //! open-loop query counts at its completion event, because preemption
 //! can still kill its batch.
+//!
+//! The loop keeps time in [`Time`] cycles of the rack's one clock: each
+//! seconds value (think time, arrival, batch phase, horizon, window, SLO)
+//! enters once through [`Time::from_secs`], each reported span leaves
+//! once through [`Time::as_secs`]. Fair-queuing tags weigh service: `f64`.
 
 use std::collections::VecDeque;
 
-use dpu_sim::{EventQueue, SplitMix64};
+use dpu_sim::{EventQueue, SplitMix64, Time};
 
 use crate::fabric::ServeFabric;
 use crate::serve::{AdaptiveBatch, DegradedWindow, ServeHook, Template};
 use crate::tenant::{Tenant, TraceShape};
+use crate::CLOCK;
 
-/// The serving clock: `f64` seconds as an integer key that orders like
-/// `f64::total_cmp`, so the event heap compares plain integers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Seconds(i64);
-
-impl Seconds {
-    /// Flips a negative value's bits below the sign; its own inverse.
-    fn flip(bits: i64) -> i64 {
-        bits ^ (((bits >> 63) as u64) >> 1) as i64
-    }
-
-    fn new(t: f64) -> Self {
-        Seconds(Self::flip(t.to_bits() as i64))
-    }
-
-    fn get(self) -> f64 {
-        f64::from_bits(Self::flip(self.0) as u64)
-    }
+fn cycles(seconds: f64) -> Time {
+    Time::from_secs(seconds, CLOCK)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +112,7 @@ pub(crate) struct Tally {
     /// Queries killed in flight (a query preempted twice counts twice).
     pub preempted: u64,
     /// Latency of each counted completion.
-    pub latencies: Vec<f64>,
+    pub latencies: Vec<Time>,
 }
 
 /// What one engine run measured.
@@ -131,14 +121,14 @@ pub(crate) struct Run {
     /// Per tenant, in input order (one for the closed loop).
     pub tenants: Vec<Tally>,
     /// Finish time of each counted completion.
-    done_times: Vec<f64>,
+    done_times: Vec<Time>,
     pub batches: u64,
     pub preemptions: u64,
-    /// Service seconds thrown away by preemptions.
-    pub wasted_seconds: f64,
-    /// Per-query fabric seconds, shared and isolated, summed at dispatch.
-    fabric_seconds: f64,
-    fabric_isolated_seconds: f64,
+    /// Service thrown away by preemptions.
+    pub wasted: Time,
+    /// Per-query fabric phases, shared and isolated, summed at dispatch.
+    fabric: Time,
+    fabric_isolated: Time,
     /// Admitted queries still queued at the horizon.
     pub backlog: u64,
 }
@@ -147,16 +137,18 @@ impl Run {
     /// Completions per second before, inside and after `window`, clipped
     /// to the horizon (all of it is "before" without a window).
     pub(crate) fn window_qps(&self, window: Option<&DegradedWindow>, horizon: f64) -> [f64; 3] {
+        let horizon = cycles(horizon);
         let (from, until) = window
-            .map(|w| (w.from_seconds.min(horizon), w.until_seconds.min(horizon)))
+            .map(|w| (cycles(w.from_seconds).min(horizon), cycles(w.until_seconds).min(horizon)))
             .unwrap_or((horizon, horizon));
-        let bucket = |lo: f64, hi: f64| -> f64 {
+        let bucket = |lo: Time, hi: Time| -> f64 {
             if hi <= lo {
                 return 0.0;
             }
-            self.done_times.iter().filter(|&&d| d >= lo && d < hi).count() as f64 / (hi - lo)
+            let n = self.done_times.iter().filter(|&&d| d >= lo && d < hi).count();
+            n as f64 / (hi - lo).as_secs(CLOCK)
         };
-        [bucket(0.0, from), bucket(from, until), bucket(until, horizon)]
+        [bucket(Time::ZERO, from), bucket(from, until), bucket(until, horizon)]
     }
 
     /// Mean per-query fabric seconds `(shared, isolated)` over `completed`.
@@ -164,7 +156,8 @@ impl Run {
         if completed == 0 {
             return (0.0, 0.0);
         }
-        (self.fabric_seconds / completed as f64, self.fabric_isolated_seconds / completed as f64)
+        let mean = |t: Time| t.as_secs(CLOCK) / completed as f64;
+        (mean(self.fabric), mean(self.fabric_isolated))
     }
 }
 
@@ -180,29 +173,24 @@ pub(crate) struct Latency {
 }
 
 impl Latency {
-    pub(crate) fn of(lat: Vec<f64>, slo: Option<f64>) -> Latency {
+    pub(crate) fn of(mut lat: Vec<Time>, slo: Option<f64>) -> Latency {
         let completed = lat.len() as u64;
         let slo_attainment = match slo {
             Some(s) if completed > 0 => {
+                let s = cycles(s);
                 lat.iter().filter(|&&l| l <= s).count() as f64 / completed as f64
             }
             _ => 1.0,
         };
-        // Sorted as integer keys: values that tie are bit-identical, so
-        // an unstable sort gives exactly the `total_cmp` order.
-        let mut keys: Vec<Seconds> = lat.into_iter().map(Seconds::new).collect();
-        keys.sort_unstable();
+        lat.sort_unstable();
         let pct = |p: f64| -> f64 {
-            if keys.is_empty() {
+            if lat.is_empty() {
                 return 0.0;
             }
-            keys[((p * keys.len() as f64).ceil() as usize).clamp(1, keys.len()) - 1].get()
+            lat[((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1].as_secs(CLOCK)
         };
-        let mean = if completed > 0 {
-            keys.iter().map(|k| k.get()).sum::<f64>() / completed as f64
-        } else {
-            0.0
-        };
+        let total: u128 = lat.iter().map(|l| u128::from(l.cycles())).sum();
+        let mean = if completed > 0 { total as f64 / CLOCK.hz() / completed as f64 } else { 0.0 };
         Latency { completed, mean, p50: pct(0.50), p95: pct(0.95), p99: pct(0.99), slo_attainment }
     }
 }
@@ -214,17 +202,17 @@ struct Server {
     epoch: u64,
     tenant: usize,
     tmpl: usize,
-    start: f64,
-    done: f64,
+    start: Time,
+    done: Time,
     /// Arrival time of each query in the batch, oldest first.
-    arrivals: Vec<f64>,
+    arrivals: Vec<Time>,
 }
 
 /// Every tenant's arrivals `(time, tenant, template)` in time order,
 /// thinned from a Poisson process at the trace's peak rate. Each tenant
 /// has its own `SplitMix64` stream, so adding a tenant never perturbs
 /// another's arrivals.
-fn open_arrivals(spec: &Spec, tenants: &[Tenant], trace: TraceShape) -> Vec<(f64, usize, usize)> {
+fn open_arrivals(spec: &Spec, tenants: &[Tenant], trace: TraceShape) -> Vec<(Time, usize, usize)> {
     let (mut arrivals, peak, n_tmpl) = (Vec::new(), trace.peak(), spec.templates.len());
     for (i, t) in tenants.iter().enumerate() {
         let lam = t.rate_qps * peak;
@@ -242,11 +230,11 @@ fn open_arrivals(spec: &Spec, tenants: &[Tenant], trace: TraceShape) -> Vec<(f64
             let keep = rng.next_f64() < trace.intensity(now) / peak;
             let tmpl = (rng.next_f64() * n_tmpl as f64) as usize % n_tmpl;
             if keep {
-                arrivals.push((now, i, tmpl));
+                arrivals.push((cycles(now), i, tmpl));
             }
         }
     }
-    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    arrivals.sort_by_key(|&(at, tenant, _)| (at, tenant));
     arrivals
 }
 
@@ -255,7 +243,10 @@ fn open_arrivals(spec: &Spec, tenants: &[Tenant], trace: TraceShape) -> Vec<(f64
 pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
     spec.validate();
     let n_tmpl = spec.templates.len();
-    let mut events = EventQueue::starting_at(Seconds::new(f64::NEG_INFINITY));
+    let mut events = EventQueue::new();
+    let horizon = cycles(spec.duration_seconds);
+    let window =
+        spec.window.map(|w| (cycles(w.from_seconds), cycles(w.until_seconds), w.cost_factor));
     // The closed loop's one stream: initial think times, then template
     // picks, retry backoffs and next-query think times as they happen.
     let mut rng = SplitMix64::new(spec.seed);
@@ -266,16 +257,16 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
         Source::Open { tenants, .. } => (tenants, 0.0),
     };
     // An exponential think time from the uniform draw `u`.
-    let think = |u: f64| if think_mean > 0.0 { -(1.0 - u).ln() * think_mean } else { 0.0 };
+    let think = |u: f64| cycles(if think_mean > 0.0 { -(1.0 - u).ln() * think_mean } else { 0.0 });
     match spec.source {
         Source::Closed { clients, .. } => {
             for _ in 0..clients {
-                events.push(Seconds::new(think(rng.next_f64())), Event::Client);
+                events.push(think(rng.next_f64()), Event::Client);
             }
         }
         Source::Open { tenants, trace } => {
             for (at, tenant, tmpl) in open_arrivals(&spec, tenants, trace) {
-                events.push(Seconds::new(at), Event::Query { tenant, tmpl });
+                events.push(at, Event::Query { tenant, tmpl });
             }
         }
     }
@@ -302,9 +293,8 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
     let mut run = Run { tenants: vec![Tally::default(); n], ..Run::default() };
 
     // `EventQueue` refuses an event in its past, so `now` never decreases.
-    while let Some((t, event)) = events.pop() {
-        let now = t.get();
-        if now > spec.duration_seconds {
+    while let Some((now, event)) = events.pop() {
+        if now > horizon {
             break;
         }
         let arrival = match event {
@@ -319,7 +309,7 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
                 // The controller only ever sees completions from its past.
                 if let Some(ctl) = &mut controller {
                     for &a in &s.arrivals {
-                        ctl.observe(s.done - a, queue.total);
+                        ctl.observe((s.done - a).as_secs(CLOCK), queue.total);
                     }
                 }
                 if !count_at_dispatch {
@@ -342,9 +332,8 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
                     // the clock advancing even with zero think time.
                     let u = rng.next_f64();
                     let busy = servers.iter().filter(|s| s.busy);
-                    let next_done = busy.map(|s| s.done).fold(f64::INFINITY, f64::min);
-                    let floor = if next_done.is_finite() { next_done } else { now };
-                    events.push(Seconds::new((now + think(u)).max(floor)), event);
+                    let floor = busy.map(|s| s.done).min().unwrap_or(now);
+                    events.push((now + think(u)).max(floor), event);
                 }
                 continue;
             }
@@ -360,14 +349,14 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
                     .min_by(|&a, &b| {
                         let (x, y) = (&servers[a], &servers[b]);
                         (tenants[x.tenant].priority.cmp(&tenants[y.tenant].priority))
-                            .then(y.done.total_cmp(&x.done))
+                            .then(y.done.cmp(&x.done))
                     });
                 if let Some(v) = victim {
                     let s = &mut servers[v];
                     (s.busy, s.epoch) = (false, s.epoch + 1);
                     run.preemptions += 1;
                     run.tenants[s.tenant].preempted += s.arrivals.len() as u64;
-                    run.wasted_seconds += now - s.start;
+                    run.wasted += now - s.start;
                     queue.push_front(s.tenant, s.tmpl, &s.arrivals);
                 }
             }
@@ -386,35 +375,37 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
             s.arrivals.clear();
             s.arrivals.extend(queue.take(ten, tmpl, cap));
             let k = s.arrivals.len();
-            let factor = match spec.window {
-                Some(w) if now >= w.from_seconds && now < w.until_seconds => w.cost_factor,
+            let factor = match window {
+                Some((from, until, f)) if now >= from && now < until => f,
                 _ => 1.0,
             };
-            let hooked = hook.as_deref_mut().and_then(|h| h.template_cost(tmpl, now));
+            let hooked =
+                hook.as_deref_mut().and_then(|h| h.template_cost(tmpl, now.as_secs(CLOCK)));
             let cost = hooked.as_ref().unwrap_or(&spec.templates[tmpl].cost);
-            let iso = cost.fabric_seconds;
+            let iso = cycles(k as f64 * cost.fabric_seconds);
             let done = match &mut fabric {
                 Some(sf) => {
                     // Local phase, then the fabric phase charged against
                     // the shared servers (k repeats of the per-query
                     // fabric), then the merges. The window factor covers
                     // the compute phases only.
-                    let local_end = now + factor * cost.batch_local_seconds(k);
-                    let fab = sf.charge(local_end, k as u64 * cost.fabric_bytes, k as f64 * iso);
-                    run.fabric_seconds += fab;
-                    local_end + fab + factor * k as f64 * cost.merge_seconds
+                    let local_end = now + cycles(factor * cost.batch_local_seconds(k));
+                    let fab = sf.charge_at(local_end, k as u64 * cost.fabric_bytes, iso);
+                    run.fabric += fab;
+                    local_end + fab + cycles(factor * k as f64 * cost.merge_seconds)
                 }
                 None => {
-                    run.fabric_seconds += k as f64 * iso;
-                    now + factor * cost.batch_seconds(k)
+                    run.fabric += iso;
+                    now + cycles(factor * cost.batch_seconds(k))
                 }
             };
-            run.fabric_isolated_seconds += k as f64 * iso;
+            run.fabric_isolated += iso;
+            let exec = (done - now).as_secs(CLOCK);
             if let Some(h) = hook.as_deref_mut() {
-                h.on_batch(tmpl, k, done - now, done);
+                h.on_batch(tmpl, k, exec, done.as_secs(CLOCK));
             }
             let start_tag = vtime[ten].max(vnow);
-            vtime[ten] = start_tag + (done - now) / tenants[ten].weight;
+            vtime[ten] = start_tag + exec / tenants[ten].weight;
             vnow = start_tag;
             run.batches += 1;
             (s.busy, s.tenant, s.tmpl, s.start, s.done) = (true, ten, tmpl, now, done);
@@ -423,10 +414,10 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
                     run.tenants[ten].latencies.push(done - a);
                     run.done_times.push(done);
                     // The issuing client thinks, then comes back.
-                    events.push(Seconds::new(done + think(rng.next_f64())), Event::Client);
+                    events.push(done + think(rng.next_f64()), Event::Client);
                 }
             }
-            events.push(Seconds::new(done), Event::Complete { server: srv, epoch: s.epoch });
+            events.push(done, Event::Complete { server: srv, epoch: s.epoch });
         }
     }
 
@@ -450,7 +441,7 @@ pub(crate) fn run(spec: Spec<'_>, mut hook: Option<&mut dyn ServeHook>) -> Run {
 /// everything queued, the latest victim first.
 struct DispatchQueue {
     /// `[tenant][template]`: `(sequence, arrival time)`, oldest first.
-    fifos: Vec<Vec<VecDeque<(i64, f64)>>>,
+    fifos: Vec<Vec<VecDeque<(i64, Time)>>>,
     /// Entries per tenant, and in total.
     queued: Vec<usize>,
     total: usize,
@@ -469,7 +460,7 @@ impl DispatchQueue {
         }
     }
 
-    fn push(&mut self, tenant: usize, tmpl: usize, arrival: f64) {
+    fn push(&mut self, tenant: usize, tmpl: usize, arrival: Time) {
         self.fifos[tenant][tmpl].push_back((self.next_back, arrival));
         self.next_back += 1;
         self.queued[tenant] += 1;
@@ -478,7 +469,7 @@ impl DispatchQueue {
 
     /// Puts one template's batch `arrivals` (oldest first) back at the
     /// front of `tenant`'s queue, in order.
-    fn push_front(&mut self, tenant: usize, tmpl: usize, arrivals: &[f64]) {
+    fn push_front(&mut self, tenant: usize, tmpl: usize, arrivals: &[Time]) {
         for &a in arrivals.iter().rev() {
             self.fifos[tenant][tmpl].push_front((self.next_front, a));
             self.next_front -= 1;
@@ -495,7 +486,7 @@ impl DispatchQueue {
 
     /// Removes `tenant`'s oldest `min(k, queued)` entries of `tmpl`,
     /// yielding their arrival times oldest first.
-    fn take(&mut self, tenant: usize, tmpl: usize, k: usize) -> impl Iterator<Item = f64> + '_ {
+    fn take(&mut self, tenant: usize, tmpl: usize, k: usize) -> impl Iterator<Item = Time> + '_ {
         let fifo = &mut self.fifos[tenant][tmpl];
         let k = k.min(fifo.len());
         self.queued[tenant] -= k;
@@ -508,10 +499,14 @@ impl DispatchQueue {
 mod tests {
     use super::*;
 
+    fn at(cycles: &[u64]) -> Vec<Time> {
+        cycles.iter().copied().map(Time::from_cycles).collect()
+    }
+
     /// The open loop's original per-tenant queue: a dispatch takes up to
     /// `cap` entries of the head's template with `retain`, leaving the
     /// rest in order.
-    fn oracle_take(queue: &mut VecDeque<(f64, usize)>, cap: usize) -> Option<(usize, Vec<f64>)> {
+    fn oracle_take(queue: &mut VecDeque<(Time, usize)>, cap: usize) -> Option<(usize, Vec<Time>)> {
         let tmpl = queue.front()?.1;
         let mut batch = Vec::new();
         queue.retain(|&(arr, t)| {
@@ -526,13 +521,13 @@ mod tests {
 
     /// The open loop's original requeue: the victim's queries go back
     /// with `push_front`, last first, so the batch leads in order.
-    fn oracle_requeue(queue: &mut VecDeque<(f64, usize)>, tmpl: usize, batch: &[f64]) {
+    fn oracle_requeue(queue: &mut VecDeque<(Time, usize)>, tmpl: usize, batch: &[Time]) {
         for &arr in batch.iter().rev() {
             queue.push_front((arr, tmpl));
         }
     }
 
-    fn assert_same(oracle: &[VecDeque<(f64, usize)>], queue: &DispatchQueue, at: &str) {
+    fn assert_same(oracle: &[VecDeque<(Time, usize)>], queue: &DispatchQueue, at: &str) {
         for (t, o) in oracle.iter().enumerate() {
             assert_eq!(queue.queued[t], o.len(), "{at}: tenant {t} length");
             assert_eq!(queue.front_template(t), o.front().map(|e| e.1), "{at}: tenant {t} head");
@@ -553,14 +548,14 @@ mod tests {
             let n_tmpl = 1 + rng.next_below(8) as usize;
             let mut oracle = vec![VecDeque::new(); n_ten];
             let mut queue = DispatchQueue::new(n_ten, n_tmpl);
-            let mut taken: Vec<(usize, usize, Vec<f64>)> = Vec::new();
+            let mut taken: Vec<(usize, usize, Vec<Time>)> = Vec::new();
             for step in 0..400 {
                 let ten = rng.next_below(n_ten as u64) as usize;
                 match rng.next_below(6) {
                     0..=2 => {
                         let t = rng.next_below(n_tmpl as u64) as usize;
-                        oracle[ten].push_back((step as f64, t));
-                        queue.push(ten, t, step as f64);
+                        oracle[ten].push_back((Time::from_cycles(step), t));
+                        queue.push(ten, t, Time::from_cycles(step));
                     }
                     3 | 4 => {
                         let cap = 1 + rng.next_below(16) as usize;
@@ -594,11 +589,11 @@ mod tests {
         let mut oracle = vec![VecDeque::new()];
         let mut queue = DispatchQueue::new(1, 2);
         for (i, t) in [0, 1, 0, 1, 0].into_iter().enumerate() {
-            oracle[0].push_back((i as f64, t));
-            queue.push(0, t, i as f64);
+            oracle[0].push_back((Time::from_cycles(i as u64), t));
+            queue.push(0, t, Time::from_cycles(i as u64));
         }
-        let a: Vec<f64> = queue.take(0, 0, 2).collect();
-        let b: Vec<f64> = queue.take(0, 1, 2).collect();
+        let a: Vec<Time> = queue.take(0, 0, 2).collect();
+        let b: Vec<Time> = queue.take(0, 1, 2).collect();
         assert_eq!(oracle_take(&mut oracle[0], 2), Some((0, a.clone())));
         assert_eq!(oracle_take(&mut oracle[0], 2), Some((1, b.clone())));
         for (t, batch) in [(0, &a), (1, &b)] {
@@ -607,18 +602,18 @@ mod tests {
         }
         assert_same(&oracle, &queue, "after both requeues");
         assert_eq!(queue.front_template(0), Some(1), "the later victim leads");
-        assert_eq!(queue.take(0, 1, 8).collect::<Vec<_>>(), vec![1.0, 3.0]);
-        assert_eq!(queue.take(0, 0, 8).collect::<Vec<_>>(), vec![0.0, 2.0, 4.0]);
+        assert_eq!(queue.take(0, 1, 8).collect::<Vec<_>>(), at(&[1, 3]));
+        assert_eq!(queue.take(0, 0, 8).collect::<Vec<_>>(), at(&[0, 2, 4]));
 
         // Two single-query victims of one template: the later one first.
         let mut queue = DispatchQueue::new(1, 1);
         for i in 0..3 {
-            queue.push(0, 0, i as f64);
+            queue.push(0, 0, Time::from_cycles(i as u64));
         }
-        let first: Vec<f64> = queue.take(0, 0, 1).collect();
-        let second: Vec<f64> = queue.take(0, 0, 1).collect();
+        let first: Vec<Time> = queue.take(0, 0, 1).collect();
+        let second: Vec<Time> = queue.take(0, 0, 1).collect();
         queue.push_front(0, 0, &first);
         queue.push_front(0, 0, &second);
-        assert_eq!(queue.take(0, 0, 8).collect::<Vec<_>>(), vec![1.0, 0.0, 2.0]);
+        assert_eq!(queue.take(0, 0, 8).collect::<Vec<_>>(), at(&[1, 0, 2]));
     }
 }

@@ -18,14 +18,16 @@
 //! requested, so the flat fabric is reproduced cycle for cycle — the
 //! committed `BENCH_rack_*.json` baselines pin that equivalence.
 //!
-//! All times are in dpCore cycles ([`dpu_sim::Time`]), matching the rest
-//! of the simulator.
+//! All times are in dpCore cycles ([`dpu_sim::Time`]), the one clock of
+//! the simulator: the coordinator hands the fabric instants on that
+//! clock and the fault plan answers in it, so no transfer converts.
 
 use dpu_core::rack::FabricProvision;
-use dpu_sim::{BandwidthServer, Frequency, Time};
+use dpu_sim::{BandwidthServer, Time};
 
 use crate::fault::FaultPlan;
 use crate::topology::Topology;
+use crate::CLOCK;
 
 /// Fabric rates and latencies, in dpCore-cycle units.
 #[derive(Debug, Clone)]
@@ -39,8 +41,6 @@ pub struct FabricConfig {
     pub hop_cycles: u64,
     /// Fixed per-message cost on a NIC (descriptor setup on the A9).
     pub message_overhead_cycles: u64,
-    /// The clock all cycle counts are measured against.
-    pub clock: Frequency,
 }
 
 impl FabricConfig {
@@ -52,30 +52,19 @@ impl FabricConfig {
             switch_bytes_per_cycle: 64,
             hop_cycles: 1280,
             message_overhead_cycles: 256,
-            clock: Frequency::DPU_CORE,
         }
     }
 
-    /// Builds a config from the rack model's provisioning bridge.
+    /// Builds a config from the rack model's provisioning bridge, at the
+    /// dpCore clock.
     pub fn from_provision(p: &FabricProvision) -> Self {
-        let clock = Frequency::DPU_CORE;
+        let hz = CLOCK.hz();
         FabricConfig {
-            nic_bytes_per_cycle: ((p.nic_bytes_per_sec / clock.hz()).round() as u64).max(1),
-            switch_bytes_per_cycle: ((p.switch_bytes_per_sec / clock.hz()).round() as u64).max(1),
-            hop_cycles: (p.hop_seconds * clock.hz()).round() as u64,
+            nic_bytes_per_cycle: ((p.nic_bytes_per_sec / hz).round() as u64).max(1),
+            switch_bytes_per_cycle: ((p.switch_bytes_per_sec / hz).round() as u64).max(1),
+            hop_cycles: Time::from_secs(p.hop_seconds, CLOCK).cycles(),
             message_overhead_cycles: 256,
-            clock,
         }
-    }
-
-    /// The single-rack failover timeout, in cycles: the round trip of a
-    /// control probe over a flat fabric (two hops each way plus
-    /// descriptor setup on both A9s), doubled for scheduling slack.
-    /// Equal to [`Topology::failover_timeout_cycles`] for a single-rack
-    /// topology; multi-rack fabrics stretch the probe to their own
-    /// worst-case hop count.
-    pub fn failover_timeout_cycles(&self) -> u64 {
-        2 * (4 * self.hop_cycles + 2 * self.message_overhead_cycles)
     }
 }
 
@@ -157,12 +146,11 @@ impl Fabric {
         &self.faults
     }
 
-    /// The coordinator's per-attempt failover timeout, seconds: the
-    /// topology's worst-case probe round trip (see
-    /// [`Topology::failover_timeout_cycles`]). A single-rack fabric
-    /// reproduces [`FabricConfig::failover_timeout_cycles`] exactly.
-    pub fn failover_timeout_seconds(&self) -> f64 {
-        self.seconds(Time::from_cycles(self.topo.failover_timeout_cycles(&self.cfg)))
+    /// The coordinator's per-attempt failover timeout: the topology's
+    /// worst-case probe round trip (see
+    /// [`Topology::failover_timeout_cycles`]).
+    pub fn failover_timeout(&self) -> Time {
+        Time::from_cycles(self.topo.failover_timeout_cycles(&self.cfg))
     }
 
     /// Node count.
@@ -178,17 +166,6 @@ impl Fabric {
     /// The spine/leaf geometry this fabric realizes.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Converts a fabric timestamp to seconds.
-    pub fn seconds(&self, t: Time) -> f64 {
-        t.as_secs(self.cfg.clock)
-    }
-
-    /// Converts seconds (e.g. a node's local compute time) to a fabric
-    /// timestamp.
-    pub fn at_seconds(&self, seconds: f64) -> Time {
-        Time::from_cycles((seconds * self.cfg.clock.hz()).ceil() as u64)
     }
 
     /// One point-to-point transfer of `bytes` from `src` to `dst`,
@@ -208,7 +185,6 @@ impl Fabric {
         self.payload_bytes += bytes;
         self.node_tx_bytes[src] += bytes;
         self.node_rx_bytes[dst] += bytes;
-        let t_secs = self.seconds(now);
         let wire = |bytes: u64, factor: f64| -> u64 {
             if factor >= 1.0 {
                 bytes
@@ -218,7 +194,7 @@ impl Fabric {
         };
         let hop = Time::from_cycles(self.cfg.hop_cycles);
         let (ra, rb) = (self.topo.rack_of(src), self.topo.rack_of(dst));
-        let injected = self.tx[src].request(now, wire(bytes, self.faults.nic_factor(src, t_secs)));
+        let injected = self.tx[src].request(now, wire(bytes, self.faults.nic_factor(src, now)));
         let at_leaf = self.leaves[ra].request(injected + hop, bytes);
         let at_dst_leaf = if ra == rb {
             at_leaf
@@ -231,7 +207,7 @@ impl Fabric {
             let dropped = self.down[rb].request(crossed, bytes);
             self.leaves[rb].request(dropped + hop, bytes)
         };
-        self.rx[dst].request(at_dst_leaf + hop, wire(bytes, self.faults.nic_factor(dst, t_secs)))
+        self.rx[dst].request(at_dst_leaf + hop, wire(bytes, self.faults.nic_factor(dst, now)))
     }
 
     /// Gathers one part from each listed `(node, ready, bytes)` source to
@@ -369,8 +345,8 @@ impl Fabric {
 ///
 /// A query's fabric phase is charged as its isolated cost plus whatever
 /// queueing delay the shared servers impose: with nothing else in
-/// flight, [`charge`](Self::charge) returns exactly the isolated
-/// seconds; with overlapping phases, strictly more.
+/// flight, a charge is exactly the isolated span; with overlapping
+/// phases, strictly more.
 #[derive(Debug)]
 pub struct ServeFabric {
     cfg: FabricConfig,
@@ -444,10 +420,10 @@ impl ServeFabric {
         serial
     }
 
-    /// Charges one fabric phase of `bytes` payload starting at
-    /// `start_seconds`, whose isolated (uncontended) duration is
-    /// `isolated_seconds`; returns the actual duration under whatever
-    /// contention the shared servers currently carry.
+    /// Charges one fabric phase of `bytes` payload starting at `now`,
+    /// whose isolated (uncontended) duration is `isolated`; returns the
+    /// actual duration under whatever contention the shared servers
+    /// currently carry.
     ///
     /// The flow occupies each leaf for a `1/racks` share, every NIC for a
     /// `1/n` share, and (across racks) each uplink/downlink for its
@@ -455,12 +431,10 @@ impl ServeFabric {
     /// payload; the isolated duration minus the bottleneck serialization
     /// rides along as fixed latency (hops, message setup, the
     /// receiver-side serialization already priced per query).
-    pub fn charge(&mut self, start_seconds: f64, bytes: u64, isolated_seconds: f64) -> f64 {
+    pub(crate) fn charge_at(&mut self, now: Time, bytes: u64, isolated: Time) -> Time {
         if bytes == 0 {
-            return isolated_seconds;
+            return isolated;
         }
-        let clock = self.cfg.clock;
-        let now = Time::from_cycles((start_seconds * clock.hz()).ceil() as u64);
         let racks = self.topo.racks() as u64;
         let leaf_share = bytes.div_ceil(racks);
         let nic_share = bytes.div_ceil(self.nics.len() as u64);
@@ -479,9 +453,17 @@ impl ServeFabric {
             }
             done = done.max(self.spine.request(now, inter));
         }
-        let serial_seconds = Time::from_cycles(self.serialization_cycles(bytes)).as_secs(clock);
-        let residual = (isolated_seconds - serial_seconds).max(0.0);
-        (done - now).as_secs(clock) + residual
+        let residual = isolated.saturating_sub(Time::from_cycles(self.serialization_cycles(bytes)));
+        (done - now) + residual
+    }
+
+    /// The same charge in seconds, each argument rounded to the nearest
+    /// cycle. Only perfbench's layer replay calls it; ROADMAP direction 5
+    /// (the benchmark revision) removes it.
+    pub fn charge(&mut self, start_seconds: f64, bytes: u64, isolated_seconds: f64) -> f64 {
+        let now = Time::from_secs(start_seconds, CLOCK);
+        let isolated = Time::from_secs(isolated_seconds, CLOCK);
+        self.charge_at(now, bytes, isolated).as_secs(CLOCK)
     }
 
     /// A pristine serving fabric with this one's configuration and idle
@@ -606,7 +588,7 @@ mod tests {
     fn fork_keeps_faults_and_matches_reset() {
         use crate::fault::FaultPlan;
         let mut f = fabric(2);
-        let horizon = f.seconds(Time::from_cycles(u64::MAX / 2));
+        let horizon = Time::from_cycles(u64::MAX / 2).as_secs(CLOCK);
         f.set_faults(FaultPlan::none().degrade_nic(1, 0.0, horizon, 0.25));
         f.transfer(Time::ZERO, 0, 1, 1 << 24);
         let mut forked = f.fork();
@@ -637,7 +619,7 @@ mod tests {
         let base = healthy.transfer(Time::ZERO, 0, 1, 1 << 20);
 
         let mut degraded = fabric(2);
-        let horizon = degraded.seconds(Time::from_cycles(u64::MAX / 2));
+        let horizon = Time::from_cycles(u64::MAX / 2).as_secs(CLOCK);
         degraded.set_faults(FaultPlan::none().degrade_nic(1, 0.0, horizon, 0.25));
         let slow = degraded.transfer(Time::ZERO, 0, 1, 1 << 20);
         // The receiver's NIC runs at a quarter rate: that hop alone costs
@@ -663,14 +645,14 @@ mod tests {
         let f = fabric(2);
         let cfg = f.config();
         assert_eq!(
-            cfg.failover_timeout_cycles(),
+            f.failover_timeout().cycles(),
             2 * (4 * cfg.hop_cycles + 2 * cfg.message_overhead_cycles)
         );
-        assert!(f.failover_timeout_seconds() > 0.0);
+        assert!(f.failover_timeout() > Time::ZERO);
         // Multi-rack fabrics probe over 4 hops instead of 2, so their
         // timeout is strictly longer.
         let spine = spine_fabric(4, 2, 1.0);
-        assert!(spine.failover_timeout_seconds() > f.failover_timeout_seconds());
+        assert!(spine.failover_timeout() > f.failover_timeout());
     }
 
     #[test]

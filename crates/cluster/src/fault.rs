@@ -8,6 +8,10 @@
 //! report bytes. Nothing in the fault path consults a wall clock or an
 //! unseeded RNG.
 //!
+//! The builders take seconds; the plan stores every instant as a
+//! [`Time`] on the rack's one clock (rounded to the nearest cycle once,
+//! when the fault is added), and every query takes a [`Time`].
+//!
 //! The three fault kinds map to what the paper's rack argument (§2, §6)
 //! has to survive in practice:
 //!
@@ -21,41 +25,43 @@
 //!   time of transfers touching the degraded NIC.
 //! - **Straggler** — the node computes at a fraction of its speed over a
 //!   window (thermal throttling, background compaction). Modelled by the
-//!   coordinator inflating the node's local-phase seconds.
+//!   coordinator stretching the node's local phases.
 
-use dpu_sim::SplitMix64;
+use dpu_sim::{SplitMix64, Time};
+
+use crate::CLOCK;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
-    /// Fail-stop crash of `node` at `at_seconds`.
+    /// Fail-stop crash of `node` at `at`.
     Crash {
         /// The failing node.
         node: usize,
-        /// Simulation time of the crash, seconds.
-        at_seconds: f64,
+        /// Simulation time of the crash.
+        at: Time,
     },
     /// `node`'s NIC runs at `factor` (< 1) of its bandwidth over
-    /// `[from_seconds, until_seconds)`.
+    /// `[from, until)`.
     NicDegrade {
         /// The degraded node.
         node: usize,
-        /// Window start, seconds.
-        from_seconds: f64,
-        /// Window end, seconds.
-        until_seconds: f64,
+        /// Window start.
+        from: Time,
+        /// Window end.
+        until: Time,
         /// Remaining fraction of NIC bandwidth (0 < factor ≤ 1).
         factor: f64,
     },
     /// `node` computes at `factor` (< 1) of its speed over
-    /// `[from_seconds, until_seconds)`.
+    /// `[from, until)`.
     Straggler {
         /// The slow node.
         node: usize,
-        /// Window start, seconds.
-        from_seconds: f64,
-        /// Window end, seconds.
-        until_seconds: f64,
+        /// Window start.
+        from: Time,
+        /// Window end.
+        until: Time,
         /// Remaining fraction of compute speed (0 < factor ≤ 1).
         factor: f64,
     },
@@ -80,7 +86,7 @@ impl FaultPlan {
 
     /// Adds a fail-stop crash of `node` at `at_seconds` (builder style).
     pub fn crash(mut self, node: usize, at_seconds: f64) -> Self {
-        self.faults.push(Fault::Crash { node, at_seconds });
+        self.faults.push(Fault::Crash { node, at: Time::from_secs(at_seconds, CLOCK) });
         self
     }
 
@@ -92,12 +98,8 @@ impl FaultPlan {
     pub fn degrade_nic(mut self, node: usize, from: f64, until: f64, factor: f64) -> Self {
         assert!(factor > 0.0 && factor <= 1.0, "NIC factor must be in (0, 1]");
         assert!(from <= until, "inverted degradation window");
-        self.faults.push(Fault::NicDegrade {
-            node,
-            from_seconds: from,
-            until_seconds: until,
-            factor,
-        });
+        let (from, until) = (Time::from_secs(from, CLOCK), Time::from_secs(until, CLOCK));
+        self.faults.push(Fault::NicDegrade { node, from, until, factor });
         self
     }
 
@@ -109,12 +111,8 @@ impl FaultPlan {
     pub fn straggle(mut self, node: usize, from: f64, until: f64, factor: f64) -> Self {
         assert!(factor > 0.0 && factor <= 1.0, "straggler factor must be in (0, 1]");
         assert!(from <= until, "inverted straggler window");
-        self.faults.push(Fault::Straggler {
-            node,
-            from_seconds: from,
-            until_seconds: until,
-            factor,
-        });
+        let (from, until) = (Time::from_secs(from, CLOCK), Time::from_secs(until, CLOCK));
+        self.faults.push(Fault::Straggler { node, from, until, factor });
         self
     }
 
@@ -147,32 +145,32 @@ impl FaultPlan {
 
     /// Whether `node` is crashed at time `t` (crashes are permanent until
     /// [`recovered`](Self::recovered) marks the node rebuilt).
-    pub fn is_down(&self, node: usize, t_seconds: f64) -> bool {
+    pub fn is_down(&self, node: usize, t: Time) -> bool {
         self.faults.iter().any(|f| match *f {
-            Fault::Crash { node: n, at_seconds } => n == node && t_seconds >= at_seconds,
+            Fault::Crash { node: n, at } => n == node && t >= at,
             _ => false,
         })
     }
 
     /// The crash time of `node`, if one is scheduled.
-    pub fn crash_time(&self, node: usize) -> Option<f64> {
+    pub fn crash_time(&self, node: usize) -> Option<Time> {
         self.faults
             .iter()
             .filter_map(|f| match *f {
-                Fault::Crash { node: n, at_seconds } if n == node => Some(at_seconds),
+                Fault::Crash { node: n, at } if n == node => Some(at),
                 _ => None,
             })
-            .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
+            .min()
     }
 
     /// Remaining NIC-bandwidth fraction of `node` at time `t` (1.0 when
     /// healthy; the worst overlapping window wins).
-    pub fn nic_factor(&self, node: usize, t_seconds: f64) -> f64 {
+    pub fn nic_factor(&self, node: usize, t: Time) -> f64 {
         self.faults
             .iter()
             .filter_map(|f| match *f {
-                Fault::NicDegrade { node: n, from_seconds, until_seconds, factor }
-                    if n == node && t_seconds >= from_seconds && t_seconds < until_seconds =>
+                Fault::NicDegrade { node: n, from, until, factor }
+                    if n == node && t >= from && t < until =>
                 {
                     Some(factor)
                 }
@@ -183,12 +181,12 @@ impl FaultPlan {
 
     /// Remaining compute-speed fraction of `node` at time `t` (1.0 when
     /// healthy; the worst overlapping window wins).
-    pub fn compute_factor(&self, node: usize, t_seconds: f64) -> f64 {
+    pub fn compute_factor(&self, node: usize, t: Time) -> f64 {
         self.faults
             .iter()
             .filter_map(|f| match *f {
-                Fault::Straggler { node: n, from_seconds, until_seconds, factor }
-                    if n == node && t_seconds >= from_seconds && t_seconds < until_seconds =>
+                Fault::Straggler { node: n, from, until, factor }
+                    if n == node && t >= from && t < until =>
                 {
                     Some(factor)
                 }
@@ -205,8 +203,8 @@ impl FaultPlan {
     }
 
     /// Nodes alive at `t`, ascending.
-    pub fn live_nodes(&self, n_nodes: usize, t_seconds: f64) -> Vec<usize> {
-        (0..n_nodes).filter(|&n| !self.is_down(n, t_seconds)).collect()
+    pub fn live_nodes(&self, n_nodes: usize, t: Time) -> Vec<usize> {
+        (0..n_nodes).filter(|&n| !self.is_down(n, t)).collect()
     }
 }
 
@@ -214,33 +212,37 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    fn at(seconds: f64) -> Time {
+        Time::from_secs(seconds, CLOCK)
+    }
+
     #[test]
     fn crash_is_permanent_from_its_instant() {
         let p = FaultPlan::none().crash(3, 1.5);
-        assert!(!p.is_down(3, 1.49));
-        assert!(p.is_down(3, 1.5));
-        assert!(p.is_down(3, 100.0));
-        assert!(!p.is_down(2, 100.0));
-        assert_eq!(p.crash_time(3), Some(1.5));
+        assert!(!p.is_down(3, at(1.49)));
+        assert!(p.is_down(3, at(1.5)));
+        assert!(p.is_down(3, at(100.0)));
+        assert!(!p.is_down(2, at(100.0)));
+        assert_eq!(p.crash_time(3), Some(at(1.5)));
         assert_eq!(p.crash_time(2), None);
     }
 
     #[test]
     fn windows_gate_their_factors() {
         let p = FaultPlan::none().degrade_nic(1, 2.0, 4.0, 0.25).straggle(1, 3.0, 5.0, 0.5);
-        assert_eq!(p.nic_factor(1, 1.9), 1.0);
-        assert_eq!(p.nic_factor(1, 2.0), 0.25);
-        assert_eq!(p.nic_factor(1, 3.99), 0.25);
-        assert_eq!(p.nic_factor(1, 4.0), 1.0);
-        assert_eq!(p.compute_factor(1, 3.5), 0.5);
-        assert_eq!(p.compute_factor(0, 3.5), 1.0);
+        assert_eq!(p.nic_factor(1, at(1.9)), 1.0);
+        assert_eq!(p.nic_factor(1, at(2.0)), 0.25);
+        assert_eq!(p.nic_factor(1, at(3.99)), 0.25);
+        assert_eq!(p.nic_factor(1, at(4.0)), 1.0);
+        assert_eq!(p.compute_factor(1, at(3.5)), 0.5);
+        assert_eq!(p.compute_factor(0, at(3.5)), 1.0);
     }
 
     #[test]
     fn overlapping_windows_take_the_worst_factor() {
         let p = FaultPlan::none().degrade_nic(0, 0.0, 10.0, 0.5).degrade_nic(0, 5.0, 6.0, 0.1);
-        assert_eq!(p.nic_factor(0, 5.5), 0.1);
-        assert_eq!(p.nic_factor(0, 7.0), 0.5);
+        assert_eq!(p.nic_factor(0, at(5.5)), 0.1);
+        assert_eq!(p.nic_factor(0, at(7.0)), 0.5);
     }
 
     #[test]
@@ -256,14 +258,14 @@ mod tests {
     fn recovery_clears_the_crash_only() {
         let p = FaultPlan::none().crash(2, 1.0).degrade_nic(2, 0.0, 9.0, 0.5);
         let r = p.recovered(2);
-        assert!(!r.is_down(2, 5.0));
-        assert_eq!(r.nic_factor(2, 5.0), 0.5, "non-crash faults survive recovery");
+        assert!(!r.is_down(2, at(5.0)));
+        assert_eq!(r.nic_factor(2, at(5.0)), 0.5, "non-crash faults survive recovery");
     }
 
     #[test]
     fn live_nodes_excludes_the_crashed() {
         let p = FaultPlan::none().crash(1, 0.0).crash(3, 10.0);
-        assert_eq!(p.live_nodes(4, 5.0), vec![0, 2, 3]);
-        assert_eq!(p.live_nodes(4, 10.0), vec![0, 2]);
+        assert_eq!(p.live_nodes(4, at(5.0)), vec![0, 2, 3]);
+        assert_eq!(p.live_nodes(4, at(10.0)), vec![0, 2]);
     }
 }

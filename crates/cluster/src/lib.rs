@@ -58,6 +58,9 @@
 //! template) dispatch queues, optional adaptive batching, preemption,
 //! [`ServeHook`] and [`ServeFabric`], and one report core.
 
+/// The rack timeline's one clock: every instant is a `Time` in its cycles.
+pub(crate) const CLOCK: dpu_sim::Frequency = dpu_sim::Frequency::DPU_CORE;
+
 pub mod coordinator;
 mod engine;
 pub mod fabric;

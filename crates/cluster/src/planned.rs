@@ -18,6 +18,7 @@
 //! fabric model and picks.
 
 use dpu_pool::Pool;
+use dpu_sim::Time;
 use dpu_sql::logical::{Finish, LogicalOutput, LogicalPlan};
 use dpu_sql::tpch::project_rows;
 use dpu_sql::{top_k, Column, GroupBySpec, QueryCost, Table, Trace};
@@ -27,6 +28,7 @@ use crate::coordinator::{
     QueryOutput,
 };
 use crate::shard::{shard_table, ShardPolicy};
+use crate::CLOCK;
 
 /// How per-shard partials combine into the final answer.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,7 +122,7 @@ pub struct PlannedRun {
 }
 
 impl Cluster {
-    /// Executes `plan` at absolute time `start` with failover-aware
+    /// Executes `plan` at absolute time `start_seconds` with failover-aware
     /// scheduling: every shard runs `plan.local`, the partials combine
     /// under `plan.merge`, and the result carries the single-node
     /// reference for `plan.id`.
@@ -135,8 +137,9 @@ impl Cluster {
     pub fn run_planned(
         &mut self,
         plan: &PhysicalPlan,
-        start: f64,
+        start_seconds: f64,
     ) -> Result<PlannedRun, QueryError> {
+        let start = Time::from_secs(start_seconds, CLOCK);
         let core = self.core().clone();
         let (single_output, single_cost) = core.single_ref(plan.id);
         let scale = core.cfg().scale;
@@ -235,20 +238,24 @@ impl Cluster {
         value: &str,
         k: usize,
         ties: &[String],
-        start: f64,
+        start: Time,
     ) -> Result<(Table, ClusterQueryCost), QueryError> {
         let n = self.core().sharded().n_nodes();
-        let faults = self.faults().clone();
-        let timeout = self.fabric.failover_timeout_seconds();
+        let timeout = self.fabric.failover_timeout();
+        // An owner's merge on the timeline at `node`'s speed at `t`.
+        let merge_span = |c: &Cluster, rows: usize, node: usize, t: Time| {
+            let slow = c.faults().compute_factor(node, t);
+            Time::from_secs(merge_cpu_seconds(rows as f64) / slow, CLOCK)
+        };
 
         // Phase 1: schedule the already-computed local phases.
         self.fabric.reset();
         let (runs, per_node, mut failovers, speculations) =
             self.schedule_local(per_shard, start)?;
-        let local_end = runs.iter().map(|r| r.done_seconds).fold(start, f64::max);
+        let local_end = runs.iter().map(|r| r.done).fold(start, Time::max);
 
         // Phase 2: all-to-all reshuffle to owners live at shuffle time.
-        let live = faults.live_nodes(n, local_end);
+        let live = self.faults().live_nodes(n, local_end);
         if live.is_empty() {
             return Err(QueryError::NoLiveNodes);
         }
@@ -256,9 +263,9 @@ impl Cluster {
         let chunks: Vec<Vec<Table>> = Pool::global()
             .par_map(partials.iter().collect(), |p| shard_table(p, key, &owner_policy));
         let mut matrix = vec![vec![0u64; n]; n];
-        let mut ready = vec![self.fabric.at_seconds(local_end); n];
+        let mut ready = vec![local_end; n];
         for run in &runs {
-            ready[run.node] = self.fabric.at_seconds(run.done_seconds);
+            ready[run.node] = run.done;
         }
         for (s, row) in chunks.iter().enumerate() {
             for (j, chunk) in row.iter().enumerate() {
@@ -284,20 +291,19 @@ impl Cluster {
         let mut cand_parts = Vec::with_capacity(live.len());
         for ((j, &owner), (rows_in, cand)) in live.iter().enumerate().zip(owner_cands) {
             let mut host = owner;
-            let mut done_s = self.fabric.seconds(shuffled[owner])
-                + merge_cpu_seconds(rows_in as f64) / faults.compute_factor(owner, local_end);
+            let mut done = shuffled[owner] + merge_span(self, rows_in, owner, local_end);
             for _ in 0..=n {
-                match faults.crash_time(host) {
-                    Some(tc) if tc < done_s => {
+                match self.faults().crash_time(host) {
+                    Some(tc) if tc < done => {
                         failovers += 1;
                         let t_retry = tc + timeout;
                         let Some(next) = (0..n)
                             .map(|d| (host + 1 + d) % n)
-                            .find(|&v| !faults.is_down(v, t_retry))
+                            .find(|&v| !self.faults().is_down(v, t_retry))
                         else {
                             return Err(QueryError::NoLiveNodes);
                         };
-                        let mut landed = self.fabric.at_seconds(t_retry);
+                        let mut landed = t_retry;
                         for (s, row) in chunks.iter().enumerate() {
                             if row[j].bytes() == 0 {
                                 continue;
@@ -305,21 +311,19 @@ impl Cluster {
                             let (src, src_ready) =
                                 self.partial_source(s, t_retry, &runs, per_shard, next)?;
                             landed = landed.max(self.fabric.transfer(
-                                self.fabric.at_seconds(src_ready),
+                                src_ready,
                                 src,
                                 next,
                                 row[j].bytes(),
                             ));
                         }
                         host = next;
-                        done_s = self.fabric.seconds(landed)
-                            + merge_cpu_seconds(rows_in as f64)
-                                / faults.compute_factor(next, t_retry);
+                        done = landed + merge_span(self, rows_in, next, t_retry);
                     }
                     _ => break,
                 }
             }
-            cand_parts.push((host, self.fabric.at_seconds(done_s), cand.bytes()));
+            cand_parts.push((host, done, cand.bytes()));
             candidates.push(cand);
         }
 
@@ -333,12 +337,11 @@ impl Cluster {
         };
         let done = self.fabric.gather(&cand_parts, dst);
         let merged = merge_topk(&candidates, value, k, ties);
-        let end = self.fabric.seconds(done).max(local_end);
         let cand_rows: usize = candidates.iter().map(Table::rows).sum();
         let cost = ClusterQueryCost {
             per_node,
-            local_seconds: local_end - start,
-            fabric_seconds: end - local_end,
+            local_seconds: (local_end - start).as_secs(CLOCK),
+            fabric_seconds: (done.max(local_end) - local_end).as_secs(CLOCK),
             merge_seconds: merge_cpu_seconds(cand_rows as f64),
             fabric_bytes: self.fabric.payload_bytes(),
             failovers,

@@ -192,7 +192,7 @@ impl CostModel<'_> {
     ) -> (f64, f64, u64) {
         let n = self.catalog.n_shards as f64;
         let m = self.topo.nodes_per_rack() as f64;
-        let clock = self.fabric.clock.hz();
+        let clock = dpu_sql::plan::DPU_CLOCK;
         let nic = self.fabric.nic_bytes_per_cycle as f64 * clock;
         let uplink = self.topo.uplink_bytes_per_cycle(&self.fabric) as f64 * clock;
         let hop = self.fabric.hop_cycles as f64;

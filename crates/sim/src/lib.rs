@@ -9,6 +9,8 @@
 //! The kernel is deliberately generic: it knows nothing about dpCores, the
 //! DMS or the ATE. Higher crates (`dpu-mem`, `dpu-dms`, `dpu-ate`,
 //! `dpu-core`) define concrete event payloads and drive the queue.
+//! `dpu-cluster` keeps the rack's timeline on the same clock, converting
+//! seconds in and out once each ([`Time::from_secs`], [`Time::as_secs`]).
 //!
 //! # Example
 //!

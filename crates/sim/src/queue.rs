@@ -4,30 +4,28 @@
 //! order they were pushed (FIFO), which makes every simulation in the
 //! workspace bit-reproducible regardless of payload type or hash seeds.
 //!
-//! Timestamps default to cycle-granular [`Time`]; any totally ordered
-//! `Copy` type works (the rack's serving engine keys on `f64` seconds
-//! behind a total-order wrapper).
+//! Timestamps are cycle-granular [`Time`], the one clock of every
+//! simulation here, the rack's serving engine included.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 use crate::time::Time;
 
 #[derive(Debug, PartialEq, Eq)]
-struct Entry<E, T> {
-    time: T,
+struct Entry<E> {
+    time: Time,
     seq: u64,
     event: E,
 }
 
-impl<E: Eq, T: Ord> Ord for Entry<E, T> {
+impl<E: Eq> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (&self.time, self.seq).cmp(&(&other.time, other.seq))
+        (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
-impl<E: Eq, T: Ord> PartialOrd for Entry<E, T> {
+impl<E: Eq> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -47,24 +45,16 @@ impl<E: Eq, T: Ord> PartialOrd for Entry<E, T> {
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
 #[derive(Debug)]
-pub struct EventQueue<E, T = Time> {
-    heap: BinaryHeap<Reverse<Entry<E, T>>>,
+pub struct EventQueue<E> {
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    now: T,
+    now: Time,
 }
 
 impl<E: Eq> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
-        Self::starting_at(Time::ZERO)
-    }
-}
-
-impl<E: Eq, T: Ord + Copy + fmt::Debug> EventQueue<E, T> {
-    /// Creates an empty queue positioned at `origin`: nothing may be
-    /// scheduled before it.
-    pub fn starting_at(origin: T) -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: origin }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: Time::ZERO }
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -73,7 +63,7 @@ impl<E: Eq, T: Ord + Copy + fmt::Debug> EventQueue<E, T> {
     ///
     /// Panics if `at` is earlier than the current time: the simulation may
     /// never schedule into its own past.
-    pub fn push(&mut self, at: T, event: E) {
+    pub fn push(&mut self, at: Time, event: E) {
         assert!(at >= self.now, "event scheduled in the past: {at:?} < now {:?}", self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -82,19 +72,19 @@ impl<E: Eq, T: Ord + Copy + fmt::Debug> EventQueue<E, T> {
 
     /// Removes and returns the earliest event, advancing the queue's notion
     /// of "now" to its timestamp. Returns `None` when the queue is drained.
-    pub fn pop(&mut self) -> Option<(T, E)> {
+    pub fn pop(&mut self) -> Option<(Time, E)> {
         let Reverse(entry) = self.heap.pop()?;
         self.now = entry.time;
         Some((entry.time, entry.event))
     }
 
     /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<T> {
+    pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// The timestamp of the most recently popped event.
-    pub fn now(&self) -> T {
+    pub fn now(&self) -> Time {
         self.now
     }
 
@@ -179,18 +169,5 @@ mod tests {
         q.push(Time::from_cycles(3), 'b');
         assert_eq!(q.pop().unwrap().1, 'b');
         assert_eq!(q.pop().unwrap().1, 'c');
-    }
-
-    #[test]
-    fn any_ordered_timestamp_works_from_its_origin() {
-        let mut q: EventQueue<char, i64> = EventQueue::starting_at(-10);
-        assert_eq!(q.now(), -10);
-        q.push(-5, 'b');
-        q.push(-7, 'a');
-        q.push(-5, 'c');
-        assert_eq!(q.pop(), Some((-7, 'a')));
-        assert_eq!(q.pop(), Some((-5, 'b')));
-        assert_eq!(q.pop(), Some((-5, 'c')));
-        assert_eq!(q.now(), -5);
     }
 }

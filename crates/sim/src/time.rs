@@ -50,6 +50,24 @@ impl Time {
         self.0
     }
 
+    /// Converts seconds to the nearest whole cycle at `freq` (a half
+    /// cycle rounds away from zero), saturating at [`Time::MAX`] for
+    /// +∞ and for spans past `u64` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN or negative `seconds`.
+    ///
+    /// ```
+    /// # use dpu_sim::{Time, Frequency};
+    /// assert_eq!(Time::from_secs(20e-6, Frequency::DPU_CORE).cycles(), 16_000);
+    /// ```
+    pub fn from_secs(seconds: f64, freq: Frequency) -> Self {
+        assert!(seconds >= 0.0, "time must be a non-negative number of seconds: {seconds}");
+        // `as` saturates: +∞ and spans past `u64` become `u64::MAX`.
+        Time((seconds * freq.hz()).round() as u64)
+    }
+
     /// Converts to seconds given the clock frequency.
     ///
     /// ```
@@ -233,6 +251,44 @@ mod tests {
         let t = Time::from_cycles(400_000_000);
         assert!((t.as_secs(Frequency::DPU_CORE) - 0.5).abs() < 1e-12);
         assert!((t.as_nanos(Frequency::DPU_CORE) - 0.5e9).abs() < 1e-3);
+    }
+
+    #[test]
+    fn from_secs_rounds_to_the_nearest_cycle() {
+        let f = Frequency::DPU_CORE;
+        // 20 µs is 16 000.000000000002 cycles in f64: exactly 16 000.
+        assert_eq!(Time::from_secs(20e-6, f).cycles(), 16_000);
+        // Half cycles round away from zero; just below or above a half
+        // goes to the nearer cycle.
+        let hz = Frequency::from_hz(1.0);
+        assert_eq!(Time::from_secs(0.5, hz).cycles(), 1);
+        assert_eq!(Time::from_secs(1.5, hz).cycles(), 2);
+        assert_eq!(Time::from_secs(2.5, hz).cycles(), 3);
+        assert_eq!(Time::from_secs(2.49, hz).cycles(), 2);
+        assert_eq!(Time::from_secs(2.51, hz).cycles(), 3);
+        assert_eq!(Time::from_secs(1.4 / 8.0e8, f).cycles(), 1);
+        assert_eq!(Time::from_secs(1.6 / 8.0e8, f).cycles(), 2);
+        assert_eq!(Time::from_secs(0.0, f), Time::ZERO);
+        assert_eq!(Time::from_secs(-0.0, f), Time::ZERO);
+        // A 10^9 s window is 8 × 10^17 cycles, well inside u64.
+        assert_eq!(Time::from_secs(1e9, f).cycles(), 800_000_000_000_000_000);
+        assert_eq!(Time::from_secs(f64::INFINITY, f), Time::MAX);
+        assert_eq!(Time::from_secs(1e30, f), Time::MAX);
+        // Whole cycles survive the round trip exactly.
+        let t = Time::from_cycles(5_365);
+        assert_eq!(Time::from_secs(t.as_secs(f), f), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative number of seconds")]
+    fn from_secs_rejects_nan() {
+        let _ = Time::from_secs(f64::NAN, Frequency::DPU_CORE);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative number of seconds")]
+    fn from_secs_rejects_negative_time() {
+        let _ = Time::from_secs(-1e-9, Frequency::DPU_CORE);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use dpu_repro::cluster::{
     SingleRefCache, Speculation,
 };
 use dpu_repro::pool::Pool;
+use dpu_repro::sim::{Frequency, Time};
 use dpu_repro::sql::tpch;
 
 const NODES: usize = 8;
@@ -221,6 +222,29 @@ fn failover_is_reported_and_priced() {
         "failover must cost wall-clock time"
     );
     assert_eq!(base.cost.failovers, 0);
+}
+
+#[test]
+fn reported_spans_are_whole_cycles_healthy_and_under_a_mid_query_crash() {
+    // The coordinator schedules on the dpCore clock, so a span between
+    // two of its instants is a whole number of cycles: its seconds come
+    // back bit for bit from a trip through the cycle count.
+    let clock = Frequency::DPU_CORE;
+    let whole = |x: f64| Time::from_secs(x, clock).as_secs(clock) == x;
+    let mids = healthy_mids(2);
+    let mut failovers = 0;
+    for (qi, id) in QueryId::ALL.into_iter().enumerate() {
+        let mut crashed = cluster(2);
+        crashed.set_faults(FaultPlan::none().crash(3, mids[qi] * 0.5));
+        for (case, mut c) in [("healthy", cluster(2)), ("node 3 crashed mid-query", crashed)] {
+            let cost = c.try_run_at(id, 0.0).expect("one replica survives").cost;
+            failovers += cost.failovers;
+            for (name, x) in [("local", cost.local_seconds), ("fabric", cost.fabric_seconds)] {
+                assert!(whole(x), "{} {case}: {name}_seconds {x:e} is not whole cycles", id.name());
+            }
+        }
+    }
+    assert!(failovers > 0, "the crash cases must exercise failover");
 }
 
 #[test]
